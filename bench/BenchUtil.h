@@ -55,9 +55,7 @@ inline GateLevelRun runGateLevel(const ir::Design &D, ir::ModuleId Id,
 
   ir::Design Flat;
   ir::ModuleId FlatId = Flat.addModule(Run.Gates);
-  analysis::CheckOptions SerialOpts;
-  SerialOpts.Threads = 1;
-  analysis::SummaryEngine Local(SerialOpts);
+  analysis::SummaryEngine Local(analysis::EngineConfig{1, true});
   analysis::SummaryEngine &E = Engine ? *Engine : Local;
   Timer T;
   std::map<ir::ModuleId, analysis::ModuleSummary> Out;

@@ -67,18 +67,14 @@ struct FamilyResult {
 bool runProtocol(const Design &D, FamilyResult &R) {
   R.Modules = D.numModules();
 
-  CheckOptions SerialOpts;
-  SerialOpts.Threads = 1;
-  SummaryEngine Serial(SerialOpts);
+  SummaryEngine Serial(EngineConfig{1, true});
   std::map<ModuleId, ModuleSummary> SerialOut;
   Timer T;
   if (Serial.analyze(D, SerialOut).hasError())
     return false;
   R.SerialCold = T.seconds();
 
-  CheckOptions ParallelOpts;
-  ParallelOpts.Threads = ParallelThreads;
-  SummaryEngine Parallel(ParallelOpts);
+  SummaryEngine Parallel(EngineConfig{ParallelThreads, true});
   std::map<ModuleId, ModuleSummary> ParallelOut;
   T.restart();
   if (Parallel.analyze(D, ParallelOut).hasError())
@@ -422,8 +418,7 @@ int main(int ArgC, char **ArgV) {
           gen::makeFifo({64, DepthLog2, /*Forwarding=*/true}));
       D.addModule(synth::lower(Tmp, Id));
     }
-    CheckOptions O;
-    O.Threads = 1;
+    const EngineConfig O{1, true};
     SummaryEngine Engine(O);
     std::map<ModuleId, ModuleSummary> Out;
     if (Engine.analyze(D, Out).hasError()) {
@@ -539,10 +534,7 @@ int main(int ArgC, char **ArgV) {
       D.addModule(synth::lower(Tmp, Id));
     }
     auto coldRun = [&D] {
-      CheckOptions O;
-      O.Threads = 1;
-      O.UseCache = false;
-      SummaryEngine E(O);
+      SummaryEngine E(EngineConfig{1, false});
       std::map<ModuleId, ModuleSummary> Out;
       Timer T2;
       if (E.analyze(D, Out).hasError())

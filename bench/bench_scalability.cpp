@@ -14,27 +14,26 @@
 //    forwarding-FIFO chains (every connection port-sorted, so nothing is
 //    discharged early).
 //  * Mega-scale (docs/SCALE.md) — instance-count sweeps over the
-//    gen::MegaScale presets, 60 to 1M flattened instances: wall-clock of
-//    the full pipeline under the serial engine, the in-process sharded
-//    engine, and the fork-isolated sharded engine. Every sharded run is
-//    gated on producing *identical results* to the serial one —
-//    structurallyEqual summaries, byte-identical verdict NDJSON, same
-//    Stage-3 verdict — before its timing may be reported; a divergence
-//    fails the bench.
+//    gen::MegaScale presets, 60 to 1M flattened instances: serial
+//    Stage-1 and SCC Stage-3 wall-clock. Stage 1 tracks unique modules,
+//    not flat instances.
+//  * Summary codec — encode/decode throughput of a mega preset's
+//    summaries as a wire summary stream, gated on a structurallyEqual
+//    round trip.
 //
 // Also measures the ablation called out in DESIGN.md: pairwise vs SCC.
 //
 // `--json <path>` mirrors every table row into a machine-readable report
 // (BENCH_scalability.json at the repo root is a committed snapshot;
 // tools/run_bench.sh refreshes it), with the trace registry's counters
-// appended so shard.*/engine.* land next to the timings.
+// appended so engine.*/wire.* land next to the timings.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
 
-#include "analysis/Sharded.h"
 #include "analysis/SortInference.h"
+#include "analysis/SummaryEngine.h"
 #include "analysis/SummaryIO.h"
 #include "analysis/WellConnected.h"
 #include "gen/Fifo.h"
@@ -52,44 +51,11 @@ using namespace wiresort::bench;
 using namespace wiresort::gen;
 using namespace wiresort::ir;
 
-namespace {
-
-/// The mega-scale identical-results gate: serial reference vs one
-/// sharded configuration. \returns false (with a stderr note) when any
-/// part of the determinism contract is violated.
-bool shardedMatchesSerial(const char *What,
-                          const support::Status &SerialVerdict,
-                          const std::map<ModuleId, ModuleSummary> &Serial,
-                          const support::Status &ShardVerdict,
-                          const std::map<ModuleId, ModuleSummary> &Shard) {
-  if (support::renderJson(SerialVerdict) !=
-      support::renderJson(ShardVerdict)) {
-    std::fprintf(stderr, "%s: verdict NDJSON diverges from serial\n", What);
-    return false;
-  }
-  if (Serial.size() != Shard.size()) {
-    std::fprintf(stderr, "%s: summary count %zu != serial %zu\n", What,
-                 Shard.size(), Serial.size());
-    return false;
-  }
-  for (const auto &[Id, S] : Serial) {
-    auto It = Shard.find(Id);
-    if (It == Shard.end() || !structurallyEqual(S, It->second)) {
-      std::fprintf(stderr, "%s: summary of module %u diverges\n", What,
-                   static_cast<unsigned>(Id));
-      return false;
-    }
-  }
-  return true;
-}
-
-} // namespace
-
 int main(int ArgC, char **ArgV) {
   bool Quick = quickMode(ArgC, ArgV);
   const std::string JsonOut = jsonPath(ArgC, ArgV);
   JsonReport Json;
-  // Metrics-only collection window: the shard.*/engine.* counters the
+  // Metrics-only collection window: the engine.*/wire.* counters the
   // sweeps below bump are appended to the JSON report at the end.
   trace::Session Metrics(trace::SessionOptions{"", /*CollectSpans=*/false});
 
@@ -207,16 +173,14 @@ int main(int ArgC, char **ArgV) {
                 "check)\n\n");
   }
 
-  // --- Mega-scale: flat-instance sweeps, serial vs sharded -----------------
+  // --- Mega-scale: flat-instance sweeps ------------------------------------
   // The flat instance count is what a monolithic checker would expand;
   // the engine's cost scales with unique modules plus hierarchy nodes.
-  // Every sharded timing below is valid only because the identical-
-  // results gate passed first.
-  std::printf("=== Mega-scale: serial vs sharded full pipeline "
+  std::printf("=== Mega-scale: Stage 1 and Stage 3 vs flat instances "
               "(docs/SCALE.md) ===\n\n");
   {
-    Table T({"Preset", "Flat instances", "Modules", "Serial (ms)",
-             "Sharded x4 (ms)", "Fork x4 (ms)", "Stage-3 (ms)"});
+    Table T({"Preset", "Flat instances", "Modules", "Stage-1 (ms)",
+             "Stage-3 (ms)"});
     std::vector<std::string> Presets = {"ci", "10k", "100k"};
     if (!Quick) {
       Presets.push_back("100k-noc");
@@ -228,50 +192,19 @@ int main(int ArgC, char **ArgV) {
       Design D;
       Circuit Circ = buildMegaScaleCircuit(D, P);
 
-      // Serial reference (cache off: every run measures cold work).
-      CheckOptions SerialOpts;
-      SerialOpts.Threads = 1;
-      SerialOpts.UseCache = false;
-      SummaryEngine Serial(SerialOpts);
-      std::map<ModuleId, ModuleSummary> Reference;
+      // Serial Stage 1 (cache off: every run measures cold work).
+      SummaryEngine Serial(EngineConfig{1, false});
+      std::map<ModuleId, ModuleSummary> Summaries;
       Timer SerialT;
-      support::Status SerialVerdict = Serial.analyze(D, Reference);
+      support::Status SerialVerdict = Serial.analyze(D, Summaries);
       double SerialMs = SerialT.milliseconds();
       if (SerialVerdict.hasError())
         return 1;
 
-      // In-process sharded, then fork-isolated sharded; both gated.
-      double ShardMs[2] = {0, 0};
-      const ShardOptions::Mode Modes[2] = {ShardOptions::Mode::InProcess,
-                                           ShardOptions::Mode::Fork};
-      const char *ModeName[2] = {"sharded x4", "fork x4"};
-      for (int M = 0; M != 2; ++M) {
-        ShardOptions SOpts;
-        SOpts.Shards = 4;
-        SOpts.ExecMode = Modes[M];
-        SOpts.Engine.UseCache = false;
-        ShardedEngine Sharded(SOpts);
-        std::map<ModuleId, ModuleSummary> Out;
-        Timer ShardT;
-        support::Status Verdict = Sharded.analyze(D, Out);
-        ShardMs[M] = ShardT.milliseconds();
-        if (!shardedMatchesSerial((Name + " " + ModeName[M]).c_str(),
-                                  SerialVerdict, Reference, Verdict, Out))
-          return 1;
-      }
-
-      // Stage-3 over the top composition: SCC verdict is the reference,
-      // the sharded pairwise checker must agree.
+      // Stage-3 over the top composition (production SCC check).
       Timer CheckT;
-      CircuitCheckResult Scc = checkCircuit(Circ, Reference);
+      CircuitCheckResult Scc = checkCircuit(Circ, Summaries);
       double CheckMs = CheckT.milliseconds();
-      CircuitCheckResult Sharded3 =
-          checkCircuitSharded(Circ, Reference, 4);
-      if (Scc.WellConnected != Sharded3.WellConnected) {
-        std::fprintf(stderr, "%s: sharded Stage-3 verdict diverges\n",
-                     Name.c_str());
-        return 1;
-      }
       if (!Scc.WellConnected)
         return 1;
 
@@ -280,8 +213,6 @@ int main(int ArgC, char **ArgV) {
       T.addRow({Name, Table::withCommas(Flat),
                 std::to_string(D.numModules()),
                 Table::secondsStr(SerialMs, 3),
-                Table::secondsStr(ShardMs[0], 3),
-                Table::secondsStr(ShardMs[1], 3),
                 Table::secondsStr(CheckMs, 3)});
       Json.beginRecord()
           .field("sweep", "mega_scale")
@@ -290,34 +221,27 @@ int main(int ArgC, char **ArgV) {
           .field("modules", static_cast<uint64_t>(D.numModules()))
           .field("fingerprint", fingerprint(D, Top))
           .field("serial_stage1_seconds", SerialMs / 1e3)
-          .field("sharded4_stage1_seconds", ShardMs[0] / 1e3)
-          .field("fork4_stage1_seconds", ShardMs[1] / 1e3)
           .field("stage3_seconds", CheckMs / 1e3);
     }
     T.print();
-    std::printf("(cost tracks unique modules, not flat instances: the "
-                "paper's per-module summary factoring at 1M-instance "
-                "scale; sharded timings are gated on byte-identical "
-                "results)\n");
+    std::printf("(Stage-1 cost tracks unique modules, not flat instances: "
+                "the paper's per-module summary factoring at "
+                "1M-instance scale)\n");
   }
 
-  // --- Shard-pipe throughput: framed wire records over a byte stream -------
-  // The fork workers stream their results to the coordinator as wire
-  // records flushed one at a time (docs/FORMATS.md, shard framing). This
-  // sweep isolates the codec cost from fork/scheduling noise: encode a
-  // mega-scale preset's summaries record by record — Writer::take() after
-  // every record, exactly the pipe's flush pattern — then drain the
-  // concatenated stream with a Reader, gated on decoding structurally
-  // equal summaries.
-  std::printf("\n=== Shard-pipe throughput: wire record codec "
+  // --- Summary codec throughput: wire summary stream ------------------------
+  // Encode a mega-scale preset's summaries as a StreamKind::Summaries
+  // stream (one ModuleSummary record per module, the `.wsort` body
+  // codec), then drain it with a Reader, gated on decoding structurally
+  // equal summaries. Decode resolves every port name against the design,
+  // so this row tracks name-lookup cost on wide interfaces.
+  std::printf("\n=== Summary codec throughput: wire summary stream "
               "(docs/FORMATS.md) ===\n\n");
   {
     MegaScaleParams P = *megaScalePreset(Quick ? "ci" : "10k");
     Design D;
     buildMegaScale(D, P);
-    CheckOptions SerialOpts;
-    SerialOpts.Threads = 1;
-    SummaryEngine Serial(SerialOpts);
+    SummaryEngine Serial(EngineConfig{1, true});
     std::map<ModuleId, ModuleSummary> Out;
     if (Serial.analyze(D, Out).hasError())
       return 1;
@@ -328,16 +252,14 @@ int main(int ArgC, char **ArgV) {
     for (int Rep = 0; Rep != Reps; ++Rep) {
       Timer T2;
       support::wire::Writer W;
-      W.beginStream(support::wire::StreamKind::Shard, 1);
-      std::string Bytes = W.take();
+      W.beginStream(support::wire::StreamKind::Summaries, 1);
       for (const auto &[Id, S] : Out) {
         W.beginRecord(support::wire::RecordKind::ModuleSummary);
         analysis::detail::encodeSummaryBody(W, D.module(Id), S);
         W.endRecord();
-        Bytes += W.take(); // One flush per record, as the pipe does.
       }
       W.finish();
-      Bytes += W.take();
+      std::string Bytes = W.take();
       double S = T2.seconds();
       EncodeS = EncodeS < 0.0 ? S : std::min(EncodeS, S);
       Stream = std::move(Bytes);
@@ -354,7 +276,7 @@ int main(int ArgC, char **ArgV) {
         if (It == support::wire::Reader::Item::End)
           break;
         if (It != support::wire::Reader::Item::Record) {
-          std::fprintf(stderr, "pipe throughput: damaged stream\n");
+          std::fprintf(stderr, "codec throughput: damaged stream\n");
           return 1;
         }
         if (Rec.Kind != support::wire::RecordKind::ModuleSummary)
@@ -363,7 +285,7 @@ int main(int ArgC, char **ArgV) {
         ModuleSummary S;
         std::string Why;
         if (!analysis::detail::decodeSummaryBody(C, D, S, Why)) {
-          std::fprintf(stderr, "pipe throughput: %s\n", Why.c_str());
+          std::fprintf(stderr, "codec throughput: %s\n", Why.c_str());
           return 1;
         }
         Decoded[S.Id] = std::move(S);
@@ -381,11 +303,11 @@ int main(int ArgC, char **ArgV) {
 
     const double Mb = double(Stream.size()) / 1e6;
     Table T({"Direction", "Records", "Bytes", "Best (ms)", "MB/s"});
-    T.addRow({"encode (worker side)", Table::withCommas(Out.size()),
+    T.addRow({"encode", Table::withCommas(Out.size()),
               Table::withCommas(Stream.size()),
               Table::secondsStr(EncodeS * 1e3, 3),
               Table::secondsStr(Mb / EncodeS, 1)});
-    T.addRow({"decode (coordinator side)", Table::withCommas(Out.size()),
+    T.addRow({"decode", Table::withCommas(Out.size()),
               Table::withCommas(Stream.size()),
               Table::secondsStr(DecodeS * 1e3, 3),
               Table::secondsStr(Mb / DecodeS, 1)});
@@ -393,7 +315,7 @@ int main(int ArgC, char **ArgV) {
     std::printf("(best of %d, gated on structurallyEqual round-trip)\n",
                 Reps);
     Json.beginRecord()
-        .field("sweep", "wire_pipe_throughput")
+        .field("sweep", "wire_summary_codec")
         .field("records", static_cast<uint64_t>(Out.size()))
         .field("bytes", static_cast<uint64_t>(Stream.size()))
         .field("encode_seconds", EncodeS)

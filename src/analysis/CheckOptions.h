@@ -18,12 +18,6 @@
 ///    resident engine can serve many differently-configured requests
 ///    concurrently without copying or re-creating engine state.
 ///
-/// \ref CheckOptions, the previous single flat struct, is kept for one
-/// release as a deprecated aggregate of both halves (the same grace
-/// period the PR-4 `EngineOptions` alias got before PR 8 removed it):
-/// every pre-split call site keeps compiling, and engine()/request()
-/// project out the halves for code migrating to the new surface.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef WIRESORT_ANALYSIS_CHECKOPTIONS_H
@@ -88,36 +82,6 @@ struct RequestOptions {
   /// Seed for probabilistic failpoint triggers, so a (spec, seed) pair
   /// replays byte-identically.
   uint64_t FaultSeed = 0;
-};
-
-/// Deprecated aggregate of EngineConfig + RequestOptions, kept for one
-/// release so pre-split call sites keep compiling. New code should pass
-/// EngineConfig to engines and RequestOptions to the driver; this shim
-/// (like the PR-4 `EngineOptions` alias before it) will be removed.
-struct CheckOptions {
-  using Format = ::wiresort::analysis::Format;
-
-  // EngineConfig half.
-  unsigned Threads = 0;
-  bool UseCache = true;
-
-  // RequestOptions half.
-  std::string CachePath;
-  Format OutputFormat = Format::Text;
-  std::string TraceOutPath;
-  bool Stats = false;
-  uint64_t TimeoutMs = 0;
-  std::string FailpointSpec;
-  uint64_t FaultSeed = 0;
-
-  /// The engine-facing half.
-  EngineConfig engine() const { return {Threads, UseCache}; }
-
-  /// The per-request half.
-  RequestOptions request() const {
-    return {CachePath, OutputFormat, TraceOutPath, Stats,
-            TimeoutMs, FailpointSpec, FaultSeed};
-  }
 };
 
 } // namespace wiresort::analysis

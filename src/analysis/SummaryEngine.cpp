@@ -272,23 +272,6 @@ SummaryEngine::computeKeys(const Design &D,
   return Keys;
 }
 
-const std::vector<uint64_t> &
-SummaryEngine::primeKeys(const Design &D,
-                         const std::map<ModuleId, ModuleSummary> &Ascribed) {
-  Keys = computeKeys(D, Ascribed);
-  return Keys;
-}
-
-support::Status
-SummaryEngine::analyze(const Design &D,
-                       std::map<ModuleId, ModuleSummary> &Out,
-                       const std::map<ModuleId, ModuleSummary> &Ascribed) {
-  return analyze(D, Out, Ascribed,
-                 LegacyTimeoutMs != 0
-                     ? support::Deadline::afterMs(LegacyTimeoutMs)
-                     : support::Deadline());
-}
-
 support::Status
 SummaryEngine::analyze(const Design &D,
                        std::map<ModuleId, ModuleSummary> &Out,

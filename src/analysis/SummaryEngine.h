@@ -127,13 +127,6 @@ public:
   SummaryEngine() = default;
   explicit SummaryEngine(EngineConfig Cfg) : Cfg(Cfg) {}
 
-  /// Deprecated: construct from the flat pre-split options aggregate.
-  /// Takes the engine-facing half; TimeoutMs is honored by the
-  /// three-argument analyze() for compatibility. Goes away with
-  /// CheckOptions itself.
-  explicit SummaryEngine(const CheckOptions &Opts)
-      : Cfg(Opts.engine()), LegacyTimeoutMs(Opts.TimeoutMs) {}
-
   /// Engine configuration this instance was built with.
   const EngineConfig &config() const { return Cfg; }
 
@@ -145,23 +138,20 @@ public:
   /// hasError() — on success); dependents of failed modules are skipped
   /// silently and \p Out holds the summaries of everything that did
   /// summarize.
-  support::Status
-  analyze(const ir::Design &D, std::map<ir::ModuleId, ModuleSummary> &Out,
-          const std::map<ir::ModuleId, ModuleSummary> &Ascribed = {});
-
-  /// Like analyze() but bounded by \p DL: when the deadline expires (or
-  /// its token is cancelled) no new module is started, every unfinished
+  ///
+  /// The run is bounded by \p DL: when the deadline expires (or its
+  /// token is cancelled) no new module is started, every unfinished
   /// module and its dependents are marked Cancelled, and the returned
   /// status carries — after the usual per-module diagnostics — one
   /// WS601_CANCELLED error noting how many modules completed and how
   /// many were abandoned. Summaries of completed modules are still
   /// delivered through \p Out (partial progress is a feature: a caller
-  /// can warm the cache even from a timed-out run). An inert deadline
-  /// behaves exactly like the two-argument overload.
+  /// can warm the cache even from a timed-out run). The default, inert
+  /// deadline never fires.
   support::Status
   analyze(const ir::Design &D, std::map<ir::ModuleId, ModuleSummary> &Out,
-          const std::map<ir::ModuleId, ModuleSummary> &Ascribed,
-          const support::Deadline &DL);
+          const std::map<ir::ModuleId, ModuleSummary> &Ascribed = {},
+          const support::Deadline &DL = {});
 
   /// The re-entrant core of analyze(): identical semantics, but every
   /// per-call artifact (stats, cache keys) is written into \p Outcome
@@ -169,8 +159,8 @@ public:
   /// SummaryCache, which is thread-safe. Any number of threads may call
   /// analyzeShared() on the same engine concurrently — the resident
   /// service (src/driver/) runs every request through this entry point.
-  /// The member-mutating analyze() overloads are thin wrappers that copy
-  /// the outcome back into stats()/keyOf()/saveCache() state and remain
+  /// The member-mutating analyze() is a thin wrapper that copies the
+  /// outcome back into stats()/keyOf()/saveCache() state and remains
   /// single-caller-at-a-time.
   support::Status
   analyzeShared(const ir::Design &D,
@@ -181,22 +171,11 @@ public:
   /// Pure key computation: structuralHash of each module body folded
   /// with the keys of its instantiated definitions in instance order
   /// (ascribed modules key on summary content). The one key function
-  /// shared — by construction, not convention — between analyze paths,
-  /// the ShardedEngine, and saveCache.
+  /// shared — by construction, not convention — between analyze paths
+  /// and saveCache.
   static std::vector<uint64_t>
   computeKeys(const ir::Design &D,
               const std::map<ir::ModuleId, ModuleSummary> &Ascribed = {});
-
-  /// Computes and retains (for keyOf/saveCache) the cache key of every
-  /// module of \p D: structuralHash of the body folded with the keys of
-  /// the instantiated definitions in instance order; ascribed modules
-  /// key on their summary content instead. analyze() calls this itself;
-  /// it is public so the ShardedEngine (analysis/Sharded.h) shares the
-  /// exact same key computation — and therefore byte-identical saveCache
-  /// output — without running the in-process scheduler.
-  const std::vector<uint64_t> &
-  primeKeys(const ir::Design &D,
-            const std::map<ir::ModuleId, ModuleSummary> &Ascribed = {});
 
   /// Counters for the most recent analyze() call.
   const EngineStats &stats() const { return Stats; }
@@ -257,9 +236,6 @@ public:
 
 private:
   EngineConfig Cfg;
-  /// Timeout carried over from a deprecated CheckOptions construction;
-  /// honored only by the three-argument analyze(). Dies with the shim.
-  uint64_t LegacyTimeoutMs = 0;
   SummaryCache Cache;
   EngineStats Stats;
   /// Per-module cache keys of the last analyzed design.

@@ -12,7 +12,6 @@
 
 #include "analysis/Depth.h"
 #include "analysis/Dot.h"
-#include "analysis/Sharded.h"
 #include "analysis/SortInference.h"
 #include "analysis/SummaryIO.h"
 #include "parse/Blif.h"
@@ -166,13 +165,8 @@ checkDeclared(const Design &D,
               const std::map<ModuleId, ModuleSummary> &Computed) {
   support::DiagList Mismatches;
   for (const auto &[Id, Decl] : Declared) {
-    // A --shard slice computes only its owned modules; declared entries
-    // for the other slices are theirs to check.
-    auto CompIt = Computed.find(Id);
-    if (CompIt == Computed.end())
-      continue;
     const Module &M = D.module(Id);
-    const ModuleSummary &Comp = CompIt->second;
+    const ModuleSummary &Comp = Computed.at(Id);
     auto report = [&](WireId Port, const char *What) {
       Mismatches.add(
           support::Diag(support::DiagCode::WS102_ASCRIPTION_MISMATCH,
@@ -329,31 +323,12 @@ CheckResult CheckService::run(const CheckRequest &R) {
     return done(0);
   }
 
-  // --- Engine setup. Plain requests run through the *resident* engine
-  // via the re-entrant analyzeShared path, so repeated submissions of
-  // the same (or a lightly edited) design are mostly cache hits.
-  // Sharded and slice requests build a request-local ShardedEngine —
-  // exactly what a CLI invocation does — with fork workers degraded to
-  // in-process ones when the host process is multi-threaded (the
-  // daemon); output is byte-identical either way by the shard
-  // determinism contract (analysis/Sharded.h).
-  std::optional<ShardedEngine> Sharded;
-  if (R.Shards != 0 || R.SliceOf != 0) {
-    ShardOptions SOpts;
-    SOpts.Shards = R.Shards != 0 ? R.Shards : R.SliceOf;
-    SOpts.ExecMode = (R.Shards != 0 && R.AllowFork)
-                         ? ShardOptions::Mode::Fork
-                         : ShardOptions::Mode::InProcess;
-    if (R.SliceOf != 0)
-      SOpts.SliceShard = static_cast<int>(R.SliceShard);
-    SOpts.Engine = Engine.config();
-    Sharded.emplace(SOpts);
-  }
-  SummaryEngine &Eng = Sharded ? Sharded->engine() : Engine;
-
+  // --- Engine setup. Requests run through the *resident* engine via
+  // the re-entrant analyzeShared path, so repeated submissions of the
+  // same (or a lightly edited) design are mostly cache hits.
   if (!R.Req.CachePath.empty()) {
     support::Expected<CacheLoadResult> Loaded =
-        Eng.loadCache(R.Req.CachePath, File->Design);
+        Engine.loadCache(R.Req.CachePath, File->Design);
     if (!Loaded) {
       Emit.emit(Loaded.diags());
       return done(2);
@@ -370,27 +345,15 @@ CheckResult CheckService::run(const CheckRequest &R) {
   std::map<ModuleId, ModuleSummary> Summaries;
   AnalyzeOutcome Outcome;
   support::Status Stage1 =
-      Sharded ? Sharded->analyze(File->Design, Summaries, {}, DL)
-              : Engine.analyzeShared(File->Design, Summaries, {}, DL, Outcome);
+      Engine.analyzeShared(File->Design, Summaries, {}, DL, Outcome);
   double Ms = T.milliseconds();
-  if (Sharded) {
-    // The sharded front end primes the inner engine's keys/stats
-    // itself; mirror what the structured result needs.
-    Outcome.Keys = Eng.primeKeys(File->Design);
-    Outcome.Stats.Modules = Sharded->stats().Modules;
-    Outcome.Stats.Inferred = Sharded->stats().Inferred;
-    Outcome.Stats.CacheHits = Sharded->stats().CacheHits;
-    Outcome.Stats.Cancelled = Sharded->stats().Cancelled;
-    Outcome.Stats.Panicked = Sharded->stats().Panicked;
-    Outcome.Stats.Seconds = Sharded->stats().Seconds;
-  }
   Res.Stats = Outcome.Stats;
 
   auto save = [&]() {
     if (R.Req.CachePath.empty())
       return;
-    Emit.emit(
-        Eng.saveCache(R.Req.CachePath, File->Design, Summaries, Outcome.Keys));
+    Emit.emit(Engine.saveCache(R.Req.CachePath, File->Design, Summaries,
+                               Outcome.Keys));
   };
 
   if (Stage1.hasError()) {
@@ -406,13 +369,8 @@ CheckResult CheckService::run(const CheckRequest &R) {
 
   if (!R.Quiet && Emit.Fmt == Format::Text) {
     for (ModuleId Id = 0; Id != File->Design.numModules(); ++Id) {
-      // Slice mode delivers only the owned modules' summaries; the
-      // table shows exactly those.
-      auto SliceIt = Summaries.find(Id);
-      if (SliceIt == Summaries.end())
-        continue;
       const Module &M = File->Design.module(Id);
-      const ModuleSummary &S = SliceIt->second;
+      const ModuleSummary &S = Summaries.at(Id);
       appendf(Res.Out, "module %s (%zu gates, %zu regs, %zu instances)\n",
               M.Name.c_str(), M.Nets.size(), M.Registers.size(),
               M.Instances.size());
@@ -438,30 +396,14 @@ CheckResult CheckService::run(const CheckRequest &R) {
       appendf(Res.Out, "\n");
     }
   }
-  if (Emit.Fmt == Format::Text) {
-    if (Sharded) {
-      const ShardStats &Stats = Sharded->stats();
-      appendf(Res.Out,
-              "well-connected: %zu module(s) analyzed in %.2f ms "
-              "(%u shard(s), %zu wave(s), %zu inferred, "
-              "%zu cache hit(s))\n",
-              Summaries.size(), Ms, Stats.Shards, Stats.Waves,
-              Stats.Inferred, Stats.CacheHits);
-    } else {
-      appendf(Res.Out,
-              "well-connected: %zu module(s) analyzed in %.2f ms "
-              "(%u thread(s), %zu inferred, %zu cache hit(s))\n",
-              File->Design.numModules(), Ms, Outcome.Stats.ThreadsUsed,
-              Outcome.Stats.Inferred, Outcome.Stats.CacheHits);
-    }
-  }
+  if (Emit.Fmt == Format::Text)
+    appendf(Res.Out,
+            "well-connected: %zu module(s) analyzed in %.2f ms "
+            "(%u thread(s), %zu inferred, %zu cache hit(s))\n",
+            File->Design.numModules(), Ms, Outcome.Stats.ThreadsUsed,
+            Outcome.Stats.Inferred, Outcome.Stats.CacheHits);
 
   if (R.ShowDepth && Emit.Fmt == Format::Text) {
-    if (Summaries.size() != File->Design.numModules()) {
-      appendf(Res.Err, "error: --depth needs the whole design's "
-                       "summaries (not a --shard slice)\n");
-      return done(2);
-    }
     auto Depths = inferAllDepths(File->Design, Summaries);
     if (!Depths) {
       appendf(Res.Err, "error: depth analysis needs an acyclic design\n");
@@ -528,9 +470,6 @@ CheckResult CheckService::run(const CheckRequest &R) {
   }
 
   if (!R.DotPath.empty()) {
-    if (!Summaries.count(File->Top))
-      return done(ioError(Emit, "--dot needs the top module's summary (not "
-                                "delivered by this --shard slice)"));
     const Module &Top = File->Design.module(File->Top);
     if (!writeFile(R.DotPath, moduleDot(Top, Summaries.at(File->Top))))
       return done(ioError(Emit, "cannot write '" + R.DotPath + "'"));
@@ -540,8 +479,6 @@ CheckResult CheckService::run(const CheckRequest &R) {
 
   if (!finishTelemetry())
     return done(2);
-  // Summaries.size() == numModules except in slice mode, where the
-  // verdict counts the delivered slice.
   Res.Modules = Summaries.size();
   Emit.verdictOk(Summaries.size());
   return done(0);

@@ -93,15 +93,6 @@ struct CheckRequest {
   bool Quiet = false;     ///< --quiet
   bool ShowDepth = false; ///< --depth
 
-  /// Sharding: --shards N (isolated workers) / --shard I/N (slice).
-  unsigned Shards = 0;
-  unsigned SliceShard = 0, SliceOf = 0;
-  /// Fork-mode shard workers are only safe while the process is
-  /// single-threaded (support/Process.h); the daemon clears this and
-  /// sharded requests run in-process instead — byte-identical output
-  /// by the shard determinism contract (analysis/Sharded.h).
-  bool AllowFork = true;
-
   const std::string &name() const {
     return DesignName.empty() ? DesignPath : DesignName;
   }
@@ -156,8 +147,8 @@ private:
 };
 
 /// One-shot convenience: a fresh (cold) CheckService for one request —
-/// exactly what a `wiresort-check` process invocation is. \p Cfg is the
-/// engine half of the old flat options (--threads and friends).
+/// exactly what a `wiresort-check` process invocation is. \p Cfg carries
+/// the engine knobs (--threads).
 CheckResult runCheck(const CheckRequest &R, analysis::EngineConfig Cfg = {});
 
 } // namespace wiresort::driver

@@ -27,6 +27,13 @@ namespace {
 /// old decoders fail closed on them, which is the contract.
 constexpr uint64_t ServePayloadVersion = 1;
 
+/// Request varints after the fault seed that once carried the shard
+/// count and the --shard I/N slice. They keep the record layout stable:
+/// encodeRequest writes 0 and decodeRequest rejects anything else, so an
+/// older client asking for shards is refused rather than silently
+/// served the whole design.
+constexpr int ReservedSlots = 3;
+
 /// Request flag bits (one byte on the wire).
 enum : uint8_t {
   FlagQuiet = 1 << 0,
@@ -152,9 +159,8 @@ std::string driver::encodeRequest(Method M, const CheckRequest &R) {
   W.putByte(Flags);
   W.putVarint(R.Req.TimeoutMs);
   W.putVarint(R.Req.FaultSeed);
-  W.putVarint(R.Shards);
-  W.putVarint(R.SliceShard);
-  W.putVarint(R.SliceOf);
+  for (int I = 0; I != ReservedSlots; ++I)
+    W.putVarint(0);
   W.putString(R.DesignPath);
   W.putString(R.DesignName);
   W.putString(R.Req.CachePath);
@@ -179,12 +185,13 @@ bool driver::decodeRequest(std::string_view Bytes, Method &M, CheckRequest &R,
     return false;
   wire::Reader::Cursor C(Rec, Reader);
   uint8_t Meth = 0, Fmt = 0, Flags = 0;
-  uint64_t TimeoutMs = 0, Seed = 0, Shards = 0, SliceShard = 0, SliceOf = 0;
+  uint64_t TimeoutMs = 0, Seed = 0, Reserved[ReservedSlots] = {};
   std::string_view DesignPath, DesignName, CachePath, TraceOut, Failpoints,
       SummariesOut, CheckPath, DotPath, ConvertIn, DesignText, CheckText;
   if (!C.getByte(Meth) || !C.getByte(Fmt) || !C.getByte(Flags) ||
-      !C.getVarint(TimeoutMs) || !C.getVarint(Seed) || !C.getVarint(Shards) ||
-      !C.getVarint(SliceShard) || !C.getVarint(SliceOf) ||
+      !C.getVarint(TimeoutMs) || !C.getVarint(Seed) ||
+      !C.getVarint(Reserved[0]) || !C.getVarint(Reserved[1]) ||
+      !C.getVarint(Reserved[2]) ||
       !C.getString(DesignPath) || !C.getString(DesignName) ||
       !C.getString(CachePath) || !C.getString(TraceOut) ||
       !C.getString(Failpoints) || !C.getString(SummariesOut) ||
@@ -203,6 +210,12 @@ bool driver::decodeRequest(std::string_view Bytes, Method &M, CheckRequest &R,
     Why = "unknown output format " + std::to_string(Fmt);
     return false;
   }
+  for (uint64_t Slot : Reserved)
+    if (Slot != 0) {
+      Why = "reserved request field is set (sharded and sliced requests "
+            "are no longer served)";
+      return false;
+    }
   M = static_cast<Method>(Meth);
   R = CheckRequest();
   R.Req.OutputFormat = static_cast<analysis::Format>(Fmt);
@@ -214,9 +227,6 @@ bool driver::decodeRequest(std::string_view Bytes, Method &M, CheckRequest &R,
   R.Req.Stats = Flags & FlagStats;
   R.Req.TimeoutMs = TimeoutMs;
   R.Req.FaultSeed = Seed;
-  R.Shards = static_cast<unsigned>(Shards);
-  R.SliceShard = static_cast<unsigned>(SliceShard);
-  R.SliceOf = static_cast<unsigned>(SliceOf);
   R.DesignPath = std::string(DesignPath);
   R.DesignName = std::string(DesignName);
   R.Req.CachePath = std::string(CachePath);
@@ -491,10 +501,6 @@ std::string Server::handle(std::string_view RequestBytes) {
   switch (M) {
   case Method::Check:
   case Method::Ascribe: {
-    // Fork-mode shard workers are unsafe in a threaded process
-    // (support/Process.h); requests degrade to in-process shards,
-    // byte-identically (analysis/Sharded.h determinism contract).
-    R.AllowFork = false;
     // Thread the drain kill through the run: a bounded drain cancels
     // stragglers cooperatively (WS601, exit 3, fail closed).
     R.Cancel = DrainKill;

@@ -30,7 +30,7 @@
 ///
 /// Generation is a pure function of MegaScaleParams: the same params
 /// (including Seed) produce a structurally byte-identical Design in any
-/// process, which the shard-differential and generator-determinism suites
+/// process, which the metamorphic and generator-determinism suites
 /// rely on (fingerprint() is the cheap cross-process witness).
 ///
 //===----------------------------------------------------------------------===//

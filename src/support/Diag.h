@@ -267,10 +267,6 @@ std::string renderJson(const Diag &D);
 /// Newline-delimited JSON: renderJson per diag, one per line.
 std::string renderJson(const DiagList &Ds);
 
-// Cross-process Diag transport lives in support/Wire.h (wire::putDiag /
-// wire::getDiag): diagnostics travel as checksummed binary wire records
-// on the shard pipe, not as ad-hoc escaped text lines.
-
 } // namespace wiresort::support
 
 #endif // WIRESORT_SUPPORT_DIAG_H

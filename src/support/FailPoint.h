@@ -34,7 +34,7 @@
 /// or from the environment (WIRESORT_FAILPOINTS /
 /// WIRESORT_FAILPOINT_SEED — the channel the crash-recovery tests use to
 /// inject faults into a child process). The seed comes from
-/// analysis::CheckOptions::FaultSeed on production paths. Every fired
+/// analysis::RequestOptions::FaultSeed on production paths. Every fired
 /// site bumps the `fault.injected` trace counter, so fault activity is
 /// visible in `wiresort-check --stats` (docs/OBSERVABILITY.md).
 ///

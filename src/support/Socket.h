@@ -9,11 +9,10 @@
 /// The fd-level plumbing under the serving layer (docs/SERVING.md): a
 /// Unix-domain stream listener with a stoppable accept loop, a client
 /// connect (plus a backoff-retrying variant), and the read-to-EOF /
-/// write-everything helpers both sides frame wire streams over. The
-/// same lift support/Process.h gave fork+pipe, applied to sockets —
-/// byte transport only; framing, checksums, and trust live one layer up
-/// in support/Wire.h (a socket peer is as untrusted as a half-dead fork
-/// worker, and the reader's fail-closed rules already cover both).
+/// write-everything helpers both sides frame wire streams over. Byte
+/// transport only; framing, checksums, and trust live one layer up in
+/// support/Wire.h (a socket peer is untrusted, and the reader's
+/// fail-closed rules cover a torn or forged stream).
 ///
 /// Overload safety is transport policy, so it lives here too
 /// (docs/SERVING.md degradation matrix): readAll/writeAll take an

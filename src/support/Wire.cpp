@@ -304,74 +304,3 @@ bool Reader::Cursor::getBytes(std::string_view &S) {
   Pos += Len;
   return true;
 }
-
-// --- Diag payload codec -----------------------------------------------------
-//
-// code varint | severity byte | message str | has-loc byte
-// [file str | line varint | col varint] | hop count | (inst str,
-// port str)* | note count | (key str, value str)*
-
-void wire::putDiag(Writer &W, const Diag &D) {
-  W.putVarint(static_cast<uint64_t>(D.code()));
-  W.putByte(static_cast<uint8_t>(D.severity()));
-  W.putString(D.message());
-  W.putByte(D.loc() ? 1 : 0);
-  if (D.loc()) {
-    W.putString(D.loc()->File);
-    W.putVarint(D.loc()->Line);
-    W.putVarint(D.loc()->Col);
-  }
-  W.putVarint(D.witness().size());
-  for (const WitnessHop &H : D.witness()) {
-    W.putString(H.Instance);
-    W.putString(H.Port);
-  }
-  W.putVarint(D.notes().size());
-  for (const auto &[Key, Value] : D.notes()) {
-    W.putString(Key);
-    W.putString(Value);
-  }
-}
-
-bool wire::getDiag(Reader::Cursor &C, Diag &D) {
-  uint64_t Code = 0, Sev = 0;
-  uint8_t SevByte = 0, HasLoc = 0;
-  std::string_view Message;
-  if (!C.getVarint(Code) || Code > 0xffff || !C.getByte(SevByte) ||
-      SevByte > 2 || !C.getString(Message) || !C.getByte(HasLoc) ||
-      HasLoc > 1)
-    return false;
-  Sev = SevByte;
-  D = Diag(static_cast<DiagCode>(Code), std::string(Message),
-           static_cast<Severity>(Sev));
-  if (HasLoc) {
-    std::string_view File;
-    uint64_t Line = 0, Col = 0;
-    if (!C.getString(File) || !C.getVarint(Line) || !C.getVarint(Col))
-      return false;
-    SrcLoc Loc;
-    Loc.File = std::string(File);
-    Loc.Line = Line;
-    Loc.Col = Col;
-    D = std::move(D).withLoc(std::move(Loc));
-  }
-  uint64_t Hops = 0;
-  if (!C.getVarint(Hops))
-    return false;
-  for (uint64_t I = 0; I != Hops; ++I) {
-    std::string_view Inst, Port;
-    if (!C.getString(Inst) || !C.getString(Port))
-      return false;
-    D.addHop(std::string(Inst), std::string(Port));
-  }
-  uint64_t NoteCount = 0;
-  if (!C.getVarint(NoteCount))
-    return false;
-  for (uint64_t I = 0; I != NoteCount; ++I) {
-    std::string_view Key, Value;
-    if (!C.getString(Key) || !C.getString(Value))
-      return false;
-    D = std::move(D).withNote(std::string(Key), std::string(Value));
-  }
-  return true;
-}

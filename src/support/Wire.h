@@ -7,13 +7,12 @@
 ///
 /// \file
 /// The one binary serialization layer (wire format v1 — docs/FORMATS.md).
-/// Summaries cross three boundaries: the `.wsort` sidecar a vendor ships
-/// with opaque IP (Section 4), the on-disk summary cache, and the
-/// fork+pipe shard transport. Before this layer each had its own ad-hoc
-/// text encoding; all three now read and write length-prefixed, versioned,
-/// per-record-checksummed binary records through \ref Writer / \ref
-/// Reader, so a summary stream is one format whether it lives in a file,
-/// a cache, or a pipe — and can later move onto a socket unchanged.
+/// Three producers share it: the `.wsort` sidecar a vendor ships with
+/// opaque IP (Section 4), the on-disk summary cache, and the daemon's
+/// request/response socket stream (docs/SERVING.md). All of them read
+/// and write length-prefixed, versioned, per-record-checksummed binary
+/// records through \ref Writer / \ref Reader, so a summary stream is one
+/// format whether it lives in a file, a cache, or a socket.
 ///
 /// Stream shape:
 ///
@@ -26,7 +25,7 @@
 /// assigns each distinct string an id (backed by \ref StringInterner on a
 /// \ref Arena) and flushes newly seen strings in StringTable records
 /// ahead of the record that references them, so streams stay valid under
-/// incremental flushing (the shard pipe writes record by record).
+/// incremental flushing (take() between records).
 ///
 /// The first payload byte of a stream is \ref SniffByte (0xD7): no text
 /// sidecar can start with it (they begin '#', 'm', or whitespace), so
@@ -35,7 +34,7 @@
 /// Failure model: the reader never throws and never trusts a damaged
 /// frame. Truncation, checksum mismatch, bogus varints, and out-of-range
 /// string ids all surface as \ref Reader::Item::Truncated / Corrupt;
-/// callers fail closed (quarantine the record, drop the worker's tail,
+/// callers fail closed (quarantine the record, reject the request,
 /// re-infer). Unknown record kinds with intact frames are returned to the
 /// caller, which may skip them — that is the forward-compat rule.
 ///
@@ -45,7 +44,6 @@
 #define WIRESORT_SUPPORT_WIRE_H
 
 #include "support/Arena.h"
-#include "support/Diag.h"
 
 #include <cstdint>
 #include <string>
@@ -64,26 +62,27 @@ constexpr char Magic[4] = {char(0xD7), 'W', 'S', 'B'};
 /// the *framing* changes; payload schemas version via StreamBegin.
 constexpr uint8_t FormatVersion = 1;
 
-/// Typed record kinds. Values are part of the on-disk/on-pipe contract
-/// (docs/FORMATS.md); never renumber.
+/// Typed record kinds. Values are part of the on-disk/on-socket contract
+/// (docs/FORMATS.md); never renumber. Kinds 4 (standalone Diag) and 7
+/// (ShardModule) are retired: nothing writes them, readers skip them as
+/// unknown kinds, and the numbers are never reused.
 enum class RecordKind : uint8_t {
   StringTable = 1,   ///< Newly interned strings (id order).
   StreamBegin = 2,   ///< Stream kind + payload schema version.
   ModuleSummary = 3, ///< Name-based module summary (sidecars).
-  Diag = 4,          ///< One standalone diagnostic.
   CacheEntry = 5,    ///< Cache key + name-based module summary.
   StreamEnd = 6,     ///< Record count; a stream without one is truncated.
-  ShardModule = 7,   ///< Shard transport per-module outcome (id-based).
   ServeRequest = 8,  ///< One daemon request (docs/SERVING.md).
   ServeResponse = 9, ///< One daemon response (docs/SERVING.md).
 };
 
 /// StreamBegin payload: what producer wrote this stream. Lets a cache
 /// reader reject a summary sidecar handed to --cache and vice versa.
+/// Stream kind 3 (the fork-worker Shard pipe) is retired and never
+/// reused.
 enum class StreamKind : uint8_t {
   Summaries = 1, ///< `.wsort` binary sidecar (SummaryIO).
   Cache = 2,     ///< Summary-cache sidecar (cache format v3).
-  Shard = 3,     ///< Fork-worker pipe stream (docs/SCALE.md).
   Serve = 4,     ///< Check-service socket stream (docs/SERVING.md).
 };
 
@@ -98,9 +97,8 @@ uint64_t fnv1a(std::string_view Data,
 void internCounters();
 
 /// Builds a wire stream incrementally. beginRecord/put*/endRecord per
-/// record; take() drains the bytes framed so far (the shard workers
-/// write the pipe record by record), finish() closes the stream with a
-/// StreamEnd carrying the record count.
+/// record; take() drains the bytes framed so far, finish() closes the
+/// stream with a StreamEnd carrying the record count.
 class Writer {
 public:
   Writer();
@@ -224,21 +222,6 @@ private:
   std::vector<std::string_view> Strings;
   size_t Records = 0;
 };
-
-// --- Diag payload codec -----------------------------------------------------
-//
-// The lossless cross-process Diag transport (replacing the old
-// encodeDiag/decodeDiag text lines): strings travel through the
-// stream's intern table, everything else as varints. Used inline in
-// ShardModule payloads and for standalone Diag records.
-
-/// Appends \p D to the writer's current record payload.
-void putDiag(Writer &W, const Diag &D);
-
-/// Decodes one diag from \p C (inverse of putDiag). \returns false on
-/// any malformed input — callers treat that as a failed worker, never
-/// as a partial diagnostic.
-bool getDiag(Reader::Cursor &C, Diag &D);
 
 } // namespace wiresort::support::wire
 

@@ -25,8 +25,8 @@
 ///  * \c wiresort::ir — wires/nets/modules, Design, Builder, Circuit,
 ///    structural hashing.
 ///  * \c wiresort::analysis — Stage-1 sort inference and summaries, the
-///    parallel cached SummaryEngine behind CheckOptions (the single
-///    options struct), Stage-2/3 circuit checking, ascription,
+///    parallel cached SummaryEngine (EngineConfig, plus RequestOptions
+///    for per-request knobs), Stage-2/3 circuit checking, ascription,
 ///    incremental re-checking, sidecar I/O, depth/memory extensions,
 ///    Graphviz export.
 ///  * \c wiresort::driver — the CheckRequest/CheckResult check facade
@@ -53,7 +53,6 @@
 #include "support/Diag.h"
 #include "support/FailPoint.h"
 #include "support/Graph.h"
-#include "support/Process.h"
 #include "support/Socket.h"
 #include "support/Table.h"
 #include "support/ThreadPool.h"
@@ -75,7 +74,6 @@
 #include "analysis/Dot.h"
 #include "analysis/Incremental.h"
 #include "analysis/MemoryChecks.h"
-#include "analysis/Sharded.h"
 #include "analysis/SortInference.h"
 #include "analysis/SummaryEngine.h"
 #include "analysis/SummaryIO.h"

@@ -89,8 +89,7 @@ TEST(CrashRecoveryTest, InterruptedSaveLeavesThePreviousCacheIntact) {
 
   // A healthy first save: this is the "previous cache" the crash must
   // not damage.
-  CheckOptions Serial;
-  Serial.Threads = 1;
+  const EngineConfig Serial{1, true};
   SummaryEngine Engine(Serial);
   Summaries Out;
   ASSERT_FALSE(Engine.analyze(D, Out).hasError());
@@ -179,8 +178,7 @@ TEST(CrashRecoveryTest, InterruptedMigrationLeavesTheV2CacheUntouched) {
   std::remove(Path.c_str());
   std::remove(Tmp.c_str());
 
-  CheckOptions Serial;
-  Serial.Threads = 1;
+  const EngineConfig Serial{1, true};
   SummaryEngine Engine(Serial);
   Summaries Out;
   ASSERT_FALSE(Engine.analyze(D, Out).hasError());
@@ -246,8 +244,7 @@ TEST(CrashRecoveryTest, InterruptedFirstSaveLeavesNoCacheAtAll) {
   std::remove(Path.c_str());
   std::remove(Tmp.c_str());
 
-  CheckOptions Serial;
-  Serial.Threads = 1;
+  const EngineConfig Serial{1, true};
   SummaryEngine Engine(Serial);
   Summaries Out;
   ASSERT_FALSE(Engine.analyze(D, Out).hasError());

@@ -86,9 +86,7 @@ TEST(SummaryEngineTest, DiamondMatchesSerialAnalyzeDesign) {
     Summaries Reference;
     ASSERT_FALSE(analyzeDesign(D, Reference).hasError());
 
-    CheckOptions Opts;
-    Opts.Threads = Threads;
-    SummaryEngine Engine(Opts);
+    SummaryEngine Engine(EngineConfig{Threads, true});
     Summaries Out = engineAnalyzeOrDie(Engine, D);
     expectAllEqual(Reference, Out);
     EXPECT_EQ(Engine.stats().Modules, D.numModules());
@@ -202,9 +200,7 @@ TEST(SummaryEngineTest, KeysAreDesignIndependent) {
 TEST(SummaryEngineTest, DisabledCacheNeverHits) {
   Design D;
   buildDiamond(D);
-  CheckOptions Opts;
-  Opts.UseCache = false;
-  SummaryEngine Engine(Opts);
+  SummaryEngine Engine(EngineConfig{0, false});
   Summaries First = engineAnalyzeOrDie(Engine, D);
   Summaries Second = engineAnalyzeOrDie(Engine, D);
   EXPECT_EQ(Engine.stats().CacheHits, 0u);
@@ -242,9 +238,7 @@ TEST(SummaryEngineTest, LoopVerdictMatchesSerialDiagnostic) {
     wiresort::support::Status Serial = analyzeDesign(D, Reference);
     ASSERT_TRUE(Serial.hasError());
 
-    CheckOptions Opts;
-    Opts.Threads = Threads;
-    SummaryEngine Engine(Opts);
+    SummaryEngine Engine(EngineConfig{Threads, true});
     Summaries Out;
     support::Status Verdict = Engine.analyze(D, Out);
     ASSERT_TRUE(Verdict.hasError());

@@ -12,7 +12,8 @@
 //    echo one request's source under another request's diagnostic;
 //  * the serve codecs round-trip every request field and fail *closed* on
 //    any framing damage — a torn or bit-flipped message is never
-//    half-decoded into a verdict;
+//    half-decoded into a verdict — and on a set reserved field, so an
+//    old client's shard request is refused, never half-honored;
 //  * an in-process Server speaks the full protocol end to end: golden
 //    check bytes, stats, rejection of garbage, response-drop/truncate
 //    fault sites, clean shutdown with the socket file unlinked.
@@ -24,6 +25,7 @@
 
 #include "support/FailPoint.h"
 #include "support/Socket.h"
+#include "support/Wire.h"
 
 #include <gtest/gtest.h>
 
@@ -223,9 +225,6 @@ TEST(Serve, CodecRoundTripsEveryRequestField) {
   R.HasInlineCheckText = true;
   R.Quiet = true;
   R.ShowDepth = true;
-  R.Shards = 4;
-  R.SliceShard = 1;
-  R.SliceOf = 8;
 
   std::string Bytes = encodeRequest(Method::Ascribe, R);
   Method M = Method::Check;
@@ -253,11 +252,43 @@ TEST(Serve, CodecRoundTripsEveryRequestField) {
   EXPECT_EQ(D.HasInlineCheckText, R.HasInlineCheckText);
   EXPECT_EQ(D.Quiet, R.Quiet);
   EXPECT_EQ(D.ShowDepth, R.ShowDepth);
-  EXPECT_EQ(D.Shards, R.Shards);
-  EXPECT_EQ(D.SliceShard, R.SliceShard);
-  EXPECT_EQ(D.SliceOf, R.SliceOf);
-  // The daemon decides fork policy; it never travels on the wire.
-  EXPECT_TRUE(D.AllowFork);
+}
+
+TEST(Serve, CodecRejectsSetReservedSlots) {
+  // The three varints after the fault seed once carried the shard count
+  // and the --shard I/N slice. A request framed by hand the way an older
+  // client would send a sharded one must be refused, not served whole.
+  // Slot -1 is the control: all three zero, the same frame decodes.
+  for (int Slot = -1; Slot != 3; ++Slot) {
+    support::wire::Writer W;
+    W.beginStream(support::wire::StreamKind::Serve, 1);
+    W.beginRecord(support::wire::RecordKind::ServeRequest);
+    W.putByte(static_cast<uint8_t>(Method::Check));
+    W.putByte(static_cast<uint8_t>(analysis::Format::Json));
+    W.putByte(0);   // Flags.
+    W.putVarint(0); // Timeout.
+    W.putVarint(0); // Fault seed.
+    for (int I = 0; I != 3; ++I)
+      W.putVarint(I == Slot ? 4 : 0);
+    for (int I = 0; I != 9; ++I)
+      W.putString(I == 0 ? "design.blif" : "");
+    W.putBytes("");
+    W.putBytes("");
+    W.endRecord();
+    W.finish();
+
+    Method M;
+    CheckRequest D;
+    std::string Why;
+    const bool Decoded = decodeRequest(W.take(), M, D, Why);
+    if (Slot < 0) {
+      ASSERT_TRUE(Decoded) << Why;
+      EXPECT_EQ(D.DesignPath, "design.blif");
+      continue;
+    }
+    EXPECT_FALSE(Decoded) << "slot " << Slot;
+    EXPECT_NE(Why.find("reserved"), std::string::npos) << Why;
+  }
 }
 
 TEST(Serve, CodecFailsClosedOnFramingDamage) {

@@ -5,11 +5,9 @@
 // function of MegaScaleParams. Two builds from the same params — in the
 // same process or in two separate wiresort-mega processes — must agree
 // on the fingerprint digest, the flat instance count, and the module
-// count; a different seed must move the fingerprint. Everything sharding
-// proves (byte-identical verdicts across workers) presupposes this:
-// fork-mode children regenerate nothing, but the cross-process CLI slice
-// mode (`wiresort-check --shard I/N`) and the determinism suites all
-// rebuild the design from params and rely on landing on the same bytes.
+// count; a different seed must move the fingerprint. The metamorphic
+// and determinism suites rebuild designs from params and rely on landing
+// on the same bytes.
 //
 // The cross-process half shells out to the wiresort-mega binary named by
 // $WIRESORT_MEGA (wired up by tests/CMakeLists.txt); it skips, not

@@ -72,9 +72,7 @@ bool verdictsAgree(uint32_t Seed, uint16_t InstanceCap, unsigned Threads) {
   Circuit Circ = buildTrial(D, Seed, InstanceCap);
   ModuleId Top = Circ.seal();
 
-  CheckOptions Opts;
-  Opts.Threads = Threads;
-  SummaryEngine Engine(Opts);
+  SummaryEngine Engine(EngineConfig{Threads, true});
   Summaries Out;
   bool EngineLoop = Engine.analyze(D, Out).hasError();
   bool OracleLoop = synth::detectCycles(synth::lower(D, Top)).HasLoop;
@@ -154,10 +152,7 @@ TEST_P(DeterminismTrial, ParallelAndCachedRunsAreStructurallyIdentical) {
   Circ.seal();
 
   // Baseline: serial engine, cache off — pure repeated inference.
-  CheckOptions SerialOpts;
-  SerialOpts.Threads = 1;
-  SerialOpts.UseCache = false;
-  SummaryEngine Serial(SerialOpts);
+  SummaryEngine Serial(EngineConfig{1, false});
   Summaries Reference;
   auto SerialVerdict = Serial.analyze(D, Reference);
 
@@ -183,9 +178,7 @@ TEST_P(DeterminismTrial, ParallelAndCachedRunsAreStructurallyIdentical) {
   // Parallel cold, then warm (all cache hits), then a fresh engine warmed
   // through a shared cache run: all must be structurally identical to the
   // serial reference, verdict included.
-  CheckOptions ParallelOpts;
-  ParallelOpts.Threads = 4;
-  SummaryEngine Parallel(ParallelOpts);
+  SummaryEngine Parallel(EngineConfig{4, true});
   for (const char *Phase : {"parallel cold", "parallel warm"}) {
     Summaries Out;
     support::Status Verdict = Parallel.analyze(D, Out);
@@ -233,9 +226,7 @@ TEST(DeterminismTest, EveryLoopedModuleReportedOnceSortedByModuleId) {
     }
   }
 
-  CheckOptions SerialOpts;
-  SerialOpts.Threads = 1;
-  SummaryEngine Serial(SerialOpts);
+  SummaryEngine Serial(EngineConfig{1, true});
   Summaries SerialOut;
   support::Status Reference = Serial.analyze(D, SerialOut);
 
@@ -248,9 +239,7 @@ TEST(DeterminismTest, EveryLoopedModuleReportedOnceSortedByModuleId) {
   // The loop-free module still got its summary.
   EXPECT_TRUE(SerialOut.count(Ids[1]));
 
-  CheckOptions ParallelOpts;
-  ParallelOpts.Threads = 4;
-  SummaryEngine Parallel(ParallelOpts);
+  SummaryEngine Parallel(EngineConfig{4, true});
   for (const char *Phase : {"parallel cold", "parallel warm"}) {
     Summaries Out;
     support::Status Verdict = Parallel.analyze(D, Out);

@@ -23,7 +23,6 @@
 
 #include "analysis/SummaryEngine.h"
 
-#include "analysis/Sharded.h"
 #include "gen/Random.h"
 #include "ir/Builder.h"
 #include "support/Deadline.h"
@@ -124,8 +123,7 @@ TEST_P(FaultSoakTrial, FaultsNeverCorruptCacheOrVerdict) {
     randomCircuit(DesignRng, D, paramsFor(Seed), "soak").seal();
   }
 
-  CheckOptions Opts;
-  Opts.Threads = Threads;
+  const EngineConfig Opts{Threads, true};
   std::string Path = ::testing::TempDir() + "/fault_soak_" +
                      std::to_string(Seed) + ".wscache";
   std::remove(Path.c_str());
@@ -223,140 +221,3 @@ TEST_P(FaultSoakTrial, FaultsNeverCorruptCacheOrVerdict) {
 // sanitizer stage of tools/run_tests.sh can rerun exactly this suite.
 INSTANTIATE_TEST_SUITE_P(RandomSchedules, FaultSoakTrial,
                          ::testing::Range<uint32_t>(0, 200));
-
-namespace {
-
-class ShardFaultSoakTrial : public ::testing::TestWithParam<uint32_t> {
-protected:
-  void SetUp() override { support::failpoint::disarmAll(); }
-  void TearDown() override { support::failpoint::disarmAll(); }
-};
-
-} // namespace
-
-// The same contract, one layer up: fork-mode shard workers killed
-// mid-protocol (the "shard.worker.kill" site dies like an OOM-killed
-// child, possibly mid-pipe-write) — and, on a third of the seeds, an
-// "engine.cancel" firing *inside* the surviving children. The
-// coordinator must fail closed: every module a dead worker left
-// unaccounted gets WS604, cancelled children surface WS601, delivered
-// summaries are partial-never-wrong, and the cache sidecar is never
-// torn (docs/SCALE.md).
-TEST_P(ShardFaultSoakTrial, WorkerDeathsFailClosedAndNeverTearCache) {
-  const uint32_t Seed = GetParam();
-  std::mt19937 Rng(Seed ^ 0x54a6d050u);
-  const unsigned Shards = 2 + Seed % 3;
-
-  auto mode = [&]() -> std::string {
-    switch (Rng() % 3) {
-    case 0:
-      return "always";
-    case 1:
-      return "nth(" + std::to_string(1 + Rng() % 4) + ")";
-    default:
-      return "prob(0." + std::to_string(2 + Rng() % 7) + ")";
-    }
-  };
-  std::string Spec = "shard.worker.kill=" + mode();
-  if (Seed % 3 == 0)
-    Spec += ",engine.cancel=" + mode();
-  const std::string Trial = "seed " + std::to_string(Seed) + " shards " +
-                            std::to_string(Shards) + " spec '" + Spec +
-                            "'";
-
-  Design D;
-  {
-    std::mt19937 DesignRng(Seed);
-    randomCircuit(DesignRng, D, paramsFor(Seed), "shardsoak").seal();
-  }
-
-  const std::string Path = ::testing::TempDir() + "/shard_soak_" +
-                           std::to_string(Seed) + ".wscache";
-  std::remove(Path.c_str());
-  std::remove((Path + ".tmp").c_str());
-
-  // Fault-free serial reference, and the cache file the faulty run
-  // starts from.
-  CheckOptions RefOpts;
-  RefOpts.Threads = 1;
-  SummaryEngine Ref(RefOpts);
-  Summaries RefOut;
-  support::Status RefVerdict = Ref.analyze(D, RefOut);
-  const std::string RefJson = support::renderJson(RefVerdict);
-  ASSERT_TRUE(Ref.saveCache(Path, D, RefOut).empty()) << Trial;
-
-  ASSERT_TRUE(
-      support::failpoint::configure(Spec, /*Seed=*/Seed).empty())
-      << Trial;
-  ShardOptions SOpts;
-  SOpts.Shards = Shards;
-  SOpts.ExecMode = ShardOptions::Mode::Fork;
-  ShardedEngine Faulty(SOpts);
-  // Cold cache on purpose: a warm engine would satisfy every module
-  // before any worker forks, never reaching the kill site.
-  Summaries FaultyOut;
-  support::Status FaultyVerdict = Faulty.analyze(
-      D, FaultyOut, {}, support::Deadline::afterMs(60000));
-  support::Status SaveStatus = Faulty.engine().saveCache(Path, D, FaultyOut);
-  support::failpoint::disarmAll();
-  EXPECT_FALSE(SaveStatus.hasError())
-      << Trial << ": cache faults must degrade to warnings\n"
-      << SaveStatus.describe();
-
-  // Partial progress is never wrong progress.
-  for (const auto &[Id, S] : FaultyOut) {
-    ASSERT_TRUE(RefOut.count(Id))
-        << Trial << ": module " << Id
-        << " summarized under faults but not fault-free";
-    EXPECT_TRUE(structurallyEqual(S, RefOut.at(Id)))
-        << Trial << ": module " << Id << " summary diverged";
-  }
-
-  const std::string FaultyJson = support::renderJson(FaultyVerdict);
-  if (FaultyJson != RefJson) {
-    // A moved verdict must have declared itself: WS604 for every module
-    // a dead worker left unaccounted, WS601 for cancellation — nothing
-    // novel beyond the fault-free run's own loop diagnostics.
-    std::set<std::string> RefDiags;
-    for (const support::Diag &Dg : RefVerdict)
-      RefDiags.insert(Dg.describe());
-    bool FailedClosed = false;
-    for (const support::Diag &Dg : FaultyVerdict) {
-      switch (Dg.code()) {
-      case support::DiagCode::WS601_CANCELLED:
-      case support::DiagCode::WS604_WORKER_PANIC:
-        FailedClosed = true;
-        break;
-      default:
-        EXPECT_TRUE(RefDiags.count(Dg.describe()))
-            << Trial << ": novel non-fault diagnostic\n" << Dg.describe();
-        break;
-      }
-    }
-    EXPECT_TRUE(FailedClosed)
-        << Trial << ": verdict moved without WS601/WS604\nfaulty:\n"
-        << FaultyVerdict.describe() << "\nreference:\n"
-        << RefVerdict.describe();
-    EXPECT_TRUE(FaultyVerdict.hasError())
-        << Trial << ": unaccounted modules without an error verdict";
-  }
-
-  // Never a torn sidecar: a disarmed engine loads whatever file the
-  // trial left behind with zero quarantined records.
-  SummaryEngine Reload(RefOpts);
-  auto Final = Reload.loadCache(Path, D);
-  ASSERT_TRUE(Final.hasValue())
-      << Trial << ": torn cache after shard faults\n" << Final.describe();
-  EXPECT_EQ(Final->Quarantined, 0u) << Trial << "\n"
-                                    << Final->Warnings.describe();
-  EXPECT_TRUE(Final->Loaded == RefOut.size() ||
-              Final->Loaded == FaultyOut.size())
-      << Trial << ": loaded " << Final->Loaded << ", expected "
-      << RefOut.size() << " or " << FaultyOut.size();
-
-  std::remove(Path.c_str());
-  std::remove((Path + ".tmp").c_str());
-}
-
-INSTANTIATE_TEST_SUITE_P(ShardSchedules, ShardFaultSoakTrial,
-                         ::testing::Range<uint32_t>(0, 60));

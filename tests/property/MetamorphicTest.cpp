@@ -1,9 +1,10 @@
 //===- tests/property/MetamorphicTest.cpp - Naming/order invariance -------===//
 //
-// Part of the wiresort project. Metamorphic counterpart to the shard
-// differential suite (docs/SCALE.md): applies semantics-preserving
-// transformations to generated designs and hand-built circuits and pins
-// down exactly which observables each one may not move.
+// Part of the wiresort project. Metamorphic and determinism checks over
+// generated mega-scale designs (docs/SCALE.md): applies
+// semantics-preserving transformations to generated designs and
+// hand-built circuits and pins down exactly which observables each one
+// may not move.
 //
 //  * Renaming (modules, wires, instances): cache keys are content-
 //    addressed and ir::structuralHash deliberately hashes no names, so a
@@ -23,10 +24,18 @@
 //    key *multiset* of a library is independent of the ModuleIds its
 //    modules happen to get; summaries matched by name carry identical
 //    port sets either way.
+//  * Thread count: a 4-thread engine's cold and warm runs reproduce the
+//    serial engine's verdict NDJSON, saveCache bytes, and binary
+//    summary-sidecar bytes exactly.
+//  * Stage 3 checker choice: on mega circuits with and without an
+//    injected ring, the literal pairwise Definition 3.1 check and the
+//    production SCC check agree with each other and with the injection,
+//    and classify the same connections safe-by-sort.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/SummaryEngine.h"
+#include "analysis/SummaryIO.h"
 #include "analysis/WellConnected.h"
 #include "gen/Catalog.h"
 #include "gen/LoopInjector.h"
@@ -36,8 +45,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -130,7 +142,15 @@ void expectSamePortSets(const Summaries &Ref, const Summaries &Got,
   }
 }
 
+std::string slurp(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::stringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
 class RenameTrial : public ::testing::TestWithParam<uint32_t> {};
+class MegaTrial : public ::testing::TestWithParam<uint32_t> {};
 class OrderTrial : public ::testing::TestWithParam<uint32_t> {};
 
 /// Feed-through clones of four catalog modules — the instance pool for
@@ -157,8 +177,7 @@ TEST_P(RenameTrial, RenamingMovesNoKeyNoPortSetNoVerdictShape) {
   buildMegaScale(Renamed, P);
   renameEverything(Renamed);
 
-  CheckOptions Opts;
-  Opts.Threads = 1;
+  const EngineConfig Opts{1, true};
   SummaryEngine OrigEngine(Opts);
   Summaries OrigOut;
   support::Status OrigVerdict = OrigEngine.analyze(Orig, OrigOut);
@@ -199,6 +218,68 @@ TEST_P(RenameTrial, RenamingMovesNoKeyNoPortSetNoVerdictShape) {
 }
 
 INSTANTIATE_TEST_SUITE_P(MegaScaleDesigns, RenameTrial,
+                         ::testing::Range<uint32_t>(0, 24));
+
+TEST_P(MegaTrial, ThreadedColdAndWarmRunsMatchSerialBytes) {
+  const uint32_t Seed = GetParam();
+  const MegaScaleParams P = ciParams(Seed);
+  Design D;
+  buildMegaScale(D, P);
+
+  // Serial reference: verdict NDJSON, cache sidecar, binary summaries.
+  SummaryEngine Serial(EngineConfig{1, true});
+  Summaries RefOut;
+  support::Status RefVerdict = Serial.analyze(D, RefOut);
+  EXPECT_EQ(RefVerdict.hasError(), P.InjectLoop) << "seed " << Seed;
+  const std::string Path = ::testing::TempDir() + "/meta_threads_" +
+                           std::to_string(Seed) + ".wscache";
+  std::remove(Path.c_str());
+  ASSERT_TRUE(Serial.saveCache(Path, D, RefOut).empty()) << "seed " << Seed;
+  const std::string RefCache = slurp(Path);
+  ASSERT_FALSE(RefCache.empty()) << "seed " << Seed;
+  const std::string RefBinary = writeSummariesBinary(D, RefOut);
+
+  SummaryEngine Parallel(EngineConfig{4, true});
+  for (const char *Phase : {"cold", "warm"}) {
+    const std::string Trial = "seed " + std::to_string(Seed) + " " + Phase;
+    Summaries Out;
+    support::Status Verdict = Parallel.analyze(D, Out);
+    EXPECT_EQ(support::renderJson(Verdict), support::renderJson(RefVerdict))
+        << Trial;
+    std::remove(Path.c_str());
+    ASSERT_TRUE(Parallel.saveCache(Path, D, Out).empty()) << Trial;
+    EXPECT_EQ(slurp(Path), RefCache) << Trial;
+    EXPECT_EQ(writeSummariesBinary(D, Out), RefBinary) << Trial;
+  }
+  if (!RefVerdict.hasError()) {
+    EXPECT_EQ(Parallel.stats().CacheHits, RefOut.size())
+        << "seed " << Seed << " warm";
+  }
+  std::remove(Path.c_str());
+}
+
+TEST_P(MegaTrial, PairwiseAndSccStage3Agree) {
+  for (bool Loop : {false, true}) {
+    MegaScaleParams P = ciParams(GetParam());
+    P.InjectLoop = Loop;
+    const std::string Trial =
+        "seed " + std::to_string(GetParam()) + (Loop ? " ring" : " clean");
+    Design D;
+    Circuit Circ = buildMegaScaleCircuit(D, P);
+    SummaryEngine Engine;
+    Summaries Out;
+    ASSERT_FALSE(Engine.analyze(D, Out).hasError()) << Trial;
+
+    CircuitCheckResult Pairwise = checkCircuitPairwise(Circ, Out);
+    CircuitCheckResult Scc = checkCircuit(Circ, Out);
+    EXPECT_EQ(Pairwise.WellConnected, !Loop) << Trial;
+    EXPECT_EQ(Scc.WellConnected, Pairwise.WellConnected) << Trial;
+    EXPECT_EQ(Scc.SafeBySort, Pairwise.SafeBySort) << Trial;
+    EXPECT_EQ(Scc.NeedsCheck, Pairwise.NeedsCheck) << Trial;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MegaScaleDesigns, MegaTrial,
                          ::testing::Range<uint32_t>(0, 24));
 
 TEST_P(OrderTrial, InstanceInsertionOrderMovesNoVerdictNoDiag) {
@@ -338,8 +419,8 @@ TEST(MetamorphicDeclarationOrder, KeyMultisetAndPortSetsInvariant) {
   ASSERT_FALSE(FwdEngine.analyze(Fwd, FwdOut).hasError());
   ASSERT_FALSE(RevEngine.analyze(Rev, RevOut).hasError());
 
-  std::vector<uint64_t> FwdKeys = FwdEngine.primeKeys(Fwd);
-  std::vector<uint64_t> RevKeys = RevEngine.primeKeys(Rev);
+  std::vector<uint64_t> FwdKeys = SummaryEngine::computeKeys(Fwd);
+  std::vector<uint64_t> RevKeys = SummaryEngine::computeKeys(Rev);
   std::sort(FwdKeys.begin(), FwdKeys.end());
   std::sort(RevKeys.begin(), RevKeys.end());
   EXPECT_EQ(FwdKeys, RevKeys);

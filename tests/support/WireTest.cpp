@@ -1,11 +1,11 @@
 //===- tests/support/WireTest.cpp - Wire framing unit tests ---------------===//
 //
 // Part of the wiresort project. The wire format (support/Wire.h,
-// docs/FORMATS.md) carries summaries across three boundaries — sidecar
-// files, the summary cache, and the shard pipe — so this suite pins the
-// framing contract itself: varint edges, string interning under
-// incremental flushing, per-record checksum enforcement, truncation
-// detection, forward-compat skipping, and the Diag payload codec.
+// docs/FORMATS.md) carries summary sidecars, the summary cache, and the
+// daemon's request/response streams, so this suite pins the framing
+// contract itself: varint edges, string interning under incremental
+// flushing, per-record checksum enforcement, truncation detection, and
+// forward-compat skipping (retired record kinds included).
 //
 //===----------------------------------------------------------------------===//
 
@@ -145,15 +145,14 @@ TEST(WireTest, StringsAreInternedOncePerStream) {
 }
 
 TEST(WireTest, IncrementalTakeProducesOneValidStream) {
-  // The shard workers drain the writer record by record into a pipe;
-  // the concatenation of the takes must equal a stream built in one
-  // piece, string table flushes landing before the records that use
-  // them.
+  // A writer drained record by record: the concatenation of the takes
+  // must equal a stream built in one piece, string table flushes
+  // landing before the records that use them.
   Writer W;
-  W.beginStream(StreamKind::Shard, 1);
+  W.beginStream(StreamKind::Summaries, 1);
   std::string Joined = W.take();
   for (int I = 0; I != 4; ++I) {
-    W.beginRecord(RecordKind::ShardModule);
+    W.beginRecord(RecordKind::ModuleSummary);
     W.putVarint(static_cast<uint64_t>(I));
     W.putString(I % 2 ? "odd" : "even");
     W.endRecord();
@@ -167,7 +166,7 @@ TEST(WireTest, IncrementalTakeProducesOneValidStream) {
   Reader::Record Rec;
   for (int I = 0; I != 4; ++I) {
     ASSERT_EQ(R.next(Rec), Reader::Item::Record) << "record " << I;
-    ASSERT_EQ(Rec.Kind, RecordKind::ShardModule);
+    ASSERT_EQ(Rec.Kind, RecordKind::ModuleSummary);
     Reader::Cursor C(Rec, R);
     uint64_t Id = 0;
     std::string_view S;
@@ -249,31 +248,34 @@ TEST(WireTest, TruncationIsDetectedAtEveryPrefix) {
 }
 
 TEST(WireTest, UnknownRecordKindsAreReturnedIntactForSkipping) {
-  // Forward compat: a reader meeting a record kind from the future must
+  // Forward compat: a reader meeting a record kind from the future — or
+  // a retired one (4 was the standalone Diag, 7 the ShardModule) — must
   // be able to verify its frame and step over it.
-  Writer W;
-  W.beginStream(StreamKind::Summaries, 1);
-  W.beginRecord(static_cast<RecordKind>(200));
-  W.putVarint(123);
-  W.endRecord();
-  W.beginRecord(RecordKind::ModuleSummary);
-  W.putVarint(7);
-  W.endRecord();
-  W.finish();
-  std::string Bytes = W.take();
+  for (uint8_t Kind : {uint8_t(4), uint8_t(7), uint8_t(200)}) {
+    Writer W;
+    W.beginStream(StreamKind::Summaries, 1);
+    W.beginRecord(static_cast<RecordKind>(Kind));
+    W.putVarint(123);
+    W.endRecord();
+    W.beginRecord(RecordKind::ModuleSummary);
+    W.putVarint(7);
+    W.endRecord();
+    W.finish();
+    std::string Bytes = W.take();
 
-  Reader R(Bytes);
-  skipPreamble(R);
-  Reader::Record Rec;
-  ASSERT_EQ(R.next(Rec), Reader::Item::Record);
-  EXPECT_EQ(static_cast<uint8_t>(Rec.Kind), 200);
-  ASSERT_EQ(R.next(Rec), Reader::Item::Record);
-  EXPECT_EQ(Rec.Kind, RecordKind::ModuleSummary);
-  Reader::Cursor C(Rec, R);
-  uint64_t V = 0;
-  ASSERT_TRUE(C.getVarint(V));
-  EXPECT_EQ(V, 7u);
-  EXPECT_EQ(R.next(Rec), Reader::Item::End);
+    Reader R(Bytes);
+    skipPreamble(R);
+    Reader::Record Rec;
+    ASSERT_EQ(R.next(Rec), Reader::Item::Record) << "kind " << +Kind;
+    EXPECT_EQ(static_cast<uint8_t>(Rec.Kind), Kind);
+    ASSERT_EQ(R.next(Rec), Reader::Item::Record) << "kind " << +Kind;
+    EXPECT_EQ(Rec.Kind, RecordKind::ModuleSummary);
+    Reader::Cursor C(Rec, R);
+    uint64_t V = 0;
+    ASSERT_TRUE(C.getVarint(V));
+    EXPECT_EQ(V, 7u);
+    EXPECT_EQ(R.next(Rec), Reader::Item::End) << "kind " << +Kind;
+  }
 }
 
 TEST(WireTest, CursorFailsStickilyOnOverrun) {
@@ -325,80 +327,6 @@ TEST(WireTest, FnvIsSeedChainedFnv1a) {
   EXPECT_EQ(fnv1a("a"), (1469598103934665603ull ^ 'a') * 1099511628211ull);
   EXPECT_NE(fnv1a("a"), fnv1a("b"));    // Sensitivity.
   EXPECT_NE(fnv1a("ab"), fnv1a("ba")); // Order (FNV-1a, not a sum).
-}
-
-TEST(WireTest, DiagCodecRoundTripsEveryField) {
-  Diag D(DiagCode::WS101_COMB_LOOP, "loop through fifo", Severity::Error);
-  D = std::move(D)
-          .withLoc(SrcLoc{"top.blif", 42, 7})
-          .withHop("u_fifo", "ready_o")
-          .withHop("u_alu", "a")
-          .withNote("module", "top")
-          .withNote("detail", "witness cycle");
-
-  Writer W;
-  W.beginStream(StreamKind::Shard, 1);
-  W.beginRecord(RecordKind::Diag);
-  putDiag(W, D);
-  W.endRecord();
-  W.finish();
-  std::string Bytes = W.take();
-
-  Reader R(Bytes);
-  skipPreamble(R);
-  Reader::Record Rec;
-  ASSERT_EQ(R.next(Rec), Reader::Item::Record);
-  ASSERT_EQ(Rec.Kind, RecordKind::Diag);
-  Reader::Cursor C(Rec, R);
-  Diag Out;
-  ASSERT_TRUE(getDiag(C, Out));
-  EXPECT_TRUE(C.atEnd());
-  EXPECT_EQ(Out, D);
-  EXPECT_EQ(renderJson(Out), renderJson(D));
-}
-
-TEST(WireTest, DiagCodecRoundTripsHostileStrings) {
-  Diag D(DiagCode::WS604_WORKER_PANIC,
-         std::string("newline\nquote\"backslash\\tab\tnull\0end", 36),
-         Severity::Warning);
-  D = std::move(D).withNote("key with spaces", "value=with=equals");
-
-  Writer W;
-  W.beginStream(StreamKind::Shard, 1);
-  W.beginRecord(RecordKind::Diag);
-  putDiag(W, D);
-  W.endRecord();
-  W.finish();
-  std::string Bytes = W.take();
-
-  Reader R(Bytes);
-  skipPreamble(R);
-  Reader::Record Rec;
-  ASSERT_EQ(R.next(Rec), Reader::Item::Record);
-  Reader::Cursor C(Rec, R);
-  Diag Out;
-  ASSERT_TRUE(getDiag(C, Out));
-  EXPECT_EQ(Out, D);
-}
-
-TEST(WireTest, DiagCodecRejectsMalformedPayloads) {
-  // A frame that passes its checksum but holds a bogus diag body (fuzzed
-  // or version-skewed) must fail getDiag, never yield a partial diag.
-  Writer W;
-  W.beginStream(StreamKind::Shard, 1);
-  W.beginRecord(RecordKind::Diag);
-  W.putVarint(70000); // Diag code out of the WSxxx range.
-  W.endRecord();
-  W.finish();
-  std::string Bytes = W.take();
-
-  Reader R(Bytes);
-  skipPreamble(R);
-  Reader::Record Rec;
-  ASSERT_EQ(R.next(Rec), Reader::Item::Record);
-  Reader::Cursor C(Rec, R);
-  Diag Out;
-  EXPECT_FALSE(getDiag(C, Out));
 }
 
 TEST(WireTest, CountersAccumulateAcrossWriteAndRead) {

@@ -2,8 +2,8 @@
 # Refreshes the committed benchmark reports (docs/SCALE.md). Runs:
 #
 #  * bench_scalability — gate-count/input-width curves, pairwise vs SCC,
-#    and the mega-scale presets through serial, 4-shard-thread, and
-#    4-shard-fork Stage 1 plus SCC vs sharded Stage 3 — written over
+#    the mega-scale presets through serial Stage 1 and SCC Stage 3, and
+#    the summary wire codec's encode/decode throughput — written over
 #    BENCH_scalability.json at the repo root;
 #  * bench_kernel — serial-vs-kernel Stage-1 rows with per-phase
 #    (freeze/frontier/sweep) attribution, plus the MegaScale flat-graph

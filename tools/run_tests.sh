@@ -37,15 +37,14 @@
 #      use-after-frees hide — plus the kernel suite, whose cross-ISA
 #      differential then runs every vector sweep variant's row-arena
 #      indexing under ASan;
-#   7. the scale tier (docs/SCALE.md): the shard-differential,
-#      metamorphic, and generator-determinism suites (ctest label
-#      `scale`), a TSan rerun of the in-process shard paths, and a jq
-#      byte-comparison of serial vs `--shards 4` vs merged `--shard i/4`
-#      wiresort-check NDJSON on the golden fixtures;
+#   7. the scale tier (docs/SCALE.md): the metamorphic and
+#      generator-determinism suites (ctest label `scale`) and a
+#      byte-comparison of `--threads 1` vs `--threads 4` wiresort-check
+#      NDJSON on the golden fixtures;
 #   8. the wire-format contract (docs/FORMATS.md): on the golden
 #      fixtures, text -> binary -> text summary conversion must
 #      round-trip byte-identically, repeated binary writes must be
-#      byte-stable, and the binary sidecar a 4-shard fork run writes
+#      byte-stable, and the binary sidecar a `--threads 4` run writes
 #      must be byte-identical to the serial one.
 #   9. the serving tier (docs/SERVING.md): the `served`-labelled suites
 #      (driver facade + in-process server + concurrent soak + the
@@ -210,46 +209,25 @@ ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/support_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/kernel_tests"
 
 echo
-echo "=== stage 7: scale tier — sharding determinism (docs/SCALE.md) ==="
+echo "=== stage 7: scale tier — thread-count determinism (docs/SCALE.md) ==="
 cmake --build "$BUILD" -j "$(nproc)" \
-  --target shard_differential_tests metamorphic_tests \
-  gen_determinism_tests wiresort-check wiresort-mega
+  --target metamorphic_tests gen_determinism_tests wiresort-check \
+  wiresort-mega
 (cd "$BUILD" && ctest --output-on-failure -L scale)
-# The in-process shard coordinator (waves of worker threads merging into
-# per-shard buffers) is a concurrency claim like the engine's: rerun it
-# under TSan. Fork-mode trials ride along; TSan tolerates fork+pipe.
-cmake --build "$TSAN_BUILD" -j "$(nproc)" --target shard_differential_tests
-TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/shard_differential_tests"
-if command -v jq >/dev/null 2>&1; then
-  SCALE_TMP=$(mktemp -d)
-  # Keep stage 5's temp dir in the cleanup when both stages ran.
-  trap 'rm -rf "${TRACE_TMP:-}" "$SCALE_TMP"' EXIT
-  CHECK="$BUILD/tools/wiresort-check"
-  FIXTURES="$ROOT/tests/tools"
-  for Fixture in loopfree.blif loopy.blif; do
-    # Serial vs one fork-sharded invocation: byte-identical NDJSON.
-    (cd "$FIXTURES" && "$CHECK" "$Fixture" --format json) \
-      >"$SCALE_TMP/serial.json" || [ $? -eq 1 ]
-    (cd "$FIXTURES" && "$CHECK" "$Fixture" --format json --shards 4) \
-      >"$SCALE_TMP/sharded.json" || [ $? -eq 1 ]
-    cmp "$SCALE_TMP/serial.json" "$SCALE_TMP/sharded.json"
-    # Four scripted slices: their diag lines (everything except the
-    # per-slice verdict line) must merge to exactly the serial diags.
-    : >"$SCALE_TMP/slices.json"
-    for I in 0 1 2 3; do
-      (cd "$FIXTURES" && "$CHECK" "$Fixture" --format json --shard $I/4) \
-        >>"$SCALE_TMP/slices.json" || [ $? -eq 1 ]
-    done
-    grep -v '"verdict"' "$SCALE_TMP/slices.json" | sort \
-      >"$SCALE_TMP/slices_sorted.json" || true
-    grep -v '"verdict"' "$SCALE_TMP/serial.json" | sort \
-      >"$SCALE_TMP/serial_sorted.json" || true
-    cmp "$SCALE_TMP/serial_sorted.json" "$SCALE_TMP/slices_sorted.json"
-  done
-  echo "serial, --shards 4, and merged --shard i/4 NDJSON agree byte-for-byte"
-else
-  echo "jq not found; skipping the CLI byte-comparison"
-fi
+SCALE_TMP=$(mktemp -d)
+# Keep stage 5's temp dir in the cleanup when both stages ran.
+trap 'rm -rf "${TRACE_TMP:-}" "$SCALE_TMP"' EXIT
+CHECK="$BUILD/tools/wiresort-check"
+FIXTURES="$ROOT/tests/tools"
+for Fixture in loopfree.blif loopy.blif; do
+  # Serial vs four worker threads: byte-identical NDJSON.
+  (cd "$FIXTURES" && "$CHECK" "$Fixture" --format json --threads 1) \
+    >"$SCALE_TMP/serial.json" || [ $? -eq 1 ]
+  (cd "$FIXTURES" && "$CHECK" "$Fixture" --format json --threads 4) \
+    >"$SCALE_TMP/threads4.json" || [ $? -eq 1 ]
+  cmp "$SCALE_TMP/serial.json" "$SCALE_TMP/threads4.json"
+done
+echo "--threads 1 and --threads 4 NDJSON agree byte-for-byte"
 
 echo
 echo "=== stage 8: wire-format round-trip contract (docs/FORMATS.md) ==="
@@ -271,18 +249,19 @@ for Fixture in loopfree.blif soc.blif; do
   "$CHECK" "$F" --quiet --convert-summaries "$WIRE_TMP/bin.wsort" \
     --summaries "$WIRE_TMP/text2.wsort" --summary-format text >/dev/null
   cmp "$WIRE_TMP/text1.wsort" "$WIRE_TMP/text2.wsort"
-  # Binary writes are deterministic: a direct binary sidecar matches
-  # the converted one byte for byte, serial or 4-shard fork alike.
-  "$CHECK" "$F" --quiet \
+  # Binary writes are deterministic: a direct serial binary sidecar
+  # matches the converted one byte for byte, and so does one written
+  # by four worker threads.
+  "$CHECK" "$F" --quiet --threads 1 \
     --summaries "$WIRE_TMP/bin_direct.wsort" --summary-format binary \
     >/dev/null
   cmp "$WIRE_TMP/bin.wsort" "$WIRE_TMP/bin_direct.wsort"
-  "$CHECK" "$F" --quiet --shards 4 \
-    --summaries "$WIRE_TMP/bin_sharded.wsort" --summary-format binary \
+  "$CHECK" "$F" --quiet --threads 4 \
+    --summaries "$WIRE_TMP/bin_threads4.wsort" --summary-format binary \
     >/dev/null
-  cmp "$WIRE_TMP/bin_direct.wsort" "$WIRE_TMP/bin_sharded.wsort"
+  cmp "$WIRE_TMP/bin_direct.wsort" "$WIRE_TMP/bin_threads4.wsort"
 done
-echo "text <-> binary summaries round-trip; serial and sharded binary sidecars agree byte-for-byte"
+echo "text <-> binary summaries round-trip; serial and --threads 4 binary sidecars agree byte-for-byte"
 
 echo
 echo "=== stage 9: serving tier — resident daemon (docs/SERVING.md) ==="

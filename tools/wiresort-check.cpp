@@ -20,9 +20,6 @@
 //   wiresort-check design.blif --quiet         # verdict only
 //   wiresort-check design.blif --depth         # timing extension
 //   wiresort-check design.blif --threads 8     # parallel inference
-//   wiresort-check design.blif --shards 4      # fork-isolated workers
-//   wiresort-check design.blif --shard 1/4     # one slice of a scripted
-//                                              # N-way partition
 //   wiresort-check design.blif --cache d.wscache   # warm-start repeats
 //   wiresort-check design.blif --trace-out t.json  # Chrome trace events
 //   wiresort-check design.blif --stats         # registry counter dump
@@ -75,8 +72,7 @@ int usage(const char *Argv0, Format Fmt, const std::string &Why) {
                "usage: %s <design.blif|design.v> [--summaries FILE] "
                "[--summary-format text|binary] [--convert-summaries FILE] "
                "[--check FILE] [--dot FILE] [--format text|json] "
-               "[--quiet] [--depth] [--threads N] [--shards N] "
-               "[--shard I/N] [--cache FILE] "
+               "[--quiet] [--depth] [--threads N] [--cache FILE] "
                "[--trace-out FILE] [--stats] [--timeout-ms N] "
                "[--failpoints SPEC] [--fault-seed N]\n",
                Argv0);
@@ -146,25 +142,6 @@ int main(int ArgC, char **ArgV) {
       Cfg.Threads = static_cast<unsigned>(std::atoi(Value.c_str()));
       if (Cfg.Threads == 0)
         return usage(ArgV[0], Fmt, "--threads expects a positive count");
-    } else if (Arg == "--shards") {
-      std::string Value;
-      if (!takeValue(Value))
-        return usage(ArgV[0], Fmt, "--shards expects a worker count");
-      R.Shards = static_cast<unsigned>(std::atoi(Value.c_str()));
-      if (R.Shards == 0)
-        return usage(ArgV[0], Fmt, "--shards expects a positive worker count");
-    } else if (Arg == "--shard") {
-      std::string Value;
-      if (!takeValue(Value))
-        return usage(ArgV[0], Fmt, "--shard expects I/N");
-      const char *Text = Value.c_str();
-      char *End = nullptr;
-      R.SliceShard = static_cast<unsigned>(std::strtoul(Text, &End, 10));
-      if (End == Text || *End != '/')
-        return usage(ArgV[0], Fmt, "--shard expects I/N (e.g. --shard 0/4)");
-      R.SliceOf = static_cast<unsigned>(std::strtoul(End + 1, nullptr, 10));
-      if (R.SliceOf == 0 || R.SliceShard >= R.SliceOf)
-        return usage(ArgV[0], Fmt, "--shard I/N needs 0 <= I < N");
     } else if (Arg == "--timeout-ms") {
       std::string Value;
       if (!takeValue(Value))
@@ -196,8 +173,6 @@ int main(int ArgC, char **ArgV) {
   const Format Fmt = R.Req.OutputFormat;
   if (R.DesignPath.empty())
     return usage(ArgV[0], Fmt, "no design file");
-  if (R.Shards != 0 && R.SliceOf != 0)
-    return usage(ArgV[0], Fmt, "--shards and --shard are mutually exclusive");
   if (!R.ConvertIn.empty() && R.SummariesOut.empty())
     return usage(ArgV[0], Fmt,
                  "--convert-summaries needs --summaries FILE for the output");
@@ -218,9 +193,9 @@ int main(int ArgC, char **ArgV) {
   support::wire::internCounters();
   driver::internServeCounters();
 
-  // A CLI invocation is the one-shot, fork-allowed corner of the
-  // request space; everything else about the run — parse dispatch,
-  // engine setup, cache I/O, verdicts — happens in the shared driver.
+  // A CLI invocation is the one-shot corner of the request space;
+  // everything else about the run — parse dispatch, engine setup, cache
+  // I/O, verdicts — happens in the shared driver.
   driver::CheckResult Res = driver::runCheck(R, Cfg);
   if (!Res.Out.empty())
     std::fwrite(Res.Out.data(), 1, Res.Out.size(), stdout);

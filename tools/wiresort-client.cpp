@@ -74,8 +74,8 @@ int usage(const char *Argv0, Format Fmt, const std::string &Why) {
                "usage: %s --socket PATH <design.blif|design.v> "
                "[--summaries FILE] [--summary-format text|binary] "
                "[--check FILE] [--dot FILE] [--format text|json] "
-               "[--quiet] [--depth] [--shards N] [--shard I/N] "
-               "[--cache FILE] [--trace-out FILE] [--stats-line] "
+               "[--quiet] [--depth] [--cache FILE] [--trace-out FILE] "
+               "[--stats-line] "
                "[--timeout-ms N] [--failpoints SPEC] [--fault-seed N] "
                "[--retries N] [--retry-base-ms N] [--transport-timeout-ms N]\n"
                "       %s --socket PATH --stats | --health | --shutdown\n",
@@ -186,23 +186,6 @@ int main(int ArgC, char **ArgV) {
       else
         return usage(ArgV[0], Fmt,
                      "unknown --format '" + Value + "' (text|json)");
-    } else if (Arg == "--shards") {
-      if (!takeValue(Value))
-        return usage(ArgV[0], Fmt, "--shards expects a worker count");
-      R.Shards = static_cast<unsigned>(std::atoi(Value.c_str()));
-      if (R.Shards == 0)
-        return usage(ArgV[0], Fmt, "--shards expects a positive worker count");
-    } else if (Arg == "--shard") {
-      if (!takeValue(Value))
-        return usage(ArgV[0], Fmt, "--shard expects I/N");
-      const char *Text = Value.c_str();
-      char *End = nullptr;
-      R.SliceShard = static_cast<unsigned>(std::strtoul(Text, &End, 10));
-      if (End == Text || *End != '/')
-        return usage(ArgV[0], Fmt, "--shard expects I/N (e.g. --shard 0/4)");
-      R.SliceOf = static_cast<unsigned>(std::strtoul(End + 1, nullptr, 10));
-      if (R.SliceOf == 0 || R.SliceShard >= R.SliceOf)
-        return usage(ArgV[0], Fmt, "--shard I/N needs 0 <= I < N");
     } else if (Arg == "--timeout-ms") {
       if (!takeValue(Value))
         return usage(ArgV[0], Fmt, "--timeout-ms expects milliseconds");
@@ -249,8 +232,6 @@ int main(int ArgC, char **ArgV) {
   } else {
     if (R.DesignPath.empty())
       return usage(ArgV[0], Fmt, "no design file");
-    if (R.Shards != 0 && R.SliceOf != 0)
-      return usage(ArgV[0], Fmt, "--shards and --shard are mutually exclusive");
     // Ship the sources inline, named by their paths: the daemon needs
     // no shared cwd, and diagnostics (caret echoes included) come back
     // byte-identical to a local wiresort-check run on the same files.

@@ -5,15 +5,13 @@
 //
 // Generates a gen::MegaScale design from a named preset (or explicit
 // parameters) and runs the full paper pipeline over it: Stage-1 summary
-// inference (serial, threaded, or fork-sharded) followed by the Stage-3
-// circuit check of the top-level composition. This is the end-to-end
-// witness that designs of 100k..1M flattened instances check in seconds
-// (docs/SCALE.md), and the cross-process oracle the generator-determinism
-// suite shells out to (--fingerprint).
+// inference (serial or threaded) followed by the Stage-3 circuit check of
+// the top-level composition. This is the end-to-end witness that designs
+// of 100k..1M flattened instances check in seconds (docs/SCALE.md), and
+// the cross-process oracle the generator-determinism suite shells out to
+// (--fingerprint).
 //
 //   wiresort-mega 100k                       # generate + check, verdict
-//   wiresort-mega 100k --shards 8            # fork-sharded Stage-1 +
-//                                            # sharded Stage-3
 //   wiresort-mega ci --seed 7 --fingerprint  # digest only, no analysis
 //   wiresort-mega ci-loop --json             # stable JSON verdict line
 //   wiresort-mega 1m --threads 8 --quiet
@@ -22,8 +20,7 @@
 // 0 = well-connected, 1 = loop diagnostics, 2 = usage error, 3 =
 // cancelled by --timeout-ms. --json emits NDJSON diagnostics followed by
 // one deterministic verdict line carrying the design's fingerprint and
-// flat instance count — byte-stable across shard counts and processes,
-// which the scale stage of tools/run_tests.sh diff-compares.
+// flat instance count — byte-stable across thread counts and processes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +45,7 @@ int usage(const std::string &Why) {
       stderr,
       "usage: wiresort-mega <preset> [--seed N] [--inject-loop]\n"
       "                     [--fingerprint] [--json] [--quiet]\n"
-      "                     [--threads N] [--shards N] [--timeout-ms N]\n"
+      "                     [--threads N] [--timeout-ms N]\n"
       "presets: ci ci-loop ci-noc ci-fabric 10k 100k 100k-noc "
       "100k-fabric 1m\n");
   return 2;
@@ -64,7 +61,6 @@ int main(int ArgC, char **ArgV) {
   bool Json = false;
   bool Quiet = false;
   unsigned Threads = 0;
-  unsigned Shards = 0;
   uint64_t TimeoutMs = 0;
 
   for (int I = 1; I < ArgC; ++I) {
@@ -93,11 +89,6 @@ int main(int ArgC, char **ArgV) {
       if (!takeValue(V) || V == 0)
         return usage("--threads expects a positive count");
       Threads = static_cast<unsigned>(V);
-    } else if (Arg == "--shards") {
-      uint64_t V = 0;
-      if (!takeValue(V) || V == 0)
-        return usage("--shards expects a positive worker count");
-      Shards = static_cast<unsigned>(V);
     } else if (Arg == "--timeout-ms") {
       if (!takeValue(TimeoutMs) || TimeoutMs == 0)
         return usage("--timeout-ms expects positive milliseconds");
@@ -150,29 +141,9 @@ int main(int ArgC, char **ArgV) {
 
   // Stage 1 over the module library (the top circuit is not sealed yet,
   // so this summarizes exactly the instantiated definitions).
-  CheckOptions Opts;
-  if (Threads != 0)
-    Opts.Threads = Threads;
+  SummaryEngine Engine(EngineConfig{Threads, true});
   std::map<ModuleId, ModuleSummary> Summaries;
-  support::Status Stage1;
-  size_t Inferred = 0, CacheHits = 0;
-  std::optional<ShardedEngine> ShardedE;
-  std::optional<SummaryEngine> PlainE;
-  if (Shards != 0) {
-    ShardOptions SOpts;
-    SOpts.Shards = Shards;
-    SOpts.ExecMode = ShardOptions::Mode::Fork;
-    SOpts.Engine = Opts.engine();
-    ShardedE.emplace(SOpts);
-    Stage1 = ShardedE->analyze(D, Summaries, {}, DL);
-    Inferred = ShardedE->stats().Inferred;
-    CacheHits = ShardedE->stats().CacheHits;
-  } else {
-    PlainE.emplace(Opts);
-    Stage1 = PlainE->analyze(D, Summaries, {}, DL);
-    Inferred = PlainE->stats().Inferred;
-    CacheHits = PlainE->stats().CacheHits;
-  }
+  support::Status Stage1 = Engine.analyze(D, Summaries, {}, DL);
 
   auto emitDiags = [&](const support::DiagList &Ds) {
     for (const support::Diag &Dg : Ds) {
@@ -198,8 +169,7 @@ int main(int ArgC, char **ArgV) {
   // summarized (a Stage-1 loop already decides the verdict).
   CircuitCheckResult Check;
   if (!Stage1.hasError()) {
-    Check = Shards != 0 ? checkCircuitSharded(Circ, Summaries, Shards)
-                        : checkCircuit(Circ, Summaries);
+    Check = checkCircuit(Circ, Summaries);
     for (const support::Diag &Dg : Check.Diags)
       if (Dg.severity() == support::Severity::Error)
         ++Errors;
@@ -232,7 +202,8 @@ int main(int ArgC, char **ArgV) {
     if (Ok)
       std::printf("stage 1: %zu inferred, %zu cache hit(s); stage 3: "
                   "%zu safe by sort, %zu checked\n",
-                  Inferred, CacheHits, Check.SafeBySort, Check.NeedsCheck);
+                  Engine.stats().Inferred, Engine.stats().CacheHits,
+                  Check.SafeBySort, Check.NeedsCheck);
   }
   if (Cancelled)
     return 3;
