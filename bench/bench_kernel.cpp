@@ -6,29 +6,30 @@
 // Head-to-head of the two Stage-1 reachability implementations over the
 // bit-blasted corpus (the paper's Tables 1-2 methodology: modules are
 // lowered to primitive gates before inference, so port counts are wire
-// bits, not RTL vectors). Each path runs cold — the timed region is the
-// per-module graph analysis Stage-1 performs after the comb graph is
-// built:
+// bits, not RTL vectors). Both columns are kernel-only: each repetition
+// builds the comb graph (CombGraph::build) outside the timed region,
+// and the timed region is the per-module graph analysis Stage-1 performs
+// after that:
 //
 //  * serial — the seed implementation: Graph::findCycle for the
 //    combinational-loop check plus one allocating BFS per input port
 //    (CombGraph::reachableOutputPorts, kept as the differential oracle);
-//  * kernel — one ForwardOnly CSR freeze (Kahn orders the graph and
-//    settles the loop verdict; docs/KERNEL.md) shared by
-//    CombGraph::findCombLoop and the bit-parallel closure
-//    (CombGraph::allOutputPortSets, up to 512 input ports per sweep).
+//  * kernel — one CSR freeze (the ascending-ids proof plus a local
+//    repair of descending edges orders the graph and settles the loop
+//    verdict; docs/KERNEL.md) shared by CombGraph::findCombLoop and the
+//    bit-parallel closure (CombGraph::allOutputPortSets, up to 512 input
+//    ports per sweep).
 //
 // Kernel rows carry a per-phase breakdown (freeze / frontier discovery /
 // OR-sweep) read from the kernel.* trace histograms, so a regression is
 // attributable to a phase, not just a module.
 //
 // A second section sweeps the flat instance-adjacency graph of the
-// gen::MegaScale presets — ~100k nodes for the `100k` preset — once per
-// available sweep ISA (scalar / AVX2 / AVX-512, forced via
-// support/Simd.h) against a scalar single-lane-word baseline. Every ISA
-// variant must reproduce the baseline's reachability bitset bit for bit
-// before its timing is reported; tools/run_bench.sh commits the JSON as
-// BENCH_kernel.json (reading guide: docs/SCALE.md).
+// gen::MegaScale presets — ~100k nodes for the `100k` preset — with
+// 8-word (512-lane) rows against a 1-word (64-lane) baseline. The wide
+// rows must reproduce the baseline's reachability bitset bit for bit
+// before their timing is reported; tools/run_bench.sh commits the JSON
+// as BENCH_kernel.json (reading guide: docs/SCALE.md).
 //
 // Both Stage-1 paths must produce identical loop verdicts and port sets;
 // the bench refuses to report numbers otherwise. Sub-millisecond modules
@@ -44,7 +45,6 @@
 #include "gen/Fifo.h"
 #include "gen/MegaScale.h"
 #include "support/CsrGraph.h"
-#include "support/Simd.h"
 #include "support/Table.h"
 #include "support/Timer.h"
 #include "synth/Lower.h"
@@ -211,7 +211,7 @@ void addRow(Table &T, JsonReport &Json, const std::string &Name,
       .field("speedup", R.SerialSeconds / R.KernelSeconds);
 }
 
-// --- MegaScale flat-graph ISA sweep ----------------------------------------
+// --- MegaScale flat-graph row-width sweep ----------------------------------
 
 /// The flat instance-adjacency graph of a (sealed) hierarchical design:
 /// one node per flat instance (plus the top), an edge from each instance
@@ -273,13 +273,13 @@ struct MegaSweepResult {
   double FrontierUs = 0.0;
   double SweepPhaseUs = 0.0;
   /// Chunk-major reachability bits: Bits[Chunk][Node bit lane] flattened,
-  /// the canonical form two ISA runs are compared on.
+  /// the canonical form two row widths are compared on.
   std::vector<uint64_t> Bits;
 };
 
 /// Sweeps \p Sources (chunked to the kernel's lane count) over \p Csr
-/// under the *currently forced* ISA/lane configuration and returns
-/// timing plus the full reachability bitset.
+/// with \p LaneWords-word rows and returns timing plus the full
+/// reachability bitset.
 MegaSweepResult megaSweep(const CsrGraph &Csr,
                           const std::vector<uint32_t> &Sources,
                           uint32_t LaneWords, int Reps) {
@@ -299,8 +299,8 @@ MegaSweepResult megaSweep(const CsrGraph &Csr,
   const PhaseSums Phase = phaseSums() - Before;
 
   // Untimed verification pass: record the bits in source-chunk-of-64
-  // major order so any (ISA, LaneWords) run yields the same canonical
-  // vector for the identity gate.
+  // major order so every LaneWords run yields the same canonical vector
+  // for the identity gate.
   for (size_t Base = 0; Base < Sources.size(); Base += Lanes) {
     const uint32_t Count = static_cast<uint32_t>(
         std::min<size_t>(Lanes, Sources.size() - Base));
@@ -315,6 +315,25 @@ MegaSweepResult megaSweep(const CsrGraph &Csr,
   return R;
 }
 
+/// One JSON record of the row-width comparison.
+void addMegaRecord(JsonReport &Json, const std::string &Preset, uint32_t N,
+                   size_t Edges, uint32_t LaneWords, uint32_t Sources,
+                   const MegaSweepResult &R, double Speedup,
+                   const char *Identical) {
+  Json.beginRecord()
+      .field("sweep", "mega_scale_lanes")
+      .field("preset", Preset)
+      .field("nodes", static_cast<uint64_t>(N))
+      .field("edges", static_cast<uint64_t>(Edges))
+      .field("lane_words", static_cast<uint64_t>(LaneWords))
+      .field("sources", static_cast<uint64_t>(Sources))
+      .field("sweep_seconds", R.SweepSeconds)
+      .field("kernel_frontier_us", R.FrontierUs)
+      .field("kernel_sweep_us", R.SweepPhaseUs)
+      .field("speedup_vs_l1", Speedup)
+      .field("identical", Identical);
+}
+
 bool megaScaleSection(Table &T, JsonReport &Json, bool Quick) {
   const std::vector<std::string> Presets =
       Quick ? std::vector<std::string>{"ci"}
@@ -325,7 +344,7 @@ bool megaScaleSection(Table &T, JsonReport &Json, bool Quick) {
     MegaScaleDesign Mega = buildMegaScale(D, P);
     std::vector<uint32_t> ByDepth;
     Graph G = flatInstanceGraph(D, Mega.Top, ByDepth);
-    const CsrGraph Csr = CsrGraph::freeze(G, CsrGraph::ForwardOnly);
+    const CsrGraph Csr = CsrGraph::freeze(G);
 
     // 512 sources, shallowest instances first: the composition roots
     // (top, clusters, then tiles), whose closures share the stitched
@@ -339,12 +358,8 @@ bool megaScaleSection(Table &T, JsonReport &Json, bool Quick) {
     const uint32_t Want = std::min<uint32_t>(N, 512);
     std::vector<uint32_t> Sources(ByDepth.begin(), ByDepth.begin() + Want);
 
-    // Scalar single-word baseline: the pre-vectorization kernel shape —
-    // eight 64-lane sweeps instead of one 512-lane sweep.
-    if (!simd::setActiveIsa(simd::KernelIsa::Scalar)) {
-      std::fprintf(stderr, "scalar sweep variant unavailable?\n");
-      return false;
-    }
+    // 1-word baseline: the pre-multi-word kernel shape — eight 64-lane
+    // sweeps instead of one 512-lane sweep.
     int Reps = 1;
     {
       Timer Cal;
@@ -355,58 +370,26 @@ bool megaScaleSection(Table &T, JsonReport &Json, bool Quick) {
     }
     const MegaSweepResult Base = megaSweep(Csr, Sources, 1, Reps);
     T.addRow({Name, Table::withCommas(N), Table::withCommas(G.numEdges()),
-              "scalar", "1", Table::secondsStr(Base.SweepSeconds, 6),
+              "1", Table::secondsStr(Base.SweepSeconds, 6),
               Table::speedupStr(1.0)});
-    Json.beginRecord()
-        .field("sweep", "mega_scale_isa")
-        .field("preset", Name)
-        .field("nodes", static_cast<uint64_t>(N))
-        .field("edges", static_cast<uint64_t>(G.numEdges()))
-        .field("isa", "scalar")
-        .field("lane_words", static_cast<uint64_t>(1))
-        .field("sources", static_cast<uint64_t>(Want))
-        .field("sweep_seconds", Base.SweepSeconds)
-        .field("kernel_frontier_us", Base.FrontierUs)
-        .field("kernel_sweep_us", Base.SweepPhaseUs)
-        .field("speedup_vs_scalar_l1", 1.0)
-        .field("identical", "baseline");
+    addMegaRecord(Json, Name, N, G.numEdges(), 1, Want, Base, 1.0,
+                  "baseline");
 
-    // Every available ISA at the full 8-word row. Timings are reported
-    // only after the bitset matches the baseline exactly.
-    const uint32_t Wide = ReachabilityKernel::laneWordsFor(Sources.size());
-    for (simd::KernelIsa Isa : {simd::KernelIsa::Scalar, simd::KernelIsa::Avx2,
-                                simd::KernelIsa::Avx512}) {
-      if (!simd::isaSupported(Isa) || !simd::setActiveIsa(Isa))
-        continue;
-      const MegaSweepResult R = megaSweep(Csr, Sources, Wide, Reps);
-      if (R.Bits != Base.Bits) {
-        std::fprintf(stderr,
-                     "%s: %s L%u bitset diverges from the scalar baseline!\n",
-                     Name.c_str(), simd::isaName(Isa), Wide);
-        return false;
-      }
-      const double Speedup = Base.SweepSeconds / R.SweepSeconds;
-      T.addRow({Name, Table::withCommas(N), Table::withCommas(G.numEdges()),
-                simd::isaName(Isa), std::to_string(Wide),
-                Table::secondsStr(R.SweepSeconds, 6),
-                Table::speedupStr(Speedup)});
-      Json.beginRecord()
-          .field("sweep", "mega_scale_isa")
-          .field("preset", Name)
-          .field("nodes", static_cast<uint64_t>(N))
-          .field("edges", static_cast<uint64_t>(G.numEdges()))
-          .field("isa", simd::isaName(Isa))
-          .field("lane_words", static_cast<uint64_t>(Wide))
-          .field("sources", static_cast<uint64_t>(Want))
-          .field("sweep_seconds", R.SweepSeconds)
-          .field("kernel_frontier_us", R.FrontierUs)
-          .field("kernel_sweep_us", R.SweepPhaseUs)
-          .field("speedup_vs_scalar_l1", Speedup)
-          .field("identical", "true");
+    // The widest row, reported only after its bitset matches the
+    // baseline exactly.
+    const uint32_t Wide = ReachabilityKernel::MaxLaneWords;
+    const MegaSweepResult R = megaSweep(Csr, Sources, Wide, Reps);
+    if (R.Bits != Base.Bits) {
+      std::fprintf(stderr, "%s: L%u bitset diverges from the L1 baseline!\n",
+                   Name.c_str(), Wide);
+      return false;
     }
+    const double Speedup = Base.SweepSeconds / R.SweepSeconds;
+    T.addRow({Name, Table::withCommas(N), Table::withCommas(G.numEdges()),
+              std::to_string(Wide), Table::secondsStr(R.SweepSeconds, 6),
+              Table::speedupStr(Speedup)});
+    addMegaRecord(Json, Name, N, G.numEdges(), Wide, Want, R, Speedup, "true");
   }
-  // Leave the process on its natural dispatch choice.
-  simd::setActiveIsa(simd::bestSupportedIsa());
   return true;
 }
 
@@ -424,12 +407,13 @@ int main(int ArgC, char **ArgV) {
 
   std::printf("=== Stage-1 reachability: serial (findCycle + per-port BFS) "
               "vs bit-parallel CSR kernel ===\n"
-              "(gate-level modules, cold per run; both paths verified "
-              "identical before any row is reported; phases are freeze/"
-              "frontier/sweep microseconds per run)\n\n");
+              "(gate-level modules, cold per run; kernel-only: both columns "
+              "exclude CombGraph::build; both paths verified identical "
+              "before any row is reported; phases are freeze/frontier/sweep "
+              "microseconds per run)\n\n");
 
-  Table T({"Module", "Prim gates", "In/Out ports", "Serial Stage-1 (s)",
-           "Kernel Stage-1 (s)", "Phases f/fr/s (us)", "Speedup"});
+  Table T({"Module", "Prim gates", "In/Out ports", "Serial excl. build (s)",
+           "Kernel excl. build (s)", "Phases f/fr/s (us)", "Speedup"});
   JsonReport Json;
 
   auto report = [&](const std::string &Name, const Module &M) {
@@ -487,13 +471,13 @@ int main(int ArgC, char **ArgV) {
 
   T.print();
 
-  // MegaScale flat-graph closure under every available sweep ISA: one
-  // ~100k-node graph, 512 sources, scalar/L1 baseline vs forced-ISA
-  // 8-word rows, all gated on bitset identity (docs/SCALE.md).
-  std::printf("\n=== MegaScale flat-graph 512-source closure by sweep ISA "
-              "===\n(speedups are against the scalar 1-lane-word baseline; "
-              "every row's bitset verified identical to it)\n\n");
-  Table MegaT({"Preset", "Nodes", "Edges", "ISA", "Lane words", "Closure (s)",
+  // MegaScale flat-graph closure by row width: one ~100k-node graph,
+  // 512 sources, 1-word baseline vs 8-word rows, gated on bitset
+  // identity (docs/SCALE.md).
+  std::printf("\n=== MegaScale flat-graph 512-source closure by row width "
+              "===\n(speedups are against the 1-lane-word baseline; the "
+              "8-word bitset is verified identical to it)\n\n");
+  Table MegaT({"Preset", "Nodes", "Edges", "Lane words", "Closure (s)",
                "Speedup"});
   if (!megaScaleSection(MegaT, Json, Quick))
     return 1;

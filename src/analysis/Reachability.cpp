@@ -104,7 +104,7 @@ CombGraph CombGraph::build(const Module &M,
 
 const CsrGraph &CombGraph::frozen() const {
   if (!Frozen)
-    Frozen = CsrGraph::freeze(G, CsrGraph::ForwardOnly);
+    Frozen = CsrGraph::freeze(G);
   return *Frozen;
 }
 

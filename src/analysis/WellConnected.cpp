@@ -101,10 +101,11 @@ PortGraph PortGraph::build(const Circuit &Circ,
   }
 
   // Freeze for the Stage-3 closure kernel: one ordering pass up front
-  // (Kahn; Tarjan only if the port graph turns out cyclic) that also
-  // settles checkCircuit's loop verdict. The pairwise checker then
-  // sweeps 64 ports per word over the CSR arrays.
-  PG.Csr = CsrGraph::freeze(PG.G, CsrGraph::ForwardOnly);
+  // (the ascending-ids proof plus a local repair of descending edges;
+  // Tarjan only if the port graph turns out cyclic) that also settles
+  // checkCircuit's loop verdict. The pairwise checker then sweeps 64
+  // ports per word over the CSR arrays.
+  PG.Csr = CsrGraph::freeze(PG.G);
   return PG;
 }
 

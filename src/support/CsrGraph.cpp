@@ -7,16 +7,15 @@
 #include "support/CsrGraph.h"
 
 #include "support/FailPoint.h"
-#include "support/Simd.h"
-#include "support/SimdSweep.h"
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 using namespace wiresort;
 
-CsrGraph CsrGraph::freeze(const Graph &G, Edges Dirs, Layout L) {
+CsrGraph CsrGraph::freeze(const Graph &G) {
   static trace::Counter &Freezes = trace::counter("kernel.freezes");
   static trace::Counter &Repairs =
       trace::counter("kernel.freeze_repairs");
@@ -29,35 +28,20 @@ CsrGraph CsrGraph::freeze(const Graph &G, Edges Dirs, Layout L) {
   const size_t N = G.numNodes();
   FreezeSpan.note("nodes", static_cast<uint64_t>(N));
 
-  // Forward CSR: count, prefix-sum, fill. The fill pass doubles as the
-  // reverse-edge count (in-degrees), saving one scan of the edge array.
+  // Forward CSR: count, prefix-sum, fill. The fill pass also collects
+  // the targets of descending edges, the only ones the order can trip on.
   C.FwdRow.assign(N + 1, 0);
   for (uint32_t Node = 0; Node != N; ++Node)
     C.FwdRow[Node + 1] =
         C.FwdRow[Node] + static_cast<uint32_t>(G.successors(Node).size());
   C.FwdCol.resize(C.FwdRow[N]);
-  C.RevRow.assign(N + 1, 0);
   std::vector<uint32_t> DescTargets;
   for (uint32_t Node = 0, At = 0; Node != N; ++Node)
     for (uint32_t Succ : G.successors(Node)) {
       C.FwdCol[At++] = Succ;
-      ++C.RevRow[Succ + 1];
       if (Succ <= Node)
         DescTargets.push_back(Succ);
     }
-
-  // Reverse row offsets (in-degrees) always — counted during the fill.
-  // The reverse column fill is a full extra pass over the edges, so it
-  // is materialized only when the caller asked for predecessors.
-  for (uint32_t Node = 0; Node != N; ++Node)
-    C.RevRow[Node + 1] += C.RevRow[Node];
-  if (Dirs == ForwardAndReverse) {
-    C.RevCol.resize(C.FwdCol.size());
-    std::vector<uint32_t> Next(C.RevRow.begin(), C.RevRow.end() - 1);
-    for (uint32_t Node = 0; Node != N; ++Node)
-      for (uint32_t Idx = C.FwdRow[Node]; Idx != C.FwdRow[Node + 1]; ++Idx)
-        C.RevCol[Next[C.FwdCol[Idx]]++] = Node;
-  }
 
   // Synthesized netlists create wires in dependency order, so comb edges
   // usually ascend — node ids then ARE a topological order, the graph is
@@ -125,8 +109,7 @@ CsrGraph CsrGraph::freeze(const Graph &G, Edges Dirs, Layout L) {
     Cyclic = ROrder.size() != RNodes.size();
 
     if (!Cyclic) {
-      // A valid topological order, used below as the kernel layout's
-      // level-computation schedule.
+      // A valid topological order, used below as the kernel layout.
       TopoOrder.reserve(N);
       for (uint32_t Node = 0; Node != N; ++Node)
         if (!InR[Node])
@@ -136,12 +119,6 @@ CsrGraph CsrGraph::freeze(const Graph &G, Edges Dirs, Layout L) {
   }
 
   if (!Cyclic) {
-    if (L == Plain) {
-      C.KernelLayoutOk = false;
-      if (Timed)
-        FreezeUs.record((trace::detail::nowNs() - T0) / 1000);
-      return C;
-    }
     // Blocked kernel layout, acyclic repaired case. The repair order is
     // already a valid total order (every edge position-ascending): non-R
     // nodes keep ascending netlist ids — the order they were created in,
@@ -183,12 +160,6 @@ CsrGraph CsrGraph::freeze(const Graph &G, Edges Dirs, Layout L) {
     for (uint32_t Node = 0; Node != N; ++Node)
       C.CompNodes[Next[C.Comp[Node]]++] = Node;
   }
-  if (L == Plain) {
-    C.KernelLayoutOk = false;
-    if (Timed)
-      FreezeUs.record((trace::detail::nowNs() - T0) / 1000);
-    return C;
-  }
 
   // Blocked kernel layout, cyclic case: position = reversed Tarjan id
   // (Tarjan ids are reverse-topological, so reversing makes every
@@ -219,11 +190,78 @@ CsrGraph CsrGraph::freeze(const Graph &G, Edges Dirs, Layout L) {
   return C;
 }
 
+namespace {
+
+/// Blocks each sweep phase processes between deadline polls: the
+/// kernel's deadline granularity (docs/ROBUSTNESS.md).
+constexpr uint32_t PollGrain = 4096;
+
+/// The deadline poll, amortized: a clock read per block would dominate
+/// the sweep, so an active deadline costs one decrement of the phase's
+/// \p Budget per block and a clock read (plus the kernel.cancel
+/// failpoint, which simulates expiry deterministically) every PollGrain
+/// blocks. A null deadline costs one predicted branch. \returns true
+/// when the phase must abort.
+bool pollExpired(const support::Deadline *DL, uint32_t &Budget) {
+  if (!DL || --Budget != 0)
+    return false;
+  Budget = PollGrain;
+  return DL->expired() || WS_FAILPOINT("kernel.cancel");
+}
+
+/// ORs position P's L-word lane row into each successor's row. Kernel
+/// CSR guarantees every successor position is strictly greater than P,
+/// so the source row is never a destination and its words are loaded
+/// once.
+template <uint32_t L>
+void propagateBlock(uint64_t *Mask, const uint32_t *Row, const uint32_t *Col,
+                    uint32_t P) {
+  const uint32_t Begin = Row[P], End = Row[P + 1];
+  if (Begin == End)
+    return;
+  uint64_t Src[L];
+  for (uint32_t I = 0; I != L; ++I)
+    Src[I] = Mask[std::size_t(P) * L + I];
+  for (uint32_t Idx = Begin; Idx != End; ++Idx) {
+    uint64_t *Dst = Mask + std::size_t(Col[Idx]) * L;
+    for (uint32_t I = 0; I != L; ++I)
+      Dst[I] |= Src[I];
+  }
+}
+
+/// Phase 2 at row width L: propagates lane rows over the discovered
+/// positions in ascending (= topological) order. Dense passes peel the
+/// frontier bitmap a word at a time; sparse passes walk the sorted
+/// discovery list. \returns false when \p DL fires mid-pass.
+template <uint32_t L>
+bool propagate(uint64_t *Mask, const uint32_t *Row, const uint32_t *Col,
+               const std::vector<uint64_t> &Frontier,
+               const std::vector<uint32_t> &SortedDirty, bool Dense,
+               const support::Deadline *DL) {
+  uint32_t Budget = PollGrain;
+  if (!Dense) {
+    for (uint32_t P : SortedDirty) {
+      if (pollExpired(DL, Budget))
+        return false;
+      propagateBlock<L>(Mask, Row, Col, P);
+    }
+    return true;
+  }
+  for (std::size_t W = 0; W != Frontier.size(); ++W)
+    for (uint64_t Bits = Frontier[W]; Bits != 0; Bits &= Bits - 1) {
+      if (pollExpired(DL, Budget))
+        return false;
+      propagateBlock<L>(Mask, Row, Col,
+                        static_cast<uint32_t>(W * 64 + std::countr_zero(Bits)));
+    }
+  return true;
+}
+
+} // namespace
+
 ReachabilityKernel::ReachabilityKernel(const CsrGraph &G, Scratch &S,
                                        uint32_t LaneWords)
     : G(&G), S(&S), L(LaneWords), NumBlocks(G.numComponents()) {
-  assert(G.hasKernelLayout() &&
-         "kernel requires a freeze with Layout::Kernel");
   assert((LaneWords == 1 || LaneWords == 2 || LaneWords == 4 ||
           LaneWords == 8) &&
          "lane rows are 1, 2, 4 or 8 words");
@@ -236,18 +274,13 @@ ReachabilityKernel::ReachabilityKernel(const CsrGraph &G, Scratch &S,
 }
 
 uint32_t ReachabilityKernel::laneWordsFor(size_t SourceCount) {
-  uint32_t Words = static_cast<uint32_t>((SourceCount + WordBits - 1) /
-                                         WordBits);
-  if (Words <= 1)
-    Words = 1;
-  else if (Words <= 2)
-    Words = 2;
-  else if (Words <= 4)
-    Words = 4;
-  else
-    Words = 8;
-  const uint32_t Cap = simd::maxLaneWords();
-  return Words < Cap ? Words : Cap;
+  if (SourceCount <= WordBits)
+    return 1;
+  if (SourceCount <= 2 * WordBits)
+    return 2;
+  if (SourceCount <= 4 * WordBits)
+    return 4;
+  return MaxLaneWords;
 }
 
 bool ReachabilityKernel::sweep(const uint32_t *Sources, uint32_t Count,
@@ -268,24 +301,6 @@ bool ReachabilityKernel::sweep(const uint32_t *Sources, uint32_t Count,
   static trace::Histogram &SweepUs = trace::histogram("kernel.sweep_us");
   Sweeps.add();
   const bool Timed = trace::countersEnabled();
-
-  // Deadline poll, amortized: a time check per block would dominate the
-  // sweep, so with an active deadline we pay one decrement per block and
-  // read the clock (plus the kernel.cancel failpoint, which simulates
-  // expiry deterministically) every PollGrain blocks. A null DL costs
-  // one predicted branch.
-  constexpr uint32_t PollGrain = simd::SweepArgs::PollGrain;
-  struct PollState {
-    const support::Deadline *DL;
-    bool Aborted = false;
-  } PS{DL};
-  // Capture-free so it doubles as the SweepArgs::Poll function pointer.
-  constexpr auto pollNow = [](void *Ctx) -> bool {
-    auto *P = static_cast<PollState *>(Ctx);
-    if (!P->Aborted && (P->DL->expired() || WS_FAILPOINT("kernel.cancel")))
-      P->Aborted = true;
-    return P->Aborted;
-  };
 
   // Sparse reset of the previous sweep's footprint: between sweeps the
   // lane rows and the frontier bitmap are all-zero except at Dirty
@@ -327,12 +342,9 @@ bool ReachabilityKernel::sweep(const uint32_t *Sources, uint32_t Count,
   }
   uint32_t Budget = PollGrain;
   while (!S->Work.empty()) {
-    if (DL && --Budget == 0) {
-      Budget = PollGrain;
-      if (pollNow(&PS)) {
-        S->Work.clear(); // The worklist is reused; leave it empty on abort.
-        return false;
-      }
+    if (pollExpired(DL, Budget)) {
+      S->Work.clear(); // The worklist is reused; leave it empty on abort.
+      return false;
     }
     const uint32_t P = S->Work.back();
     S->Work.pop_back();
@@ -348,32 +360,23 @@ bool ReachabilityKernel::sweep(const uint32_t *Sources, uint32_t Count,
   }
 
   // Phase 2 (sweep): propagate lane rows over exactly the discovered
-  // positions in ascending (= topological) position order through the
-  // runtime-dispatched ISA variant. When the sources reach most of the
-  // graph, scanning the frontier bitmap beats sorting the discovery
-  // list; when they reach a sliver, sorting the sliver wins.
+  // positions in ascending (= topological) position order. When the
+  // sources reach most of the graph, scanning the frontier bitmap beats
+  // sorting the discovery list; when they reach a sliver, sorting the
+  // sliver wins.
   const uint64_t TS0 = Timed ? trace::detail::nowNs() : 0;
-  simd::SweepArgs A;
-  A.Row = Row;
-  A.Col = Col;
-  A.Mask = Mask;
-  A.Frontier = S->Frontier.data();
-  A.Dirty = S->Dirty.data();
-  A.DirtyCount = static_cast<uint32_t>(S->Dirty.size());
-  A.NumBlocks = NumBlocks;
-  A.LaneWords = L;
-  A.Poll = DL ? +pollNow : static_cast<bool (*)(void *)>(nullptr);
-  A.PollCtx = &PS;
-  const simd::SweepOps &Ops = simd::sweepOps();
-  bool Ok;
-  if (S->Dirty.size() >= NumBlocks / 8) {
+  const bool Dense = S->Dirty.size() >= NumBlocks / 8;
+  if (Dense) {
     DensePasses.add();
-    Ok = Ops.Dense(A);
   } else {
     SparsePasses.add();
     std::sort(S->Dirty.begin(), S->Dirty.end());
-    Ok = Ops.Sparse(A);
   }
+  const auto Pass = L == 1   ? &propagate<1>
+                    : L == 2 ? &propagate<2>
+                    : L == 4 ? &propagate<4>
+                             : &propagate<8>;
+  const bool Ok = Pass(Mask, Row, Col, S->Frontier, S->Dirty, Dense, DL);
   if (Timed && Ok)
     SweepUs.record((trace::detail::nowNs() - TS0) / 1000);
   return Ok;

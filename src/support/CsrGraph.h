@@ -13,39 +13,38 @@
 /// right shape while edges are still being inserted but a poor one for the
 /// closure sweeps Stage-1 inference runs over it: every traversal chases a
 /// pointer per node and every source pays a fresh visited-set allocation.
-/// \ref CsrGraph::freeze packs the edges into two flat arrays (forward and
-/// reverse CSR), caches the edge count, and settles the graph's order
-/// once. Synthesized netlists create wires in dependency order, so the
-/// fill pass usually proves node ids are already topological; the few
-/// descending edges that do occur (late-bound output-port wires) are
-/// repaired locally by topologically ordering just their downstream
-/// closure, which also settles acyclicity. Only genuinely cyclic graphs
-/// pay for a Tarjan pass, whose SCC ids come out reverse-topological.
+/// \ref CsrGraph::freeze packs the forward edges into two flat arrays,
+/// caches the edge count, and settles the graph's order once. Synthesized
+/// netlists create wires in dependency order, so the fill pass usually
+/// proves node ids are already topological; the few descending edges that
+/// do occur (late-bound output-port wires) are repaired locally by
+/// topologically ordering just their downstream closure, which also
+/// settles acyclicity. Only genuinely cyclic graphs pay for a Tarjan
+/// pass, whose SCC ids come out reverse-topological.
 ///
 /// Freezing also settles the KERNEL LAYOUT: a second CSR over "sweep
 /// positions" — condensation blocks renumbered so that every edge goes
-/// from a lower position to a higher one, level-grouped and sorted by
-/// out-degree within a level for cache locality. The permutation is
-/// applied and inverted internally (\ref ReachabilityKernel maps public
-/// node ids through it on seed and lookup), so NO public id ever
-/// changes. On the common all-ascending acyclic graph the layout is the
-/// identity and aliases the forward CSR at zero cost; graphs that
-/// needed repair or condensation materialize it. Consumers that never
-/// sweep can opt out with \ref Plain.
+/// from a lower position to a higher one. Repaired acyclic graphs use
+/// the repair order as is (non-repaired nodes by ascending id, then the
+/// repair set topologically); cyclic graphs use reversed Tarjan ids. The
+/// permutation is applied and inverted internally (\ref
+/// ReachabilityKernel maps public node ids through it on seed and
+/// lookup), so NO public id ever changes. On the common all-ascending
+/// acyclic graph the layout is the identity and aliases the forward CSR
+/// at zero cost.
 ///
 /// \ref ReachabilityKernel answers "which of these K sources reach node
 /// n?" for up to 512 sources per sweep: an L-word lane row (L = 1, 2, 4
 /// or 8 uint64_t, fixed per kernel) per block in one flat row-major
 /// scratch arena, seeded with the sources' bits and OR-folded over
-/// successors in one topological pass. The OR inner loops are
-/// runtime-dispatched to scalar/AVX2/AVX-512 variants via
-/// support/Simd.h. Sweeps are sparse — only blocks actually reachable
-/// from the chunk's sources are visited, tracked in a frontier bitmap
-/// plus a dirty list that doubles as the sparse reset set — so a sweep
-/// over a register-dominated graph costs the size of the reached
-/// region, not of the whole module. No per-source allocation anywhere,
-/// and scratch can be shared across kernels (one \ref
-/// ReachabilityKernel::Scratch per thread, not per module).
+/// successors in one topological pass of plain word loops. Sweeps are
+/// sparse — only blocks actually reachable from the chunk's sources are
+/// visited, tracked in a frontier bitmap plus a dirty list that doubles
+/// as the sparse reset set — so a sweep over a register-dominated graph
+/// costs the size of the reached region, not of the whole module. No
+/// per-source allocation anywhere, and scratch can be shared across
+/// kernels (one \ref ReachabilityKernel::Scratch per thread, not per
+/// module).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,26 +70,10 @@ namespace wiresort {
 /// they are harmless to every consumer.
 class CsrGraph {
 public:
-  /// Which adjacency arrays \ref freeze materializes. Reverse row
-  /// offsets (in-degrees) are cheap — counted during the forward fill —
-  /// but filling the reverse column array is a full extra pass over the
-  /// edges, so closure-only consumers (Stage-1 inference, the circuit
-  /// checkers) skip it.
-  enum Edges { ForwardOnly, ForwardAndReverse };
-
-  /// Whether \ref freeze materializes the kernel (sweep) layout. The
-  /// identity layout of an all-ascending acyclic graph is free either
-  /// way; \ref Plain only skips the blocked reordering for graphs that
-  /// needed repair or condensation — for consumers that freeze purely
-  /// for \ref isAcyclic / adjacency and never construct a
-  /// \ref ReachabilityKernel.
-  enum Layout { Kernel, Plain };
-
   CsrGraph() = default;
 
-  /// Packs \p G into CSR form and orders it.
-  static CsrGraph freeze(const Graph &G, Edges Dirs = ForwardAndReverse,
-                         Layout L = Kernel);
+  /// Packs \p G's forward edges into CSR form and orders it.
+  static CsrGraph freeze(const Graph &G);
 
   size_t numNodes() const { return FwdRow.empty() ? 0 : FwdRow.size() - 1; }
 
@@ -100,11 +83,6 @@ public:
 
   std::span<const uint32_t> successors(uint32_t Node) const {
     return {FwdCol.data() + FwdRow[Node], FwdCol.data() + FwdRow[Node + 1]};
-  }
-  std::span<const uint32_t> predecessors(uint32_t Node) const {
-    assert(RevCol.size() == FwdCol.size() &&
-           "reverse adjacency was not materialized (ForwardOnly freeze)");
-    return {RevCol.data() + RevRow[Node], RevCol.data() + RevRow[Node + 1]};
   }
 
   /// True iff the graph has no cycle (equivalently: no SCC of size > 1
@@ -135,21 +113,15 @@ public:
     return {CompNodes.data() + CompRow[C], CompNodes.data() + CompRow[C + 1]};
   }
 
-  /// True iff this freeze carries a sweep layout (always, unless frozen
-  /// with \ref Plain on a graph that needed reordering).
-  bool hasKernelLayout() const { return KernelLayoutOk; }
-
   /// Condensation block \p Block's sweep position (identity unless the
-  /// layout was materialized). Only meaningful under \ref
-  /// hasKernelLayout; node ids map via componentOf first.
+  /// layout was materialized). Node ids map via componentOf first.
   uint32_t kernelPos(uint32_t Block) const {
     return KernelPos.empty() ? Block : KernelPos[Block];
   }
 
 private:
-  // Forward and reverse CSR: Row has numNodes()+1 offsets into Col.
+  // Forward CSR: FwdRow has numNodes()+1 offsets into FwdCol.
   std::vector<uint32_t> FwdRow, FwdCol;
-  std::vector<uint32_t> RevRow, RevCol;
   bool Acyclic = true;
   /// Cyclic only: node -> component, plus nodes grouped by component.
   std::vector<uint32_t> Comp;
@@ -161,15 +133,13 @@ private:
   /// a strictly greater position. All three stay EMPTY for the identity
   /// layout (all-ascending acyclic graphs: node ids are already
   /// topological, so the forward CSR doubles as the kernel CSR at zero
-  /// cost). Materialized layouts group blocks by dependency level and
-  /// sort each level by descending out-degree — high-fanout rows front
-  /// their level so their lane rows are still cache-hot when their many
-  /// successors OR them in. Intra-block (same-SCC) edges are dropped
-  /// and cross-block parallel edges deduplicated during
-  /// materialization, so cyclic sweeps never touch componentNodes.
+  /// cost). A repaired acyclic graph takes its repair order as is: non-R
+  /// nodes by ascending id, then the repair set R topologically. A
+  /// cyclic graph takes reversed Tarjan ids; its intra-block (same-SCC)
+  /// edges are dropped and cross-block parallel edges deduplicated, so
+  /// cyclic sweeps never touch componentNodes.
   std::vector<uint32_t> KernelPos;
   std::vector<uint32_t> KernelRow, KernelCol;
-  bool KernelLayoutOk = true;
 
   const uint32_t *kernelRowData() const {
     return KernelRow.empty() ? FwdRow.data() : KernelRow.data();
@@ -198,9 +168,8 @@ private:
 /// per module in Stage-1 inference) reuse one allocation per thread.
 /// Each sweep discovers the blocks reachable from its sources,
 /// propagates lane rows over exactly those in topological (kernel
-/// position) order through the runtime-dispatched simd::sweepOps inner
-/// loops, and sparsely resets them on the next sweep via the dirty
-/// list. The kernel is exact on cyclic graphs: rows live on the
+/// position) order, and sparsely resets them on the next sweep via the
+/// dirty list. The kernel is exact on cyclic graphs: rows live on the
 /// condensation, so every member of an SCC shares its component's
 /// closure.
 class ReachabilityKernel {
@@ -234,7 +203,7 @@ public:
   };
 
   /// Self-contained kernel with \p LaneWords-word rows (1, 2, 4 or 8).
-  /// \p G must outlive the kernel and carry a kernel layout.
+  /// \p G must outlive the kernel.
   explicit ReachabilityKernel(const CsrGraph &G, uint32_t LaneWords = 1)
       : ReachabilityKernel(G, OwnScratch, LaneWords) {}
 
@@ -246,9 +215,9 @@ public:
   ReachabilityKernel &operator=(const ReachabilityKernel &) = delete;
 
   /// The widest useful row for sweeping \p SourceCount sources:
-  /// ceil(SourceCount/64) rounded up to {1,2,4,8}, capped by
-  /// simd::maxLaneWords(). More words than sources waste OR bandwidth;
-  /// fewer cost extra sweeps.
+  /// ceil(SourceCount/64) rounded up to 1, 2, 4 or 8 words, and 8 beyond
+  /// 512 sources. More words than sources waste OR bandwidth; fewer
+  /// cost extra sweeps.
   static uint32_t laneWordsFor(size_t SourceCount);
 
   uint32_t laneWords() const { return L; }
@@ -257,11 +226,12 @@ public:
 
   /// Computes the closure of \p Sources[0..Count) (Count <=
   /// laneCount()), replacing any previous sweep's results. \returns
-  /// true on completion. With an active \p DL the sweep polls it every
-  /// few thousand blocks (plus the kernel.cancel failpoint) and returns
-  /// false when it fires — the kernel's scratch stays reusable but the
-  /// current rows are meaningless and must be discarded. A null \p DL
-  /// (the default, and every pre-deadline caller) never aborts.
+  /// true on completion. With an active \p DL the sweep polls it on
+  /// entry and every 4096 blocks of each phase (plus the kernel.cancel
+  /// failpoint) and returns false when it fires — the kernel's scratch
+  /// stays reusable but the current rows are meaningless and must be
+  /// discarded. A null \p DL (the default, and every pre-deadline
+  /// caller) never aborts.
   bool sweep(const uint32_t *Sources, uint32_t Count,
              const support::Deadline *DL = nullptr);
 

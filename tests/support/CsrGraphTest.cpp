@@ -2,44 +2,62 @@
 //
 // Part of the wiresort project. Pins the bit-parallel reachability kernel
 // (support/CsrGraph.h) to the per-source BFS oracle Graph::reachableFrom:
-// on every graph, for every source, the kernel's lane must equal the BFS
-// set bit for bit. Randomized coverage spans 200+ seeded DAGs and cyclic
-// graphs; directed cases cover the empty graph, self-loops, and the
-// 63/64/65-source chunk boundaries.
+// on every graph, for every source, at every row width L in {1, 2, 4, 8},
+// the kernel's rows must equal the BFS sets bit for bit. Randomized
+// coverage spans 200+ seeded DAGs and cyclic graphs; directed cases cover
+// the empty graph, self-loops, the source counts around every row-width
+// boundary, and the deadline poll inside both phases of a dense and a
+// sparse sweep.
+//
+// tools/run_tests.sh reruns this binary under sanitizers, so keep it
+// self-contained.
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/CsrGraph.h"
+
+#include "support/FailPoint.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
 using namespace wiresort;
 
 namespace {
 
-/// Sweeps \p Sources through the kernel in 64-wide chunks and checks each
-/// lane against a fresh Graph::reachableFrom of its source.
+/// Sweeps \p Sources through a kernel at every row width L in {1, 2, 4,
+/// 8}, chunked by laneCount(), and checks each node's whole row word for
+/// word against Graph::reachableFrom of the chunk's sources. Lanes past
+/// the chunk's source count must stay clear.
 void expectKernelMatchesBfs(const Graph &G,
-                            const std::vector<uint32_t> &Sources,
-                            CsrGraph::Edges Dirs = CsrGraph::ForwardAndReverse) {
-  const CsrGraph Csr = CsrGraph::freeze(G, Dirs);
-  ReachabilityKernel Kernel(Csr);
-  for (size_t Base = 0; Base < Sources.size();
-       Base += ReachabilityKernel::WordBits) {
-    const uint32_t Count = static_cast<uint32_t>(std::min<size_t>(
-        ReachabilityKernel::WordBits, Sources.size() - Base));
-    Kernel.sweep(Sources.data() + Base, Count);
-    for (uint32_t K = 0; K != Count; ++K) {
-      const uint32_t Src = Sources[Base + K];
-      const std::vector<bool> Oracle = G.reachableFrom(Src);
-      for (uint32_t Node = 0; Node != G.numNodes(); ++Node)
-        EXPECT_EQ((Kernel.mask(Node) >> K) & 1, Oracle[Node] ? 1u : 0u)
-            << "source " << Src << " node " << Node << " lane " << K;
+                            const std::vector<uint32_t> &Sources) {
+  std::vector<std::vector<bool>> Oracle;
+  for (uint32_t Src : Sources)
+    Oracle.push_back(G.reachableFrom(Src));
+  const CsrGraph Csr = CsrGraph::freeze(G);
+  for (uint32_t LaneWords : {1u, 2u, 4u, 8u}) {
+    ReachabilityKernel Kernel(Csr, LaneWords);
+    for (size_t Base = 0; Base < Sources.size(); Base += Kernel.laneCount()) {
+      const uint32_t Count = static_cast<uint32_t>(
+          std::min<size_t>(Kernel.laneCount(), Sources.size() - Base));
+      ASSERT_TRUE(Kernel.sweep(Sources.data() + Base, Count));
+      for (uint32_t Node = 0; Node != G.numNodes(); ++Node) {
+        std::vector<uint64_t> Want(LaneWords, 0);
+        for (uint32_t K = 0; K != Count; ++K)
+          if (Oracle[Base + K][Node])
+            Want[K / ReachabilityKernel::WordBits] |=
+                uint64_t{1} << (K % ReachabilityKernel::WordBits);
+        const uint64_t *Row = Kernel.row(Node);
+        EXPECT_EQ(std::vector<uint64_t>(Row, Row + LaneWords), Want)
+            << "L=" << LaneWords << " first source " << Sources[Base]
+            << " node " << Node;
+      }
     }
   }
 }
@@ -107,20 +125,11 @@ TEST(CsrGraphTest, CsrMirrorsAdjacencyAndCachesEdgeCount) {
                                 Csr.successors(Node).end());
     EXPECT_EQ(Succs, G.successors(Node)) << "node " << Node;
   }
-  // Reverse CSR: predecessors of each node, as a multiset.
-  std::vector<uint32_t> PredsOf1(Csr.predecessors(1).begin(),
-                                 Csr.predecessors(1).end());
-  EXPECT_EQ(PredsOf1, (std::vector<uint32_t>{0, 0}));
-  std::vector<uint32_t> PredsOf2(Csr.predecessors(2).begin(),
-                                 Csr.predecessors(2).end());
-  std::sort(PredsOf2.begin(), PredsOf2.end());
-  EXPECT_EQ(PredsOf2, (std::vector<uint32_t>{0, 3}));
-  EXPECT_TRUE(Csr.predecessors(0).empty());
 }
 
 TEST(CsrGraphTest, AcyclicGraphsHaveIdentityCondensation) {
   // Acyclic freezes never run Tarjan: every node is its own component —
-  // both on the ascending-ids shortcut and on the Kahn path.
+  // both on the ascending-ids shortcut and on the repair path.
   Graph Ascending(4);
   Ascending.addEdge(0, 1);
   Ascending.addEdge(1, 2);
@@ -162,16 +171,6 @@ TEST(CsrGraphTest, NearSortedGraphRepairsDescendingTail) {
   expectKernelMatchesBfs(H, allNodes(H));
 }
 
-TEST(CsrGraphTest, ForwardOnlyFreezeMatchesBfs) {
-  // Skipping the reverse column fill must not change any closure result,
-  // acyclic or cyclic.
-  std::mt19937 Rng(303);
-  for (int Trial = 0; Trial != 20; ++Trial) {
-    Graph G = randomGraph(Rng, Trial % 2 == 0);
-    expectKernelMatchesBfs(G, allNodes(G), CsrGraph::ForwardOnly);
-  }
-}
-
 TEST(CsrGraphTest, ComponentsGroupTheCycle) {
   Graph G(4);
   G.addEdge(0, 1);
@@ -202,10 +201,14 @@ TEST(CsrGraphTest, SingleNodeNoEdgesReachesOnlyItself) {
 }
 
 TEST(CsrGraphTest, ChunkBoundarySourceCounts) {
-  // 63, 64, and 65 sources: one partial word, one exactly full word, and
-  // a full word plus a one-lane second sweep. A layered fan graph gives
-  // every source a distinct closure so lane mix-ups cannot cancel out.
-  for (uint32_t NumSources : {63u, 64u, 65u}) {
+  // Source counts straddling every row-width boundary: 63/64/65 (one
+  // word), 127/128/129 (two words -> four) and 511/512/513 (the 8-word,
+  // 512-lane ceiling; 513 forces a second sweep). Each runs at every
+  // row width, laneWordsFor(N) included, so narrower rows chunk the same
+  // sources into more sweeps. A layered fan graph gives every source a
+  // distinct closure so lane mix-ups cannot cancel out.
+  for (uint32_t NumSources :
+       {63u, 64u, 65u, 127u, 128u, 129u, 511u, 512u, 513u}) {
     const uint32_t N = NumSources + 40;
     Graph G(N);
     std::mt19937 Rng(NumSources);
@@ -221,6 +224,16 @@ TEST(CsrGraphTest, ChunkBoundarySourceCounts) {
     std::iota(Sources.begin(), Sources.end(), 0);
     expectKernelMatchesBfs(G, Sources);
   }
+}
+
+TEST(CsrGraphTest, LaneWordsForThresholds) {
+  // ceil(sources / 64) words, rounded up to 1, 2, 4 or 8 and capped at 8.
+  const std::pair<size_t, uint32_t> Cases[] = {
+      {1, 1},   {64, 1},  {65, 2},  {128, 2},   {129, 4},
+      {256, 4}, {257, 8}, {512, 8}, {100000, 8}};
+  for (const auto &[Sources, Words] : Cases)
+    EXPECT_EQ(ReachabilityKernel::laneWordsFor(Sources), Words)
+        << Sources << " sources";
 }
 
 TEST(CsrGraphTest, ScratchReuseAcrossSweepsIsClean) {
@@ -273,4 +286,74 @@ TEST(CsrGraphTest, DenseStronglyConnectedGraphSharesClosure) {
   Kernel.sweep(Sources.data(), ReachabilityKernel::WordBits);
   for (uint32_t Node = 0; Node != N; ++Node)
     EXPECT_EQ(Kernel.mask(Node), ~uint64_t{0});
+}
+
+TEST(CsrGraphTest, DeadlinePollInsideDenseAndSparseSweeps) {
+  // A chain from node 0 reaches 3 * 4096 + 100 blocks, so each sweep
+  // phase polls three times. Alone, the chain reaches every block and
+  // takes the dense pass; padded with eight times as many isolated
+  // nodes it reaches under an eighth of the blocks and takes the sparse
+  // pass. A live deadline turns the polls on; kernel.cancel is hit once
+  // at sweep entry and then at every poll, so with P polls per phase
+  // nth(3) fires at discovery's second poll and nth(P + 3) at the
+  // propagation pass's second poll.
+  constexpr uint32_t PollGrain = 4096;
+  constexpr uint32_t Reached = 3 * PollGrain + 100;
+  constexpr uint32_t PollsPerPhase = Reached / PollGrain;
+  trace::SessionOptions MetricsOnly;
+  MetricsOnly.CollectSpans = false;
+  trace::Session Metrics(MetricsOnly);
+  trace::Counter &FrontierBlocks = trace::counter("kernel.frontier_blocks");
+  trace::Counter &Dense = trace::counter("kernel.sweeps_dense");
+  trace::Counter &Sparse = trace::counter("kernel.sweeps_sparse");
+  support::failpoint::Site &Cancel = support::failpoint::site("kernel.cancel");
+  const support::Deadline Live = support::Deadline::afterMs(0);
+  ASSERT_TRUE(Live.active());
+  const uint32_t Head[] = {0};
+
+  for (const bool DenseShape : {true, false}) {
+    Graph G(DenseShape ? Reached : 9 * Reached);
+    for (uint32_t Node = 0; Node + 1 != Reached; ++Node)
+      G.addEdge(Node, Node + 1);
+    const CsrGraph Csr = CsrGraph::freeze(G);
+    ReachabilityKernel::Scratch Scratch;
+    ReachabilityKernel Kernel(Csr, Scratch);
+    trace::Counter &Pass = DenseShape ? Dense : Sparse;
+
+    for (const uint32_t Nth : {3u, PollsPerPhase + 3}) {
+      const bool InDiscovery = Nth <= 1 + PollsPerPhase;
+      SCOPED_TRACE(std::string(DenseShape ? "dense" : "sparse") +
+                   " shape, nth(" + std::to_string(Nth) + ")");
+      const uint64_t BlocksBefore = FrontierBlocks.value();
+      const uint64_t PassesBefore = Dense.value() + Sparse.value();
+      const uint64_t PassBefore = Pass.value();
+      ASSERT_TRUE(support::failpoint::configure(
+                      "kernel.cancel=nth(" + std::to_string(Nth) + ")")
+                      .empty());
+      EXPECT_FALSE(Kernel.sweep(Head, 1, &Live));
+      EXPECT_EQ(Cancel.hits(), Nth);
+      EXPECT_EQ(Cancel.fires(), 1u);
+      if (InDiscovery) {
+        // Discovery never finished: no frontier, no propagation pass.
+        EXPECT_EQ(FrontierBlocks.value(), BlocksBefore);
+        EXPECT_EQ(Dense.value() + Sparse.value(), PassesBefore);
+      } else {
+        EXPECT_EQ(FrontierBlocks.value(), BlocksBefore + Reached);
+        EXPECT_EQ(Pass.value(), PassBefore + 1);
+        EXPECT_EQ(Dense.value() + Sparse.value(), PassesBefore + 1);
+      }
+      support::failpoint::disarmAll();
+
+      // The aborted sweep left the shared scratch reusable: a sweep from
+      // near the chain's end sees none of its rows or worklist.
+      const uint32_t Tail[] = {Reached - 100};
+      const uint64_t BlocksBeforeRetry = FrontierBlocks.value();
+      ASSERT_TRUE(Kernel.sweep(Tail, 1, &Live));
+      EXPECT_EQ(FrontierBlocks.value(), BlocksBeforeRetry + 100);
+      const std::vector<bool> Oracle = G.reachableFrom(Tail[0]);
+      for (uint32_t Node = 0; Node != G.numNodes(); ++Node)
+        ASSERT_EQ(Kernel.mask(Node), Oracle[Node] ? 1u : 0u)
+            << "node " << Node;
+    }
+  }
 }

@@ -82,7 +82,7 @@ TEST(GraphTest, SccComponentsOfTwoCycles) {
   EXPECT_NE(Comp[0], Comp[2]);
 }
 
-TEST(GraphTest, ReachableFromFollowsEdgesForwardOnly) {
+TEST(GraphTest, ReachableFromFollowsOnlyOutgoingEdges) {
   Graph G(4);
   G.addEdge(0, 1);
   G.addEdge(1, 2);

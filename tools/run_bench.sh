@@ -5,10 +5,11 @@
 #    the mega-scale presets through serial Stage 1 and SCC Stage 3, and
 #    the summary wire codec's encode/decode throughput — written over
 #    BENCH_scalability.json at the repo root;
-#  * bench_kernel — serial-vs-kernel Stage-1 rows with per-phase
-#    (freeze/frontier/sweep) attribution, plus the MegaScale flat-graph
-#    512-source closure under every available sweep ISA against the
-#    scalar 1-lane-word baseline — written over BENCH_kernel.json;
+#  * bench_kernel — serial-vs-kernel Stage-1 rows (kernel-only: both
+#    exclude CombGraph::build) with per-phase (freeze/frontier/sweep)
+#    attribution, plus the MegaScale flat-graph 512-source closure with
+#    8-word rows against the 1-lane-word baseline — written over
+#    BENCH_kernel.json;
 #  * bench_engine — serial/parallel/warm engine curves, the cold
 #    summary-load comparison (text sidecar vs wire binary vs loadCache
 #    on a v3 cache file), the resident-service-vs-cold-process check
@@ -18,8 +19,8 @@
 #    is a real process spawn), and the trace/failpoint overhead smokes —
 #    written over BENCH_engine.json.
 #
-# Every timing in both reports is gated on a results-identical check
-# (serial reference / scalar-baseline bitset), so a committed report is
+# Every timing in these reports is gated on a results-identical check
+# (serial reference / 1-word-baseline bitset), so a committed report is
 # also a passed equivalence run.
 #
 # Usage: tools/run_bench.sh [--quick]

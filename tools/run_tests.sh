@@ -1,5 +1,5 @@
 #!/bin/sh
-# Four-stage test driver:
+# Nine-stage test driver:
 #
 #   1. the regular suite in the default build tree (configured if
 #      absent) — includes the structured-diagnostics suites (DiagTest,
@@ -13,12 +13,7 @@
 #      rides along (its masks feed the engine);
 #   3. an UndefinedBehaviorSanitizer build of the kernel suite — the CSR
 #      sweep (docs/KERNEL.md) lives on shifts and index arithmetic, which
-#      is exactly UBSan's beat — followed by a rerun of the regular-build
-#      kernel suite with WIRESORT_KERNEL_ISA=scalar forced, so the env
-#      override path and the scalar sweep variant stay covered even on
-#      hosts whose CPUID would always dispatch AVX (the in-process
-#      cross-ISA differential inside the suite still exercises every
-#      supported wider variant);
+#      is exactly UBSan's beat;
 #   4. a jq smoke check that live `wiresort-check --format json` output
 #      is valid NDJSON (skipped when jq is absent);
 #   5. a trace/stats validation stage (docs/OBSERVABILITY.md): export the
@@ -34,9 +29,8 @@
 #      crash-recovery and failpoint unit suites (docs/ROBUSTNESS.md):
 #      injected faults walk the error/retry/quarantine paths that
 #      ordinary runs never touch, which is exactly where leaks and
-#      use-after-frees hide — plus the kernel suite, whose cross-ISA
-#      differential then runs every vector sweep variant's row-arena
-#      indexing under ASan;
+#      use-after-frees hide — plus the kernel suite, which then runs the
+#      row-arena indexing of every row width under ASan;
 #   7. the scale tier (docs/SCALE.md): the metamorphic and
 #      generator-determinism suites (ctest label `scale`) and a
 #      byte-comparison of `--threads 1` vs `--threads 4` wiresort-check
@@ -45,7 +39,7 @@
 #      fixtures, text -> binary -> text summary conversion must
 #      round-trip byte-identically, repeated binary writes must be
 #      byte-stable, and the binary sidecar a `--threads 4` run writes
-#      must be byte-identical to the serial one.
+#      must be byte-identical to the serial one;
 #   9. the serving tier (docs/SERVING.md): the `served`-labelled suites
 #      (driver facade + in-process server + concurrent soak + the
 #      overload-safety suite) rerun under TSan — the resident cache,
@@ -113,13 +107,6 @@ UBSAN_BUILD="$ROOT/build-ubsan"
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
 cmake --build "$UBSAN_BUILD" -j "$(nproc)" --target kernel_tests
 "$UBSAN_BUILD/tests/kernel_tests"
-# Forced-scalar rerun of the regular build: WIRESORT_KERNEL_ISA is read
-# once at first dispatch, so this covers the env-override parse and runs
-# the whole suite (including the multi-word lane rows) on the portable
-# sweep loops regardless of host CPU.
-echo
-echo "=== stage 3b: kernel suite with WIRESORT_KERNEL_ISA=scalar ==="
-WIRESORT_KERNEL_ISA=scalar "$BUILD/tests/kernel_tests"
 
 echo
 echo "=== stage 4: CLI JSON smoke check (jq) ==="
@@ -202,10 +189,9 @@ cmake --build "$ASAN_BUILD" -j "$(nproc)" \
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/fault_soak_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/engine_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/support_tests"
-# The cross-ISA differential (SimdKernelTest) under ASan: every
-# supported sweep variant's loads/stores against the flat row arena,
-# including the partial-row tails at the 63/65/127/129/511/513 source
-# boundaries.
+# The kernel suite under ASan: every row width's loads/stores against
+# the flat row arena, including the partial-row tails at the
+# 63/65/127/129/511/513 source boundaries.
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/kernel_tests"
 
 echo
