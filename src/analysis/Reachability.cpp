@@ -48,23 +48,17 @@ CombGraph CombGraph::build(const Module &M,
     }
   }
 
-  for (const Register &R : M.Registers) {
+  for (const Register &R : M.Registers)
     CG.Drivers[R.Q].Kind = DriverKind::RegQ;
-    CG.Fanouts[R.D].StatePins += 1;
-  }
 
   for (const Memory &Mem : M.Memories) {
     if (Mem.SyncRead) {
       CG.Drivers[Mem.RData].Kind = DriverKind::MemSync;
-      CG.Fanouts[Mem.RAddr].StatePins += 1;
     } else {
       CG.Drivers[Mem.RData].Kind = DriverKind::MemAsync;
       CG.G.addEdge(Mem.RAddr, Mem.RData);
       CG.Fanouts[Mem.RAddr].AsyncMemAddrPins += 1;
     }
-    CG.Fanouts[Mem.WAddr].StatePins += 1;
-    CG.Fanouts[Mem.WData].StatePins += 1;
-    CG.Fanouts[Mem.WEnable].StatePins += 1;
   }
 
   for (uint32_t InstIdx = 0; InstIdx != M.Instances.size(); ++InstIdx) {

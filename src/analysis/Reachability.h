@@ -130,8 +130,6 @@ private:
     std::vector<ir::NetId> Nets;
     /// (instance id, definition input port) pairs consuming the wire.
     std::vector<std::pair<uint32_t, ir::WireId>> InstInputs;
-    /// Number of state pins consuming the wire (reg D, sync-mem pins).
-    uint32_t StatePins = 0;
     /// Number of asynchronous-memory read-address pins consuming it.
     uint32_t AsyncMemAddrPins = 0;
   };

@@ -23,6 +23,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include <fcntl.h>
@@ -64,17 +65,6 @@ void SummaryCache::insert(uint64_t Key, const ModuleSummary &S) {
 size_t SummaryCache::size() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   return Entries.size();
-}
-
-void SummaryCache::resetCounters() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Hits = Misses = 0;
-}
-
-void SummaryCache::clear() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Entries.clear();
-  Hits = Misses = 0;
 }
 
 // --- Cache keys -------------------------------------------------------------
@@ -141,108 +131,44 @@ inferContained(const Design &D, ModuleId Id,
   }
 }
 
-/// Scheduler state for one analyze() call. All mutable members are
-/// guarded by Mutex once the parallel phase starts; Out is pre-populated
-/// with every module id so tasks read/write disjoint mapped values
-/// without ever mutating the map structure.
-struct Run {
-  const Design &D;
-  const std::map<ModuleId, ModuleSummary> &Ascribed;
-  std::map<ModuleId, ModuleSummary> &Out;
-  SummaryCache *Cache; // Null when the cache is disabled.
-  const std::vector<uint64_t> &Keys;
-
-  enum class State : uint8_t {
-    Waiting,
-    Done,
-    Looped,
-    Skipped,
-    Cancelled, ///< Abandoned to the deadline (or an injected cancel).
-    Panicked,  ///< Worker threw; contained as WS604.
-  };
-
-  std::vector<State> States;
-  std::vector<uint32_t> DepsLeft;
-  std::vector<std::vector<ModuleId>> Dependents;
-  /// Per-module diagnostics (loops, panics; empty for clean modules).
-  /// Indexed by module id, which is also the order the final list is
-  /// emitted in — the thread schedule can never reorder it.
-  std::vector<support::DiagList> Loops;
-  size_t Hits = 0, Inferred = 0, AscribedCount = 0;
-  /// Latched once the deadline fires (or engine.cancel injects); from
-  /// then on no new module starts. Guarded by Mutex.
-  bool CancelFlag = false;
-
-  std::mutex Mutex;
-
-  Run(const Design &D, const std::map<ModuleId, ModuleSummary> &Ascribed,
-      std::map<ModuleId, ModuleSummary> &Out, SummaryCache *Cache,
-      const std::vector<uint64_t> &Keys)
-      : D(D), Ascribed(Ascribed), Out(Out), Cache(Cache), Keys(Keys) {}
-
-  /// Distinct instantiated definitions of module \p Id.
-  static std::vector<ModuleId> depsOf(const Module &M) {
-    std::vector<ModuleId> Deps;
-    for (const SubInstance &Inst : M.Instances)
-      Deps.push_back(Inst.Def);
-    std::sort(Deps.begin(), Deps.end());
-    Deps.erase(std::unique(Deps.begin(), Deps.end()), Deps.end());
-    return Deps;
-  }
-
-  /// Polls deadline + injected cancellation, latching CancelFlag. Caller
-  /// holds Mutex.
-  bool checkCancel(const support::Deadline &DL) {
-    if (CancelFlag)
-      return true;
-    if (DL.expired() || WS_FAILPOINT("engine.cancel"))
-      CancelFlag = true;
-    return CancelFlag;
-  }
-
-  /// How a module was resolved without running inference.
-  enum class Cheap : uint8_t { No, Ascribed, Hit };
-
-  /// Resolves \p Id without inference (ascription or cache hit) if
-  /// possible. Caller holds Mutex.
-  Cheap tryResolveCheaply(ModuleId Id) {
-    auto AscIt = Ascribed.find(Id);
-    if (AscIt != Ascribed.end()) {
-      Out[Id] = AscIt->second;
-      ++AscribedCount;
-      return Cheap::Ascribed;
-    }
-    if (Cache) {
-      if (auto Hit =
-              Cache->lookup(Keys[Id], Id, D.module(Id).Name)) {
-        Out[Id] = std::move(*Hit);
-        ++Hits;
-        return Cheap::Hit;
-      }
-    }
-    return Cheap::No;
-  }
-
-  /// Marks \p Id finished and returns the dependents that became ready.
-  /// Caller holds Mutex.
-  std::vector<ModuleId> finish(ModuleId Id, State S) {
-    States[Id] = S;
-    std::vector<ModuleId> Ready;
-    for (ModuleId Dep : Dependents[Id]) {
-      // A dependent of an unsummarizable module can never be summarized
-      // itself. Cancellation taints transitively as Cancelled (so the
-      // WS601 tally reflects everything the deadline cost); any other
-      // failure taints as Skipped (the root cause is already reported).
-      if (S == State::Cancelled)
-        States[Dep] = State::Cancelled;
-      else if (S != State::Done && States[Dep] != State::Cancelled)
-        States[Dep] = State::Skipped;
-      if (--DepsLeft[Dep] == 0)
-        Ready.push_back(Dep);
-    }
-    return Ready;
-  }
+/// How a module's analysis ended within one analyze() call.
+enum class State : uint8_t {
+  Waiting,
+  Done,
+  Looped,
+  Skipped,
+  Cancelled, ///< Abandoned to the deadline (or an injected cancel).
+  Panicked,  ///< Worker threw; contained as WS604.
 };
+
+/// One module inferred in a round. A pool task writes only its own Job;
+/// the calling thread reads it after the round's wait().
+struct Job {
+  ModuleId Id;
+  /// Unset only when the task threw past inferContained (the pool's
+  /// backstop then holds the exception).
+  std::optional<InferenceResult> Result;
+  bool Panicked = false;
+};
+
+/// The design's instantiation levels, each in ascending id order: a leaf
+/// is level 0, any other module one above its deepest instantiated
+/// definition. Every module of a level depends only on lower levels.
+std::vector<std::vector<ModuleId>> instantiationLevels(const Design &D) {
+  std::optional<std::vector<ModuleId>> Order = D.topologicalModuleOrder();
+  assert(Order && "module instantiation must be acyclic");
+  std::vector<size_t> LevelOf(D.numModules(), 0);
+  for (ModuleId Id : *Order)
+    for (const SubInstance &Inst : D.module(Id).Instances)
+      LevelOf[Id] = std::max(LevelOf[Id], LevelOf[Inst.Def] + 1);
+  std::vector<std::vector<ModuleId>> Levels;
+  for (ModuleId Id = 0; Id != D.numModules(); ++Id) {
+    if (LevelOf[Id] >= Levels.size())
+      Levels.resize(LevelOf[Id] + 1);
+    Levels[LevelOf[Id]].push_back(Id);
+  }
+  return Levels;
+}
 
 } // namespace
 
@@ -308,215 +234,171 @@ SummaryEngine::analyzeShared(const Design &D,
   static trace::Counter &CancelledC =
       trace::counter("fault.cancelled_modules");
 
-  std::optional<std::vector<ModuleId>> Order =
-      D.topologicalModuleOrder();
-  assert(Order && "module instantiation must be acyclic");
-
   Outcome.Keys = computeKeys(D, Ascribed);
   const std::vector<uint64_t> &Keys = Outcome.Keys;
-
-  // --- Scheduler state.
-  Out.clear();
-  for (ModuleId Id = 0; Id != D.numModules(); ++Id)
-    Out[Id]; // Pre-insert every slot: map structure stays frozen below.
-
-  Run R(D, Ascribed, Out, Cfg.UseCache ? &Cache : nullptr, Keys);
-  R.States.assign(D.numModules(), Run::State::Waiting);
-  R.DepsLeft.assign(D.numModules(), 0);
-  R.Dependents.assign(D.numModules(), {});
-  R.Loops.assign(D.numModules(), {});
-  for (ModuleId Id = 0; Id != D.numModules(); ++Id) {
-    std::vector<ModuleId> Deps = Run::depsOf(D.module(Id));
-    R.DepsLeft[Id] = static_cast<uint32_t>(Deps.size());
-    for (ModuleId Dep : Deps)
-      R.Dependents[Dep].push_back(Id);
-  }
+  SummaryCache *Cache = Cfg.UseCache ? &this->Cache : nullptr;
 
   unsigned Threads = Cfg.Threads != 0
                          ? Cfg.Threads
                          : std::max(1u, std::thread::hardware_concurrency());
   Stats.ThreadsUsed = Threads;
 
+  // --- Scheduler state. All of it lives on this thread: pool tasks read
+  // --- Out (lower levels' summaries, which nothing writes while a round
+  // --- runs) and write only their own Job and the thread-safe Cache.
+  Out.clear();
+  std::vector<State> States(D.numModules(), State::Waiting);
+  /// Per-module diagnostics (loops, panics; empty for clean modules).
+  /// Indexed by module id, which is also the order the final list is
+  /// emitted in.
+  std::vector<support::DiagList> Failures(D.numModules());
+  size_t Hits = 0, Inferred = 0, AscribedCount = 0;
+  /// Latched once the deadline fires (or engine.cancel injects); from
+  /// then on no new module starts.
+  bool CancelFlag = false;
   const support::Deadline *DLPtr = DL.active() ? &DL : nullptr;
+  std::optional<ThreadPool> Pool;
   std::vector<std::exception_ptr> Escaped;
 
-  // Folds one inference result into the scheduler. Caller holds R.Mutex;
-  // returns the dependents that became ready.
-  auto settle = [&](ModuleId Id, InferenceResult &Result,
-                    bool Panicked) -> std::vector<ModuleId> {
+  // Zero-width marker span: cheap resolutions cost ~no time but still
+  // show up in the trace with their hit/ascribed attribute.
+  auto markCheap = [&](ModuleId Id, const char *Result) {
+    trace::Span CheapSpan("engine.module", "engine");
+    CheapSpan.note("module", D.module(Id).Name).note("result", Result);
+    States[Id] = State::Done;
+  };
+
+  auto infer = [&](Job &J) {
+    trace::Span MSpan("engine.module", "engine");
+    MSpan.note("module", D.module(J.Id).Name);
+    Timer InferTimer;
+    J.Result = inferContained(D, J.Id, Out, DLPtr, J.Panicked);
+    InferUs.record(static_cast<uint64_t>(InferTimer.seconds() * 1e6));
+    // Inserting here, not in settle(), overlaps copying a large summary
+    // with the round's longer inferences. The key was claimed this round,
+    // so nothing in this call looks it up before the next round.
+    if (Cache && *J.Result)
+      Cache->insert(Keys[J.Id], **J.Result);
+    MSpan.note("result",
+               *J.Result ? "miss" : (J.Panicked ? "panic" : "loop"));
+  };
+
+  auto settle = [&](Job &J) {
+    ModuleId Id = J.Id;
+    if (!J.Result) {
+      States[Id] = State::Panicked; // Reported from Escaped below.
+      return;
+    }
+    InferenceResult &Result = *J.Result;
     if (Result) {
-      ModuleSummary &S = *Result;
-      if (R.Cache)
-        R.Cache->insert(Keys[Id], S);
-      R.Out[Id] = std::move(S);
-      ++R.Inferred;
-      return R.finish(Id, Run::State::Done);
-    }
-    if (Panicked) {
-      R.Loops[Id] = Result.diags();
-      return R.finish(Id, Run::State::Panicked);
-    }
-    if (Result.diags().firstError().code() ==
-        support::DiagCode::WS601_CANCELLED) {
+      Out[Id] = std::move(*Result);
+      ++Inferred;
+      States[Id] = State::Done;
+    } else if (J.Panicked) {
+      Failures[Id] = Result.diags();
+      States[Id] = State::Panicked;
+    } else if (Result.diags().firstError().code() ==
+               support::DiagCode::WS601_CANCELLED) {
       // Inference noticed the deadline mid-module; the module is
       // abandoned, not failed — the one WS601 appended to the verdict
       // covers it.
-      R.CancelFlag = true;
-      return R.finish(Id, Run::State::Cancelled);
+      CancelFlag = true;
+      States[Id] = State::Cancelled;
+    } else {
+      Failures[Id] = Result.diags();
+      States[Id] = State::Looped;
     }
-    R.Loops[Id] = Result.diags();
-    return R.finish(Id, Run::State::Looped);
   };
 
-  if (Threads <= 1) {
-    // Serial path: plain topological sweep, no pool, no locking beyond
-    // the shared helpers' discipline. Kept separate both as the baseline
-    // the determinism suite compares against and because it is what a
-    // 1-thread engine should cost.
-    for (ModuleId Id : *Order) {
-      if (R.States[Id] == Run::State::Skipped) {
-        R.finish(Id, Run::State::Skipped); // Propagate to dependents.
-        continue;
-      }
-      if (R.States[Id] == Run::State::Cancelled || R.checkCancel(DL)) {
-        R.finish(Id, Run::State::Cancelled);
-        continue;
-      }
-      trace::Span MSpan("engine.module", "engine");
-      MSpan.note("module", D.module(Id).Name);
-      if (Run::Cheap C = R.tryResolveCheaply(Id); C != Run::Cheap::No) {
-        MSpan.note("result", C == Run::Cheap::Hit ? "hit" : "ascribed");
-        R.finish(Id, Run::State::Done);
-        continue;
-      }
-      Timer InferTimer;
-      bool Panicked = false;
-      InferenceResult Result =
-          inferContained(D, Id, Out, DLPtr, Panicked);
-      InferUs.record(
-          static_cast<uint64_t>(InferTimer.seconds() * 1e6));
-      MSpan.note("result", Result ? "miss"
-                                  : (Panicked ? "panic" : "loop"));
-      settle(Id, Result, Panicked);
-    }
-  } else {
-    ThreadPool Pool(Threads);
-
-    // Submitting a module either resolves it on the spot (ascribed /
-    // cache hit / already-skipped / cancelled) or hands inference to the
-    // pool; the completion path re-enters schedule() for the dependents
-    // it releases. The worklist keeps resolution iterative: a chain of a
-    // thousand cache hits must not recurse a thousand frames deep.
-    std::function<void(std::vector<ModuleId>)> schedule =
-        [&](std::vector<ModuleId> Work) {
-          std::vector<ModuleId> ToInfer;
-          {
-            std::lock_guard<std::mutex> Lock(R.Mutex);
-            while (!Work.empty()) {
-              ModuleId Id = Work.back();
-              Work.pop_back();
-              if (R.States[Id] == Run::State::Skipped) {
-                std::vector<ModuleId> Ready =
-                    R.finish(Id, Run::State::Skipped);
-                Work.insert(Work.end(), Ready.begin(), Ready.end());
-                continue;
-              }
-              if (R.States[Id] == Run::State::Cancelled ||
-                  R.checkCancel(DL)) {
-                std::vector<ModuleId> Ready =
-                    R.finish(Id, Run::State::Cancelled);
-                Work.insert(Work.end(), Ready.begin(), Ready.end());
-                continue;
-              }
-              if (Run::Cheap C = R.tryResolveCheaply(Id);
-                  C != Run::Cheap::No) {
-                // Zero-width marker span: cheap resolutions cost ~no
-                // time but still show up in the trace with their
-                // hit/ascribed attribute.
-                trace::Span CheapSpan("engine.module", "engine");
-                CheapSpan.note("module", R.D.module(Id).Name)
-                    .note("result",
-                          C == Run::Cheap::Hit ? "hit" : "ascribed");
-                std::vector<ModuleId> Ready =
-                    R.finish(Id, Run::State::Done);
-                Work.insert(Work.end(), Ready.begin(), Ready.end());
-                continue;
-              }
-              ToInfer.push_back(Id);
-            }
+  // One loop for every thread count. Each round resolves its modules in
+  // id order on this thread; the ones that need inference run on the
+  // pool (inline when there is no parallelism to use) and settle in id
+  // order, so the counters and the cache never depend on the schedule.
+  // A module whose content key an earlier module of the round claimed
+  // waits for the next round: then it hits the leader's summary, or, if
+  // the leader failed, infers itself and reports its own diagnostics.
+  for (std::vector<ModuleId> &Pending : instantiationLevels(D)) {
+    while (!Pending.empty()) {
+      std::vector<Job> Jobs;
+      std::vector<ModuleId> Deferred;
+      std::unordered_set<uint64_t> Claimed;
+      for (ModuleId Id : Pending) {
+        // A dependent of an unsummarizable module can never be summarized
+        // itself. Cancellation taints as Cancelled (so the WS601 tally
+        // reflects everything the deadline cost); any other failure
+        // taints as Skipped (the root cause is already reported).
+        bool DepFailed = false, DepCancelled = false;
+        for (const SubInstance &Inst : D.module(Id).Instances) {
+          DepFailed |= States[Inst.Def] != State::Done;
+          DepCancelled |= States[Inst.Def] == State::Cancelled;
+        }
+        if (DepFailed && !DepCancelled) {
+          States[Id] = State::Skipped;
+          continue;
+        }
+        if (DepCancelled || CancelFlag || DL.expired() ||
+            WS_FAILPOINT("engine.cancel")) {
+          CancelFlag = true;
+          States[Id] = State::Cancelled;
+          continue;
+        }
+        if (auto AscIt = Ascribed.find(Id); AscIt != Ascribed.end()) {
+          Out[Id] = AscIt->second;
+          ++AscribedCount;
+          markCheap(Id, "ascribed");
+          continue;
+        }
+        if (Cache) {
+          // Checking the claim before the lookup keeps a deferred twin
+          // at one hit and no miss, the count a one-by-one sweep gives.
+          if (Claimed.count(Keys[Id])) {
+            Deferred.push_back(Id);
+            continue;
           }
-          for (ModuleId Id : ToInfer)
-            Pool.submit([&, Id] {
-              // The module may have been queued before a cancel latched;
-              // re-check at task start so a timed-out run drains fast.
-              {
-                std::vector<ModuleId> Ready;
-                bool CancelledHere = false;
-                {
-                  std::lock_guard<std::mutex> Lock(R.Mutex);
-                  if (R.States[Id] == Run::State::Cancelled ||
-                      R.checkCancel(DL)) {
-                    Ready = R.finish(Id, Run::State::Cancelled);
-                    CancelledHere = true;
-                  }
-                }
-                if (CancelledHere) {
-                  if (!Ready.empty())
-                    schedule(std::move(Ready));
-                  return;
-                }
-              }
-              trace::Span MSpan("engine.module", "engine");
-              MSpan.note("module", R.D.module(Id).Name);
-              // Reads dep slots of Out; they were written before this
-              // task was submitted (happens-before via R.Mutex and the
-              // pool queue), and the map structure is frozen.
-              Timer InferTimer;
-              bool Panicked = false;
-              InferenceResult Result =
-                  inferContained(R.D, Id, R.Out, DLPtr, Panicked);
-              InferUs.record(
-                  static_cast<uint64_t>(InferTimer.seconds() * 1e6));
-              MSpan.note("result",
-                         Result ? "miss" : (Panicked ? "panic" : "loop"));
-              std::vector<ModuleId> Ready;
-              {
-                std::lock_guard<std::mutex> Lock(R.Mutex);
-                Ready = settle(Id, Result, Panicked);
-              }
-              if (!Ready.empty())
-                schedule(std::move(Ready));
-            });
-        };
+          if (auto Hit = Cache->lookup(Keys[Id], Id, D.module(Id).Name)) {
+            Out[Id] = std::move(*Hit);
+            ++Hits;
+            markCheap(Id, "hit");
+            continue;
+          }
+          Claimed.insert(Keys[Id]);
+        }
+        Jobs.push_back(Job{Id, std::nullopt, false});
+      }
 
-    std::vector<ModuleId> Roots;
-    for (ModuleId Id = 0; Id != D.numModules(); ++Id)
-      if (R.DepsLeft[Id] == 0)
-        Roots.push_back(Id);
-    schedule(std::move(Roots));
-    Pool.wait();
-    Escaped = Pool.drainExceptions();
+      if (Threads == 1 || Jobs.size() <= 1) {
+        for (Job &J : Jobs)
+          infer(J);
+      } else {
+        if (!Pool)
+          Pool.emplace(Threads);
+        for (Job &J : Jobs)
+          Pool->submit([&infer, &J] { infer(J); });
+        Pool->wait();
+        for (std::exception_ptr &P : Pool->drainExceptions())
+          Escaped.push_back(std::move(P));
+      }
+      for (Job &J : Jobs)
+        settle(J);
+      Pending = std::move(Deferred);
+    }
   }
 
   // --- Verdict: every failed module's diagnostics, in module-id order —
   // --- the same list serial analyzeDesign emits, whatever the schedule.
   support::Status Verdict;
-  for (ModuleId Id = 0; Id != D.numModules(); ++Id)
-    Verdict.append(R.Loops[Id]);
+  for (const support::DiagList &Diags : Failures)
+    Verdict.append(Diags);
 
   // Backstop: the engine contains throws per-module, so nothing should
   // reach the pool's catch-all; if something does (a throw outside
   // inferContained), it is still a structured error, not a terminate.
   for (std::exception_ptr &P : Escaped) {
-    const char *What = "unknown exception";
+    std::string What = "unknown exception";
     try {
       std::rethrow_exception(P);
     } catch (const std::exception &E) {
       What = E.what();
-      Verdict.add(support::Diag(support::DiagCode::WS604_WORKER_PANIC,
-                                "worker panic escaped containment")
-                      .withNote("what", What));
-      continue;
     } catch (...) {
     }
     Verdict.add(support::Diag(support::DiagCode::WS604_WORKER_PANIC,
@@ -525,22 +407,22 @@ SummaryEngine::analyzeShared(const Design &D,
   }
 
   size_t DoneCount = 0, CancelledCount = 0, PanickedCount = 0;
-  for (ModuleId Id = 0; Id != D.numModules(); ++Id) {
-    switch (R.States[Id]) {
-    case Run::State::Done:
+  for (State S : States) {
+    switch (S) {
+    case State::Done:
       ++DoneCount;
       break;
-    case Run::State::Cancelled:
+    case State::Cancelled:
       ++CancelledCount;
       break;
-    case Run::State::Panicked:
+    case State::Panicked:
       ++PanickedCount;
       break;
     default:
       break;
     }
   }
-  if (R.CancelFlag || CancelledCount != 0) {
+  if (CancelFlag || CancelledCount != 0) {
     CancelledC.add(CancelledCount);
     Verdict.add(
         support::Diag(support::DiagCode::WS601_CANCELLED,
@@ -550,16 +432,11 @@ SummaryEngine::analyzeShared(const Design &D,
             .withNote("modules", std::to_string(D.numModules())));
   }
 
-  // Unresolved slots (failed/cancelled modules and their transitive
-  // dependents) must not leak placeholder summaries; completed modules
-  // survive even in a cancelled run (partial progress warms the cache).
-  for (ModuleId Id = 0; Id != D.numModules(); ++Id)
-    if (R.States[Id] != Run::State::Done)
-      Out.erase(Id);
-
-  Stats.CacheHits = R.Hits;
-  Stats.Inferred = R.Inferred;
-  Stats.Ascribed = R.AscribedCount;
+  // Out holds exactly the completed modules; they survive even in a
+  // cancelled run (partial progress warms the cache).
+  Stats.CacheHits = Hits;
+  Stats.Inferred = Inferred;
+  Stats.Ascribed = AscribedCount;
   Stats.Cancelled = CancelledCount;
   Stats.Panicked = PanickedCount;
   Stats.Seconds = T.seconds();

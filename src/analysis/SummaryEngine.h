@@ -12,25 +12,30 @@
 /// instantiated definitions. The SummaryEngine exploits exactly that
 /// factoring twice over:
 ///
-///  * \b Parallelism — the design's module-instantiation DAG is scheduled
-///    onto a work-stealing ThreadPool; a module starts as soon as its
-///    instantiated definitions are summarized, so independent subtrees of
-///    the hierarchy are inferred concurrently.
+///  * \b Parallelism — modules are inferred one instantiation level at a
+///    time (a leaf is level 0, any other module one above its deepest
+///    instantiated definition). A level's modules depend only on lower
+///    levels, so they run concurrently on a ThreadPool; the calling
+///    thread resolves each level and settles its results in module-id
+///    order.
 ///  * \b Memoization — results live in a content-addressed SummaryCache.
 ///    A module's cache key is ir::structuralHash of its body combined
 ///    with the keys of its instantiated definitions (in instance order),
 ///    so a hit is a proof that inference would recompute the same
 ///    summary. Re-checks, incremental sessions, and repeated benchmark
 ///    sweeps all hit the cache; edits invalidate exactly the changed
-///    module and its transitive instantiators.
+///    module and its transitive instantiators. Within one call,
+///    content-identical modules share one inference: the first in id
+///    order claims the key, and its twins wait one round and hit.
 ///
 /// Determinism contract: for the same design, analyze() produces
-/// structurallyEqual summaries and byte-identical diagnostics regardless
-/// of thread count or cache state. On loop-containing designs every
-/// module whose dependencies summarized cleanly is analyzed and its loop
-/// reported, sorted by module id — exactly the list serial analyzeDesign
-/// emits. The differential and property suites under tests/ enforce both
-/// halves of this contract.
+/// structurallyEqual summaries, byte-identical diagnostics and the same
+/// EngineStats counts regardless of thread count; summaries and
+/// diagnostics are also independent of cache state. On loop-containing
+/// designs every module whose dependencies summarized cleanly is
+/// analyzed and its loop reported, sorted by module id — exactly the
+/// list serial analyzeDesign emits. The differential and property suites
+/// under tests/ enforce this contract.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,16 +69,15 @@ public:
   std::optional<ModuleSummary> lookup(uint64_t Key, ir::ModuleId Id,
                                       const std::string &Name);
 
-  /// Memoizes \p S under \p Key (first write wins; a racing duplicate
-  /// insert of the same key carries an identical summary by
-  /// construction).
+  /// Memoizes \p S under \p Key. First write wins: one analyze() call
+  /// inserts each key at most once, but concurrent calls on one engine
+  /// can race to insert a key, and both carry an identical summary by
+  /// construction.
   void insert(uint64_t Key, const ModuleSummary &S);
 
   size_t size() const;
   size_t hits() const { return Hits; }
   size_t misses() const { return Misses; }
-  void resetCounters();
-  void clear();
 
 private:
   mutable std::mutex Mutex;

@@ -1,4 +1,4 @@
-//===- support/ThreadPool.h - Work-stealing thread pool ---------*- C++ -*-===//
+//===- support/ThreadPool.h - Fixed-size FIFO thread pool -------*- C++ -*-===//
 //
 // Part of the wiresort project, a reproduction of "Wire Sorts: A Language
 // Abstraction for Safe Hardware Composition" (PLDI 2021).
@@ -6,16 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing thread pool for the per-module analyses. The
-/// paper's Stage-1 inference is embarrassingly modular (Section 5.5): a
-/// summary depends only on the module body plus its sub-summaries, so
-/// independent modules of the instantiation DAG can be inferred
-/// concurrently. Tasks here are module-sized (microseconds to seconds), so
-/// the design optimizes for simplicity and verifiable synchronization over
-/// lock-free throughput: each worker owns a mutex-protected deque, pops
-/// LIFO from its own deque for locality, and steals FIFO from a victim
-/// when empty. submit() is safe from any thread, including from inside a
-/// running task (the SummaryEngine schedules dependents exactly that way).
+/// A small thread pool for module-sized work: one round of Stage-1
+/// inference (the SummaryEngine submits a round's modules and waits for
+/// all of them) and one connection per task in the serving daemon. Tasks
+/// take microseconds to seconds, so the design optimizes for simplicity
+/// and verifiable synchronization over lock-free throughput: one FIFO
+/// queue under one mutex, shared by every worker. submit() is safe from
+/// any thread, including from inside a running task.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,11 +31,12 @@
 
 namespace wiresort {
 
-/// Fixed-size pool of workers with per-worker deques and work stealing.
+/// Fixed-size pool of workers serving one FIFO task queue.
 ///
-/// Lifetime: workers start in the constructor and join in the destructor.
-/// wait() blocks until every submitted task (including tasks submitted by
-/// running tasks) has finished; the pool is reusable after wait().
+/// Lifetime: workers start in the constructor and join in the destructor,
+/// which first lets them drain the queue. wait() blocks until every
+/// submitted task (including tasks submitted by running tasks) has
+/// finished; the pool is reusable after wait().
 class ThreadPool {
 public:
   /// Creates \p NumThreads workers; 0 picks hardware_concurrency (at
@@ -50,10 +48,9 @@ public:
       if (NumThreads == 0)
         NumThreads = 1;
     }
-    Queues.resize(NumThreads);
     Workers.reserve(NumThreads);
     for (unsigned I = 0; I != NumThreads; ++I)
-      Workers.emplace_back([this, I] { workerLoop(I); });
+      Workers.emplace_back([this] { workerLoop(); });
   }
 
   ThreadPool(const ThreadPool &) = delete;
@@ -73,19 +70,12 @@ public:
     return static_cast<unsigned>(Workers.size());
   }
 
-  /// Enqueues \p Task. Safe from any thread. Tasks submitted from a
-  /// worker go to that worker's own deque (LIFO pop gives child-first
-  /// execution, the classic work-stealing locality win); external
-  /// submissions are spread round-robin.
+  /// Enqueues \p Task at the back of the queue. Safe from any thread.
   void submit(std::function<void()> Task) {
-    size_t Target;
-    int Self = currentWorker();
     {
       std::unique_lock<std::mutex> Lock(Mutex);
       ++Pending;
-      Target = Self >= 0 ? static_cast<size_t>(Self)
-                         : NextQueue++ % Queues.size();
-      Queues[Target].push_back(std::move(Task));
+      Queue.push_back(std::move(Task));
     }
     WorkAvailable.notify_one();
   }
@@ -110,46 +100,17 @@ public:
   }
 
 private:
-  /// Index of the calling thread within this pool, or -1 for external
-  /// threads.
-  int currentWorker() const {
-    std::thread::id Me = std::this_thread::get_id();
-    for (size_t I = 0; I != Workers.size(); ++I)
-      if (Workers[I].get_id() == Me)
-        return static_cast<int>(I);
-    return -1;
-  }
-
-  /// Pops a task for worker \p Self: own deque back first, then steal
-  /// from the front of the first non-empty victim. Caller holds Mutex.
-  bool popTask(size_t Self, std::function<void()> &Out) {
-    if (!Queues[Self].empty()) {
-      Out = std::move(Queues[Self].back());
-      Queues[Self].pop_back();
-      return true;
-    }
-    for (size_t Off = 1; Off != Queues.size(); ++Off) {
-      std::deque<std::function<void()>> &Victim =
-          Queues[(Self + Off) % Queues.size()];
-      if (!Victim.empty()) {
-        Out = std::move(Victim.front());
-        Victim.pop_front();
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void workerLoop(size_t Self) {
+  void workerLoop() {
     for (;;) {
       std::function<void()> Task;
       {
         std::unique_lock<std::mutex> Lock(Mutex);
-        WorkAvailable.wait(Lock, [&] {
-          return Stopping || popTask(Self, Task);
-        });
-        if (!Task && Stopping)
-          return;
+        WorkAvailable.wait(Lock,
+                           [this] { return Stopping || !Queue.empty(); });
+        if (Queue.empty())
+          return; // Stopping, and the queue is drained.
+        Task = std::move(Queue.front());
+        Queue.pop_front();
       }
       std::exception_ptr Thrown;
       try {
@@ -169,15 +130,11 @@ private:
   }
 
   std::vector<std::thread> Workers;
-  /// One deque per worker; all guarded by Mutex (task granularity is
-  /// module-sized, so one lock is not a bottleneck and is trivially
-  /// TSan-clean).
-  std::vector<std::deque<std::function<void()>>> Queues;
+  std::deque<std::function<void()>> Queue;
   std::mutex Mutex;
   std::condition_variable WorkAvailable;
   std::condition_variable AllDone;
   size_t Pending = 0;
-  size_t NextQueue = 0;
   bool Stopping = false;
   /// Exceptions that escaped tasks, awaiting drainExceptions().
   std::vector<std::exception_ptr> Escaped;

@@ -1,10 +1,11 @@
 //===- tests/analysis/SummaryEngineTest.cpp - Engine unit tests -----------===//
 //
 // Part of the wiresort project. Unit coverage for the parallel cached
-// Stage-1 driver: DAG scheduling over diamond hierarchies, cache hit and
-// miss accounting, content-addressed keys (design-independent, renaming-
-// insensitive, sub-summary-sensitive), ascription, and the disk sidecar.
-// The cross-cutting guarantees (verdict equals the flattened oracle,
+// Stage-1 driver: level scheduling over diamond hierarchies, cache hit
+// and miss accounting at pinned thread counts, content-identical twins,
+// content-addressed keys (design-independent, renaming-insensitive,
+// sub-summary-sensitive), ascription, and the disk sidecar. The
+// cross-cutting guarantees (verdict equals the flattened oracle,
 // determinism across thread counts) live in tests/property/.
 //
 //===----------------------------------------------------------------------===//
@@ -16,6 +17,7 @@
 #include "gen/Fifo.h"
 #include "gen/LoopInjector.h"
 #include "ir/Builder.h"
+#include "support/FailPoint.h"
 
 #include <gtest/gtest.h>
 
@@ -29,6 +31,10 @@ using namespace wiresort::ir;
 namespace {
 
 using Summaries = std::map<ModuleId, ModuleSummary>;
+
+/// Thread counts the schedule-sensitive cases pin, whatever the host
+/// has: the counters must not depend on them.
+constexpr unsigned PinnedThreads[] = {1, 2, 4, 8};
 
 /// leaf <- mid_a, leaf <- mid_b, {mid_a, mid_b} <- top: the classic
 /// diamond. \returns {leaf, mid_a, mid_b, top}.
@@ -76,6 +82,28 @@ Module makeCone(const std::string &Name, bool Twist) {
   return B.finish();
 }
 
+/// a = a & b: a one-net internal combinational loop. \p Name is the only
+/// difference between two of these, so they share a cache key.
+Module makeSelfLoop(const std::string &Name) {
+  Module M(Name);
+  WireId A = M.addWire("a", WireKind::Basic, 1);
+  WireId B = M.addInput("b", 1);
+  WireId Y = M.addOutput("y", 1);
+  M.addNet(Op::And, {A, B}, A);
+  M.addNet(Op::Buf, {A}, Y);
+  return M;
+}
+
+/// Arms a failpoint schedule for one scope and disarms everything on
+/// exit, so a failed assertion cannot leak it into later tests.
+struct ArmedFailpoints {
+  explicit ArmedFailpoints(const std::string &Spec) {
+    support::failpoint::disarmAll();
+    EXPECT_TRUE(support::failpoint::configure(Spec).empty()) << Spec;
+  }
+  ~ArmedFailpoints() { support::failpoint::disarmAll(); }
+};
+
 } // namespace
 
 TEST(SummaryEngineTest, DiamondMatchesSerialAnalyzeDesign) {
@@ -110,24 +138,28 @@ TEST(SummaryEngineTest, DiamondSchedulesDependenciesBeforeDependents) {
 }
 
 TEST(SummaryEngineTest, CacheAccountingColdAndWarm) {
-  Design D;
-  buildDiamond(D);
-  SummaryEngine Engine;
+  for (unsigned Threads : PinnedThreads) {
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    Design D;
+    buildDiamond(D);
+    SummaryEngine Engine(EngineConfig{Threads, true});
 
-  engineAnalyzeOrDie(Engine, D);
-  const EngineStats &Cold = Engine.stats();
-  EXPECT_EQ(Cold.Modules, D.numModules());
-  // mid_b is content-identical to mid_a, so even the cold pass serves it
-  // from the cache.
-  EXPECT_EQ(Cold.Inferred, D.numModules() - 1);
-  EXPECT_EQ(Cold.CacheHits, 1u);
+    engineAnalyzeOrDie(Engine, D);
+    const EngineStats &Cold = Engine.stats();
+    EXPECT_EQ(Cold.Modules, D.numModules());
+    // mid_b is content-identical to mid_a, so even the cold pass serves
+    // it from the cache.
+    EXPECT_EQ(Cold.Inferred, D.numModules() - 1);
+    EXPECT_EQ(Cold.CacheHits, 1u);
+    EXPECT_EQ(Engine.cache().misses(), D.numModules() - 1);
 
-  engineAnalyzeOrDie(Engine, D);
-  const EngineStats &Warm = Engine.stats();
-  EXPECT_EQ(Warm.Inferred, 0u);
-  EXPECT_EQ(Warm.CacheHits, D.numModules());
-  // The cache holds one entry per distinct content.
-  EXPECT_EQ(Engine.cache().size(), D.numModules() - 1);
+    engineAnalyzeOrDie(Engine, D);
+    const EngineStats &Warm = Engine.stats();
+    EXPECT_EQ(Warm.Inferred, 0u);
+    EXPECT_EQ(Warm.CacheHits, D.numModules());
+    // The cache holds one entry per distinct content.
+    EXPECT_EQ(Engine.cache().size(), D.numModules() - 1);
+  }
 }
 
 TEST(SummaryEngineTest, RenamingIsKeyNeutralBodyEditIsNot) {
@@ -146,28 +178,31 @@ TEST(SummaryEngineTest, RenamingIsKeyNeutralBodyEditIsNot) {
 }
 
 TEST(SummaryEngineTest, LeafEditInvalidatesTransitiveInstantiators) {
-  Design D;
-  std::vector<ModuleId> Ids = buildDiamond(D);
-  SummaryEngine Engine;
-  engineAnalyzeOrDie(Engine, D);
-  std::vector<uint64_t> Before;
-  for (ModuleId Id : Ids)
-    Before.push_back(Engine.keyOf(Id));
+  for (unsigned Threads : PinnedThreads) {
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    Design D;
+    std::vector<ModuleId> Ids = buildDiamond(D);
+    SummaryEngine Engine(EngineConfig{Threads, true});
+    engineAnalyzeOrDie(Engine, D);
+    std::vector<uint64_t> Before;
+    for (ModuleId Id : Ids)
+      Before.push_back(Engine.keyOf(Id));
 
-  // Edit the leaf: a summary-neutral pair of inverters off a constant.
-  Module &Leaf = D.module(Ids[0]);
-  WireId C0 = Leaf.addWire("edit_c", WireKind::Const, 1, 0);
-  WireId W = Leaf.addWire("edit_w", WireKind::Basic, 1);
-  Leaf.addNet(Op::Not, {C0}, W);
+    // Edit the leaf: a summary-neutral pair of inverters off a constant.
+    Module &Leaf = D.module(Ids[0]);
+    WireId C0 = Leaf.addWire("edit_c", WireKind::Const, 1, 0);
+    WireId W = Leaf.addWire("edit_w", WireKind::Basic, 1);
+    Leaf.addNet(Op::Not, {C0}, W);
 
-  engineAnalyzeOrDie(Engine, D);
-  // Everything re-keys (leaf body changed; the rest via sub-summary
-  // keys), so everything re-infers even though the summaries are
-  // unchanged.
-  for (size_t I = 0; I != Ids.size(); ++I)
-    EXPECT_NE(Engine.keyOf(Ids[I]), Before[I]) << "module " << I;
-  EXPECT_EQ(Engine.stats().CacheHits, 1u); // mid_b off fresh mid_a again.
-  EXPECT_EQ(Engine.stats().Inferred, D.numModules() - 1);
+    engineAnalyzeOrDie(Engine, D);
+    // Everything re-keys (leaf body changed; the rest via sub-summary
+    // keys), so everything re-infers even though the summaries are
+    // unchanged.
+    for (size_t I = 0; I != Ids.size(); ++I)
+      EXPECT_NE(Engine.keyOf(Ids[I]), Before[I]) << "module " << I;
+    EXPECT_EQ(Engine.stats().CacheHits, 1u); // mid_b off fresh mid_a.
+    EXPECT_EQ(Engine.stats().Inferred, D.numModules() - 1);
+  }
 }
 
 TEST(SummaryEngineTest, KeysAreDesignIndependent) {
@@ -246,6 +281,61 @@ TEST(SummaryEngineTest, LoopVerdictMatchesSerialDiagnostic) {
   }
 }
 
+TEST(SummaryEngineTest, LoopedTwinsEachReportTheirOwnLoop) {
+  // Twins share a key, so the second waits one round for the first. A
+  // failed leader caches nothing: the twin then infers itself and reports
+  // its own WS101, exactly the list serial analyzeDesign emits.
+  Design D;
+  D.addModule(makeSelfLoop("loop_a"));
+  D.addModule(makeSelfLoop("loop_b"));
+  Summaries Reference;
+  support::Status Serial = analyzeDesign(D, Reference);
+  ASSERT_EQ(Serial.size(), 2u) << Serial.describe();
+  EXPECT_NE(Serial.describe().find("loop_a.a"), std::string::npos);
+  EXPECT_NE(Serial.describe().find("loop_b.a"), std::string::npos);
+
+  for (unsigned Threads : PinnedThreads) {
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    SummaryEngine Engine(EngineConfig{Threads, true});
+    Summaries Out;
+    support::Status Verdict = Engine.analyze(D, Out);
+    EXPECT_EQ(Verdict.describe(), Serial.describe());
+    EXPECT_TRUE(Out.empty());
+    EXPECT_EQ(Engine.stats().Inferred, 0u);
+    EXPECT_EQ(Engine.stats().CacheHits, 0u);
+    EXPECT_EQ(Engine.cache().size(), 0u);
+  }
+}
+
+TEST(SummaryEngineTest, PanickedLeaderLeavesItsTwinToInferItself) {
+  // The panic stays with the module that threw: its twin is not failed
+  // along with it, but infers itself in the next round (nth(1) has
+  // already fired) and succeeds — at every thread count.
+  for (unsigned Threads : PinnedThreads) {
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    Design D;
+    ModuleId A = D.addModule(makeCone("cone_a", false));
+    ModuleId B = D.addModule(makeCone("cone_b", false));
+    SummaryEngine Engine(EngineConfig{Threads, true});
+    Summaries Out;
+    support::Status Verdict;
+    {
+      ArmedFailpoints Armed("engine.module.throw=nth(1)");
+      Verdict = Engine.analyze(D, Out);
+    }
+    ASSERT_EQ(Verdict.size(), 1u) << Verdict.describe();
+    EXPECT_EQ(Verdict.firstError().code(),
+              support::DiagCode::WS604_WORKER_PANIC);
+    EXPECT_EQ(Verdict.firstError().note("module"), "cone_a");
+    EXPECT_EQ(Out.count(A), 0u);
+    ASSERT_EQ(Out.count(B), 1u);
+    EXPECT_EQ(Out.at(B).ModuleName, "cone_b");
+    EXPECT_EQ(Engine.stats().Panicked, 1u);
+    EXPECT_EQ(Engine.stats().Inferred, 1u);
+    EXPECT_EQ(Engine.stats().CacheHits, 0u);
+  }
+}
+
 TEST(SummaryEngineTest, SidecarRoundTripWarmsAFreshEngine) {
   Design D;
   buildDiamond(D);
@@ -271,34 +361,37 @@ TEST(SummaryEngineTest, SidecarRoundTripWarmsAFreshEngine) {
 }
 
 TEST(SummaryEngineTest, MissingAndStaleSidecarsAreHarmless) {
-  Design D;
-  buildDiamond(D);
-  SummaryEngine Engine;
+  for (unsigned Threads : PinnedThreads) {
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    Design D;
+    buildDiamond(D);
+    SummaryEngine Engine(EngineConfig{Threads, true});
 
-  auto Missing = Engine.loadCache(
-      ::testing::TempDir() + "/does_not_exist.wsort", D);
-  ASSERT_TRUE(Missing.hasValue()) << Missing.describe();
-  EXPECT_EQ(Missing->Loaded, 0u);
+    auto Missing = Engine.loadCache(
+        ::testing::TempDir() + "/does_not_exist.wsort", D);
+    ASSERT_TRUE(Missing.hasValue()) << Missing.describe();
+    EXPECT_EQ(Missing->Loaded, 0u);
 
-  // A sidecar written for an older body: keys no longer match, so the
-  // entries load but never hit.
-  std::string Path = ::testing::TempDir() + "/summary_engine_stale.wsort";
-  Summaries Out = engineAnalyzeOrDie(Engine, D);
-  ASSERT_TRUE(Engine.saveCache(Path, D, Out).empty());
+    // A sidecar written for an older body: keys no longer match, so the
+    // entries load but never hit.
+    std::string Path = ::testing::TempDir() + "/summary_engine_stale.wsort";
+    Summaries Out = engineAnalyzeOrDie(Engine, D);
+    ASSERT_TRUE(Engine.saveCache(Path, D, Out).empty());
 
-  Design Edited;
-  std::vector<ModuleId> Ids = buildDiamond(Edited);
-  Module &Leaf = Edited.module(Ids[0]);
-  WireId C0 = Leaf.addWire("edit_c", WireKind::Const, 1, 0);
-  WireId W = Leaf.addWire("edit_w", WireKind::Basic, 1);
-  Leaf.addNet(Op::Not, {C0}, W);
+    Design Edited;
+    std::vector<ModuleId> Ids = buildDiamond(Edited);
+    Module &Leaf = Edited.module(Ids[0]);
+    WireId C0 = Leaf.addWire("edit_c", WireKind::Const, 1, 0);
+    WireId W = Leaf.addWire("edit_w", WireKind::Basic, 1);
+    Leaf.addNet(Op::Not, {C0}, W);
 
-  SummaryEngine Fresh;
-  auto Loaded = Fresh.loadCache(Path, Edited);
-  ASSERT_TRUE(Loaded.hasValue()) << Loaded.describe();
-  engineAnalyzeOrDie(Fresh, Edited);
-  EXPECT_EQ(Fresh.stats().CacheHits, 1u); // Only the mid_a/mid_b share.
-  std::remove(Path.c_str());
+    SummaryEngine Fresh(EngineConfig{Threads, true});
+    auto Loaded = Fresh.loadCache(Path, Edited);
+    ASSERT_TRUE(Loaded.hasValue()) << Loaded.describe();
+    engineAnalyzeOrDie(Fresh, Edited);
+    EXPECT_EQ(Fresh.stats().CacheHits, 1u); // Only the mid_a/mid_b share.
+    std::remove(Path.c_str());
+  }
 }
 
 TEST(SummaryEngineTest, SidecarBlocksForOtherDesignsAreSkipped) {

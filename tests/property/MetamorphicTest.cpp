@@ -246,6 +246,13 @@ TEST_P(MegaTrial, ThreadedColdAndWarmRunsMatchSerialBytes) {
     support::Status Verdict = Parallel.analyze(D, Out);
     EXPECT_EQ(support::renderJson(Verdict), support::renderJson(RefVerdict))
         << Trial;
+    if (Phase == std::string("cold")) {
+      // The counters, too, are a function of the design, not the schedule.
+      EXPECT_EQ(Parallel.stats().Inferred, Serial.stats().Inferred) << Trial;
+      EXPECT_EQ(Parallel.stats().CacheHits, Serial.stats().CacheHits)
+          << Trial;
+      EXPECT_EQ(Parallel.stats().Ascribed, Serial.stats().Ascribed) << Trial;
+    }
     std::remove(Path.c_str());
     ASSERT_TRUE(Parallel.saveCache(Path, D, Out).empty()) << Trial;
     EXPECT_EQ(slurp(Path), RefCache) << Trial;

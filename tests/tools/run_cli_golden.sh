@@ -99,6 +99,32 @@ if command -v jq >/dev/null 2>&1; then
   fi
 fi
 
+# --stats counters do not depend on the thread schedule: two
+# content-identical leaves under different names cost one inference and
+# one cache hit at --threads 1 and --threads 4 alike, so both runs diff
+# against the one golden (same histogram normalization as above).
+if command -v jq >/dev/null 2>&1; then
+  for Threads in 1 4; do
+    Out=$("$BIN" twins.blif --format json --threads "$Threads" --stats \
+          2>/dev/null)
+    GotExit=$?
+    Norm=$(printf '%s\n' "$Out" | jq -c 'if .type == "stats"
+             then .histograms |= with_entries(.value |= {count: .count})
+             else . end')
+    if [ "$GotExit" -ne 0 ]; then
+      echo "FAIL twins_stats --threads $Threads: exit $GotExit, want 0" >&2
+      Failures=$((Failures + 1))
+    elif ! printf '%s\n' "$Norm" | diff -u twins_stats.golden.json - >&2
+    then
+      echo "FAIL twins_stats --threads $Threads: stdout differs from" \
+        "twins_stats.golden.json" >&2
+      Failures=$((Failures + 1))
+    else
+      echo "ok twins_stats --threads $Threads (exit 0)"
+    fi
+  done
+fi
+
 # --stats, human rendering: byte-stable once the wall-clock tokens
 # ("... ms", "sum=..us") are scrubbed.
 Out=$("$BIN" loopfree.blif --quiet --threads 1 --stats 2>/dev/null |
