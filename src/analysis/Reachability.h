@@ -115,8 +115,6 @@ public:
   /// meaningful when \p Out is from-sync.
   bool drivenByStateDirectly(ir::WireId Out) const;
 
-  DriverKind driverKind(ir::WireId W) const { return Drivers[W].Kind; }
-
 private:
   struct DriverRec {
     DriverKind Kind = DriverKind::None;

@@ -67,6 +67,16 @@ size_t SummaryCache::size() const {
   return Entries.size();
 }
 
+size_t SummaryCache::hits() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Hits;
+}
+
+size_t SummaryCache::misses() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Misses;
+}
+
 // --- Cache keys -------------------------------------------------------------
 
 namespace {
@@ -89,18 +99,6 @@ uint64_t summaryContentHash(const ModuleSummary &S) {
   }
   for (const auto &[Port, Sub] : S.SubSorts)
     H = hashCombine(H, (uint64_t(Port) << 8) | uint64_t(Sub));
-  return H;
-}
-
-/// FNV-1a 64 of \p Text — the per-record checksum of cache format v2
-/// (docs/ROBUSTNESS.md). Not cryptographic; it catches the failure mode
-/// a cache actually has (torn writes, bit rot, hand edits), cheaply.
-uint64_t recordChecksum(const std::string &Text) {
-  uint64_t H = 1469598103934665603ull;
-  for (unsigned char C : Text) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
   return H;
 }
 
@@ -451,13 +449,12 @@ SummaryEngine::analyzeShared(const Design &D,
 namespace {
 
 /// Cache payload schema version carried by the StreamBegin record.
-/// v1/v2 were the text sidecar formats; v3 is the first binary one.
+/// v1/v2 were text caches, which this build no longer reads.
 constexpr uint64_t CachePayloadVersion = 3;
 
 /// Composes a cache-v3 wire stream: StreamBegin(Cache, 3), then one
 /// CacheEntry record (8-byte key + name-based summary body) per entry,
-/// then StreamEnd. The framing's FNV-1a record checksums replace the
-/// v2 "# key" checksum lines.
+/// then StreamEnd. The framing checksums every record.
 std::string
 composeCachePayload(const Design &D,
                     const std::vector<std::pair<uint64_t,
@@ -475,15 +472,12 @@ composeCachePayload(const Design &D,
   return W.take();
 }
 
-/// The crash-safe atomic write shared by saveCache and the v2→v3
-/// migration: compose in memory, write Path+".tmp", fsync, rename.
-/// \p PartialSite is the torn-write crash failpoint for this caller
-/// ("cache.save.partial" / "cache.migrate.partial") — it writes half
-/// the payload and dies without the rename, so Path keeps its previous
-/// content (CrashRecoveryTest's property).
+/// saveCache's crash-safe atomic write: compose in memory, write
+/// Path+".tmp", fsync, rename. The cache.save.partial failpoint writes
+/// half the payload and dies without the rename, so Path keeps its
+/// previous content (CrashRecoveryTest's property).
 support::Status atomicWriteCache(const std::string &Path,
-                                 const std::string &Payload,
-                                 const char *PartialSite) {
+                                 const std::string &Payload) {
   static trace::Counter &RetriesC = trace::counter("fault.retries");
   const std::string Tmp = Path + ".tmp";
 
@@ -521,7 +515,7 @@ support::Status atomicWriteCache(const std::string &Path,
     // Crash simulation: write a torn prefix and die without the rename.
     // The recovery property (CrashRecoveryTest) is that Path still
     // holds the previous cache — the torn bytes only ever live in .tmp.
-    if (support::failpoint::site(PartialSite).shouldFire()) {
+    if (WS_FAILPOINT("cache.save.partial")) {
       (void)!::write(Fd, Payload.data(), Payload.size() / 2);
       ::_exit(125);
     }
@@ -605,8 +599,7 @@ support::Status SummaryEngine::saveCache(
   for (const auto &[Id, S] : Summaries)
     if (Id < Keys.size())
       Entries.emplace_back(Keys[Id], &S);
-  return atomicWriteCache(Path, composeCachePayload(D, Entries),
-                          "cache.save.partial");
+  return atomicWriteCache(Path, composeCachePayload(D, Entries));
 }
 
 support::Expected<CacheLoadResult>
@@ -631,234 +624,89 @@ SummaryEngine::loadCache(const std::string &Path, const Design &D) {
   }
   std::stringstream SS;
   SS << File.rdbuf();
-  std::string Text = SS.str();
+  std::string Bytes = SS.str();
+  if (Bytes.empty())
+    return Res; // Cold start, like a missing sidecar.
 
-  // --- Binary path (cache v3, the current format) ---------------------
-  // The sniff byte distinguishes a wire stream from sidecar text
-  // unambiguously: 0xD7 can never start a text cache. Framing damage
-  // (bad checksum, truncation) quarantines the rest of the stream — a
-  // length prefix after a corrupt frame cannot be trusted, so unlike
-  // the line-oriented v2 loader there is no per-record resync.
-  if (isWireData(Text)) {
-    support::wire::Reader R(Text);
-    std::string Why;
-    auto formatError = [&](const std::string &Msg) {
-      return support::Diag(support::DiagCode::WS502_CACHE_FORMAT, Msg)
-          .withLoc(support::SrcLoc{Path, 0, 0});
-    };
-    if (!R.readHeader(&Why))
-      return formatError("not a loadable summary cache: " + Why);
-
-    auto quarantineRest = [&](size_t Offset, const std::string &Reason) {
-      ++Res.Quarantined;
-      QuarantinedC.add();
-      Res.Warnings.add(
-          support::Diag(support::DiagCode::WS603_CACHE_CORRUPT,
-                        "corrupt cache stream quarantined from damaged "
-                        "record onward; affected modules will be "
-                        "re-inferred",
-                        support::Severity::Warning)
-              .withLoc(support::SrcLoc{Path, 0, 0})
-              .withNote("offset", std::to_string(Offset))
-              .withNote("detail", Reason));
-    };
-
-    bool SawBegin = false;
-    for (;;) {
-      support::wire::Reader::Record Rec;
-      switch (R.next(Rec)) {
-      case support::wire::Reader::Item::End:
-        return Res;
-      case support::wire::Reader::Item::Exhausted:
-        quarantineRest(Rec.Offset, "stream truncated before StreamEnd");
-        return Res;
-      case support::wire::Reader::Item::Truncated:
-        quarantineRest(Rec.Offset, "record truncated");
-        return Res;
-      case support::wire::Reader::Item::Corrupt:
-        quarantineRest(Rec.Offset, "record checksum mismatch");
-        return Res;
-      case support::wire::Reader::Item::Record:
-        break;
-      }
-      if (Rec.Kind == support::wire::RecordKind::StreamBegin) {
-        support::wire::Reader::Cursor C(Rec, R);
-        uint8_t Kind = 0;
-        uint64_t Version = 0;
-        if (!C.getByte(Kind) || !C.getVarint(Version) ||
-            Kind != static_cast<uint8_t>(support::wire::StreamKind::Cache))
-          return formatError(
-              "not a summary cache stream (wrong stream kind)");
-        if (Version > CachePayloadVersion)
-          return formatError("cache format version " +
-                             std::to_string(Version) +
-                             " is newer than this build understands");
-        SawBegin = true;
-        continue;
-      }
-      if (Rec.Kind != support::wire::RecordKind::CacheEntry)
-        continue; // Forward compat: skip record kinds we don't know.
-      if (!SawBegin)
-        return formatError("cache record before StreamBegin");
-      if (WS_FAILPOINT("cache.load.corrupt")) {
-        quarantineRest(Rec.Offset, "injected fault: cache.load.corrupt");
-        return Res;
-      }
-      support::wire::Reader::Cursor C(Rec, R);
-      uint64_t Key = 0;
-      ModuleSummary S;
-      std::string DecodeWhy;
-      // The record passed its checksum, so a body that no longer
-      // resolves is provably *stale*, not corrupt — the design evolved
-      // past it (module renamed away, interface changed). Stale entries
-      // never hit, so skipping silently loses nothing.
-      if (!C.getFixed64(Key) || !detail::decodeSummaryBody(C, D, S, DecodeWhy))
-        continue;
-      Cache.insert(Key, S);
-      ++Res.Loaded;
-    }
-  }
-
-  // --- Text path (formats v1/v2, read-and-migrate) --------------------
-  // Keys are recorded as "# key <module-name> <key> [<checksum>]"
-  // comment lines, which parseSummaries skips; v1 files lack the
-  // checksum. Collect them, and split the rest of the file into
-  // module...end blocks (remembering each block's start line). Each
-  // block is then vetted on its own: a cache's job is to never block a
-  // check, so a record that fails its recorded checksum or no longer
-  // parses is *quarantined* — skipped with a WS603 warning naming its
-  // sidecar line — and a record with no checksum that no longer
-  // resolves (stale v1, foreign design) is skipped silently, since
-  // stale entries never hit anyway. Only a file that is not
-  // sidecar-shaped at all (content outside any block, an unterminated
-  // block) is an error: that means --cache points at something else.
-  struct KeyRec {
-    uint64_t Key = 0;
-    bool HasCrc = false;
-    uint64_t Crc = 0;
-  };
-  std::map<std::string, KeyRec> KeyOfName;
-  struct BlockRec {
-    std::string Text;
-    std::string Name;
-    size_t StartLine = 0;
-  };
-  std::vector<BlockRec> Blocks;
-  BlockRec Block;
-  bool InBlock = false;
-  size_t LineNo = 0;
-  std::istringstream Lines(Text);
-  std::string Line;
-  while (std::getline(Lines, Line)) {
-    ++LineNo;
-    std::istringstream LS(Line);
-    std::string First;
-    if (!(LS >> First))
-      continue; // Blank.
-    if (First[0] == '#') {
-      std::string KeyWord, Name;
-      KeyRec Rec;
-      if (First == "#" && LS >> KeyWord && KeyWord == "key" &&
-          LS >> Name >> std::hex >> Rec.Key) {
-        if (LS >> Rec.Crc)
-          Rec.HasCrc = true;
-        KeyOfName[Name] = Rec;
-      }
-      continue;
-    }
-    if (!InBlock) {
-      if (First != "module") {
-        return support::Diag(support::DiagCode::WS502_CACHE_FORMAT,
-                             "expected 'module', got '" + First + "'")
-            .withLoc(support::SrcLoc{Path, LineNo, 0});
-      }
-      Block.StartLine = LineNo;
-      std::string Name;
-      LS >> Name;
-      Block.Name = Name;
-    }
-    InBlock = First != "end";
-    Block.Text += Line;
-    Block.Text += '\n';
-    if (!InBlock) {
-      Blocks.push_back(std::move(Block));
-      Block = BlockRec();
-    }
-  }
-  if (InBlock) {
-    return support::Diag(support::DiagCode::WS502_CACHE_FORMAT,
-                         "unterminated module block (missing 'end')")
+  // The one format is the cache-v3 wire stream. Anything else — a
+  // pre-v3 text cache, a design, a `.wsort` sidecar — is refused with
+  // WS502 and left untouched: --cache may have named the wrong file.
+  // Framing damage (bad checksum, truncation) quarantines the rest of
+  // the stream: a length prefix after a corrupt frame cannot be trusted.
+  support::wire::Reader R(Bytes);
+  std::string Why;
+  auto formatError = [&](const std::string &Msg) {
+    return support::Diag(support::DiagCode::WS502_CACHE_FORMAT, Msg)
         .withLoc(support::SrcLoc{Path, 0, 0});
-  }
+  };
+  if (!R.readHeader(&Why))
+    return formatError("not a loadable summary cache: " + Why);
 
-  std::vector<std::pair<uint64_t, ModuleSummary>> Migrated;
-  for (const BlockRec &B : Blocks) {
-    auto KeyIt = KeyOfName.find(B.Name);
-    const KeyRec *Rec =
-        KeyIt != KeyOfName.end() ? &KeyIt->second : nullptr;
+  auto quarantineRest = [&](size_t Offset, const std::string &Reason) {
+    ++Res.Quarantined;
+    QuarantinedC.add();
+    Res.Warnings.add(
+        support::Diag(support::DiagCode::WS603_CACHE_CORRUPT,
+                      "corrupt cache stream quarantined from damaged "
+                      "record onward; affected modules will be "
+                      "re-inferred",
+                      support::Severity::Warning)
+            .withLoc(support::SrcLoc{Path, 0, 0})
+            .withNote("offset", std::to_string(Offset))
+            .withNote("detail", Reason));
+  };
 
-    auto quarantine = [&](const std::string &Reason) {
-      ++Res.Quarantined;
-      QuarantinedC.add();
-      Res.Warnings.add(
-          support::Diag(support::DiagCode::WS603_CACHE_CORRUPT,
-                        "corrupt cache record quarantined; module will "
-                        "be re-inferred",
-                        support::Severity::Warning)
-              .withLoc(support::SrcLoc{Path, B.StartLine, 0})
-              .withNote("module", B.Name)
-              .withNote("detail", Reason));
-    };
-
-    if (Rec && Rec->HasCrc &&
-        (recordChecksum(B.Text) != Rec->Crc ||
-         WS_FAILPOINT("cache.load.corrupt"))) {
-      quarantine("checksum mismatch");
+  bool SawBegin = false;
+  for (;;) {
+    support::wire::Reader::Record Rec;
+    switch (R.next(Rec)) {
+    case support::wire::Reader::Item::End:
+      return Res;
+    case support::wire::Reader::Item::Exhausted:
+      quarantineRest(Rec.Offset, "stream truncated before StreamEnd");
+      return Res;
+    case support::wire::Reader::Item::Truncated:
+      quarantineRest(Rec.Offset, "record truncated");
+      return Res;
+    case support::wire::Reader::Item::Corrupt:
+      quarantineRest(Rec.Offset, "record checksum mismatch");
+      return Res;
+    case support::wire::Reader::Item::Record:
+      break;
+    }
+    if (Rec.Kind == support::wire::RecordKind::StreamBegin) {
+      support::wire::Reader::Cursor C(Rec, R);
+      uint8_t Kind = 0;
+      uint64_t Version = 0;
+      if (!C.getByte(Kind) || !C.getVarint(Version) ||
+          Kind != static_cast<uint8_t>(support::wire::StreamKind::Cache))
+        return formatError("not a summary cache stream (wrong stream kind)");
+      if (Version > CachePayloadVersion)
+        return formatError("cache format version " +
+                           std::to_string(Version) +
+                           " is newer than this build understands");
+      SawBegin = true;
       continue;
     }
-
-    // A record that passes (or never carried) its checksum but fails to
-    // parse is provably *stale*, not corrupt — the bytes are exactly
-    // what the writer wrote, the design just evolved past them (module
-    // renamed away, interface changed). Stale entries never hit, so
-    // skipping silently loses nothing.
-    auto Parsed = parseSummaries(B.Text, D, Path);
-    if (!Parsed)
+    if (Rec.Kind != support::wire::RecordKind::CacheEntry)
+      continue; // Forward compat: skip record kinds we don't know.
+    if (!SawBegin)
+      return formatError("cache record before StreamBegin");
+    if (WS_FAILPOINT("cache.load.corrupt")) {
+      quarantineRest(Rec.Offset, "injected fault: cache.load.corrupt");
+      return Res;
+    }
+    support::wire::Reader::Cursor C(Rec, R);
+    uint64_t Key = 0;
+    ModuleSummary S;
+    std::string DecodeWhy;
+    // The record passed its checksum, so a body that no longer resolves
+    // is provably *stale*, not corrupt — the design evolved past it
+    // (module renamed away, interface changed). Stale entries never hit,
+    // so skipping silently loses nothing.
+    if (!C.getFixed64(Key) || !detail::decodeSummaryBody(C, D, S, DecodeWhy))
       continue;
-    for (const auto &[Id, S] : *Parsed) {
-      if (!Rec || D.module(Id).Name != B.Name)
-        continue;
-      Cache.insert(Rec->Key, S);
-      ++Res.Loaded;
-      Migrated.emplace_back(Rec->Key, S);
-    }
+    Cache.insert(Key, S);
+    ++Res.Loaded;
   }
-
-  // A legacy text cache that loaded cleanly is upgraded in place, so
-  // the v3 fast path serves every subsequent run. The write goes
-  // through the same compose/tmp/fsync/rename machinery as saveCache —
-  // a crash mid-migration (cache.migrate.partial) leaves the v2 file
-  // byte-identical, and the next run simply migrates again
-  // (CrashRecoveryTest). A failed write degrades to the usual WS602
-  // warning: migration, like every cache operation, never blocks a
-  // check.
-  if (!Text.empty()) {
-    std::vector<std::pair<uint64_t, const ModuleSummary *>> Entries;
-    Entries.reserve(Migrated.size());
-    for (const auto &[Key, S] : Migrated)
-      Entries.emplace_back(Key, &S);
-    support::Status W = atomicWriteCache(
-        Path, composeCachePayload(D, Entries), "cache.migrate.partial");
-    if (!W.empty()) {
-      Res.Warnings.append(W);
-    } else {
-      Res.Warnings.add(
-          support::Diag(support::DiagCode::WS605_CACHE_MIGRATED,
-                        "summary cache migrated to format v3",
-                        support::Severity::Note)
-              .withNote("path", Path)
-              .withNote("records", std::to_string(Migrated.size())));
-    }
-  }
-  return Res;
 }

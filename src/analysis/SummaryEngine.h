@@ -75,9 +75,11 @@ public:
   /// construction.
   void insert(uint64_t Key, const ModuleSummary &S);
 
+  /// Entries / lookups that hit / lookups that missed. Read under the
+  /// lock: a resident engine's stats reader races its lookups.
   size_t size() const;
-  size_t hits() const { return Hits; }
-  size_t misses() const { return Misses; }
+  size_t hits() const;
+  size_t misses() const;
 
 private:
   mutable std::mutex Mutex;
@@ -116,11 +118,11 @@ struct AnalyzeOutcome {
 
 /// What loadCache managed to recover from a sidecar. Degradation is the
 /// point: corrupt or unreadable records cost warm starts, never the
-/// run — Warnings carries the WS602/WS603 evidence (with the sidecar
-/// line of each quarantined record) for the caller to surface.
+/// run — Warnings carries the WS602/WS603 evidence (with the byte
+/// offset of the damaged record) for the caller to surface.
 struct CacheLoadResult {
   size_t Loaded = 0;      ///< Summaries seeded into the in-memory cache.
-  size_t Quarantined = 0; ///< Records skipped for checksum/parse damage.
+  size_t Quarantined = 0; ///< Damaged stream tails skipped (0 or 1).
   support::DiagList Warnings;
 };
 
@@ -215,26 +217,21 @@ public:
             const std::map<ir::ModuleId, ModuleSummary> &Summaries,
             const std::vector<uint64_t> &Keys) const;
 
-  /// Seeds the cache from a sidecar written by saveCache, resolving port
-  /// names against \p D. The first byte is sniffed: a wire stream loads
-  /// through the cache-v3 reader, anything else through the legacy
-  /// v1/v2 text parser. Staleness of any kind is harmless: entries whose
-  /// recorded key no longer matches the design never hit, and records
-  /// that no longer resolve (module renamed away, interface changed) are
-  /// skipped rather than loaded. Damage is quarantined, never fatal: a
-  /// v2 record failing its recorded checksum is skipped with a
-  /// WS603_CACHE_CORRUPT warning; a v3 record failing its framing
-  /// checksum (or truncating) quarantines the rest of the stream (the
-  /// length prefix after a corrupt frame cannot be trusted) with one
-  /// WS603 warning naming the byte offset — either way the run degrades
-  /// to cold inference for the affected modules only. A legacy text
-  /// cache that loads cleanly is migrated to v3 in place via the same
-  /// crash-safe atomic write as saveCache, announced by a
-  /// WS605_CACHE_MIGRATED note.
+  /// Seeds the cache from a cache-v3 stream written by saveCache,
+  /// resolving port names against \p D. Staleness of any kind is
+  /// harmless: entries whose recorded key no longer matches the design
+  /// never hit, and records that no longer resolve (module renamed away,
+  /// interface changed) are skipped rather than loaded. Damage is
+  /// quarantined, never fatal: a record failing its framing checksum (or
+  /// truncating) quarantines the rest of the stream (the length prefix
+  /// after a corrupt frame cannot be trusted) with one
+  /// WS603_CACHE_CORRUPT warning naming the damaged record's byte offset,
+  /// and the run degrades to cold inference for the affected modules.
   /// \returns the load tally plus warnings, or a WS502_CACHE_FORMAT
-  /// diagnostic when the file is neither a cache stream nor
-  /// sidecar-shaped text (--cache pointed at something else). A missing
-  /// file is not an error (empty result).
+  /// diagnostic when the file is not a summary-cache stream this build
+  /// reads (a pre-v3 text cache, a design, a `.wsort` sidecar, a newer
+  /// cache version); the file is never rewritten here. A missing or
+  /// empty file is not an error (empty result).
   support::Expected<CacheLoadResult> loadCache(const std::string &Path,
                                                const ir::Design &D);
 

@@ -454,11 +454,11 @@ analysis::readSummariesBinary(const std::string &Bytes, const Design &D,
     case Reader::Item::Exhausted:
       return fail("summary stream ends without a StreamEnd record "
                   "(truncated)",
-                  Bytes.size());
+                  Rec.Offset);
     case Reader::Item::Truncated:
-      return fail("summary stream truncated mid-record", Bytes.size());
+      return fail("summary stream truncated mid-record", Rec.Offset);
     case Reader::Item::Corrupt:
-      return fail("summary record failed its checksum", Bytes.size());
+      return fail("summary record failed its checksum", Rec.Offset);
     case Reader::Item::Record:
       break;
     }

@@ -87,18 +87,14 @@ PortGraph PortGraph::build(const Circuit &Circ,
     const ModuleSummary &Summary = Summaries.at(Insts[Inst].Def);
     for (const auto &[In, Outs] : Summary.OutputPortSets) {
       uint32_t InNode = PG.nodeOf(PortRef{Inst, In});
-      for (WireId Out : Outs) {
+      for (WireId Out : Outs)
         PG.G.addEdge(InNode, PG.nodeOf(PortRef{Inst, Out}));
-        ++PG.SummaryEdges;
-      }
     }
   }
 
   // Connection edges.
-  for (const Connection &C : Circ.connections()) {
+  for (const Connection &C : Circ.connections())
     PG.G.addEdge(PG.nodeOf(C.From), PG.nodeOf(C.To));
-    ++PG.ConnectionEdges;
-  }
 
   // Freeze for the Stage-3 closure kernel: one ordering pass up front
   // (the ascending-ids proof plus a local repair of descending edges;

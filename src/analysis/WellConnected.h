@@ -79,8 +79,6 @@ public:
     return InstBase[Ref.Inst] + Slot;
   }
   ir::PortRef refOf(uint32_t Node) const { return Refs[Node]; }
-  size_t numSummaryEdges() const { return SummaryEdges; }
-  size_t numConnectionEdges() const { return ConnectionEdges; }
 
   /// w1 transitively-affects w2 (w1 ~>C w2): reachability in the graph.
   bool transitivelyAffects(ir::PortRef W1, ir::PortRef W2) const;
@@ -95,8 +93,6 @@ private:
   std::vector<uint32_t> InstBase;
   std::vector<ir::ModuleId> InstDef;
   std::vector<std::vector<uint32_t>> DefSlots;
-  size_t SummaryEdges = 0;
-  size_t ConnectionEdges = 0;
 };
 
 /// Outcome of a whole-circuit check.

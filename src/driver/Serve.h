@@ -174,7 +174,6 @@ public:
   size_t admittedCount() const { return Admitted.load(); }
   size_t shedCount() const { return Shed.load(); }
   size_t timedOutCount() const { return TimedOutC.load(); }
-  size_t inFlight() const { return InFlight.load(); }
 
 private:
   void acceptLoop();

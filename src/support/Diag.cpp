@@ -53,8 +53,6 @@ const char *support::diagCodeName(DiagCode Code) {
     return "WS603_CACHE_CORRUPT";
   case DiagCode::WS604_WORKER_PANIC:
     return "WS604_WORKER_PANIC";
-  case DiagCode::WS605_CACHE_MIGRATED:
-    return "WS605_CACHE_MIGRATED";
   case DiagCode::WS606_TRANSPORT_TIMEOUT:
     return "WS606_TRANSPORT_TIMEOUT";
   case DiagCode::WS607_SERVER_BUSY:

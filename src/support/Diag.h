@@ -67,14 +67,14 @@ enum class DiagCode : uint16_t {
   WS401_NETLIST_CYCLE = 401,      ///< Gate-level cycle in a flat netlist.
   // --- 5xx: CLI / IO ---
   WS501_IO_ERROR = 501,           ///< File unreadable/unwritable.
-  WS502_CACHE_FORMAT = 502,       ///< --cache file is not a sidecar.
+  WS502_CACHE_FORMAT = 502,       ///< --cache file is not a loadable cache.
   WS503_USAGE = 503,              ///< Bad command line.
   // --- 6xx: robustness (docs/ROBUSTNESS.md) ---
   WS601_CANCELLED = 601,          ///< Run cancelled by deadline/token.
   WS602_CACHE_IO = 602,           ///< Cache save/load I/O degraded.
   WS603_CACHE_CORRUPT = 603,      ///< Corrupt cache record quarantined.
   WS604_WORKER_PANIC = 604,       ///< Worker task threw; contained.
-  WS605_CACHE_MIGRATED = 605,     ///< Cache sidecar upgraded in place.
+  // 605 (pre-v3 cache migrated in place) is retired.
   WS606_TRANSPORT_TIMEOUT = 606,  ///< Socket read/write deadline expired.
   WS607_SERVER_BUSY = 607,        ///< Admission queue full; retryable.
 };

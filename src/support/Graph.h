@@ -33,13 +33,6 @@ public:
 
   size_t numNodes() const { return Succs.size(); }
 
-  /// Appends \p Count fresh nodes and returns the index of the first one.
-  size_t addNodes(size_t Count) {
-    size_t First = Succs.size();
-    Succs.resize(First + Count);
-    return First;
-  }
-
   void addEdge(uint32_t From, uint32_t To) { Succs[From].push_back(To); }
 
   const std::vector<uint32_t> &successors(uint32_t Node) const {

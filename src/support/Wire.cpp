@@ -205,9 +205,11 @@ bool Reader::readHeader(std::string *Why) {
 
 Reader::Item Reader::next(Record &R) {
   for (;;) {
+    // Set before any return, so a damage report names the failing
+    // record.
+    R.Offset = Pos;
     if (Pos == Data.size())
       return Item::Exhausted;
-    size_t At = Pos;
     uint8_t KindByte = static_cast<uint8_t>(Data[Pos++]);
     uint64_t Len = 0;
     if (!readVarint(Data, Pos, Len))
@@ -229,7 +231,7 @@ Reader::Item Reader::next(Record &R) {
     }
     ++Records;
     recordsReadC().add();
-    bytesReadC().add(Pos - At);
+    bytesReadC().add(Pos - R.Offset);
 
     RecordKind Kind = static_cast<RecordKind>(KindByte);
     if (Kind == RecordKind::StringTable) {
@@ -250,7 +252,6 @@ Reader::Item Reader::next(Record &R) {
       return Item::End;
     R.Kind = Kind;
     R.Payload = Payload;
-    R.Offset = At;
     return Item::Record;
   }
 }

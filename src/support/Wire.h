@@ -19,13 +19,13 @@
 ///   magic "\xD7WSB" | format version byte | record...
 ///
 /// Every record is `kind(1) | payload-length(varint) | payload |
-/// fnv1a64(kind+payload, 8 bytes LE)` — the same FNV-1a checksum cache
-/// format v2 used per record, now enforced by the framing itself. Ints
-/// travel as LEB128-style varints; strings are interned: the writer
-/// assigns each distinct string an id (backed by \ref StringInterner on a
-/// \ref Arena) and flushes newly seen strings in StringTable records
-/// ahead of the record that references them, so streams stay valid under
-/// incremental flushing (take() between records).
+/// fnv1a64(kind+payload, 8 bytes LE)`, so the framing itself checksums
+/// every record. Ints travel as LEB128-style varints; strings are
+/// interned: the writer assigns each distinct string an id (backed by
+/// \ref StringInterner on a \ref Arena) and flushes newly seen strings
+/// in StringTable records ahead of the record that references them, so
+/// streams stay valid under incremental flushing (take() between
+/// records).
 ///
 /// The first payload byte of a stream is \ref SniffByte (0xD7): no text
 /// sidecar can start with it (they begin '#', 'm', or whitespace), so
@@ -86,8 +86,7 @@ enum class StreamKind : uint8_t {
   Serve = 4,     ///< Check-service socket stream (docs/SERVING.md).
 };
 
-/// FNV-1a 64 over \p Data folded into \p Seed — the per-record checksum
-/// (same constants as cache format v2, which this framing supersedes).
+/// FNV-1a 64 over \p Data folded into \p Seed — the per-record checksum.
 uint64_t fnv1a(std::string_view Data,
                uint64_t Seed = 1469598103934665603ull);
 
@@ -132,8 +131,6 @@ public:
   /// All framed bytes when the stream is built in one piece.
   const std::string &bytes() const { return Out; }
 
-  size_t recordsWritten() const { return Records; }
-
 private:
   void frame(RecordKind K, const std::string &Payload);
   void flushStrings();
@@ -165,6 +162,8 @@ public:
     RecordKind Kind = RecordKind::StringTable;
     std::string_view Payload;
     /// Byte offset of the record's kind byte, for quarantine reports.
+    /// next() sets it on every return, so on Truncated/Corrupt it names
+    /// the damaged record (Exhausted: the end of the bytes).
     size_t Offset = 0;
   };
 

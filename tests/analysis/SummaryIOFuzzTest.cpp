@@ -5,9 +5,9 @@
 // seeded random mutations of valid sidecars — truncations, dropped and
 // duplicated lines, token corruption, byte noise — and demands a total
 // parser: every input either yields summaries or a diagnostic, never a
-// crash, and whatever parses must serialize back to a fixpoint. The
-// SummaryEngine trusts this parser for loadCache, so a crash here is a
-// crash on any stale cache file.
+// crash, and whatever parses must serialize back to a fixpoint. Every
+// `.wsort` consumer (--check, --convert-summaries) trusts this parser,
+// so a crash here is a crash on any damaged or hand-edited sidecar.
 //
 //===----------------------------------------------------------------------===//
 
@@ -308,9 +308,10 @@ TEST(SummaryIOFuzzTest, TruncatedBinaryStreamsAreAlwaysRejected) {
   }
 }
 
-TEST(SummaryIOFuzzTest, EngineKeyCommentsAreIgnoredByTheParser) {
-  // SummaryEngine::saveCache prepends `# key <name> <hex>` lines; the
-  // parser must treat any comment soup as whitespace.
+TEST(SummaryIOFuzzTest, CommentLinesAreIgnoredByTheParser) {
+  // Sidecars may carry `#` comment lines anywhere, including
+  // `# key <name> <hex>` annotations; the parser must treat any comment
+  // soup as whitespace.
   Design D;
   D.addModule(gen::makeFifo({8, 2, true}));
   Summaries Original;

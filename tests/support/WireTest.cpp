@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 using namespace wiresort::support;
@@ -30,6 +32,25 @@ template <typename FillFn> std::string oneRecord(RecordKind K, FillFn Fill) {
   W.endRecord();
   W.finish();
   return W.take();
+}
+
+/// Start offset of every frame of the intact stream \p Bytes, the
+/// StringTable records the reader consumes internally included.
+std::vector<size_t> frameStarts(std::string_view Bytes) {
+  std::vector<size_t> Starts;
+  size_t Pos = sizeof(Magic) + 1;
+  while (Pos != Bytes.size()) {
+    Starts.push_back(Pos++);
+    uint64_t Len = 0;
+    for (unsigned Shift = 0;; Shift += 7) {
+      uint8_t B = static_cast<uint8_t>(Bytes[Pos++]);
+      Len |= uint64_t(B & 0x7f) << Shift;
+      if (!(B & 0x80))
+        break;
+    }
+    Pos += Len + 8;
+  }
+  return Starts;
 }
 
 /// Reads the header and skips the StreamBegin record, leaving \p R
@@ -190,7 +211,12 @@ TEST(WireTest, EveryFlippedBitIsCaught) {
   // each mutation yields Corrupt/Truncated/End-of-something, or decodes
   // to the original values (a flip confined to, e.g., the StreamEnd
   // count that still checksums is impossible; CRC covers everything).
+  // A detected flip reports the offset of the frame holding the flipped
+  // byte, which is what a quarantine warning shows the user.
+  const std::vector<size_t> Starts = frameStarts(Bytes);
   for (size_t I = 5; I != Bytes.size(); ++I) {
+    const size_t Holder =
+        *std::prev(std::upper_bound(Starts.begin(), Starts.end(), I));
     for (int Bit = 0; Bit != 8; ++Bit) {
       std::string Mutant = Bytes;
       Mutant[I] = static_cast<char>(Mutant[I] ^ (1u << Bit));
@@ -205,6 +231,7 @@ TEST(WireTest, EveryFlippedBitIsCaught) {
           break;
         if (It != Reader::Item::Record) {
           SawDamage = true;
+          EXPECT_EQ(Rec.Offset, Holder) << "byte " << I << " bit " << Bit;
           break;
         }
       }
@@ -319,9 +346,9 @@ TEST(WireTest, OutOfRangeStringIdsFailTheCursor) {
 }
 
 TEST(WireTest, FnvIsSeedChainedFnv1a) {
-  // The empty string hashes to the seed (the project-wide basis cache
-  // format v2 already used), and hashing is seed-chained — which is
-  // what lets the framing fold the kind byte into the payload checksum.
+  // The empty string hashes to the seed (the standard FNV-1a 64 offset
+  // basis), and hashing is seed-chained — which is what lets the
+  // framing fold the kind byte into the payload checksum.
   EXPECT_EQ(fnv1a(""), 1469598103934665603ull);
   EXPECT_EQ(fnv1a("ab"), fnv1a("b", fnv1a("a")));
   EXPECT_EQ(fnv1a("a"), (1469598103934665603ull ^ 'a') * 1099511628211ull);

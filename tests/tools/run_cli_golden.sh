@@ -50,8 +50,8 @@ run malformed 1 malformed.blif --format json
 run badascribe 1 badascribe.blif --format json --check badascribe.wsort
 
 # Exit 2: I/O failure (WS501), bad command line (WS503), and a --cache
-# file that is not a summary sidecar (WS502). No verdict line: the run
-# never got far enough to have one.
+# file that is not a cache-v3 wire stream (WS502). No verdict line: the
+# run never got far enough to have one.
 run missing 2 no_such_file.blif --format json
 run badflag 2 loopfree.blif --format json --bogus
 run badcache 2 loopfree.blif --format json --cache bogus.wscache
@@ -63,19 +63,43 @@ run badcache 2 loopfree.blif --format json --cache bogus.wscache
 run timeout 3 loopfree.blif --format json --threads 1 --timeout-ms 1 \
     --failpoints engine.cancel=always
 
-# Exit 0 despite damage: a cache record failing its v2 checksum is
-# quarantined with a WS603 warning, the module re-infers cold, and the
-# verdict is unchanged. The run then rewrites the cache (healing it), so
-# the fixture is copied to a scratch name first.
-cp corruptcache.wscache corrupt.run.wscache
+# Exit 0 despite damage: a fresh cache-v3 stream with one byte of its
+# CacheEntry record (which starts at byte 44) overwritten fails that
+# record's framing checksum. The record is quarantined with a WS603
+# warning naming its offset, the module re-infers cold, and the verdict
+# is unchanged. The run then saves the cache again, healing it back to
+# the bytes a clean run writes.
+rm -f corrupt.run.wscache
+if ! "$BIN" loopfree.blif --format json --cache corrupt.run.wscache \
+     >/dev/null 2>&1; then
+  echo "FAIL corruptcache: the cold run that writes the cache failed" >&2
+  Failures=$((Failures + 1))
+fi
+cp corrupt.run.wscache corrupt.clean.wscache
+printf '\377' | dd of=corrupt.run.wscache bs=1 seek=56 conv=notrunc \
+  2>/dev/null
 run corruptcache 0 loopfree.blif --format json --cache corrupt.run.wscache
-if cmp -s corruptcache.wscache corrupt.run.wscache; then
+if cmp -s corrupt.clean.wscache corrupt.run.wscache; then
+  echo "ok corruptcache healed on save"
+else
   echo "FAIL corruptcache: save did not heal the damaged record" >&2
   Failures=$((Failures + 1))
-else
-  echo "ok corruptcache healed on save"
 fi
-rm -f corrupt.run.wscache
+rm -f corrupt.run.wscache corrupt.clean.wscache
+
+# Exit 2: a pre-v3 text cache is not a wire stream, so it is refused
+# with WS502 like any other file --cache cannot read, and never
+# rewritten. The fixture is copied to a scratch name first so that a
+# regression cannot damage it.
+cp legacyv2.wscache legacy.run.wscache
+run legacycache 2 loopfree.blif --format json --cache legacy.run.wscache
+if cmp -s legacyv2.wscache legacy.run.wscache; then
+  echo "ok legacycache left the file untouched"
+else
+  echo "FAIL legacycache: the refused cache file was modified" >&2
+  Failures=$((Failures + 1))
+fi
+rm -f legacy.run.wscache
 
 # --stats: the NDJSON stats record precedes the verdict line. Counters
 # are deterministic at --threads 1; the histogram timing fields are not,

@@ -64,6 +64,8 @@ run loopfree loopfree.blif --format json
 run loopy loopy.blif --format json
 run malformed malformed.blif --format json
 run badascribe badascribe.blif --format json --check badascribe.wsort
+# A --cache file that is not a cache-v3 stream: the same WS502 refusal.
+run badcache loopfree.blif --format json --cache bogus.wscache
 # Warm repeat: the resident cache serves every summary; bytes unchanged.
 run loopfree_warm loopfree.blif --format json
 # Text mode has no timing in diagnostics-only runs, so it goldens too.
