@@ -311,11 +311,10 @@ uint32_t analysis::circuitCriticalDepth(
                      Dist[Node] + int64_t(Depth.pairDepth(Ref.Port, Out)));
       }
     } else {
-      for (const Connection &C : Circ.connections())
-        if (C.From.Inst == Ref.Inst && C.From.Port == Ref.Port) {
-          uint32_t Next = PG.nodeOf(C.To);
-          Dist[Next] = std::max(Dist[Next], Dist[Node]);
-        }
+      // An output's out-edges in the port graph are exactly its
+      // connections.
+      for (uint32_t Next : PG.graph().successors(Node))
+        Dist[Next] = std::max(Dist[Next], Dist[Node]);
     }
   }
   return static_cast<uint32_t>(std::max<int64_t>(Best, 0));

@@ -54,27 +54,10 @@ PortGraph PortGraph::build(const Circuit &Circ,
   BuildSpan.note("circuit", Circ.name());
   PortGraph PG;
   const auto &Insts = Circ.instances();
-  const Design &D = Circ.design();
-  PG.InstBase.resize(Insts.size());
-  PG.InstDef.resize(Insts.size());
-  PG.DefSlots.resize(D.numModules());
-
+  PG.Numbering = PortNumbering(Circ);
+  PG.Refs.reserve(PG.Numbering.size());
   for (InstId Inst = 0; Inst != Insts.size(); ++Inst) {
-    const ModuleId DefId = Insts[Inst].Def;
-    const Module &Def = D.module(DefId);
-    PG.InstDef[Inst] = DefId;
-    PG.InstBase[Inst] = static_cast<uint32_t>(PG.Refs.size());
-    // Port -> slot mapping, built once per definition and shared by all
-    // of its instances (dense vector; maps here were a profile hot spot).
-    std::vector<uint32_t> &Slots = PG.DefSlots[DefId];
-    if (Slots.empty() && Def.numPorts() != 0) {
-      Slots.assign(Def.numWires(), InvalidId);
-      uint32_t Next = 0;
-      for (WireId Port : Def.Inputs)
-        Slots[Port] = Next++;
-      for (WireId Port : Def.Outputs)
-        Slots[Port] = Next++;
-    }
+    const Module &Def = Circ.defOf(Inst);
     for (WireId Port : Def.Inputs)
       PG.Refs.push_back(PortRef{Inst, Port});
     for (WireId Port : Def.Outputs)
@@ -133,6 +116,55 @@ classifyCached(const std::vector<const ModuleSummary *> &InstSummary,
   return ConnectionSafety::NeedsCircuitCheck;
 }
 
+/// Is the port graph restricted to the needs-check connections \p
+/// Checked acyclic? Its nodes are those connections' endpoints, its
+/// edges those connections plus the summary edges among the endpoints.
+///
+/// It has a cycle iff the whole port graph does. Port-graph cycles
+/// alternate summary edges (input -> output) and connection edges
+/// (output -> input). An output with an incoming summary edge has a
+/// non-empty input-port-set, so it is not from-sync; an input with an
+/// outgoing summary edge has a non-empty output-port-set, so it is not
+/// to-sync. So every connection on a cycle needs checking (Property 1
+/// read backwards) and the cycle survives the restriction. This relies
+/// on each summary's InputPortSets being the inversion of its
+/// OutputPortSets: inference builds them that way,
+/// checkSummaryConsistency enforces it on decoded summaries, and
+/// Ascription enforces it on opaque modules.
+bool neededPortsAcyclic(const Circuit &Circ,
+                        const std::vector<const ModuleSummary *> &InstSummary,
+                        const std::vector<uint32_t> &Checked) {
+  const auto &Conns = Circ.connections();
+  const PortNumbering Numbering(Circ);
+  // Port number -> subgraph node. Nodes keep the port numbers' order, so
+  // an edge ascends here iff it ascends in the full port graph and the
+  // freeze repairs no more than it would there.
+  std::vector<uint32_t> NodeOf(Numbering.size(), InvalidId);
+  for (uint32_t I : Checked) {
+    NodeOf[Numbering.number(Conns[I].From)] = 0;
+    NodeOf[Numbering.number(Conns[I].To)] = 0;
+  }
+  uint32_t NumNodes = 0;
+  for (uint32_t &Node : NodeOf)
+    if (Node != InvalidId)
+      Node = NumNodes++;
+
+  // Each input is driven at most once, so this visits every input node,
+  // and with it every summary edge of the subgraph, exactly once.
+  Graph G(NumNodes);
+  for (uint32_t I : Checked) {
+    const Connection &C = Conns[I];
+    const uint32_t InNode = NodeOf[Numbering.number(C.To)];
+    G.addEdge(NodeOf[Numbering.number(C.From)], InNode);
+    for (WireId Out : InstSummary[C.To.Inst]->outputPortSet(C.To.Port)) {
+      const uint32_t OutNode = NodeOf[Numbering.number({C.To.Inst, Out})];
+      if (OutNode != InvalidId)
+        G.addEdge(InNode, OutNode);
+    }
+  }
+  return CsrGraph::freeze(G).isAcyclic();
+}
+
 } // namespace
 
 CircuitCheckResult
@@ -145,22 +177,26 @@ analysis::checkCircuit(const Circuit &Circ,
 
   const std::vector<const ModuleSummary *> InstSummary =
       instanceSummaries(Circ, Summaries);
-  for (const Connection &C : Circ.connections()) {
-    if (classifyCached(InstSummary, C) == ConnectionSafety::SafeBySort)
+  const auto &Conns = Circ.connections();
+  std::vector<uint32_t> Checked;
+  for (uint32_t I = 0; I != Conns.size(); ++I) {
+    if (classifyCached(InstSummary, Conns[I]) == ConnectionSafety::SafeBySort)
       ++Result.SafeBySort;
     else
-      ++Result.NeedsCheck;
+      Checked.push_back(I);
   }
+  Result.NeedsCheck = Checked.size();
   safeBySortCounter().add(Result.SafeBySort);
   needsCheckCounter().add(Result.NeedsCheck);
 
-  PortGraph PG = PortGraph::build(Circ, Summaries);
-  if (PG.csr().isAcyclic()) {
+  if (Checked.empty() || neededPortsAcyclic(Circ, InstSummary, Checked)) {
     Result.WellConnected = true;
   } else {
-    // A loop exists; walk it only on this error path for the diagnostic.
+    // A loop exists. Only this error path builds the whole port graph,
+    // so the witness is the one its walk finds.
+    PortGraph PG = PortGraph::build(Circ, Summaries);
     std::optional<std::vector<uint32_t>> Cycle = PG.graph().findCycle();
-    assert(Cycle && "frozen snapshot says cyclic but no cycle found");
+    assert(Cycle && "restricted port graph is cyclic but the whole is not");
     support::Diag Diag(support::DiagCode::WS101_COMB_LOOP,
                        "combinational loop in circuit '" + Circ.name() +
                            "'");

@@ -14,9 +14,13 @@
 /// inputs it drives (Property 3).
 ///
 /// Two equivalent checkers are provided:
-///  * checkCircuit — builds the port graph (instance ports as nodes,
-///    connection edges plus per-module summary edges) and runs one SCC
-///    pass; this is the production path.
+///  * checkCircuit — the production path. It looks for a cycle only in
+///    the port graph (instance ports as nodes, connection edges plus
+///    per-module summary edges) restricted to the endpoints of the
+///    connections Stage 2 leaves, which has a cycle iff the whole graph
+///    does. With none left it builds no graph at all; only when the
+///    restriction is cyclic does it build the whole port graph, to walk
+///    the WS101 witness.
 ///  * checkCircuitPairwise — the literal Definition 3.1 check per
 ///    connection, worst case O(|conns|^2) (Section 5.5.2); kept both as
 ///    executable documentation of the definition and as a cross-check the
@@ -35,7 +39,6 @@
 #include "support/Diag.h"
 #include "support/Graph.h"
 
-#include <cassert>
 #include <map>
 #include <vector>
 
@@ -73,11 +76,7 @@ public:
   /// pairwise checking over it.
   const CsrGraph &csr() const { return Csr; }
 
-  uint32_t nodeOf(ir::PortRef Ref) const {
-    const uint32_t Slot = DefSlots[InstDef[Ref.Inst]][Ref.Port];
-    assert(Slot != ir::InvalidId && "wire is not a port of the instance");
-    return InstBase[Ref.Inst] + Slot;
-  }
+  uint32_t nodeOf(ir::PortRef Ref) const { return Numbering.number(Ref); }
   ir::PortRef refOf(uint32_t Node) const { return Refs[Node]; }
 
   /// w1 transitively-affects w2 (w1 ~>C w2): reachability in the graph.
@@ -87,12 +86,8 @@ private:
   Graph G;
   CsrGraph Csr;
   std::vector<ir::PortRef> Refs;
-  /// Flat node index: node id = InstBase[inst] + DefSlots[def][port].
-  /// DefSlots is shared across instances of the same definition; slots
-  /// run inputs-then-outputs in declaration order.
-  std::vector<uint32_t> InstBase;
-  std::vector<ir::ModuleId> InstDef;
-  std::vector<std::vector<uint32_t>> DefSlots;
+  /// Node ids are the circuit's dense port numbers.
+  ir::PortNumbering Numbering;
 };
 
 /// Outcome of a whole-circuit check.

@@ -99,58 +99,101 @@ std::string Circuit::portLabel(PortRef Ref) const {
 }
 
 ModuleId Circuit::seal() {
+  // Binding markers while wiring; no WireId gets near them.
+  constexpr WireId Unbound = InvalidId;
+  constexpr WireId Driving = InvalidId - 1;
+  const PortNumbering Numbering(*this);
   Module Top(Name);
 
-  // One local wire per driving output port (fan-out shares the wire).
-  // Flat-keyed hash maps: the old std::map paid a node allocation plus
-  // O(log n) pointer chases per endpoint, which dominated sealing
-  // mega-scale circuits.
-  std::unordered_map<uint64_t, WireId> OutWire;
-  OutWire.reserve(Conns.size());
-  for (const Connection &C : Conns) {
-    const uint64_t Key = portKey(C.From);
-    if (!OutWire.count(Key)) {
-      const Wire &PortWire = defOf(C.From.Inst).wire(C.From.Port);
-      OutWire.emplace(Key, Top.addWire(portLabel(C.From), WireKind::Basic,
-                                       PortWire.Width));
-    }
-  }
-
-  std::unordered_map<uint64_t, WireId> InWire;
-  InWire.reserve(Conns.size());
-  for (const Connection &C : Conns)
-    InWire.emplace(portKey(C.To), OutWire.find(portKey(C.From))->second);
-
+  // Every instance's Bindings in slot order, all unbound. Connection
+  // endpoints then index their own instance's slot directly: no side
+  // table keyed by port.
+  size_t NumInputs = 0, NumOutputs = 0;
+  Top.Instances.reserve(Insts.size());
   for (InstId Inst = 0; Inst != Insts.size(); ++Inst) {
     const Module &Def = defOf(Inst);
-    SubInstance Sub;
+    SubInstance &Sub = Top.Instances.emplace_back();
     Sub.Def = Insts[Inst].Def;
     Sub.Name = Insts[Inst].Name;
     Sub.Bindings.reserve(Def.numPorts());
-    for (WireId Port : Def.Inputs) {
-      auto It = InWire.find(portKey(PortRef{Inst, Port}));
-      WireId Local;
-      if (It != InWire.end()) {
-        Local = It->second;
-      } else {
-        // Unconnected input: promote to a top-level input port.
-        Local = Top.addInput(portLabel({Inst, Port}), Def.wire(Port).Width);
-      }
-      Sub.Bindings.emplace_back(Port, Local);
+    for (WireId Port : Def.Inputs)
+      Sub.Bindings.emplace_back(Port, Unbound);
+    for (WireId Port : Def.Outputs)
+      Sub.Bindings.emplace_back(Port, Unbound);
+    NumInputs += Def.Inputs.size();
+    NumOutputs += Def.Outputs.size();
+  }
+  auto binding = [&](PortRef Ref) -> WireId & {
+    return Top.Instances[Ref.Inst].Bindings[Numbering.slot(Ref)].second;
+  };
+
+  // Count the driving outputs first so every vector is reserved exactly:
+  // one local wire each, and each input is driven at most once.
+  size_t NumDriving = 0;
+  for (const Connection &C : Conns) {
+    WireId &Out = binding(C.From);
+    if (Out == Unbound) {
+      Out = Driving;
+      ++NumDriving;
     }
-    for (WireId Port : Def.Outputs) {
-      auto It = OutWire.find(portKey(PortRef{Inst, Port}));
-      WireId Local;
-      if (It != OutWire.end()) {
-        Local = It->second;
-      } else {
-        // Unconnected output: promote to a top-level output port.
-        Local = Top.addOutput(portLabel({Inst, Port}), Def.wire(Port).Width);
-      }
-      Sub.Bindings.emplace_back(Port, Local);
+  }
+  const size_t OpenInputs = NumInputs - Conns.size();
+  const size_t OpenOutputs = NumOutputs - NumDriving;
+  Top.Wires.reserve(NumDriving + OpenInputs + OpenOutputs);
+  Top.Inputs.reserve(OpenInputs);
+  Top.Outputs.reserve(OpenOutputs);
+
+  // One local wire per driving output, in first-connection order
+  // (fan-out shares the wire).
+  for (const Connection &C : Conns) {
+    WireId &Out = binding(C.From);
+    if (Out == Driving)
+      Out = Top.addWire(portLabel(C.From), WireKind::Basic,
+                        defOf(C.From.Inst).wire(C.From.Port).Width);
+    binding(C.To) = Out;
+  }
+
+  // Promote every port still unbound, in instance and slot order.
+  for (InstId Inst = 0; Inst != Insts.size(); ++Inst) {
+    const Module &Def = defOf(Inst);
+    auto &Bindings = Top.Instances[Inst].Bindings;
+    for (size_t Slot = 0; Slot != Bindings.size(); ++Slot) {
+      auto &[Port, Local] = Bindings[Slot];
+      if (Local != Unbound)
+        continue;
+      const uint16_t Width = Def.wire(Port).Width;
+      Local = Slot < Def.Inputs.size()
+                  ? Top.addInput(portLabel({Inst, Port}), Width)
+                  : Top.addOutput(portLabel({Inst, Port}), Width);
     }
-    Top.addInstance(std::move(Sub));
   }
 
   return D->addModule(std::move(Top));
+}
+
+PortNumbering::PortNumbering(const Circuit &Circ) {
+  const auto &Insts = Circ.instances();
+  const Design &D = Circ.design();
+  Base.resize(Insts.size() + 1);
+  InstDef.resize(Insts.size());
+  DefSlots.resize(D.numModules());
+  uint32_t Next = 0;
+  for (InstId Inst = 0; Inst != Insts.size(); ++Inst) {
+    const ModuleId DefId = Insts[Inst].Def;
+    const Module &Def = D.module(DefId);
+    InstDef[Inst] = DefId;
+    Base[Inst] = Next;
+    Next += static_cast<uint32_t>(Def.numPorts());
+    // Built once per definition and shared by all of its instances.
+    std::vector<uint32_t> &Slots = DefSlots[DefId];
+    if (Slots.empty() && Def.numPorts() != 0) {
+      Slots.assign(Def.numWires(), InvalidId);
+      uint32_t Slot = 0;
+      for (WireId Port : Def.Inputs)
+        Slots[Port] = Slot++;
+      for (WireId Port : Def.Outputs)
+        Slots[Port] = Slot++;
+    }
+  }
+  Base.back() = Next;
 }

@@ -22,6 +22,7 @@
 #include "ir/Design.h"
 #include "support/Arena.h"
 
+#include <cassert>
 #include <memory>
 #include <optional>
 #include <string>
@@ -96,8 +97,10 @@ public:
   /// Lowers to a hierarchical Module in the Design: each connection
   /// becomes a shared local wire; unconnected instance inputs/outputs are
   /// promoted to ports of the sealed module (named "inst.port"), so
-  /// incomplete circuits become open supermodules. \returns the new
-  /// module's id.
+  /// incomplete circuits become open supermodules. Local wires come
+  /// first, one per driving output in first-connection order, then the
+  /// promoted ports in instance and slot order (see \ref PortNumbering).
+  /// \returns the new module's id.
   ModuleId seal();
 
 private:
@@ -129,6 +132,38 @@ private:
   /// million-connection circuits quadratic) and the fast half of
   /// \ref isComplete.
   std::unordered_set<uint64_t> DrivenInputs;
+};
+
+/// Dense numbering of every instance port of a circuit: port (inst,
+/// port) is number base(inst) + slot(inst, port). Slots run over the
+/// instance's definition, inputs then outputs in declaration order, so
+/// one slot table serves every instance of a definition and an
+/// instance's ports are contiguous. The port graph numbers its nodes
+/// this way, Stage 3 keys the ports it keeps by it, and Circuit::seal
+/// lays out each instance's Bindings in slot order.
+class PortNumbering {
+public:
+  PortNumbering() = default;
+  explicit PortNumbering(const Circuit &Circ);
+
+  /// Ports over all instances; numbers run [0, size()).
+  uint32_t size() const { return Base.back(); }
+
+  uint32_t slot(PortRef Ref) const {
+    const uint32_t Slot = DefSlots[InstDef[Ref.Inst]][Ref.Port];
+    assert(Slot != InvalidId && "wire is not a port of the instance");
+    return Slot;
+  }
+
+  uint32_t number(PortRef Ref) const { return Base[Ref.Inst] + slot(Ref); }
+
+private:
+  /// Base[inst] for every instance, then the total port count.
+  std::vector<uint32_t> Base{0};
+  std::vector<ModuleId> InstDef;
+  /// Per definition, wire -> slot (InvalidId for non-port wires); empty
+  /// for definitions the circuit does not instantiate.
+  std::vector<std::vector<uint32_t>> DefSlots;
 };
 
 } // namespace wiresort::ir

@@ -234,6 +234,48 @@ TEST(DepthTest, CircuitCriticalDepthCrossesBoundaries) {
   EXPECT_EQ(circuitCriticalDepth(Circ, An.Summaries, An.Depths), 8u);
 }
 
+TEST(DepthTest, CircuitCriticalDepthFollowsEveryFanOutBranch) {
+  // src.y drives a shallow branch (listed first) and a deep one: the
+  // critical path takes the deep branch, 1 + 5 + 3 = 9, not 1 + 2 + 3.
+  Design D;
+  auto chainOf = [&](const std::string &Name, int Levels) {
+    Builder B(Name);
+    V Acc = B.input("a", 1);
+    for (int I = 0; I != Levels; ++I)
+      Acc = B.notv(Acc);
+    B.output("y", Acc);
+    return D.addModule(B.finish());
+  };
+  ModuleId Shallow = chainOf("shallow", 2);
+  ModuleId Deep = chainOf("deep", 5);
+  ModuleId Source = [&] {
+    Builder B("source");
+    V A = B.input("a", 1);
+    B.output("y", B.notv(B.reg(A, "q"))); // 1 level from state.
+    return D.addModule(B.finish());
+  }();
+  ModuleId Sink = [&] {
+    Builder B("sink");
+    V A = B.input("a", 1);
+    B.output("y", B.reg(B.notv(B.notv(B.notv(A))), "q")); // 3 into state.
+    return D.addModule(B.finish());
+  }();
+
+  Circuit Circ(D, "fan");
+  InstId S = Circ.addInstance(Source, "src");
+  InstId A = Circ.addInstance(Shallow, "shallow");
+  InstId B = Circ.addInstance(Deep, "deep");
+  InstId KA = Circ.addInstance(Sink, "sink_a");
+  InstId KB = Circ.addInstance(Sink, "sink_b");
+  Circ.connect(S, "y", A, "a");
+  Circ.connect(S, "y", B, "a");
+  Circ.connect(A, "y", KA, "a");
+  Circ.connect(B, "y", KB, "a");
+
+  Analyzed An = analyzeOrDie(D);
+  EXPECT_EQ(circuitCriticalDepth(Circ, An.Summaries, An.Depths), 9u);
+}
+
 TEST(DepthTest, AdderDepthScalesWithWidth) {
   Design D;
   ModuleId Narrow = [&] {

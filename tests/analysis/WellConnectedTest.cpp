@@ -12,6 +12,7 @@
 #include "gen/Catalog.h"
 #include "gen/Fifo.h"
 #include "ir/Builder.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -69,6 +70,20 @@ struct Figure3 {
     Circ.connect(X, "data_o", Fwd, "v_i");
   }
 };
+
+/// checkCircuit under a trace session; \p PortGraphs receives the number
+/// of analysis.port_graph spans it recorded.
+CircuitCheckResult checkCountingPortGraphs(const Circuit &Circ,
+                                           const Summaries &S,
+                                           size_t &PortGraphs) {
+  trace::Session Session;
+  CircuitCheckResult R = checkCircuit(Circ, S);
+  Session.finish();
+  PortGraphs = 0;
+  for (const trace::SpanRecord &Span : Session.spans())
+    PortGraphs += Span.Name == "analysis.port_graph";
+  return R;
+}
 
 } // namespace
 
@@ -231,10 +246,14 @@ TEST(WellConnectedTest, RingOfNormalFifosIsSafe) {
     Circ.connect(Insts[I], "ready_o", Insts[(I + 1) % 4], "yumi_i");
   }
   Summaries S = analyzeOrDie(D);
-  CircuitCheckResult R = checkCircuit(Circ, S);
+  size_t PortGraphs = 0;
+  CircuitCheckResult R = checkCountingPortGraphs(Circ, S, PortGraphs);
   EXPECT_TRUE(R.WellConnected);
-  // Everything safe by sorts: the universal interface.
+  // Everything safe by sorts: the universal interface. Stage 3 has
+  // nothing left to look at, so it builds no graph.
   EXPECT_EQ(R.NeedsCheck, 0u);
+  EXPECT_EQ(R.SafeBySort, 12u);
+  EXPECT_EQ(PortGraphs, 0u);
 }
 
 TEST(WellConnectedTest, TransitivelyAffectsMatchesDefinition) {
@@ -250,4 +269,57 @@ TEST(WellConnectedTest, TransitivelyAffectsMatchesDefinition) {
   EXPECT_FALSE(PG.transitivelyAffects(
       PortRef{F.Fwd, FwdDef.findPort("yumi_i")},
       PortRef{F.Fwd, FwdDef.findPort("v_o")}));
+}
+
+TEST(WellConnectedTest, LoopAmongSafeTapsKeepsTheWholeGraphWitness) {
+  // Figure 3 plus taps that are safe by sort. Stage 3 drops the taps,
+  // still finds the loop, and only then builds the whole port graph to
+  // walk the witness.
+  Figure3 F;
+  const ModuleId NormalId = F.Circ.instances()[F.Normal].Def;
+  InstId Tap = F.Circ.addInstance(NormalId, "tap");
+  F.Circ.connect(F.Normal, "v_o", Tap, "v_i");
+  F.Circ.connect(F.Fwd, "ready_o", Tap, "yumi_i");
+  F.Circ.connect(Tap, "data_o", F.Fwd, "data_i");
+  F.Circ.connect(Tap, "ready_o", F.Normal, "yumi_i");
+  Summaries S = analyzeOrDie(F.D);
+  size_t PortGraphs = 0;
+  CircuitCheckResult R = checkCountingPortGraphs(F.Circ, S, PortGraphs);
+  EXPECT_FALSE(R.WellConnected);
+  EXPECT_EQ(R.WellConnected, checkCircuitPairwise(F.Circ, S).WellConnected);
+  EXPECT_EQ(R.NeedsCheck, 3u);
+  EXPECT_EQ(R.SafeBySort, 5u);
+  EXPECT_EQ(PortGraphs, 1u);
+  ASSERT_EQ(R.Diags.size(), 1u);
+  EXPECT_EQ(R.Diags[0].code(), support::DiagCode::WS101_COMB_LOOP);
+  EXPECT_EQ(R.Diags[0].witnessLabels(),
+            (std::vector<std::string>{"fifo_fwd.v_i", "fifo_fwd.v_o",
+                                      "monitor.data_i", "monitor.data_o",
+                                      "module_x.data_i", "module_x.data_o"}));
+}
+
+TEST(WellConnectedTest, NeedsCheckChainCutByToSyncInputBuildsNoPortGraph) {
+  // q0 -> q1 -> q2 forward valid combinationally (from-port -> to-port),
+  // and the ring closes through a normal FIFO whose v_i is to-sync: the
+  // needs-check connections form no cycle on their own.
+  Design D;
+  ModuleId Fwd = D.addModule(gen::makeFifo({8, 2, true}));
+  ModuleId Normal = D.addModule(gen::makeFifo({8, 2, false}));
+  Circuit Circ(D, "cut");
+  InstId Q0 = Circ.addInstance(Fwd, "q0");
+  InstId Q1 = Circ.addInstance(Fwd, "q1");
+  InstId Q2 = Circ.addInstance(Fwd, "q2");
+  InstId N = Circ.addInstance(Normal, "n");
+  Circ.connect(Q0, "v_o", Q1, "v_i");
+  Circ.connect(Q1, "v_o", Q2, "v_i");
+  Circ.connect(Q2, "v_o", N, "v_i");
+  Circ.connect(N, "v_o", Q0, "v_i");
+  Summaries S = analyzeOrDie(D);
+  size_t PortGraphs = 0;
+  CircuitCheckResult R = checkCountingPortGraphs(Circ, S, PortGraphs);
+  EXPECT_TRUE(R.WellConnected);
+  EXPECT_TRUE(checkCircuitPairwise(Circ, S).WellConnected);
+  EXPECT_EQ(R.NeedsCheck, 2u);
+  EXPECT_EQ(R.SafeBySort, 2u);
+  EXPECT_EQ(PortGraphs, 0u);
 }

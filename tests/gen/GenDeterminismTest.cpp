@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 using namespace wiresort;
 using namespace wiresort::gen;
@@ -68,6 +69,24 @@ TEST(GenDeterminism, SameParamsSameDesignInProcess) {
       EXPECT_EQ(fingerprint(A, RA.Top), fingerprint(B, RB.Top))
           << Name << " seed " << Seed;
     }
+  }
+}
+
+TEST(GenDeterminism, DefaultSeedFingerprintsArePinned) {
+  // Literal digests, not a build compared with another build: a change
+  // that moves every build the same way (the generator, seal, or the
+  // digest itself) must show up here.
+  const std::pair<const char *, const char *> Pinned[] = {
+      {"ci", "afc693f7a08b3588"},        {"ci-loop", "f161f1c0b2037c17"},
+      {"ci-noc", "302943454611db9c"},    {"ci-fabric", "11ed53e275932419"},
+      {"10k", "ee310d759d42f751"},       {"100k", "f2f26084dcf1eef2"},
+  };
+  for (const auto &[Name, Want] : Pinned) {
+    auto Preset = megaScalePreset(Name);
+    ASSERT_TRUE(Preset.has_value()) << Name;
+    Design D;
+    MegaScaleDesign R = buildMegaScale(D, *Preset);
+    EXPECT_EQ(fingerprint(D, R.Top), Want) << Name;
   }
 }
 

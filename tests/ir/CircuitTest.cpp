@@ -6,10 +6,13 @@
 
 #include "ir/Circuit.h"
 
+#include "gen/MegaScale.h"
 #include "ir/Builder.h"
 #include "synth/Flatten.h"
 
 #include <gtest/gtest.h>
+
+#include <unordered_map>
 
 using namespace wiresort;
 using namespace wiresort::ir;
@@ -22,6 +25,78 @@ ModuleId pipeStage(Design &D, const std::string &Name) {
   V A = B.input("a", 8);
   B.output("y", B.reg(A, "r"));
   return D.addModule(B.finish());
+}
+
+/// The hash-map seal Circuit::seal must keep matching: one local wire
+/// per driving output in first-connection order, then each instance's
+/// unconnected inputs and outputs promoted in declaration order.
+Module referenceSeal(const Circuit &Circ) {
+  auto key = [](PortRef Ref) { return (uint64_t(Ref.Inst) << 32) | Ref.Port; };
+  Module Top(Circ.name());
+  std::unordered_map<uint64_t, WireId> OutWire, InWire;
+  for (const Connection &C : Circ.connections())
+    if (!OutWire.count(key(C.From)))
+      OutWire.emplace(key(C.From),
+                      Top.addWire(Circ.portLabel(C.From), WireKind::Basic,
+                                  Circ.defOf(C.From.Inst)
+                                      .wire(C.From.Port)
+                                      .Width));
+  for (const Connection &C : Circ.connections())
+    InWire.emplace(key(C.To), OutWire.at(key(C.From)));
+  for (InstId Inst = 0; Inst != Circ.instances().size(); ++Inst) {
+    const Module &Def = Circ.defOf(Inst);
+    SubInstance Sub{Circ.instances()[Inst].Def, Circ.instances()[Inst].Name,
+                    {}};
+    for (WireId Port : Def.Inputs) {
+      auto It = InWire.find(key({Inst, Port}));
+      Sub.Bindings.emplace_back(
+          Port, It != InWire.end() ? It->second
+                                   : Top.addInput(Circ.portLabel({Inst, Port}),
+                                                  Def.wire(Port).Width));
+    }
+    for (WireId Port : Def.Outputs) {
+      auto It = OutWire.find(key({Inst, Port}));
+      Sub.Bindings.emplace_back(
+          Port, It != OutWire.end()
+                    ? It->second
+                    : Top.addOutput(Circ.portLabel({Inst, Port}),
+                                    Def.wire(Port).Width));
+    }
+    Top.addInstance(std::move(Sub));
+  }
+  return Top;
+}
+
+/// Seals \p Circ and requires the module referenceSeal builds: every
+/// wire's name, kind and width, the port lists, and every instance.
+/// Reports only the first mismatch of each kind, so a broken seal of a
+/// large circuit stays readable.
+void expectSealMatchesReference(Circuit &Circ, const std::string &What) {
+  const Module Want = referenceSeal(Circ);
+  const Module &Got = Circ.design().module(Circ.seal());
+  EXPECT_EQ(Got.Name, Want.Name) << What;
+  ASSERT_EQ(Got.Wires.size(), Want.Wires.size()) << What;
+  for (size_t I = 0; I != Want.Wires.size(); ++I) {
+    const Wire &G = Got.Wires[I], &W = Want.Wires[I];
+    if (G.Name != W.Name || G.Kind != W.Kind || G.Width != W.Width) {
+      ADD_FAILURE() << What << ": wire " << I << " is '" << G.Name
+                    << "' (" << wireKindName(G.Kind) << ", " << G.Width
+                    << "), want '" << W.Name << "' ("
+                    << wireKindName(W.Kind) << ", " << W.Width << ")";
+      break;
+    }
+  }
+  EXPECT_EQ(Got.Inputs, Want.Inputs) << What;
+  EXPECT_EQ(Got.Outputs, Want.Outputs) << What;
+  ASSERT_EQ(Got.Instances.size(), Want.Instances.size()) << What;
+  for (size_t I = 0; I != Want.Instances.size(); ++I) {
+    const SubInstance &G = Got.Instances[I], &W = Want.Instances[I];
+    if (G.Def != W.Def || G.Name != W.Name || G.Bindings != W.Bindings) {
+      ADD_FAILURE() << What << ": instance " << I << " ('" << G.Name
+                    << "') differs from the reference ('" << W.Name << "')";
+      break;
+    }
+  }
 }
 
 } // namespace
@@ -98,4 +173,66 @@ TEST(CircuitTest, FanOutSharesOneWire) {
   const Module &M = D.module(Top);
   EXPECT_EQ(M.Inputs.size(), 1u);  // u0.a.
   EXPECT_EQ(M.Outputs.size(), 2u); // u1.y, u2.y.
+}
+
+TEST(CircuitTest, SealMatchesReferenceOnPresets) {
+  for (const char *Name : {"ci", "ci-loop", "ci-noc", "ci-fabric", "10k",
+                           "100k"}) {
+    for (uint64_t Seed : {1ull, 2ull, 3ull}) {
+      std::optional<gen::MegaScaleParams> P = gen::megaScalePreset(Name);
+      ASSERT_TRUE(P.has_value()) << Name;
+      P->Seed = Seed;
+      Design D;
+      Circuit Top = gen::buildMegaScaleCircuit(D, *P);
+      expectSealMatchesReference(Top, std::string(Name) + " seed " +
+                                          std::to_string(Seed));
+    }
+  }
+}
+
+TEST(CircuitTest, SealMatchesReferenceOnFanOut) {
+  // u1.y drives three inputs, one of them listed before u0.y's only
+  // sink: the shared wires still come out in first-connection order.
+  Design D;
+  ModuleId Stage = pipeStage(D, "stage");
+  Circuit C(D, "fan");
+  InstId U0 = C.addInstance(Stage, "u0");
+  InstId U1 = C.addInstance(Stage, "u1");
+  InstId U2 = C.addInstance(Stage, "u2");
+  InstId U3 = C.addInstance(Stage, "u3");
+  C.connect(U1, "y", U2, "a");
+  C.connect(U0, "y", U1, "a");
+  C.connect(U1, "y", U3, "a");
+  C.connect(U1, "y", U0, "a");
+  expectSealMatchesReference(C, "fan");
+  const Module &M = D.module(D.numModules() - 1);
+  EXPECT_EQ(M.wire(0).Name, "u1.y");
+  EXPECT_EQ(M.wire(1).Name, "u0.y");
+}
+
+TEST(CircuitTest, SealMatchesReferenceWithZeroPortInstance) {
+  Design D;
+  ModuleId Stage = pipeStage(D, "stage");
+  ModuleId Empty = D.addModule(Module("empty"));
+  Circuit C(D, "holes");
+  InstId U0 = C.addInstance(Stage, "u0");
+  C.addInstance(Empty, "e0");
+  InstId U1 = C.addInstance(Stage, "u1");
+  C.addInstance(Empty, "e1");
+  C.connect(U0, "y", U1, "a");
+  expectSealMatchesReference(C, "holes");
+  ASSERT_FALSE(D.validate().has_value());
+}
+
+TEST(CircuitTest, SealMatchesReferenceWithNoConnections) {
+  Design D;
+  ModuleId Stage = pipeStage(D, "stage");
+  Circuit C(D, "open");
+  C.addInstance(Stage, "u0");
+  C.addInstance(Stage, "u1");
+  expectSealMatchesReference(C, "open");
+  const Module &M = D.module(D.numModules() - 1);
+  EXPECT_EQ(M.Inputs.size(), 2u);
+  EXPECT_EQ(M.Outputs.size(), 2u);
+  EXPECT_EQ(M.wire(M.Inputs[1]).Name, "u1.a");
 }

@@ -30,7 +30,9 @@
 #      injected faults walk the error/retry/quarantine paths that
 #      ordinary runs never touch, which is exactly where leaks and
 #      use-after-frees hide — plus the kernel suite, which then runs the
-#      row-arena indexing of every row width under ASan;
+#      row-arena indexing of every row width under ASan, and the IR,
+#      analysis, soundness and metamorphic suites, which index
+#      Circuit::seal's bindings and Stage 3's dense port numbering;
 #   7. the scale tier (docs/SCALE.md): the metamorphic and
 #      generator-determinism suites (ctest label `scale`) and a
 #      byte-comparison of `--threads 1` vs `--threads 4` wiresort-check
@@ -178,14 +180,15 @@ else
 fi
 
 echo
-echo "=== stage 6: fault-injection suites under AddressSanitizer ($ROOT/build-asan) ==="
+echo "=== stage 6: fault-injection and circuit suites under AddressSanitizer ($ROOT/build-asan) ==="
 ASAN_BUILD="$ROOT/build-asan"
 [ -f "$ASAN_BUILD/CMakeCache.txt" ] || cmake -B "$ASAN_BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
 cmake --build "$ASAN_BUILD" -j "$(nproc)" \
-  --target fault_soak_tests engine_tests support_tests kernel_tests
+  --target fault_soak_tests engine_tests support_tests kernel_tests \
+  ir_tests analysis_tests property_tests metamorphic_tests
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/fault_soak_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/engine_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/support_tests"
@@ -193,6 +196,13 @@ ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/support_tests"
 # the flat row arena, including the partial-row tails at the
 # 63/65/127/129/511/513 source boundaries.
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/kernel_tests"
+# Seal's slot-indexed bindings and Stage 3's dense port numbering: the
+# reference-seal and Stage-3 tests, the soundness oracle, and the
+# metamorphic pairwise-vs-SCC trials.
+ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/ir_tests"
+ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/analysis_tests"
+ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/property_tests"
+ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/metamorphic_tests"
 
 echo
 echo "=== stage 7: scale tier — thread-count determinism (docs/SCALE.md) ==="
