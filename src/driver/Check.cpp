@@ -29,7 +29,6 @@
 #include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 
 using namespace wiresort;
 using namespace wiresort::analysis;
@@ -138,15 +137,6 @@ bool wasCancelled(const support::DiagList &Ds) {
 int ioError(Emitter &E, const std::string &Why) {
   E.emit(support::Diag(support::DiagCode::WS501_IO_ERROR, Why));
   return 2;
-}
-
-std::optional<std::string> readFile(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In)
-    return std::nullopt;
-  std::stringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
 }
 
 bool writeFile(const std::string &Path, const std::string &Text) {
@@ -488,4 +478,19 @@ CheckResult wiresort::driver::runCheck(const CheckRequest &R,
                                        EngineConfig Cfg) {
   CheckService OneShot(Cfg);
   return OneShot.run(R);
+}
+
+std::optional<std::string> wiresort::driver::readFile(const std::string &Path) {
+  std::FILE *In = std::fopen(Path.c_str(), "rb");
+  if (!In)
+    return std::nullopt;
+  std::string Text;
+  char Buf[1 << 16];
+  while (size_t N = std::fread(Buf, 1, sizeof Buf, In))
+    Text.append(Buf, N);
+  const bool Failed = std::ferror(In);
+  std::fclose(In);
+  if (Failed)
+    return std::nullopt;
+  return Text;
 }

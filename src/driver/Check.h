@@ -47,6 +47,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 
 namespace wiresort::driver {
@@ -150,6 +151,11 @@ private:
 /// exactly what a `wiresort-check` process invocation is. \p Cfg carries
 /// the engine knobs (--threads).
 CheckResult runCheck(const CheckRequest &R, analysis::EngineConfig Cfg = {});
+
+/// The bytes of the file at \p Path, read to its end without seeking, so
+/// pipes and /dev/stdin work. std::nullopt when it cannot be opened or a
+/// read fails, as reading a directory does (EISDIR).
+std::optional<std::string> readFile(const std::string &Path);
 
 } // namespace wiresort::driver
 

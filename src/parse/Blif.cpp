@@ -8,10 +8,10 @@
 
 #include "support/FailPoint.h"
 #include "support/Trace.h"
-#include "support/Wire.h"
 
 #include <cassert>
-#include <cctype>
+#include <cstring>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -28,56 +28,125 @@ using namespace wiresort::parse;
 
 namespace {
 
-/// One whitespace-separated token with its source position.
+/// The bytes std::isspace accepts in the "C" locale.
+bool isBlank(char C) { return C == ' ' || (C >= '\t' && C <= '\r'); }
+
+/// \p Name in single quotes, as every diagnostic quotes a signal.
+std::string quote(std::string_view Name) {
+  return std::string("'").append(Name).append("'");
+}
+
+/// One whitespace-separated token with its source position. The text is
+/// a view into the parsed input, which outlives pass 1.
 struct BlifTok {
-  std::string Text;
+  std::string_view Text;
   size_t Line = 0;
   size_t Col = 0; // 1-based column of the token's first character.
 };
 
 /// Appends \p Line's tokens (with positions) to \p Out.
-void tokenizeInto(const std::string &Line, size_t LineNo,
+void tokenizeInto(std::string_view Line, size_t LineNo,
                   std::vector<BlifTok> &Out) {
   size_t Pos = 0;
   while (Pos < Line.size()) {
-    while (Pos < Line.size() &&
-           std::isspace(static_cast<unsigned char>(Line[Pos])))
+    while (Pos < Line.size() && isBlank(Line[Pos]))
       ++Pos;
     if (Pos >= Line.size())
       break;
     size_t Start = Pos;
-    while (Pos < Line.size() &&
-           !std::isspace(static_cast<unsigned char>(Line[Pos])))
+    while (Pos < Line.size() && !isBlank(Line[Pos]))
       ++Pos;
     Out.push_back({Line.substr(Start, Pos - Start), LineNo, Start + 1});
   }
 }
 
-/// One .subckt awaiting cross-model resolution.
+/// One .subckt awaiting cross-model resolution. Formals are resolved in
+/// pass 2 against the referenced model; actuals are already wires of the
+/// instantiating model.
 struct SubcktRec {
   std::string DefName;
-  std::vector<std::pair<std::string, std::string>> Pairs;
+  std::vector<std::pair<std::string, WireId>> Pairs;
   size_t Line = 0;
   size_t Col = 0;
 };
 
-/// One .model under construction; wires are created on demand by name.
+/// One .model as pass 1 leaves it.
 struct ModelBuilder {
   Module M;
-  std::map<std::string, WireId> ByName;
-  std::set<WireId> Driven;
+  /// One byte per wire: whether something already drives it. Wires
+  /// past the end are undriven.
+  std::vector<uint8_t> Driven;
   std::vector<SubcktRec> Subckts;
   /// Position of the .model directive (for link-time diagnostics).
   size_t Line = 0;
   size_t Col = 0;
 
-  WireId wireFor(const std::string &Name) {
-    auto It = ByName.find(Name);
-    if (It != ByName.end())
-      return It->second;
-    WireId W = M.addWire(Name, WireKind::Basic, 1);
-    ByName[Name] = W;
-    return W;
+  /// Marks \p W driven; false when it already was.
+  bool drive(WireId W) {
+    if (W >= Driven.size())
+      Driven.resize(M.Wires.size());
+    if (Driven[W])
+      return false;
+    Driven[W] = 1;
+    return true;
+  }
+};
+
+/// The wires of the model being parsed, by name: open addressing with
+/// linear probing, keyed by views into the input. Each entry carries the
+/// generation of the model that made it, so moving on to the next model
+/// clears nothing.
+class NameTable {
+public:
+  /// The id slot for \p Name; InvalidId when the name is new, in which
+  /// case the caller stores the wire it creates.
+  WireId &operator[](std::string_view Name) {
+    if (2 * (Count + 1) > Slots.size())
+      grow();
+    const uint32_t Hash =
+        static_cast<uint32_t>(std::hash<std::string_view>{}(Name));
+    const size_t Mask = Slots.size() - 1;
+    for (size_t I = Hash & Mask;; I = (I + 1) & Mask) {
+      Slot &S = Slots[I];
+      if (S.Gen != Gen) {
+        S = {Name, Hash, Gen, InvalidId};
+        ++Count;
+        return S.Id;
+      }
+      if (S.Hash == Hash && S.Name == Name)
+        return S.Id;
+    }
+  }
+
+  /// Forgets every name.
+  void clear() {
+    ++Gen;
+    Count = 0;
+  }
+
+private:
+  struct Slot {
+    std::string_view Name;
+    uint32_t Hash = 0;
+    uint32_t Gen = 0; // Live when equal to the table's.
+    WireId Id = InvalidId;
+  };
+  std::vector<Slot> Slots = std::vector<Slot>(256);
+  size_t Count = 0;
+  uint32_t Gen = 1;
+
+  void grow() {
+    std::vector<Slot> Old(2 * Slots.size());
+    Old.swap(Slots);
+    const size_t Mask = Slots.size() - 1;
+    for (const Slot &S : Old) {
+      if (S.Gen != Gen)
+        continue;
+      size_t I = S.Hash & Mask;
+      while (Slots[I].Gen == Gen)
+        I = (I + 1) & Mask;
+      Slots[I] = S;
+    }
   }
 };
 
@@ -91,6 +160,11 @@ struct Pass1 {
   const std::string &FileName;
   std::vector<ModelBuilder> Models;
   ModelBuilder *Cur = nullptr;
+  /// Cur's wires by name.
+  NameTable Names;
+  /// The actuals of Cur's .subckt lines in subckt-then-pair order, bound
+  /// to wires when Cur ends.
+  std::vector<std::string_view> Actuals;
   // Pending .names cover collection.
   Net *PendingLut = nullptr;
   std::vector<BlifTok> Tok;
@@ -105,15 +179,35 @@ struct Pass1 {
     return false;
   }
 
-  /// Consumes one raw input line; false means Err is set.
-  bool line(std::string Raw, size_t LineNo) {
+  WireId wireFor(std::string_view Name) {
+    WireId &W = Names[Name];
+    if (W == InvalidId)
+      W = Cur->M.addWire(std::string(Name), WireKind::Basic, 1);
+    return W;
+  }
+
+  /// Binds Cur's .subckt actuals. A model ends at the next .model or at
+  /// the end of the text (a cache chunk ends at a .model line too), after
+  /// every wire its other lines name; unseen actuals are created here, in
+  /// subckt-then-pair order.
+  void endModel() {
+    if (!Cur)
+      return;
+    size_t Next = 0;
+    for (SubcktRec &Rec : Cur->Subckts)
+      for (auto &Pair : Rec.Pairs)
+        Pair.second = wireFor(Actuals[Next++]);
+    Actuals.clear();
+    Names.clear();
+  }
+
+  /// Consumes one physical input line; false means Err is set.
+  bool line(std::string_view Raw, size_t LineNo) {
     // Strip comments; honor trailing-backslash continuations.
-    size_t Hash = Raw.find('#');
-    if (Hash != std::string::npos)
-      Raw.resize(Hash);
+    Raw = Raw.substr(0, Raw.find('#'));
     bool Continue = !Raw.empty() && Raw.back() == '\\';
     if (Continue)
-      Raw.pop_back();
+      Raw.remove_suffix(1);
     if (!Continuing)
       Tok.clear();
     tokenizeInto(Raw, LineNo, Tok);
@@ -123,13 +217,14 @@ struct Pass1 {
     if (Tok.empty())
       return true;
 
-    const std::string &Cmd = Tok[0].Text;
+    const std::string_view Cmd = Tok[0].Text;
     if (Cmd == ".model") {
       if (Tok.size() != 2)
         return fail(Tok[0], ".model expects a name");
+      endModel();
       Models.emplace_back();
       Cur = &Models.back();
-      Cur->M.Name = Tok[1].Text;
+      Cur->M.Name = std::string(Tok[1].Text);
       Cur->Line = Tok[0].Line;
       Cur->Col = Tok[0].Col;
       PendingLut = nullptr;
@@ -138,50 +233,44 @@ struct Pass1 {
     if (!Cur)
       return fail(Tok[0], "directive before .model");
 
-    if (Cmd == ".inputs") {
-      for (size_t I = 1; I != Tok.size(); ++I) {
-        if (Cur->ByName.count(Tok[I].Text))
-          return fail(Tok[I], "duplicate signal '" + Tok[I].Text + "'");
-        WireId W = Cur->M.addInput(Tok[I].Text, 1);
-        Cur->ByName[Tok[I].Text] = W;
-      }
-      PendingLut = nullptr;
-    } else if (Cmd == ".outputs") {
-      for (size_t I = 1; I != Tok.size(); ++I) {
-        if (Cur->ByName.count(Tok[I].Text))
-          return fail(Tok[I], "duplicate signal '" + Tok[I].Text + "'");
-        WireId W = Cur->M.addOutput(Tok[I].Text, 1);
-        Cur->ByName[Tok[I].Text] = W;
-      }
-      PendingLut = nullptr;
-    } else if (Cmd == ".names") {
+    if (Cmd == ".names") {
       if (Tok.size() < 2)
         return fail(Tok[0], ".names expects at least an output");
       std::vector<WireId> Ins;
+      Ins.reserve(Tok.size() - 2);
       for (size_t I = 1; I + 1 < Tok.size(); ++I)
-        Ins.push_back(Cur->wireFor(Tok[I].Text));
-      WireId Out = Cur->wireFor(Tok.back().Text);
-      if (Cur->Driven.count(Out))
+        Ins.push_back(wireFor(Tok[I].Text));
+      WireId Out = wireFor(Tok.back().Text);
+      if (!Cur->drive(Out))
         return fail(Tok.back(),
-                    "signal '" + Tok.back().Text + "' driven twice");
-      Cur->Driven.insert(Out);
+                    "signal " + quote(Tok.back().Text) + " driven twice");
       NetId Id = Cur->M.addNet(Op::Lut, std::move(Ins), Out);
       PendingLut = &Cur->M.Nets[Id];
+    } else if (Cmd == ".inputs" || Cmd == ".outputs") {
+      const bool IsInput = Cmd == ".inputs";
+      for (size_t I = 1; I != Tok.size(); ++I) {
+        WireId &W = Names[Tok[I].Text];
+        if (W != InvalidId)
+          return fail(Tok[I], "duplicate signal " + quote(Tok[I].Text));
+        std::string Name(Tok[I].Text);
+        W = IsInput ? Cur->M.addInput(std::move(Name), 1)
+                    : Cur->M.addOutput(std::move(Name), 1);
+      }
+      PendingLut = nullptr;
     } else if (Cmd == ".latch") {
       if (Tok.size() < 3)
         return fail(Tok[0], ".latch expects input and output");
-      WireId D = Cur->wireFor(Tok[1].Text);
-      WireId Q = Cur->wireFor(Tok[2].Text);
-      if (Cur->Driven.count(Q))
-        return fail(Tok[2], "signal '" + Tok[2].Text + "' driven twice");
-      Cur->Driven.insert(Q);
+      WireId D = wireFor(Tok[1].Text);
+      WireId Q = wireFor(Tok[2].Text);
+      if (!Cur->drive(Q))
+        return fail(Tok[2], "signal " + quote(Tok[2].Text) + " driven twice");
       if (Cur->M.Wires[Q].Kind == WireKind::Input)
-        return fail(Tok[2], "latch drives input '" + Tok[2].Text + "'");
+        return fail(Tok[2], "latch drives input " + quote(Tok[2].Text));
       if (Cur->M.Wires[Q].Kind == WireKind::Output) {
         // Latched output port: latch into an internal reg wire and
         // buffer it out to the port.
-        WireId Inner =
-            Cur->M.addWire(Tok[2].Text + "$latch", WireKind::Reg, 1);
+        WireId Inner = Cur->M.addWire(std::string(Tok[2].Text) + "$latch",
+                                      WireKind::Reg, 1);
         Cur->M.addNet(Op::Buf, {Inner}, Q);
         Q = Inner;
       } else {
@@ -189,7 +278,7 @@ struct Pass1 {
       }
       uint64_t Init = 0;
       // Optional trailing init value (possibly after "<type> <control>").
-      const std::string &Last = Tok.back().Text;
+      const std::string_view Last = Tok.back().Text;
       if (Tok.size() > 3 && (Last == "0" || Last == "1"))
         Init = Last == "1" ? 1 : 0;
       Cur->M.addRegister(D, Q, Init);
@@ -198,16 +287,16 @@ struct Pass1 {
       if (Tok.size() < 2)
         return fail(Tok[0], ".subckt expects a model name");
       SubcktRec Rec;
-      Rec.DefName = Tok[1].Text;
+      Rec.DefName = std::string(Tok[1].Text);
       Rec.Line = Tok[0].Line;
       Rec.Col = Tok[0].Col;
       for (size_t I = 2; I != Tok.size(); ++I) {
-        size_t EqPos = Tok[I].Text.find('=');
-        if (EqPos == std::string::npos)
-          return fail(Tok[I],
-                      "malformed formal=actual '" + Tok[I].Text + "'");
-        Rec.Pairs.emplace_back(Tok[I].Text.substr(0, EqPos),
-                               Tok[I].Text.substr(EqPos + 1));
+        const std::string_view Pair = Tok[I].Text;
+        size_t EqPos = Pair.find('=');
+        if (EqPos == std::string_view::npos)
+          return fail(Tok[I], "malformed formal=actual " + quote(Pair));
+        Rec.Pairs.emplace_back(std::string(Pair.substr(0, EqPos)), InvalidId);
+        Actuals.push_back(Pair.substr(EqPos + 1));
       }
       Cur->Subckts.push_back(std::move(Rec));
       PendingLut = nullptr;
@@ -217,17 +306,17 @@ struct Pass1 {
       // A cover row for the pending .names.
       if (!PendingLut)
         return fail(Tok[0], "cover row outside .names");
-      std::string Plane = Tok.size() == 2 ? Tok[0].Text : "";
-      std::string Output = Tok.size() == 2 ? Tok[1].Text : Tok[0].Text;
+      std::string_view Plane = Tok.size() == 2 ? Tok[0].Text : "";
+      std::string_view Output = Tok.size() == 2 ? Tok[1].Text : Tok[0].Text;
       if (Output != "0" && Output != "1")
         return fail(Tok.back(), "cover output must be 0 or 1");
       if (Plane.size() != PendingLut->Inputs.size())
         return fail(Tok[0], "cover row arity mismatch");
-      PendingLut->Cover.push_back(Plane + Output);
+      PendingLut->Cover.emplace_back(Plane).append(Output);
     } else {
       // Unsupported directives (.clock, .exdc, ...) are rejected loudly:
       // silently skipping them could change semantics.
-      return fail(Tok[0], "unsupported directive '" + Cmd + "'");
+      return fail(Tok[0], "unsupported directive " + quote(Cmd));
     }
     return true;
   }
@@ -266,13 +355,10 @@ std::vector<ChunkRef> splitModelChunks(const std::string &Text) {
     if (Hash != std::string_view::npos)
       Line = Line.substr(0, Hash);
     size_t P = 0;
-    while (P < Line.size() &&
-           std::isspace(static_cast<unsigned char>(Line[P])))
+    while (P < Line.size() && isBlank(Line[P]))
       ++P;
-    bool IsModel =
-        Line.size() - P >= 6 && Line.compare(P, 6, ".model") == 0 &&
-        (P + 6 == Line.size() ||
-         std::isspace(static_cast<unsigned char>(Line[P + 6])));
+    bool IsModel = Line.size() - P >= 6 && Line.compare(P, 6, ".model") == 0 &&
+                   (P + 6 == Line.size() || isBlank(Line[P + 6]));
     if (IsModel && !PrevContinues && Pos != CurBegin) {
       Out.push_back({CurBegin, Pos, CurLine});
       CurBegin = Pos;
@@ -379,24 +465,26 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
   };
 
   // Feeds Text[Begin, End) to \p P line by line, numbering from
-  // StartLine. The deadline poll is once per line: a BLIF line is at
-  // most a few hundred bytes of tokenizing, so this bounds a runaway
-  // input without measurable cost (the parse.cancel failpoint simulates
-  // expiry deterministically).
+  // StartLine, then ends the last model. The deadline poll is once per
+  // line: a BLIF line is at most a few hundred bytes of tokenizing, so
+  // this bounds a runaway input without measurable cost (the parse.cancel
+  // failpoint simulates expiry deterministically).
   auto eachLine = [&](size_t Begin, size_t End, size_t StartLine,
                       Pass1 &P) -> std::optional<Diag> {
+    const char *Data = Text.data();
     size_t Pos = Begin, LineNo = StartLine - 1;
     while (Pos < End) {
-      size_t Eol = Text.find('\n', Pos);
-      size_t Stop = Eol == std::string::npos || Eol >= End ? End : Eol;
+      const void *Eol = std::memchr(Data + Pos, '\n', End - Pos);
+      size_t Stop = Eol ? static_cast<const char *>(Eol) - Data : End;
       ++LineNo;
       if (DL && (DL->expired() || WS_FAILPOINT("parse.cancel")))
         return failAt(DiagCode::WS601_CANCELLED, LineNo, 0,
                       "parse cancelled by deadline");
-      if (!P.line(Text.substr(Pos, Stop - Pos), LineNo))
+      if (!P.line(std::string_view(Data + Pos, Stop - Pos), LineNo))
         return *P.Err;
       Pos = Stop + 1;
     }
+    P.endModel();
     return std::nullopt;
   };
 
@@ -409,7 +497,9 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
   } else {
     for (const ChunkRef &C : splitModelChunks(Text)) {
       std::string_view Bytes(Text.data() + C.Begin, C.End - C.Begin);
-      uint64_t Key = support::wire::fnv1a(Bytes);
+      // The key lives only in memory, and the exact-bytes guard makes a
+      // collision cost a re-parse, so any fast hash will do.
+      uint64_t Key = std::hash<std::string_view>{}(Bytes);
       if (auto E = Cache->I->find(Key, Bytes)) {
         // Replay: copy the pristine models, rebasing source lines to
         // where the chunk sits in *this* file so any later resolution
@@ -418,17 +508,14 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
         ptrdiff_t Delta = static_cast<ptrdiff_t>(C.StartLine) -
                           static_cast<ptrdiff_t>(E->StartLine);
         for (const ModelBuilder &MB : E->Models) {
-          // Pass 2 only touches ByName/Driven/Subckts of models that
-          // instantiate something; for leaf models the Module copy is
-          // all a replay needs, and skipping the per-wire map/set
-          // copies is most of the warm-path win.
+          // Pass 2 reads Driven and Subckts only of models that
+          // instantiate something; a leaf model's replay is its Module.
           Models.emplace_back();
           ModelBuilder &W = Models.back();
           W.M = MB.M;
           W.Line = MB.Line + Delta;
           W.Col = MB.Col;
           if (!MB.Subckts.empty()) {
-            W.ByName = MB.ByName;
             W.Driven = MB.Driven;
             W.Subckts = MB.Subckts;
             for (SubcktRec &Rec : W.Subckts)
@@ -464,8 +551,7 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
                     "duplicate model '" + MB.M.Name + "'");
     IdByName[MB.M.Name] = Id;
   }
-  for (size_t I = 0; I != Models.size(); ++I) {
-    ModelBuilder &MB = Models[I];
+  for (ModelBuilder &MB : Models) {
     for (const SubcktRec &Rec : MB.Subckts) {
       auto It = IdByName.find(Rec.DefName);
       if (It == IdByName.end())
@@ -477,25 +563,25 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
       Inst.Def = It->second;
       Inst.Name = Rec.DefName + "$" + std::to_string(MB.M.Instances.size());
       const Module &Def = Models[It->second].M;
-      for (const auto &[Formal, Actual] : Rec.Pairs) {
+      for (const auto &[Formal, Local] : Rec.Pairs) {
         WireId Port = Def.findPort(Formal);
         if (Port == InvalidId)
           return failAt(DiagCode::WS202_BLIF_STRUCTURE, Rec.Line, Rec.Col,
                         "model '" + Rec.DefName + "' has no port '" +
                             Formal + "'");
-        WireId Local = MB.wireFor(Actual);
-        if (Def.isOutput(Port)) {
-          if (MB.Driven.count(Local))
-            return failAt(DiagCode::WS202_BLIF_STRUCTURE, Rec.Line,
-                          Rec.Col, "signal '" + Actual + "' driven twice");
-          MB.Driven.insert(Local);
-        }
+        if (Def.isOutput(Port) && !MB.drive(Local))
+          return failAt(DiagCode::WS202_BLIF_STRUCTURE, Rec.Line, Rec.Col,
+                        "signal " + quote(MB.M.wire(Local).Name) +
+                            " driven twice");
         Inst.Bindings.emplace_back(Port, Local);
       }
       MB.M.addInstance(std::move(Inst));
     }
-    Result.Design.module(IdByName[MB.M.Name]) = std::move(MB.M);
   }
+  // Models move into the design only once every .subckt is resolved: a
+  // model may instantiate one defined above it.
+  for (ModuleId Id = 0; Id != Models.size(); ++Id)
+    Result.Design.module(Id) = std::move(Models[Id].M);
   Result.Top = 0; // Models are added in file order; the first is top.
 
   if (auto Err = Result.Design.validate())

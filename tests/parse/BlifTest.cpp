@@ -8,16 +8,91 @@
 
 #include "analysis/SortInference.h"
 #include "gen/Fifo.h"
+#include "riscv/Cpu.h"
 #include "sim/Simulator.h"
+#include "support/Wire.h"
 #include "synth/CycleDetect.h"
 #include "synth/Lower.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <sstream>
+
 using namespace wiresort;
 using namespace wiresort::analysis;
 using namespace wiresort::ir;
 using namespace wiresort::parse;
+
+namespace {
+
+/// Everything the parser decides, in a fixed order: per module its wires
+/// in id order (name, kind, width), nets (op, inputs, output, cover),
+/// registers, instances (def, name, bindings), inputs and outputs.
+std::string dumpDesign(const Design &D) {
+  std::ostringstream OS;
+  auto ids = [&](const char *Tag, const std::vector<WireId> &Ws) {
+    OS << Tag;
+    for (WireId W : Ws)
+      OS << ' ' << W;
+    OS << '\n';
+  };
+  for (ModuleId Id = 0; Id != D.numModules(); ++Id) {
+    const Module &M = D.module(Id);
+    OS << "module " << M.Name << '\n';
+    for (const Wire &W : M.Wires)
+      OS << "w " << W.Name << ' ' << wireKindName(W.Kind) << ' ' << W.Width
+         << '\n';
+    for (const Net &N : M.Nets) {
+      ids(opName(N.Operation), N.Inputs);
+      OS << "-> " << N.Output;
+      for (const std::string &Row : N.Cover)
+        OS << ' ' << Row;
+      OS << '\n';
+    }
+    for (const Register &R : M.Registers)
+      OS << "r " << R.D << ' ' << R.Q << ' ' << R.Init << '\n';
+    for (const SubInstance &I : M.Instances) {
+      OS << "i " << I.Def << ' ' << I.Name;
+      for (const auto &[Port, Local] : I.Bindings)
+        OS << ' ' << Port << '=' << Local;
+      OS << '\n';
+    }
+    ids("in", M.Inputs);
+    ids("out", M.Outputs);
+  }
+  return OS.str();
+}
+
+/// The two leaf models the hand-written hierarchy cases instantiate.
+const char *const Leaves = ".model and2\n.inputs a b\n.outputs y\n"
+                           ".names a b y\n11 1\n.end\n"
+                           ".model inv\n.inputs a\n.outputs y\n"
+                           ".names a y\n0 1\n.end\n";
+
+/// The wire names of \p File's top model, in id order.
+std::vector<std::string> topWireNames(const BlifFile &File) {
+  std::vector<std::string> Names;
+  for (const Wire &W : File.Design.module(File.Top).Wires)
+    Names.push_back(W.Name);
+  return Names;
+}
+
+using Bindings = std::vector<std::pair<WireId, WireId>>;
+
+/// Hands \p Check \p Text parsed three ways that must agree: plain,
+/// through a cold parse cache, and replayed from that cache.
+template <typename CheckFn>
+void eachParse(const std::string &Text, CheckFn Check) {
+  BlifParseCache Cache;
+  Check(parseBlif(Text, "t.blif"));
+  Check(parseBlif(Text, "t.blif", nullptr, &Cache));
+  Check(parseBlif(Text, "t.blif", nullptr, &Cache));
+  EXPECT_EQ(Cache.hits(), Cache.misses()); // The replay parsed nothing.
+}
+
+} // namespace
 
 TEST(BlifTest, ParsesSimpleCombinationalModel) {
   const char *Text = R"(
@@ -355,4 +430,187 @@ TEST(BlifTest, ParseCacheEvictsLeastRecentlyUsedNotWholesale) {
   EXPECT_EQ(Cache.misses(), 4u);
   EXPECT_EQ(AgainB->Design.module(AgainB->Top).Name, "b");
   EXPECT_EQ(Cache.size(), 2u);
+}
+
+TEST(BlifTest, ParsedSocIsPinned) {
+  // The lowered riscv SoC (the netlist wiresort-check users feed in),
+  // dumped fact by fact: any change to a wire id, name, kind, net,
+  // cover, register, instance or port order moves the digest. A replay
+  // from the parse cache must give the same design.
+  Design D;
+  riscv::Cpu C = riscv::buildCpu(D);
+  ModuleId Top = riscv::sealCpu(C);
+  synth::HierLowered Low = synth::lowerHierarchical(D, Top);
+  const std::string Text = writeBlif(Low.Design, Low.Top);
+  const uint64_t Pinned = 0x63d6f2fd7fc754aaull;
+
+  auto Plain = parseBlif(Text, "soc.blif");
+  ASSERT_TRUE(Plain.hasValue()) << Plain.describe();
+  EXPECT_EQ(Plain->Design.numModules(), 12u);
+  EXPECT_EQ(support::wire::fnv1a(dumpDesign(Plain->Design)), Pinned);
+
+  BlifParseCache Cache;
+  ASSERT_TRUE(parseBlif(Text, "soc.blif", nullptr, &Cache).hasValue());
+  auto Replayed = parseBlif(Text, "soc.blif", nullptr, &Cache);
+  ASSERT_TRUE(Replayed.hasValue()) << Replayed.describe();
+  EXPECT_EQ(Cache.hits(), 12u);
+  EXPECT_EQ(support::wire::fnv1a(dumpDesign(Replayed->Design)), Pinned);
+}
+
+TEST(BlifTest, SubcktActualNamedBeforeItsDriverKeepsItsId) {
+  // `m` is first named on the .subckt line and driven later by .names:
+  // it gets its id where .names creates it, after `k`.
+  std::string Text = ".model top\n.inputs x\n.outputs y\n"
+                     ".subckt inv a=m y=y\n"
+                     ".names x k\n1 1\n"
+                     ".names k m\n1 1\n.end\n" +
+                     std::string(Leaves);
+  eachParse(Text, [](const support::Expected<BlifFile> &File) {
+    ASSERT_TRUE(File.hasValue()) << File.describe();
+    EXPECT_EQ(topWireNames(*File),
+              (std::vector<std::string>{"x", "y", "k", "m"}));
+    const Module &M = File->Design.module(File->Top);
+    ASSERT_EQ(M.Instances.size(), 1u);
+    EXPECT_EQ(M.Instances[0].Name, "inv$0");
+    EXPECT_EQ(M.Instances[0].Bindings, (Bindings{{0, 3}, {1, 1}}));
+  });
+}
+
+TEST(BlifTest, SubcktOnlyActualsFollowEveryOtherWire) {
+  // `p` and `q` are named only on .subckt lines. They are created after
+  // every wire the model's other lines name, in subckt-then-pair order
+  // (p before q, though q is bound on an earlier line than p).
+  std::string Text = ".model top\n.inputs x\n.outputs y\n"
+                     ".subckt and2 y=r b=p a=q\n"
+                     ".subckt inv a=x y=q\n"
+                     ".subckt inv a=x y=p\n"
+                     ".names r t\n0 1\n"
+                     ".names t y\n1 1\n.end\n" +
+                     std::string(Leaves);
+  eachParse(Text, [](const support::Expected<BlifFile> &File) {
+    ASSERT_TRUE(File.hasValue()) << File.describe();
+    EXPECT_EQ(topWireNames(*File),
+              (std::vector<std::string>{"x", "y", "r", "t", "p", "q"}));
+    const Module &M = File->Design.module(File->Top);
+    ASSERT_EQ(M.Instances.size(), 3u);
+    EXPECT_EQ(M.Instances[0].Bindings, (Bindings{{2, 2}, {1, 4}, {0, 5}}));
+    EXPECT_EQ(M.Instances[1].Bindings, (Bindings{{0, 0}, {1, 5}}));
+    EXPECT_EQ(M.Instances[2].Bindings, (Bindings{{0, 0}, {1, 4}}));
+  });
+}
+
+TEST(BlifTest, DirectivesAfterEndBelongToTheModel) {
+  // Everything up to the next .model is still `top`, .subckt lines
+  // included, so `u` (named only on .subckt lines) follows `v`.
+  std::string Text = ".model top\n.inputs a\n.outputs y\n"
+                     ".names a t\n1 1\n.end\n"
+                     ".subckt inv a=t y=u\n"
+                     ".subckt inv a=u y=v\n"
+                     ".names v y\n1 1\n" +
+                     std::string(Leaves);
+  eachParse(Text, [](const support::Expected<BlifFile> &File) {
+    ASSERT_TRUE(File.hasValue()) << File.describe();
+    EXPECT_EQ(File->Design.numModules(), 3u);
+    EXPECT_EQ(topWireNames(*File),
+              (std::vector<std::string>{"a", "y", "t", "v", "u"}));
+    const Module &M = File->Design.module(File->Top);
+    EXPECT_EQ(M.Nets.size(), 2u);
+    ASSERT_EQ(M.Instances.size(), 2u);
+    EXPECT_EQ(M.Instances[0].Bindings, (Bindings{{0, 2}, {1, 4}}));
+    EXPECT_EQ(M.Instances[1].Bindings, (Bindings{{0, 4}, {1, 3}}));
+  });
+}
+
+TEST(BlifTest, LatchedOutputPortGetsAnInnerRegWire) {
+  auto File = parseBlif(".model m\n.inputs d\n.outputs q\n"
+                        ".latch d q re clk 1\n.end\n");
+  ASSERT_TRUE(File.hasValue()) << File.describe();
+  EXPECT_EQ(dumpDesign(File->Design), "module m\n"
+                                      "w d in 1\n"
+                                      "w q out 1\n"
+                                      "w q$latch reg 1\n"
+                                      "buf 2\n-> 1\n"
+                                      "r 0 2 1\n"
+                                      "in 0\n"
+                                      "out 1\n");
+}
+
+TEST(BlifTest, ContinuationTokensKeepTheirPhysicalColumns) {
+  // A token on a continued line is located on its own physical line.
+  auto File = parseBlif(".model m\n.inputs a \\\n   b a\n.end\n", "k.blif");
+  ASSERT_FALSE(File.hasValue());
+  const support::Diag &Diag = File.diags().firstError();
+  EXPECT_EQ(Diag.message(), "duplicate signal 'a'");
+  ASSERT_TRUE(Diag.loc().has_value());
+  EXPECT_EQ(Diag.loc()->Line, 3u);
+  EXPECT_EQ(Diag.loc()->Col, 6u);
+
+  // And a bad cover row after two continued lines.
+  auto Cover = parseBlif(".model m\n.inputs a b\n.outputs y\n"
+                         ".names \\\n a \\\n  b y\n1 \\\n 1\n.end\n",
+                         "k.blif");
+  ASSERT_FALSE(Cover.hasValue());
+  const support::Diag &Arity = Cover.diags().firstError();
+  EXPECT_EQ(Arity.message(), "cover row arity mismatch");
+  ASSERT_TRUE(Arity.loc().has_value());
+  EXPECT_EQ(Arity.loc()->Line, 7u);
+  EXPECT_EQ(Arity.loc()->Col, 1u);
+}
+
+TEST(BlifTest, SubcktOutputDrivenTwiceIsReportedAtTheSubckt) {
+  std::string Text = ".model top\n.inputs x\n.outputs y\n"
+                     ".names x y\n1 1\n"
+                     ".subckt inv a=x y=y\n.end\n" +
+                     std::string(Leaves);
+  eachParse(Text, [](const support::Expected<BlifFile> &File) {
+    ASSERT_FALSE(File.hasValue());
+    const support::Diag &Diag = File.diags().firstError();
+    EXPECT_EQ(Diag.code(), support::DiagCode::WS202_BLIF_STRUCTURE);
+    EXPECT_EQ(Diag.message(), "signal 'y' driven twice");
+    ASSERT_TRUE(Diag.loc().has_value());
+    EXPECT_EQ(Diag.loc()->Line, 6u);
+    EXPECT_EQ(Diag.loc()->Col, 1u);
+  });
+}
+
+TEST(BlifTest, ParseCacheOutlivesTheParsedText) {
+  // Cached chunks own what they keep: freeing the text a chunk was
+  // parsed from must not change a later replay of an equal text.
+  const std::string Text = ".model top\n.inputs x\n.outputs y\n"
+                           ".subckt inv a=x y=mid\n"
+                           ".subckt inv a=mid y=y\n.end\n" +
+                           std::string(Leaves);
+  BlifParseCache Cache;
+  std::string Expected;
+  {
+    auto Heap = std::make_unique<std::string>(Text);
+    auto First = parseBlif(*Heap, "h.blif", nullptr, &Cache);
+    ASSERT_TRUE(First.hasValue()) << First.describe();
+    Expected = writeBlif(First->Design, First->Top);
+    std::fill(Heap->begin(), Heap->end(), '#');
+  }
+  EXPECT_EQ(Cache.misses(), 3u);
+  const std::string Copy = Text;
+  auto Second = parseBlif(Copy, "h.blif", nullptr, &Cache);
+  ASSERT_TRUE(Second.hasValue()) << Second.describe();
+  EXPECT_EQ(Cache.hits(), 3u);
+  EXPECT_EQ(Cache.misses(), 3u);
+  EXPECT_EQ(writeBlif(Second->Design, Second->Top), Expected);
+}
+
+TEST(BlifTest, SubcktMayInstantiateAModelDefinedAboveIt) {
+  // Every .subckt is resolved before any model moves into the design,
+  // so `b` may instantiate `a`, which the file defines above it.
+  const char *Text = ".model top\n.inputs x\n.outputs y\n"
+                     ".subckt b i=x o=y\n.end\n"
+                     ".model a\n.inputs i\n.outputs o\n.names i o\n1 1\n.end\n"
+                     ".model b\n.inputs i\n.outputs o\n"
+                     ".subckt a i=i o=o\n.end\n";
+  auto File = parseBlif(Text, "o.blif");
+  ASSERT_TRUE(File.hasValue()) << File.describe();
+  const Module &B = File->Design.module(2);
+  EXPECT_EQ(B.Name, "b");
+  ASSERT_EQ(B.Instances.size(), 1u);
+  EXPECT_EQ(B.Instances[0].Def, 1u);
+  EXPECT_EQ(B.Instances[0].Bindings, (Bindings{{0, 0}, {1, 1}}));
 }

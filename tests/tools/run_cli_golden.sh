@@ -53,8 +53,25 @@ run badascribe 1 badascribe.blif --format json --check badascribe.wsort
 # file that is not a cache-v3 wire stream (WS502). No verdict line: the
 # run never got far enough to have one.
 run missing 2 no_such_file.blif --format json
+# A directory opens like a file but cannot be read (EISDIR): the same
+# WS501, not an empty design.
+run dirdesign 2 . --format json
 run badflag 2 loopfree.blif --format json --bogus
 run badcache 2 loopfree.blif --format json --cache bogus.wscache
+
+# A pipe has no size to seek for: a design read through /dev/stdin gives
+# the same bytes as the file itself.
+Out=$(cat loopfree.blif | "$BIN" /dev/stdin --format json 2>/dev/null)
+GotExit=$?
+if [ "$GotExit" -ne 0 ]; then
+  echo "FAIL loopfree_stdin: exit $GotExit, want 0" >&2
+  Failures=$((Failures + 1))
+elif ! printf '%s\n' "$Out" | diff -u loopfree.golden.json - >&2; then
+  echo "FAIL loopfree_stdin: stdout differs from loopfree.golden.json" >&2
+  Failures=$((Failures + 1))
+else
+  echo "ok loopfree_stdin (exit 0)"
+fi
 
 # Exit 3: a deadline that fires cancels the run with a WS601
 # partial-progress diag and the cancelled verdict (docs/ROBUSTNESS.md).

@@ -71,6 +71,22 @@ run loopfree_warm loopfree.blif --format json
 # Text mode has no timing in diagnostics-only runs, so it goldens too.
 run malformed_text malformed.blif
 
+# A directory is not a design: the client refuses it with WS501 and exit
+# 2 before anything reaches the daemon (its message names no path, so it
+# is not byte-compared with the CLI's).
+"$CLIENT" --socket "$SOCK" . --format json > "$SCRATCH/client.out" \
+  2>/dev/null
+ClientExit=$?
+if [ "$ClientExit" -ne 2 ]; then
+  echo "FAIL dirdesign: client exit $ClientExit, want 2" >&2
+  Failures=$((Failures + 1))
+elif ! grep -q '"code":"WS501_IO_ERROR"' "$SCRATCH/client.out"; then
+  echo "FAIL dirdesign: no WS501 from the client" >&2
+  Failures=$((Failures + 1))
+else
+  echo "ok dirdesign (exit 2, WS501)"
+fi
+
 # Daemon counters: one NDJSON record, requests counted.
 if "$CLIENT" --socket "$SOCK" --stats | grep -q '"type":"served-stats"'; then
   echo "ok stats"

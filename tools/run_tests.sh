@@ -30,9 +30,11 @@
 #      injected faults walk the error/retry/quarantine paths that
 #      ordinary runs never touch, which is exactly where leaks and
 #      use-after-frees hide — plus the kernel suite, which then runs the
-#      row-arena indexing of every row width under ASan, and the IR,
+#      row-arena indexing of every row width under ASan, the IR,
 #      analysis, soundness and metamorphic suites, which index
-#      Circuit::seal's bindings and Stage 3's dense port numbering;
+#      Circuit::seal's bindings and Stage 3's dense port numbering, and
+#      the parser suite, whose BLIF pass 1 holds views into the caller's
+#      text and whose chunk cache must own everything it keeps;
 #   7. the scale tier (docs/SCALE.md): the metamorphic and
 #      generator-determinism suites (ctest label `scale`) and a
 #      byte-comparison of `--threads 1` vs `--threads 4` wiresort-check
@@ -180,7 +182,7 @@ else
 fi
 
 echo
-echo "=== stage 6: fault-injection and circuit suites under AddressSanitizer ($ROOT/build-asan) ==="
+echo "=== stage 6: fault-injection, circuit and parser suites under AddressSanitizer ($ROOT/build-asan) ==="
 ASAN_BUILD="$ROOT/build-asan"
 [ -f "$ASAN_BUILD/CMakeCache.txt" ] || cmake -B "$ASAN_BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -188,7 +190,7 @@ ASAN_BUILD="$ROOT/build-asan"
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
 cmake --build "$ASAN_BUILD" -j "$(nproc)" \
   --target fault_soak_tests engine_tests support_tests kernel_tests \
-  ir_tests analysis_tests property_tests metamorphic_tests
+  ir_tests analysis_tests property_tests metamorphic_tests parse_tests
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/fault_soak_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/engine_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/support_tests"
@@ -203,6 +205,10 @@ ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/ir_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/analysis_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/property_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/metamorphic_tests"
+# BLIF pass 1 tokenizes over views into the caller's text; the parse
+# cache must copy what it keeps (the freed-text replay case) and no view
+# may outlive the parse.
+ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/parse_tests"
 
 echo
 echo "=== stage 7: scale tier — thread-count determinism (docs/SCALE.md) ==="

@@ -47,8 +47,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 
 using namespace wiresort;
@@ -81,16 +80,6 @@ int usage(const char *Argv0, Format Fmt, const std::string &Why) {
                "       %s --socket PATH --stats | --health | --shutdown\n",
                Argv0, Argv0);
   return 2;
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream Ss;
-  Ss << In.rdbuf();
-  Out = Ss.str();
-  return true;
 }
 
 } // namespace
@@ -235,21 +224,25 @@ int main(int ArgC, char **ArgV) {
     // Ship the sources inline, named by their paths: the daemon needs
     // no shared cwd, and diagnostics (caret echoes included) come back
     // byte-identical to a local wiresort-check run on the same files.
-    if (!readFile(R.DesignPath, R.DesignText)) {
+    std::optional<std::string> Design = driver::readFile(R.DesignPath);
+    if (!Design) {
       emitEarly(Fmt, support::Diag(support::DiagCode::WS501_IO_ERROR,
                                    "cannot read design file")
                          .withNote("path", R.DesignPath));
       return 2;
     }
+    R.DesignText = std::move(*Design);
     R.HasInlineText = true;
     R.DesignName = R.DesignPath;
     if (!R.CheckPath.empty()) {
-      if (!readFile(R.CheckPath, R.CheckText)) {
+      std::optional<std::string> Declared = driver::readFile(R.CheckPath);
+      if (!Declared) {
         emitEarly(Fmt, support::Diag(support::DiagCode::WS501_IO_ERROR,
                                      "cannot read declared-summary file")
                            .withNote("path", R.CheckPath));
         return 2;
       }
+      R.CheckText = std::move(*Declared);
       R.HasInlineCheckText = true;
       M = driver::Method::Ascribe;
     }
