@@ -11,9 +11,10 @@
 // and the timed region is the per-module graph analysis Stage-1 performs
 // after that:
 //
-//  * serial — the seed implementation: Graph::findCycle for the
+//  * serial — the seed implementation: CsrGraph::findCycle for the
 //    combinational-loop check plus one allocating BFS per input port
-//    (CombGraph::reachableOutputPorts, kept as the differential oracle);
+//    (CombGraph::reachableOutputPorts, kept as the differential oracle),
+//    neither of which freezes the graph;
 //  * kernel — one CSR freeze (the ascending-ids proof plus a local
 //    repair of descending edges orders the graph and settles the loop
 //    verdict; docs/KERNEL.md) shared by CombGraph::findCombLoop and the
@@ -100,12 +101,27 @@ struct KernelRun {
   bool Identical = false;
 };
 
-/// The serial Stage-1 analysis over an already-built comb graph: the
-/// seed's loop check plus one BFS per input port.
+/// The gate netlist's comb edges, as CombGraph::build lists them for a
+/// module without instances.
+CsrGraph netlistGraph(const Module &Gates) {
+  std::vector<CsrGraph::Edge> Edges;
+  for (const Net &N : Gates.Nets)
+    for (WireId In : N.Inputs)
+      Edges.emplace_back(In, N.Output);
+  for (const Memory &Mem : Gates.Memories)
+    if (!Mem.SyncRead)
+      Edges.emplace_back(Mem.RAddr, Mem.RData);
+  return CsrGraph(Gates.numWires(), Edges);
+}
+
+/// The serial Stage-1 analysis over an already-built comb graph (and
+/// \p Shape, the same edges for the loop check): the seed's loop check
+/// plus one BFS per input port. Nothing here freezes.
 std::map<WireId, std::vector<WireId>> serialStage1(const Module &Gates,
                                                    const CombGraph &CG,
+                                                   const CsrGraph &Shape,
                                                    bool &Loop) {
-  Loop = CG.graph().findCycle().has_value();
+  Loop = Shape.findCycle().has_value();
   std::map<WireId, std::vector<WireId>> Sets;
   for (WireId In : Gates.Inputs)
     Sets[In] = CG.reachableOutputPorts(In);
@@ -135,7 +151,7 @@ KernelRun runModule(const Module &M) {
   std::map<WireId, std::vector<WireId>> Serial, Batched;
   {
     CombGraph CG = CombGraph::build(Gates, NoSubs);
-    Serial = serialStage1(Gates, CG, SerialLoop);
+    Serial = serialStage1(Gates, CG, netlistGraph(Gates), SerialLoop);
   }
   {
     CombGraph CG = CombGraph::build(Gates, NoSubs);
@@ -162,9 +178,10 @@ KernelRun runModule(const Module &M) {
   Timer T;
   for (int R = 0; R != Reps; ++R) {
     CombGraph CG = CombGraph::build(Gates, NoSubs);
+    const CsrGraph Shape = netlistGraph(Gates);
     T.restart();
     bool Loop;
-    (void)serialStage1(Gates, CG, Loop);
+    (void)serialStage1(Gates, CG, Shape, Loop);
     Run.SerialSeconds += T.seconds();
   }
   const PhaseSums Before = phaseSums();
@@ -220,16 +237,16 @@ void addRow(Table &T, JsonReport &Json, const std::string &Name,
 /// every level of the expansion. For the MegaScale presets this
 /// reproduces the stitched grid/torus/chain at full flat scale — the
 /// graph shape the kernel meets when a composition is checked whole.
-Graph flatInstanceGraph(const Design &D, ModuleId Top,
-                        std::vector<uint32_t> &ByDepth) {
+CsrGraph flatInstanceGraph(const Design &D, ModuleId Top,
+                           std::vector<uint32_t> &ByDepth) {
   const uint32_t N = static_cast<uint32_t>(1 + flatInstanceCount(D, Top));
-  Graph G(N);
+  std::vector<CsrGraph::Edge> G;
   uint32_t Next = 0;
   std::vector<std::vector<uint32_t>> Levels;
 
   struct Rec {
     const Design &D;
-    Graph &G;
+    std::vector<CsrGraph::Edge> &G;
     uint32_t &Next;
     std::vector<std::vector<uint32_t>> &Levels;
     void operator()(ModuleId Id, uint32_t Self, uint32_t Depth) const {
@@ -243,7 +260,7 @@ Graph flatInstanceGraph(const Design &D, ModuleId Top,
       std::vector<std::pair<WireId, uint32_t>> Sinks;
       for (const SubInstance &Sub : M.Instances) {
         const uint32_t Child = ++Next;
-        G.addEdge(Self, Child);
+        G.emplace_back(Self, Child);
         const Module &Def = D.module(Sub.Def);
         for (const auto &[Port, Local] : Sub.Bindings) {
           if (Def.isOutput(Port))
@@ -256,7 +273,7 @@ Graph flatInstanceGraph(const Design &D, ModuleId Top,
       for (const auto &[Local, Sink] : Sinks) {
         auto It = Driver.find(Local);
         if (It != Driver.end() && It->second != Sink)
-          G.addEdge(It->second, Sink);
+          G.emplace_back(It->second, Sink);
       }
     }
   };
@@ -264,7 +281,7 @@ Graph flatInstanceGraph(const Design &D, ModuleId Top,
   ByDepth.clear();
   for (const std::vector<uint32_t> &L : Levels)
     ByDepth.insert(ByDepth.end(), L.begin(), L.end());
-  return G;
+  return CsrGraph(N, G);
 }
 
 struct MegaSweepResult {
@@ -343,8 +360,8 @@ bool megaScaleSection(Table &T, JsonReport &Json, bool Quick) {
     Design D;
     MegaScaleDesign Mega = buildMegaScale(D, P);
     std::vector<uint32_t> ByDepth;
-    Graph G = flatInstanceGraph(D, Mega.Top, ByDepth);
-    const CsrGraph Csr = CsrGraph::freeze(G);
+    CsrGraph Csr = flatInstanceGraph(D, Mega.Top, ByDepth);
+    Csr.freeze();
 
     // 512 sources, shallowest instances first: the composition roots
     // (top, clusters, then tiles), whose closures share the stitched
@@ -354,7 +371,7 @@ bool megaScaleSection(Table &T, JsonReport &Json, bool Quick) {
     // single-word sweeps re-traverse the shared cone once per 64-source
     // chunk. Deep payload leaves have tiny disjoint closures and would
     // measure pure row-width overhead instead.
-    const uint32_t N = G.numNodes();
+    const uint32_t N = Csr.numNodes();
     const uint32_t Want = std::min<uint32_t>(N, 512);
     std::vector<uint32_t> Sources(ByDepth.begin(), ByDepth.begin() + Want);
 
@@ -369,10 +386,10 @@ bool megaScaleSection(Table &T, JsonReport &Json, bool Quick) {
           std::clamp(0.5 / std::max(Cal.seconds(), 1e-6), 1.0, 100.0));
     }
     const MegaSweepResult Base = megaSweep(Csr, Sources, 1, Reps);
-    T.addRow({Name, Table::withCommas(N), Table::withCommas(G.numEdges()),
+    T.addRow({Name, Table::withCommas(N), Table::withCommas(Csr.numEdges()),
               "1", Table::secondsStr(Base.SweepSeconds, 6),
               Table::speedupStr(1.0)});
-    addMegaRecord(Json, Name, N, G.numEdges(), 1, Want, Base, 1.0,
+    addMegaRecord(Json, Name, N, Csr.numEdges(), 1, Want, Base, 1.0,
                   "baseline");
 
     // The widest row, reported only after its bitset matches the
@@ -385,10 +402,11 @@ bool megaScaleSection(Table &T, JsonReport &Json, bool Quick) {
       return false;
     }
     const double Speedup = Base.SweepSeconds / R.SweepSeconds;
-    T.addRow({Name, Table::withCommas(N), Table::withCommas(G.numEdges()),
+    T.addRow({Name, Table::withCommas(N), Table::withCommas(Csr.numEdges()),
               std::to_string(Wide), Table::secondsStr(R.SweepSeconds, 6),
               Table::speedupStr(Speedup)});
-    addMegaRecord(Json, Name, N, G.numEdges(), Wide, Want, R, Speedup, "true");
+    addMegaRecord(Json, Name, N, Csr.numEdges(), Wide, Want, R, Speedup,
+                  "true");
   }
   return true;
 }

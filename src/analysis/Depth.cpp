@@ -8,7 +8,7 @@
 
 #include "analysis/SortInference.h"
 #include "analysis/WellConnected.h"
-#include "support/Graph.h"
+#include "support/CsrGraph.h"
 
 #include <algorithm>
 #include <cassert>
@@ -74,8 +74,9 @@ struct Edge {
 /// The weighted intra-module graph plus bookkeeping for state pins.
 struct DepthGraph {
   const Module *M = nullptr;
+  /// Sorted by source, so Shape's edge i is Edges[i].
   std::vector<Edge> Edges;
-  Graph Shape; // Unweighted, for the topological order.
+  CsrGraph Shape;
   /// Wires that feed state directly (register D, memory pins).
   std::vector<WireId> StatePinFeeds;
   /// (local input wire, instance, def input port) triples.
@@ -92,10 +93,8 @@ buildDepthGraph(const Design &D, const Module &M,
   (void)D;
   DepthGraph G;
   G.M = &M;
-  G.Shape = Graph(M.numWires());
   auto addEdge = [&](WireId From, WireId To, uint32_t Weight) {
     G.Edges.push_back(Edge{From, To, Weight});
-    G.Shape.addEdge(From, To);
   };
 
   for (const Net &N : M.Nets) {
@@ -132,12 +131,23 @@ buildDepthGraph(const Design &D, const Module &M,
       if (SetIt == Sub.OutputPortSets.end())
         continue;
       G.InstInputs.emplace_back(Local, InstIdx, DefPort);
+      // An output the instance leaves unbound drives no local wire.
       for (WireId DefOut : SetIt->second)
-        addEdge(Local, OutLocal.at(DefOut),
-                SubDepth.pairDepth(DefPort, DefOut));
+        if (auto OutIt = OutLocal.find(DefOut); OutIt != OutLocal.end())
+          addEdge(Local, OutIt->second, SubDepth.pairDepth(DefPort, DefOut));
     }
   }
 
+  // Pack the edges by source once; the stable sort keeps each source's
+  // edges in insertion order, so Shape lists them in the same order.
+  std::stable_sort(
+      G.Edges.begin(), G.Edges.end(),
+      [](const Edge &A, const Edge &B) { return A.From < B.From; });
+  std::vector<CsrGraph::Edge> Pairs;
+  Pairs.reserve(G.Edges.size());
+  for (const Edge &E : G.Edges)
+    Pairs.emplace_back(E.From, E.To);
+  G.Shape = CsrGraph(M.numWires(), Pairs);
   std::optional<std::vector<uint32_t>> Topo = G.Shape.topoSort();
   if (!Topo)
     return std::nullopt;
@@ -152,15 +162,14 @@ std::vector<int64_t> longestPaths(const DepthGraph &G,
   std::vector<int64_t> Dist(G.M->numWires(), NegInf);
   for (const auto &[W, D] : Seeds)
     Dist[W] = std::max(Dist[W], D);
-  // Bucket edges by source once, then relax in topological order.
-  std::vector<std::vector<const Edge *>> BySource(G.M->numWires());
-  for (const Edge &E : G.Edges)
-    BySource[E.From].push_back(&E);
+  // Relax in topological order; W's edges are a contiguous run.
   for (WireId W : G.Topo) {
     if (Dist[W] == NegInf)
       continue;
-    for (const Edge *E : BySource[W])
-      Dist[E->To] = std::max(Dist[E->To], Dist[W] + E->Weight);
+    for (uint32_t I = G.Shape.edgeBegin(W); I != G.Shape.edgeBegin(W + 1);
+         ++I)
+      Dist[G.Edges[I].To] =
+          std::max(Dist[G.Edges[I].To], Dist[W] + G.Edges[I].Weight);
   }
   return Dist;
 }
@@ -268,11 +277,11 @@ uint32_t analysis::circuitCriticalDepth(
     const std::map<ModuleId, ModuleSummary> &Summaries,
     const std::map<ModuleId, DepthSummary> &Depths) {
   PortGraph PG = PortGraph::build(Circ, Summaries);
-  std::optional<std::vector<uint32_t>> Topo = PG.graph().topoSort();
+  std::optional<std::vector<uint32_t>> Topo = PG.csr().topoSort();
   assert(Topo && "circuit must be well-connected");
 
   const auto &Insts = Circ.instances();
-  std::vector<int64_t> Dist(PG.graph().numNodes(), NegInf);
+  std::vector<int64_t> Dist(PG.csr().numNodes(), NegInf);
   int64_t Best = 0;
 
   // Seed every from-sync output with its from-state depth; instances'
@@ -313,7 +322,7 @@ uint32_t analysis::circuitCriticalDepth(
     } else {
       // An output's out-edges in the port graph are exactly its
       // connections.
-      for (uint32_t Next : PG.graph().successors(Node))
+      for (uint32_t Next : PG.csr().successors(Node))
         Dist[Next] = std::max(Dist[Next], Dist[Node]);
     }
   }

@@ -22,9 +22,7 @@ CombGraph CombGraph::build(const Module &M,
   CombGraph CG;
   CG.M = &M;
   CG.SubSummaries = &SubSummaries;
-  CG.G = Graph(M.numWires());
   CG.Drivers.assign(M.numWires(), DriverRec{});
-  CG.Fanouts.assign(M.numWires(), FanoutRec{});
 
   for (WireId W = 0; W != M.numWires(); ++W) {
     switch (M.wire(W).Kind) {
@@ -39,13 +37,19 @@ CombGraph CombGraph::build(const Module &M,
     }
   }
 
+  // Room for every net edge and memory read; instance edges grow the
+  // list as they come.
+  std::vector<CsrGraph::Edge> Edges;
+  size_t NetEdges = M.Memories.size();
+  for (const Net &Gate : M.Nets)
+    NetEdges += Gate.Inputs.size();
+  Edges.reserve(NetEdges);
+
   for (NetId N = 0; N != M.Nets.size(); ++N) {
     const Net &Gate = M.Nets[N];
     CG.Drivers[Gate.Output] = DriverRec{DriverKind::NetOut, N, InvalidId};
-    for (WireId In : Gate.Inputs) {
-      CG.G.addEdge(In, Gate.Output);
-      CG.Fanouts[In].Nets.push_back(N);
-    }
+    for (WireId In : Gate.Inputs)
+      Edges.emplace_back(In, Gate.Output);
   }
 
   for (const Register &R : M.Registers)
@@ -56,8 +60,7 @@ CombGraph CombGraph::build(const Module &M,
       CG.Drivers[Mem.RData].Kind = DriverKind::MemSync;
     } else {
       CG.Drivers[Mem.RData].Kind = DriverKind::MemAsync;
-      CG.G.addEdge(Mem.RAddr, Mem.RData);
-      CG.Fanouts[Mem.RAddr].AsyncMemAddrPins += 1;
+      Edges.emplace_back(Mem.RAddr, Mem.RData);
     }
   }
 
@@ -85,21 +88,25 @@ CombGraph CombGraph::build(const Module &M,
       auto It = Sub.OutputPortSets.find(DefPort);
       if (It == Sub.OutputPortSets.end())
         continue; // An output binding.
-      CG.Fanouts[Local].InstInputs.emplace_back(InstIdx, DefPort);
-      for (WireId DefOut : It->second) {
-        assert(DefOut < OutLocal.size() && OutLocal[DefOut] != InvalidId &&
-               "output port left unbound");
-        CG.G.addEdge(Local, OutLocal[DefOut]);
-      }
+      CG.InstInputs.push_back({Local, InstIdx, DefPort});
+      // An output the instance leaves unbound drives no local wire, so
+      // nothing here can reach it.
+      for (WireId DefOut : It->second)
+        if (DefOut < OutLocal.size() && OutLocal[DefOut] != InvalidId)
+          Edges.emplace_back(Local, OutLocal[DefOut]);
     }
   }
+  std::sort(CG.InstInputs.begin(), CG.InstInputs.end(),
+            [](const InstInputRec &A, const InstInputRec &B) {
+              return A.Local < B.Local;
+            });
+  CG.G = CsrGraph(M.numWires(), Edges);
   return CG;
 }
 
 const CsrGraph &CombGraph::frozen() const {
-  if (!Frozen)
-    Frozen = CsrGraph::freeze(G);
-  return *Frozen;
+  G.freeze();
+  return G;
 }
 
 std::vector<WireId> CombGraph::reachableOutputPorts(WireId From) const {
@@ -185,9 +192,11 @@ std::optional<support::Diag> CombGraph::findCombLoop() const {
 }
 
 bool CombGraph::feedsStateDirectly(WireId In) const {
-  // BFS over the Buf-closure of In: every consumer must be state, a
+  // Walk the Buf-closure of In: every consumer must be state, a
   // transparent Buf, or a submodule input port that is itself
-  // to-sync-direct.
+  // to-sync-direct. State pins are no graph edges; every successor is a
+  // net output, an asynchronous read or an instance output, told apart
+  // by its driver (each wire has one: Design::validate).
   std::vector<WireId> Work{In};
   std::vector<bool> Seen(M->numWires(), false);
   Seen[In] = true;
@@ -196,23 +205,25 @@ bool CombGraph::feedsStateDirectly(WireId In) const {
     Work.pop_back();
     if (M->wire(W).Kind == WireKind::Output)
       return false; // Reaches a port: the wire is not to-sync at all.
-    const FanoutRec &F = Fanouts[W];
-    if (F.AsyncMemAddrPins != 0)
-      return false; // Asynchronous read is combinational logic.
-    for (NetId N : F.Nets) {
-      const Net &Gate = M->Nets[N];
-      if (Gate.Operation != Op::Buf)
-        return false; // Real combinational logic in the way.
-      if (!Seen[Gate.Output]) {
-        Seen[Gate.Output] = true;
-        Work.push_back(Gate.Output);
+    for (uint32_t Succ : G.successors(W)) {
+      // Anything but a Buf net is logic in the way: another net, an
+      // asynchronous read, or an instance input reaching an output.
+      const DriverRec &D = Drivers[Succ];
+      if (D.Kind != DriverKind::NetOut ||
+          M->Nets[D.Index].Operation != Op::Buf)
+        return false;
+      if (!Seen[Succ]) {
+        Seen[Succ] = true;
+        Work.push_back(Succ);
       }
     }
-    for (const auto &[InstIdx, DefPort] : F.InstInputs) {
-      const ModuleSummary &Sub =
-          SubSummaries->at(M->Instances[InstIdx].Def);
-      if (Sub.sortOf(DefPort) != Sort::ToSync ||
-          Sub.subSortOf(DefPort) != SubSort::Direct)
+    auto It = std::lower_bound(
+        InstInputs.begin(), InstInputs.end(), W,
+        [](const InstInputRec &R, WireId Local) { return R.Local < Local; });
+    for (; It != InstInputs.end() && It->Local == W; ++It) {
+      const ModuleSummary &Sub = SubSummaries->at(M->Instances[It->Inst].Def);
+      if (Sub.sortOf(It->DefPort) != Sort::ToSync ||
+          Sub.subSortOf(It->DefPort) != SubSort::Direct)
         return false;
     }
   }

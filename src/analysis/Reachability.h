@@ -32,7 +32,6 @@
 #include "ir/Module.h"
 #include "support/CsrGraph.h"
 #include "support/Diag.h"
-#include "support/Graph.h"
 
 #include <map>
 #include <optional>
@@ -63,15 +62,13 @@ public:
                          const std::map<ir::ModuleId, ModuleSummary>
                              &SubSummaries);
 
-  /// Node ids coincide with WireIds of the module.
-  const Graph &graph() const { return G; }
-
-  /// The frozen CSR snapshot of \ref graph, built lazily on first use and
-  /// shared by every query that needs the graph's structure settled:
-  /// \ref findCombLoop reads its acyclicity verdict and
-  /// \ref allOutputPortSets sweeps its condensation, so Stage-1 inference
-  /// pays for one freeze (one ordering pass), not one per query. Not
-  /// thread-safe: a CombGraph belongs to a single inference task.
+  /// The graph, frozen lazily on first use (node ids coincide with
+  /// WireIds of the module). The freeze is shared by every query that
+  /// needs the graph's structure settled: \ref findCombLoop reads its
+  /// acyclicity verdict and \ref allOutputPortSets sweeps its
+  /// condensation, so Stage-1 inference pays for one freeze (one
+  /// ordering pass), not one per query. Not thread-safe: a CombGraph
+  /// belongs to a single inference task.
   const CsrGraph &frozen() const;
 
   /// Forward-reachable module \b output ports from \p From, sorted.
@@ -101,8 +98,8 @@ public:
   /// std::nullopt. The witness path is cyclic — hop i feeds hop i+1 and
   /// the last hop feeds the first — with each hop (ModuleName, wireName).
   /// The acyclic fast path is free once the graph is \ref frozen; the
-  /// cycle walk (Graph::findCycle) runs only on the error path, where a
-  /// readable diagnostic is worth a second traversal.
+  /// cycle walk (CsrGraph::findCycle) runs only on the error path, where
+  /// a readable diagnostic is worth a second traversal.
   std::optional<support::Diag> findCombLoop() const;
 
   /// Section 3.7: true iff input \p In feeds only state, reached through
@@ -123,22 +120,23 @@ private:
     /// InstOut: the definition's output port id.
     ir::WireId DefPort = ir::InvalidId;
   };
-  struct FanoutRec {
-    /// Nets consuming the wire.
-    std::vector<ir::NetId> Nets;
-    /// (instance id, definition input port) pairs consuming the wire.
-    std::vector<std::pair<uint32_t, ir::WireId>> InstInputs;
-    /// Number of asynchronous-memory read-address pins consuming it.
-    uint32_t AsyncMemAddrPins = 0;
+  /// One instance-input binding: \p Local feeds definition input
+  /// \p DefPort of instance \p Inst.
+  struct InstInputRec {
+    ir::WireId Local;
+    uint32_t Inst;
+    ir::WireId DefPort;
   };
 
   const ir::Module *M = nullptr;
   const std::map<ir::ModuleId, ModuleSummary> *SubSummaries = nullptr;
-  Graph G;
-  /// Lazy CSR snapshot; see \ref frozen.
-  mutable std::optional<CsrGraph> Frozen;
+  /// Frozen on first use; see \ref frozen.
+  mutable CsrGraph G;
   std::vector<DriverRec> Drivers;
-  std::vector<FanoutRec> Fanouts;
+  /// Every instance-input binding, sorted by Local: the graph has no
+  /// edge out of an input whose output-port-set is empty, so \ref
+  /// feedsStateDirectly looks those consumers up here.
+  std::vector<InstInputRec> InstInputs;
 };
 
 } // namespace wiresort::analysis

@@ -63,33 +63,34 @@ PortGraph PortGraph::build(const Circuit &Circ,
     for (WireId Port : Def.Outputs)
       PG.Refs.push_back(PortRef{Inst, Port});
   }
-  PG.G = Graph(PG.Refs.size());
 
   // Summary edges: input -> each member of its output-port-set.
+  std::vector<CsrGraph::Edge> Edges;
   for (InstId Inst = 0; Inst != Insts.size(); ++Inst) {
     const ModuleSummary &Summary = Summaries.at(Insts[Inst].Def);
     for (const auto &[In, Outs] : Summary.OutputPortSets) {
       uint32_t InNode = PG.nodeOf(PortRef{Inst, In});
       for (WireId Out : Outs)
-        PG.G.addEdge(InNode, PG.nodeOf(PortRef{Inst, Out}));
+        Edges.emplace_back(InNode, PG.nodeOf(PortRef{Inst, Out}));
     }
   }
 
   // Connection edges.
   for (const Connection &C : Circ.connections())
-    PG.G.addEdge(PG.nodeOf(C.From), PG.nodeOf(C.To));
+    Edges.emplace_back(PG.nodeOf(C.From), PG.nodeOf(C.To));
 
   // Freeze for the Stage-3 closure kernel: one ordering pass up front
   // (the ascending-ids proof plus a local repair of descending edges;
   // Tarjan only if the port graph turns out cyclic) that also settles
   // checkCircuit's loop verdict. The pairwise checker then sweeps 64
   // ports per word over the CSR arrays.
-  PG.Csr = CsrGraph::freeze(PG.G);
+  PG.Csr = CsrGraph(PG.Refs.size(), Edges);
+  PG.Csr.freeze();
   return PG;
 }
 
 bool PortGraph::transitivelyAffects(PortRef W1, PortRef W2) const {
-  return G.reaches(nodeOf(W1), nodeOf(W2));
+  return Csr.reachableFrom(nodeOf(W1))[nodeOf(W2)];
 }
 
 namespace {
@@ -151,18 +152,20 @@ bool neededPortsAcyclic(const Circuit &Circ,
 
   // Each input is driven at most once, so this visits every input node,
   // and with it every summary edge of the subgraph, exactly once.
-  Graph G(NumNodes);
+  std::vector<CsrGraph::Edge> Edges;
   for (uint32_t I : Checked) {
     const Connection &C = Conns[I];
     const uint32_t InNode = NodeOf[Numbering.number(C.To)];
-    G.addEdge(NodeOf[Numbering.number(C.From)], InNode);
+    Edges.emplace_back(NodeOf[Numbering.number(C.From)], InNode);
     for (WireId Out : InstSummary[C.To.Inst]->outputPortSet(C.To.Port)) {
       const uint32_t OutNode = NodeOf[Numbering.number({C.To.Inst, Out})];
       if (OutNode != InvalidId)
-        G.addEdge(InNode, OutNode);
+        Edges.emplace_back(InNode, OutNode);
     }
   }
-  return CsrGraph::freeze(G).isAcyclic();
+  CsrGraph G(NumNodes, Edges);
+  G.freeze();
+  return G.isAcyclic();
 }
 
 } // namespace
@@ -195,7 +198,7 @@ analysis::checkCircuit(const Circuit &Circ,
     // A loop exists. Only this error path builds the whole port graph,
     // so the witness is the one its walk finds.
     PortGraph PG = PortGraph::build(Circ, Summaries);
-    std::optional<std::vector<uint32_t>> Cycle = PG.graph().findCycle();
+    std::optional<std::vector<uint32_t>> Cycle = PG.csr().findCycle();
     assert(Cycle && "restricted port graph is cyclic but the whole is not");
     support::Diag Diag(support::DiagCode::WS101_COMB_LOOP,
                        "combinational loop in circuit '" + Circ.name() +

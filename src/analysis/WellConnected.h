@@ -37,7 +37,6 @@
 #include "ir/Circuit.h"
 #include "support/CsrGraph.h"
 #include "support/Diag.h"
-#include "support/Graph.h"
 
 #include <map>
 #include <vector>
@@ -69,11 +68,8 @@ public:
                          const std::map<ir::ModuleId, ModuleSummary>
                              &Summaries);
 
-  const Graph &graph() const { return G; }
-
-  /// Frozen CSR snapshot of \ref graph, taken at build time: the
-  /// bit-parallel closure kernel (support/CsrGraph.h) runs Stage-3
-  /// pairwise checking over it.
+  /// The port graph, frozen at build time: the bit-parallel closure
+  /// kernel (support/CsrGraph.h) runs Stage-3 pairwise checking over it.
   const CsrGraph &csr() const { return Csr; }
 
   uint32_t nodeOf(ir::PortRef Ref) const { return Numbering.number(Ref); }
@@ -83,7 +79,6 @@ public:
   bool transitivelyAffects(ir::PortRef W1, ir::PortRef W2) const;
 
 private:
-  Graph G;
   CsrGraph Csr;
   std::vector<ir::PortRef> Refs;
   /// Node ids are the circuit's dense port numbers.

@@ -6,7 +6,7 @@
 
 #include "ir/Design.h"
 
-#include "support/Graph.h"
+#include "support/CsrGraph.h"
 
 #include <cassert>
 
@@ -26,12 +26,12 @@ ModuleId Design::findModule(const std::string &Name) const {
 }
 
 std::optional<std::vector<ModuleId>> Design::topologicalModuleOrder() const {
-  Graph G(Modules.size());
+  std::vector<CsrGraph::Edge> Edges;
   for (ModuleId Id = 0; Id != Modules.size(); ++Id)
     for (const SubInstance &Inst : Modules[Id].Instances)
       if (Inst.Def < Modules.size())
-        G.addEdge(Inst.Def, Id);
-  return G.topoSort();
+        Edges.emplace_back(Inst.Def, Id);
+  return CsrGraph(Modules.size(), Edges).topoSort();
 }
 
 std::optional<std::string> Design::validate() const {

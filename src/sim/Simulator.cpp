@@ -6,7 +6,7 @@
 
 #include "sim/Simulator.h"
 
-#include "support/Graph.h"
+#include "support/CsrGraph.h"
 #include "support/Trace.h"
 
 #include <cassert>
@@ -30,14 +30,15 @@ support::Expected<Simulator> Simulator::create(const Module &Flat) {
   S.Values.assign(Flat.numWires(), 0);
 
   // Levelize: topological order over the combinational wire graph.
-  Graph G(Flat.numWires());
+  std::vector<CsrGraph::Edge> Edges;
   for (const Net &N : Flat.Nets)
     for (WireId In : N.Inputs)
-      G.addEdge(In, N.Output);
+      Edges.emplace_back(In, N.Output);
   for (const Memory &Mem : Flat.Memories)
     if (!Mem.SyncRead)
-      G.addEdge(Mem.RAddr, Mem.RData);
-  std::optional<std::vector<uint32_t>> WireOrder = G.topoSort();
+      Edges.emplace_back(Mem.RAddr, Mem.RData);
+  std::optional<std::vector<uint32_t>> WireOrder =
+      CsrGraph(Flat.numWires(), Edges).topoSort();
   if (!WireOrder) {
     return support::Diag(support::DiagCode::WS302_SIM_COMB_LOOP,
                          "module '" + Flat.Name +

@@ -1,4 +1,4 @@
-//===- support/CsrGraph.cpp - Frozen CSR graph + bit-parallel reach -------===//
+//===- support/CsrGraph.cpp - CSR graph + bit-parallel reach --------------===//
 //
 // Part of the wiresort project.
 //
@@ -15,7 +15,33 @@
 
 using namespace wiresort;
 
-CsrGraph CsrGraph::freeze(const Graph &G) {
+namespace {
+constexpr uint32_t Unvisited = UINT32_MAX;
+} // namespace
+
+CsrGraph::CsrGraph(size_t NumNodes, const std::vector<Edge> &Edges)
+    : FwdRow(NumNodes + 1, 0), FwdCol(Edges.size()) {
+  // Count, then prefix-sum so FwdRow[n] is where node n's row starts.
+  for (const auto &[From, To] : Edges) {
+    assert(From < NumNodes && To < NumNodes && "edge endpoint out of range");
+    ++FwdRow[From + 1];
+  }
+  for (size_t Node = 0; Node != NumNodes; ++Node)
+    FwdRow[Node + 1] += FwdRow[Node];
+  // Fill in edge-list order, advancing FwdRow[From] as row From's cursor,
+  // so every row keeps its edges' order. Each cursor ends where its row
+  // ends, which is where the next row starts: shifting the array right
+  // by one restores the row starts.
+  for (const auto &[From, To] : Edges)
+    FwdCol[FwdRow[From]++] = To;
+  std::copy_backward(FwdRow.begin(), FwdRow.end() - 1, FwdRow.end());
+  FwdRow[0] = 0;
+}
+
+void CsrGraph::freeze() {
+  if (Frozen)
+    return;
+  Frozen = true;
   static trace::Counter &Freezes = trace::counter("kernel.freezes");
   static trace::Counter &Repairs =
       trace::counter("kernel.freeze_repairs");
@@ -24,35 +50,27 @@ CsrGraph CsrGraph::freeze(const Graph &G) {
   const bool Timed = trace::countersEnabled();
   const uint64_t T0 = Timed ? trace::detail::nowNs() : 0;
   Freezes.add();
-  CsrGraph C;
-  const size_t N = G.numNodes();
+  const size_t N = numNodes();
   FreezeSpan.note("nodes", static_cast<uint64_t>(N));
 
-  // Forward CSR: count, prefix-sum, fill. The fill pass also collects
-  // the targets of descending edges, the only ones the order can trip on.
-  C.FwdRow.assign(N + 1, 0);
-  for (uint32_t Node = 0; Node != N; ++Node)
-    C.FwdRow[Node + 1] =
-        C.FwdRow[Node] + static_cast<uint32_t>(G.successors(Node).size());
-  C.FwdCol.resize(C.FwdRow[N]);
+  // The targets of descending edges are the only ones the order can trip
+  // on.
   std::vector<uint32_t> DescTargets;
-  for (uint32_t Node = 0, At = 0; Node != N; ++Node)
-    for (uint32_t Succ : G.successors(Node)) {
-      C.FwdCol[At++] = Succ;
+  for (uint32_t Node = 0; Node != N; ++Node)
+    for (uint32_t Succ : successors(Node))
       if (Succ <= Node)
         DescTargets.push_back(Succ);
-    }
 
   // Synthesized netlists create wires in dependency order, so comb edges
   // usually ascend — node ids then ARE a topological order, the graph is
-  // proven acyclic by the fill pass above, and the kernel layout is the
+  // proven acyclic by the scan above, and the kernel layout is the
   // identity: the forward CSR doubles as the kernel CSR at zero cost.
   // Every cycle must contain a descending edge, so an all-ascending
   // graph needs no further proof.
   if (DescTargets.empty()) {
     if (Timed)
       FreezeUs.record((trace::detail::nowNs() - T0) / 1000);
-    return C;
+    return;
   }
   // Descending edges defeated the identity-order proof; every one is a
   // repair the near-sorted pass (or Tarjan fallback) must absorb.
@@ -84,8 +102,8 @@ CsrGraph CsrGraph::freeze(const Graph &G) {
     while (!Work.empty()) {
       const uint32_t Node = Work.back();
       Work.pop_back();
-      for (uint32_t Idx = C.FwdRow[Node]; Idx != C.FwdRow[Node + 1]; ++Idx)
-        enter(C.FwdCol[Idx]);
+      for (uint32_t Succ : successors(Node))
+        enter(Succ);
     }
 
     // In-R in-degrees: edges from outside R are satisfied by the time R
@@ -93,19 +111,17 @@ CsrGraph CsrGraph::freeze(const Graph &G) {
     // successor-closedness again) gate a node's readiness.
     std::vector<uint32_t> InDegR(N, 0);
     for (uint32_t Node : RNodes)
-      for (uint32_t Idx = C.FwdRow[Node]; Idx != C.FwdRow[Node + 1]; ++Idx)
-        ++InDegR[C.FwdCol[Idx]];
+      for (uint32_t Succ : successors(Node))
+        ++InDegR[Succ];
     std::vector<uint32_t> ROrder;
     ROrder.reserve(RNodes.size());
     for (uint32_t Node : RNodes)
       if (InDegR[Node] == 0)
         ROrder.push_back(Node);
-    for (size_t At = 0; At != ROrder.size(); ++At) {
-      const uint32_t Node = ROrder[At];
-      for (uint32_t Idx = C.FwdRow[Node]; Idx != C.FwdRow[Node + 1]; ++Idx)
-        if (--InDegR[C.FwdCol[Idx]] == 0)
-          ROrder.push_back(C.FwdCol[Idx]);
-    }
+    for (size_t At = 0; At != ROrder.size(); ++At)
+      for (uint32_t Succ : successors(ROrder[At]))
+        if (--InDegR[Succ] == 0)
+          ROrder.push_back(Succ);
     Cyclic = ROrder.size() != RNodes.size();
 
     if (!Cyclic) {
@@ -127,38 +143,37 @@ CsrGraph CsrGraph::freeze(const Graph &G) {
     // the layout pass at one O(N + E) kernel-CSR fill; a longest-path
     // level sort buys nothing the sweep can measure and costs ~5x the
     // rest of freeze on register-dominated graphs.
-    C.KernelPos.resize(N);
+    KernelPos.resize(N);
     for (uint32_t P = 0; P != N; ++P)
-      C.KernelPos[TopoOrder[P]] = P;
-    C.KernelRow.reserve(N + 1);
-    C.KernelRow.push_back(0);
-    C.KernelCol.resize(C.FwdCol.size());
+      KernelPos[TopoOrder[P]] = P;
+    KernelRow.reserve(N + 1);
+    KernelRow.push_back(0);
+    KernelCol.resize(FwdCol.size());
     for (uint32_t P = 0, At = 0; P != N; ++P) {
-      const uint32_t Node = TopoOrder[P];
-      for (uint32_t Idx = C.FwdRow[Node]; Idx != C.FwdRow[Node + 1]; ++Idx)
-        C.KernelCol[At++] = C.KernelPos[C.FwdCol[Idx]];
-      C.KernelRow.push_back(At);
+      for (uint32_t Succ : successors(TopoOrder[P]))
+        KernelCol[At++] = KernelPos[Succ];
+      KernelRow.push_back(At);
     }
     if (Timed)
       FreezeUs.record((trace::detail::nowNs() - T0) / 1000);
-    return C;
+    return;
   }
 
   // Cyclic: condense once with Tarjan. Component ids come out in reverse
   // topological order of the condensation, and the member nodes are
   // grouped for the kernel-layout pass and witness decoding.
-  C.Acyclic = false;
-  C.Comp = G.tarjanScc(C.NumComps);
-  C.CompRow.assign(C.NumComps + 1, 0);
-  for (uint32_t CompId : C.Comp)
-    ++C.CompRow[CompId + 1];
-  for (uint32_t CompId = 0; CompId != C.NumComps; ++CompId)
-    C.CompRow[CompId + 1] += C.CompRow[CompId];
-  C.CompNodes.resize(N);
+  Acyclic = false;
+  Comp = tarjanScc(NumComps);
+  CompRow.assign(NumComps + 1, 0);
+  for (uint32_t CompId : Comp)
+    ++CompRow[CompId + 1];
+  for (uint32_t CompId = 0; CompId != NumComps; ++CompId)
+    CompRow[CompId + 1] += CompRow[CompId];
+  CompNodes.resize(N);
   {
-    std::vector<uint32_t> Next(C.CompRow.begin(), C.CompRow.end() - 1);
+    std::vector<uint32_t> Next(CompRow.begin(), CompRow.end() - 1);
     for (uint32_t Node = 0; Node != N; ++Node)
-      C.CompNodes[Next[C.Comp[Node]]++] = Node;
+      CompNodes[Next[Comp[Node]]++] = Node;
   }
 
   // Blocked kernel layout, cyclic case: position = reversed Tarjan id
@@ -167,27 +182,169 @@ CsrGraph CsrGraph::freeze(const Graph &G) {
   // each SCC to one row — intra-block edges dropped, parallel
   // cross-block edges deduplicated with a stamp — so sweeps never
   // re-walk componentNodes or re-OR a successor per member edge.
-  C.KernelPos.resize(C.NumComps);
-  for (uint32_t CompId = 0; CompId != C.NumComps; ++CompId)
-    C.KernelPos[CompId] = C.NumComps - 1 - CompId;
-  C.KernelRow.reserve(C.NumComps + 1);
-  C.KernelRow.push_back(0);
-  std::vector<uint32_t> Stamp(C.NumComps, UINT32_MAX);
-  for (uint32_t P = 0; P != C.NumComps; ++P) {
-    const uint32_t CompId = C.NumComps - 1 - P;
-    for (uint32_t Node : C.componentNodes(CompId))
-      for (uint32_t Idx = C.FwdRow[Node]; Idx != C.FwdRow[Node + 1]; ++Idx) {
-        const uint32_t Q = C.KernelPos[C.Comp[C.FwdCol[Idx]]];
+  KernelPos.resize(NumComps);
+  for (uint32_t CompId = 0; CompId != NumComps; ++CompId)
+    KernelPos[CompId] = NumComps - 1 - CompId;
+  KernelRow.reserve(NumComps + 1);
+  KernelRow.push_back(0);
+  std::vector<uint32_t> Stamp(NumComps, UINT32_MAX);
+  for (uint32_t P = 0; P != NumComps; ++P) {
+    for (uint32_t Node : componentNodes(NumComps - 1 - P))
+      for (uint32_t Succ : successors(Node)) {
+        const uint32_t Q = KernelPos[Comp[Succ]];
         if (Q != P && Stamp[Q] != P) {
           Stamp[Q] = P;
-          C.KernelCol.push_back(Q);
+          KernelCol.push_back(Q);
         }
       }
-    C.KernelRow.push_back(static_cast<uint32_t>(C.KernelCol.size()));
+    KernelRow.push_back(static_cast<uint32_t>(KernelCol.size()));
   }
   if (Timed)
     FreezeUs.record((trace::detail::nowNs() - T0) / 1000);
-  return C;
+}
+
+std::vector<uint32_t> CsrGraph::tarjanScc(uint32_t &NumComponents) const {
+  const size_t N = numNodes();
+  std::vector<uint32_t> Index(N, Unvisited);
+  std::vector<uint32_t> LowLink(N, 0);
+  std::vector<bool> OnStack(N, false);
+  std::vector<uint32_t> Component(N, Unvisited);
+  std::vector<uint32_t> Stack;
+  uint32_t NextIndex = 0;
+  NumComponents = 0;
+
+  // Iterative Tarjan: each frame records the node and the position of
+  // its next edge so the DFS can resume after returning from a child.
+  struct Frame {
+    uint32_t Node;
+    uint32_t EdgePos;
+  };
+  std::vector<Frame> CallStack;
+
+  for (uint32_t Root = 0; Root != N; ++Root) {
+    if (Index[Root] != Unvisited)
+      continue;
+    CallStack.push_back({Root, FwdRow[Root]});
+    Index[Root] = LowLink[Root] = NextIndex++;
+    Stack.push_back(Root);
+    OnStack[Root] = true;
+
+    while (!CallStack.empty()) {
+      Frame &F = CallStack.back();
+      if (F.EdgePos != FwdRow[F.Node + 1]) {
+        uint32_t Child = FwdCol[F.EdgePos++];
+        if (Index[Child] == Unvisited) {
+          Index[Child] = LowLink[Child] = NextIndex++;
+          Stack.push_back(Child);
+          OnStack[Child] = true;
+          CallStack.push_back({Child, FwdRow[Child]});
+        } else if (OnStack[Child] && Index[Child] < LowLink[F.Node]) {
+          LowLink[F.Node] = Index[Child];
+        }
+        continue;
+      }
+      // All successors done: maybe pop an SCC, then return to parent.
+      if (LowLink[F.Node] == Index[F.Node]) {
+        uint32_t Member;
+        do {
+          Member = Stack.back();
+          Stack.pop_back();
+          OnStack[Member] = false;
+          Component[Member] = NumComponents;
+        } while (Member != F.Node);
+        ++NumComponents;
+      }
+      uint32_t Done = F.Node;
+      CallStack.pop_back();
+      if (!CallStack.empty()) {
+        uint32_t Parent = CallStack.back().Node;
+        if (LowLink[Done] < LowLink[Parent])
+          LowLink[Parent] = LowLink[Done];
+      }
+    }
+  }
+  return Component;
+}
+
+std::optional<std::vector<uint32_t>> CsrGraph::findCycle() const {
+  // Self-loop: the smallest possible cycle.
+  for (uint32_t Node = 0; Node != numNodes(); ++Node)
+    for (uint32_t Succ : successors(Node))
+      if (Succ == Node)
+        return std::vector<uint32_t>{Node};
+
+  uint32_t NumComponents = 0;
+  std::vector<uint32_t> Component = tarjanScc(NumComponents);
+  std::vector<uint32_t> Size(NumComponents, 0);
+  for (uint32_t C : Component)
+    ++Size[C];
+
+  // Otherwise find a node in a nontrivial SCC and walk within the SCC
+  // until a node repeats; the walk can never escape an SCC if we only
+  // follow intra-SCC edges.
+  for (uint32_t Start = 0; Start != numNodes(); ++Start) {
+    if (Size[Component[Start]] <= 1)
+      continue;
+    std::vector<uint32_t> Path;
+    std::vector<uint32_t> PosInPath(numNodes(), Unvisited);
+    uint32_t Cur = Start;
+    while (true) {
+      if (PosInPath[Cur] != Unvisited)
+        return std::vector<uint32_t>(Path.begin() + PosInPath[Cur],
+                                     Path.end());
+      PosInPath[Cur] = static_cast<uint32_t>(Path.size());
+      Path.push_back(Cur);
+      uint32_t Next = Unvisited;
+      for (uint32_t Succ : successors(Cur)) {
+        if (Component[Succ] == Component[Cur]) {
+          Next = Succ;
+          break;
+        }
+      }
+      assert(Next != Unvisited && "nontrivial SCC node lacks intra-SCC edge");
+      Cur = Next;
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<std::vector<uint32_t>> CsrGraph::topoSort() const {
+  const size_t N = numNodes();
+  std::vector<uint32_t> InDegree(N, 0);
+  for (uint32_t Succ : FwdCol)
+    ++InDegree[Succ];
+
+  // Order doubles as the FIFO queue: a node is appended when it becomes
+  // ready and leaves in that order.
+  std::vector<uint32_t> Order;
+  Order.reserve(N);
+  for (uint32_t Node = 0; Node != N; ++Node)
+    if (InDegree[Node] == 0)
+      Order.push_back(Node);
+  for (size_t At = 0; At != Order.size(); ++At)
+    for (uint32_t Succ : successors(Order[At]))
+      if (--InDegree[Succ] == 0)
+        Order.push_back(Succ);
+  if (Order.size() != N)
+    return std::nullopt;
+  return Order;
+}
+
+std::vector<bool> CsrGraph::reachableFrom(uint32_t Start) const {
+  std::vector<bool> Seen(numNodes(), false);
+  std::vector<uint32_t> Work{Start};
+  Seen[Start] = true;
+  while (!Work.empty()) {
+    uint32_t Node = Work.back();
+    Work.pop_back();
+    for (uint32_t Succ : successors(Node)) {
+      if (!Seen[Succ]) {
+        Seen[Succ] = true;
+        Work.push_back(Succ);
+      }
+    }
+  }
+  return Seen;
 }
 
 namespace {

@@ -1,4 +1,4 @@
-//===- support/CsrGraph.h - Frozen CSR graph + bit-parallel reach -*- C++ -*-===//
+//===- support/CsrGraph.h - CSR graph + bit-parallel reach ------*- C++ -*-===//
 //
 // Part of the wiresort project, a reproduction of "Wire Sorts: A Language
 // Abstraction for Safe Hardware Composition" (PLDI 2021).
@@ -6,18 +6,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A frozen compressed-sparse-row snapshot of a \ref Graph plus a
-/// bit-parallel multi-source reachability kernel (see docs/KERNEL.md).
+/// The project's one directed-graph type, a compressed-sparse-row graph,
+/// plus a bit-parallel multi-source reachability kernel (see
+/// docs/KERNEL.md).
 ///
-/// \ref Graph stores adjacency as one heap vector per node, which is the
-/// right shape while edges are still being inserted but a poor one for the
-/// closure sweeps Stage-1 inference runs over it: every traversal chases a
-/// pointer per node and every source pays a fresh visited-set allocation.
-/// \ref CsrGraph::freeze packs the forward edges into two flat arrays,
-/// caches the edge count, and settles the graph's order once. Synthesized
-/// netlists create wires in dependency order, so the fill pass usually
-/// proves node ids are already topological; the few descending edges that
-/// do occur (late-bound output-port wires) are repaired locally by
+/// Construction packs a (From, To) edge list into two flat arrays in one
+/// stable counting pass, so every node keeps its successors in the order
+/// their edges were listed. That order is what makes the graph
+/// algorithms' answers reproducible: \ref CsrGraph::findCycle (the WS101
+/// and WS401 witnesses), \ref CsrGraph::topoSort (Kahn, FIFO: the
+/// simulator's evaluation order) and \ref CsrGraph::reachableFrom all
+/// work on the packed arrays as built.
+///
+/// \ref CsrGraph::freeze then settles the graph's order once, in place,
+/// for the closure sweeps Stage-1 inference and Stage 3 run. Synthesized
+/// netlists create wires in dependency order, so freeze usually proves
+/// node ids are already topological; the few descending edges that do
+/// occur (late-bound output-port wires) are repaired locally by
 /// topologically ordering just their downstream closure, which also
 /// settles acyclicity. Only genuinely cyclic graphs pay for a Tarjan
 /// pass, whose SCC ids come out reverse-topological.
@@ -52,49 +57,85 @@
 #define WIRESORT_SUPPORT_CSRGRAPH_H
 
 #include "support/Deadline.h"
-#include "support/Graph.h"
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace wiresort {
 
-/// An immutable compressed-sparse-row snapshot of a \ref Graph.
+/// A directed graph over node indices [0, numNodes()), stored as CSR.
 ///
-/// Freezing settles acyclicity (ascending-ids proof plus a local repair
-/// of any descending edges) and, for cyclic graphs only, the SCC
-/// condensation (Tarjan). Parallel edges survive the freeze unchanged;
-/// they are harmless to every consumer.
+/// Nodes are dense integers so callers map their own entities (wires,
+/// ports, gates, modules) to indices. Parallel edges and self-edges are
+/// kept; they are harmless to every algorithm here.
+///
+/// The structure is fixed at construction. \ref freeze adds the order,
+/// acyclicity verdict, SCC condensation and kernel layout that \ref
+/// isAcyclic, the component queries and \ref ReachabilityKernel read;
+/// \ref findCycle, \ref topoSort and \ref reachableFrom need no freeze.
 class CsrGraph {
 public:
-  CsrGraph() = default;
+  /// One directed edge, (From, To).
+  using Edge = std::pair<uint32_t, uint32_t>;
 
-  /// Packs \p G's forward edges into CSR form and orders it.
-  static CsrGraph freeze(const Graph &G);
+  CsrGraph() : FwdRow(1, 0) {}
 
-  size_t numNodes() const { return FwdRow.empty() ? 0 : FwdRow.size() - 1; }
+  /// Packs \p Edges over nodes [0, \p NumNodes) in one stable counting
+  /// pass: each node's successors keep the order of its edges in \p
+  /// Edges. So when \p Edges is sorted by source, CSR edge i is
+  /// Edges[i] (see \ref edgeBegin).
+  CsrGraph(size_t NumNodes, const std::vector<Edge> &Edges);
 
-  /// Total edge count, cached at freeze time (Graph::numEdges is a full
-  /// scan of the per-node vectors).
+  /// Settles the graph's order, acyclicity and kernel layout, in place.
+  /// Idempotent: only the first call does work, and only it counts as a
+  /// freeze (the kernel.freeze span and kernel.freeze* metrics).
+  void freeze();
+
+  size_t numNodes() const { return FwdRow.size() - 1; }
+
   size_t numEdges() const { return FwdCol.size(); }
 
   std::span<const uint32_t> successors(uint32_t Node) const {
     return {FwdCol.data() + FwdRow[Node], FwdCol.data() + FwdRow[Node + 1]};
   }
 
+  /// Index of \p Node's first edge in the packed edge array; its edges
+  /// are [edgeBegin(Node), edgeBegin(Node + 1)).
+  uint32_t edgeBegin(uint32_t Node) const { return FwdRow[Node]; }
+
+  /// Finds one cycle and returns it as a node sequence (first node is
+  /// repeated logically, not physically): a self-loop if there is one,
+  /// else a walk inside the first nontrivial SCC. \returns std::nullopt
+  /// when the graph is acyclic.
+  std::optional<std::vector<uint32_t>> findCycle() const;
+
+  /// Topological order (Kahn's algorithm, FIFO: ready nodes leave in
+  /// the order they became ready, initially by ascending id).
+  /// \returns std::nullopt if the graph has a cycle.
+  std::optional<std::vector<uint32_t>> topoSort() const;
+
+  /// Forward-reachable node set from \p Start (including \p Start),
+  /// returned as a dense boolean mask.
+  std::vector<bool> reachableFrom(uint32_t Start) const;
+
   /// True iff the graph has no cycle (equivalently: no SCC of size > 1
-  /// and no self-edge). Settled at freeze time, so this is a
+  /// and no self-edge). Settled by \ref freeze, so this is a
   /// combinational-loop verdict for free.
-  bool isAcyclic() const { return Acyclic; }
+  bool isAcyclic() const {
+    assert(Frozen && "freeze() settles acyclicity");
+    return Acyclic;
+  }
 
   /// Number of strongly connected components. Acyclic graphs have the
   /// identity condensation (every node its own component) without ever
   /// running Tarjan.
   uint32_t numComponents() const {
-    return Acyclic ? static_cast<uint32_t>(numNodes()) : NumComps;
+    return isAcyclic() ? static_cast<uint32_t>(numNodes()) : NumComps;
   }
 
   /// SCC id of \p Node (the node itself when \ref isAcyclic). For cyclic
@@ -102,14 +143,14 @@ public:
   /// the condensation, i.e. for every edge u -> v crossing components,
   /// componentOf(v) < componentOf(u).
   uint32_t componentOf(uint32_t Node) const {
-    return Acyclic ? Node : Comp[Node];
+    return isAcyclic() ? Node : Comp[Node];
   }
 
   /// The nodes of component \p C, grouped at freeze time. Only available
   /// on cyclic graphs — acyclic condensations are the identity and never
   /// materialize member lists.
   std::span<const uint32_t> componentNodes(uint32_t C) const {
-    assert(!Acyclic && "acyclic condensations are the identity");
+    assert(!isAcyclic() && "acyclic condensations are the identity");
     return {CompNodes.data() + CompRow[C], CompNodes.data() + CompRow[C + 1]};
   }
 
@@ -120,8 +161,14 @@ public:
   }
 
 private:
+  /// Tarjan's strongly connected components (iterative; safe on
+  /// million-node graphs). \returns node -> component id, ids assigned
+  /// in reverse topological order of the condensation.
+  std::vector<uint32_t> tarjanScc(uint32_t &NumComponents) const;
+
   // Forward CSR: FwdRow has numNodes()+1 offsets into FwdCol.
   std::vector<uint32_t> FwdRow, FwdCol;
+  bool Frozen = false;
   bool Acyclic = true;
   /// Cyclic only: node -> component, plus nodes grouped by component.
   std::vector<uint32_t> Comp;
@@ -157,7 +204,7 @@ private:
 /// source nodes simultaneously: afterwards, lane k of \p Node's row
 /// (\ref bit, or \ref mask / \ref row for word access) is set iff
 /// Sources[k] reaches \p Node — with the same convention as
-/// Graph::reachableFrom, so a source always reaches itself. Callers
+/// CsrGraph::reachableFrom, so a source always reaches itself. Callers
 /// with more sources block them into chunks and sweep per chunk; \ref
 /// laneWordsFor picks the widest sensible row for a source count.
 ///
@@ -203,12 +250,12 @@ public:
   };
 
   /// Self-contained kernel with \p LaneWords-word rows (1, 2, 4 or 8).
-  /// \p G must outlive the kernel.
+  /// \p G must be frozen (asserted) and outlive the kernel.
   explicit ReachabilityKernel(const CsrGraph &G, uint32_t LaneWords = 1)
       : ReachabilityKernel(G, OwnScratch, LaneWords) {}
 
-  /// Kernel borrowing \p S (see \ref Scratch). \p G and \p S must
-  /// outlive the kernel.
+  /// Kernel borrowing \p S (see \ref Scratch). \p G must be frozen;
+  /// \p G and \p S must outlive the kernel.
   ReachabilityKernel(const CsrGraph &G, Scratch &S, uint32_t LaneWords = 1);
 
   ReachabilityKernel(const ReachabilityKernel &) = delete;

@@ -6,7 +6,7 @@
 
 #include "synth/CycleDetect.h"
 
-#include "support/Graph.h"
+#include "support/CsrGraph.h"
 #include "support/Timer.h"
 
 #include <cassert>
@@ -18,13 +18,14 @@ using namespace wiresort::synth;
 NetlistCycleResult synth::detectCycles(const Module &Flat) {
   assert(Flat.Instances.empty() && "cycle detection needs a flat netlist");
   Timer T;
-  Graph G(Flat.numWires());
+  std::vector<CsrGraph::Edge> Edges;
   for (const Net &N : Flat.Nets)
     for (WireId In : N.Inputs)
-      G.addEdge(In, N.Output);
+      Edges.emplace_back(In, N.Output);
   for (const Memory &Mem : Flat.Memories)
     if (!Mem.SyncRead)
-      G.addEdge(Mem.RAddr, Mem.RData);
+      Edges.emplace_back(Mem.RAddr, Mem.RData);
+  const CsrGraph G(Flat.numWires(), Edges);
 
   NetlistCycleResult Result;
   Result.NumWires = Flat.numWires();

@@ -6,7 +6,7 @@
 
 #include "synth/Optimize.h"
 
-#include "support/Graph.h"
+#include "support/CsrGraph.h"
 
 #include <cassert>
 #include <map>
@@ -146,14 +146,15 @@ size_t foldConstants(Module &M, std::map<bool, WireId> &Pool) {
 size_t breakLoops(Module &M, std::map<bool, WireId> &Pool) {
   size_t Broken = 0;
   while (true) {
-    Graph G(M.numWires());
+    std::vector<CsrGraph::Edge> Edges;
     for (const Net &N : M.Nets)
       for (WireId In : N.Inputs)
-        G.addEdge(In, N.Output);
+        Edges.emplace_back(In, N.Output);
     for (const Memory &Mem : M.Memories)
       if (!Mem.SyncRead)
-        G.addEdge(Mem.RAddr, Mem.RData);
-    std::optional<std::vector<uint32_t>> Cycle = G.findCycle();
+        Edges.emplace_back(Mem.RAddr, Mem.RData);
+    std::optional<std::vector<uint32_t>> Cycle =
+        CsrGraph(M.numWires(), Edges).findCycle();
     if (!Cycle)
       return Broken;
     // Ground the driver of the first wire on the cycle.

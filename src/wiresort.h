@@ -15,7 +15,7 @@
 /// The export set, by namespace:
 ///
 ///  * \c wiresort::support — diagnostics (Diag/DiagList/Expected),
-///    graphs (Graph, frozen CsrGraph + ReachabilityKernel), Timer,
+///    the CSR graph (CsrGraph + ReachabilityKernel), Timer,
 ///    ThreadPool, ASCII Table, Deadline/CancellationToken and the
 ///    failpoint fault-injection registry (docs/ROBUSTNESS.md).
 ///  * \c wiresort::trace — the observability layer: RAII Span timing,
@@ -52,7 +52,6 @@
 #include "support/Deadline.h"
 #include "support/Diag.h"
 #include "support/FailPoint.h"
-#include "support/Graph.h"
 #include "support/Socket.h"
 #include "support/Table.h"
 #include "support/ThreadPool.h"

@@ -13,6 +13,7 @@
 #include "gen/Fifo.h"
 #include "gen/Random.h"
 #include "ir/Builder.h"
+#include "support/RefGraph.h"
 #include "synth/Lower.h"
 
 #include <gtest/gtest.h>
@@ -45,7 +46,7 @@ int64_t gateLevelDepth(const Design &D, ModuleId Id,
                        const std::string &FromName,
                        const std::string &ToName) {
   Module Gates = synth::lower(D, Id);
-  Graph G(Gates.numWires());
+  test::RefGraph G(Gates.numWires());
   std::vector<uint32_t> Weight;
   std::vector<std::pair<WireId, WireId>> Edges;
   for (const Net &N : Gates.Nets)

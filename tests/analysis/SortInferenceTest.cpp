@@ -283,6 +283,87 @@ TEST(SortInferenceTest, SubsortsDirectVsIndirect) {
   }
 }
 
+TEST(SortInferenceTest, BufChainIntoRegisterIsToSyncDirect) {
+  // Buf nets are transparent: the walk goes through both to the D pin.
+  Builder B("buf_chain");
+  V A = B.input("a", 4);
+  B.output("y", B.reg(B.buf(B.buf(A)), "r"));
+  Module M = B.finish();
+  ModuleSummary S = summarize(M);
+  EXPECT_EQ(S.sortOf(M.findPort("a")), Sort::ToSync);
+  EXPECT_EQ(S.subSortOf(M.findPort("a")), SubSort::Direct);
+}
+
+TEST(SortInferenceTest, LogicAfterABufIsToSyncIndirect) {
+  // The walk passes the Buf and stops at the Not.
+  Builder B("buf_not");
+  V A = B.input("a", 4);
+  B.output("y", B.reg(B.notv(B.buf(A)), "r"));
+  Module M = B.finish();
+  ModuleSummary S = summarize(M);
+  EXPECT_EQ(S.sortOf(M.findPort("a")), Sort::ToSync);
+  EXPECT_EQ(S.subSortOf(M.findPort("a")), SubSort::Indirect);
+}
+
+TEST(SortInferenceTest, AsyncReadIntoRegisterIsToSyncIndirect) {
+  // The read address reaches only a register, through the asynchronous
+  // read: to-sync, but through combinational logic. The write data goes
+  // straight into the array.
+  Builder B("async_to_reg");
+  V RAddr = B.input("raddr", 4);
+  V WAddr = B.input("waddr", 4);
+  V WData = B.input("wdata", 8);
+  V Wen = B.input("wen", 1);
+  V RData = B.memory("m", /*SyncRead=*/false, RAddr, WAddr, WData, Wen);
+  B.output("y", B.reg(RData, "r"));
+  Design D;
+  ModuleId Id = D.addModule(B.finish());
+  std::map<ModuleId, ModuleSummary> Out;
+  ASSERT_FALSE(analyzeDesign(D, Out).hasError());
+  const Module &Def = D.module(Id);
+  const ModuleSummary &S = Out.at(Id);
+  EXPECT_EQ(S.sortOf(Def.findPort("raddr")), Sort::ToSync);
+  EXPECT_EQ(S.subSortOf(Def.findPort("raddr")), SubSort::Indirect);
+  EXPECT_EQ(S.sortOf(Def.findPort("wdata")), Sort::ToSync);
+  EXPECT_EQ(S.subSortOf(Def.findPort("wdata")), SubSort::Direct);
+}
+
+TEST(SortInferenceTest, InstanceInputsPassOnTheirSubsorts) {
+  // The child's a feeds a register directly and its b through a Not. In
+  // the parent, p reaches a through a Buf and stays direct; q is bound
+  // straight to b and takes its indirection.
+  Design D;
+  ModuleId Child;
+  {
+    Builder B("child");
+    V A = B.input("a", 1);
+    V Bi = B.input("b", 1);
+    B.output("ya", B.reg(A, "ra"));
+    B.output("yb", B.reg(B.notv(Bi), "rb"));
+    Child = D.addModule(B.finish());
+  }
+  Builder B("parent");
+  V P = B.input("p", 1);
+  V Q = B.input("q", 1);
+  auto Outs = B.instantiate(D, Child, "u", {{"a", B.buf(P)}, {"b", Q}});
+  B.output("ya", Outs.at("ya"));
+  B.output("yb", Outs.at("yb"));
+  ModuleId Parent = D.addModule(B.finish());
+
+  std::map<ModuleId, ModuleSummary> Out;
+  ASSERT_FALSE(analyzeDesign(D, Out).hasError());
+  const Module &ChildDef = D.module(Child);
+  EXPECT_EQ(Out.at(Child).subSortOf(ChildDef.findPort("a")), SubSort::Direct);
+  EXPECT_EQ(Out.at(Child).subSortOf(ChildDef.findPort("b")),
+            SubSort::Indirect);
+  const Module &Def = D.module(Parent);
+  const ModuleSummary &S = Out.at(Parent);
+  EXPECT_EQ(S.sortOf(Def.findPort("p")), Sort::ToSync);
+  EXPECT_EQ(S.subSortOf(Def.findPort("p")), SubSort::Direct);
+  EXPECT_EQ(S.sortOf(Def.findPort("q")), Sort::ToSync);
+  EXPECT_EQ(S.subSortOf(Def.findPort("q")), SubSort::Indirect);
+}
+
 TEST(SortInferenceTest, ConstantOutputIsFromSyncDirect) {
   Builder B("const_out");
   B.output("y", B.lit(5, 8));

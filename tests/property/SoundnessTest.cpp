@@ -14,6 +14,7 @@
 #include "analysis/WellConnected.h"
 #include "gen/Random.h"
 #include "sim/Simulator.h"
+#include "support/RefGraph.h"
 #include "synth/CycleDetect.h"
 #include "synth/Lower.h"
 
@@ -122,7 +123,7 @@ TEST_P(ModuleLevelTrial, SummaryMatchesExhaustiveGateReachability) {
 
   // Ground truth: reachability over the lowered gate netlist.
   Module Gates = synth::lower(D, Id);
-  Graph G(Gates.numWires());
+  test::RefGraph G(Gates.numWires());
   for (const Net &N : Gates.Nets)
     for (WireId In : N.Inputs)
       G.addEdge(In, N.Output);

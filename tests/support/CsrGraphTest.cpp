@@ -1,7 +1,8 @@
 //===- tests/support/CsrGraphTest.cpp - CSR freeze + kernel tests ---------===//
 //
 // Part of the wiresort project. Pins the bit-parallel reachability kernel
-// (support/CsrGraph.h) to the per-source BFS oracle Graph::reachableFrom:
+// (support/CsrGraph.h) to the per-source BFS of the test-only adjacency
+// list in RefGraph.h:
 // on every graph, for every source, at every row width L in {1, 2, 4, 8},
 // the kernel's rows must equal the BFS sets bit for bit. Randomized
 // coverage spans 200+ seeded DAGs and cyclic graphs; directed cases cover
@@ -17,6 +18,7 @@
 #include "support/CsrGraph.h"
 
 #include "support/FailPoint.h"
+#include "support/RefGraph.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
@@ -28,19 +30,28 @@
 #include <vector>
 
 using namespace wiresort;
+using wiresort::test::RefGraph;
+using Edges = std::vector<CsrGraph::Edge>;
 
 namespace {
 
+CsrGraph frozen(size_t NumNodes, const Edges &E) {
+  CsrGraph G(NumNodes, E);
+  G.freeze();
+  return G;
+}
+
 /// Sweeps \p Sources through a kernel at every row width L in {1, 2, 4,
 /// 8}, chunked by laneCount(), and checks each node's whole row word for
-/// word against Graph::reachableFrom of the chunk's sources. Lanes past
-/// the chunk's source count must stay clear.
-void expectKernelMatchesBfs(const Graph &G,
+/// word against the oracle's BFS from each of the chunk's sources. Lanes
+/// past the chunk's source count must stay clear.
+void expectKernelMatchesBfs(size_t N, const Edges &E,
                             const std::vector<uint32_t> &Sources) {
+  const RefGraph G(N, E);
   std::vector<std::vector<bool>> Oracle;
   for (uint32_t Src : Sources)
     Oracle.push_back(G.reachableFrom(Src));
-  const CsrGraph Csr = CsrGraph::freeze(G);
+  const CsrGraph Csr = frozen(N, E);
   for (uint32_t LaneWords : {1u, 2u, 4u, 8u}) {
     ReachabilityKernel Kernel(Csr, LaneWords);
     for (size_t Base = 0; Base < Sources.size(); Base += Kernel.laneCount()) {
@@ -62,17 +73,22 @@ void expectKernelMatchesBfs(const Graph &G,
   }
 }
 
-/// All nodes of \p G as sources.
-std::vector<uint32_t> allNodes(const Graph &G) {
-  std::vector<uint32_t> Nodes(G.numNodes());
+/// Nodes 0 to \p N - 1, all of them as sources.
+std::vector<uint32_t> allNodes(size_t N) {
+  std::vector<uint32_t> Nodes(N);
   std::iota(Nodes.begin(), Nodes.end(), 0);
   return Nodes;
 }
 
-Graph randomGraph(std::mt19937 &Rng, bool Dag) {
+/// Sweeps every node of the graph as a source.
+void expectKernelMatchesBfs(size_t N, const Edges &E) {
+  expectKernelMatchesBfs(N, E, allNodes(N));
+}
+
+Edges randomGraph(std::mt19937 &Rng, bool Dag, uint32_t &N) {
   std::uniform_int_distribution<uint32_t> NodeCount(1, 70);
-  const uint32_t N = NodeCount(Rng);
-  Graph G(N);
+  N = NodeCount(Rng);
+  Edges G;
   std::uniform_int_distribution<uint32_t> Node(0, N - 1);
   std::uniform_int_distribution<uint32_t> EdgeCount(0, 3 * N);
   // DAG mode orients edges along a random node permutation, not along
@@ -90,7 +106,7 @@ Graph randomGraph(std::mt19937 &Rng, bool Dag) {
       if (Pos[From] > Pos[To])
         std::swap(From, To);
     }
-    G.addEdge(From, To);
+    G.emplace_back(From, To);
   }
   return G;
 }
@@ -98,8 +114,7 @@ Graph randomGraph(std::mt19937 &Rng, bool Dag) {
 } // namespace
 
 TEST(CsrGraphTest, EmptyGraphFreezes) {
-  Graph G(0);
-  CsrGraph Csr = CsrGraph::freeze(G);
+  CsrGraph Csr = frozen(0, {});
   EXPECT_EQ(Csr.numNodes(), 0u);
   EXPECT_EQ(Csr.numEdges(), 0u);
   EXPECT_EQ(Csr.numComponents(), 0u);
@@ -109,42 +124,58 @@ TEST(CsrGraphTest, EmptyGraphFreezes) {
 }
 
 TEST(CsrGraphTest, CsrMirrorsAdjacencyAndCachesEdgeCount) {
-  Graph G(5);
-  G.addEdge(0, 1);
-  G.addEdge(0, 2);
-  G.addEdge(2, 3);
-  G.addEdge(3, 2); // Cycle.
-  G.addEdge(4, 4); // Self-loop.
-  G.addEdge(0, 1); // Parallel edge survives the freeze.
-  CsrGraph Csr = CsrGraph::freeze(G);
+  const Edges E = {{0, 1}, {0, 2}, {2, 3},
+                   {3, 2},  // Cycle.
+                   {4, 4},  // Self-loop.
+                   {0, 1}}; // Parallel edge survives the freeze.
+  const RefGraph G(5, E);
+  CsrGraph Csr = frozen(5, E);
   EXPECT_EQ(Csr.numNodes(), 5u);
-  EXPECT_EQ(Csr.numEdges(), G.numEdges());
+  EXPECT_EQ(Csr.numEdges(), E.size());
 
   for (uint32_t Node = 0; Node != 5; ++Node) {
     std::vector<uint32_t> Succs(Csr.successors(Node).begin(),
                                 Csr.successors(Node).end());
-    EXPECT_EQ(Succs, G.successors(Node)) << "node " << Node;
+    EXPECT_EQ(Succs, G.Succs[Node]) << "node " << Node;
   }
+}
+
+TEST(CsrGraphTest, FreezeIsIdempotent) {
+  // Only the first freeze does work and counts; the second leaves the
+  // layout, the verdict and the kernel.freeze* metrics alone.
+  trace::SessionOptions MetricsOnly;
+  MetricsOnly.CollectSpans = false;
+  trace::Session Metrics(MetricsOnly);
+  trace::Counter &Freezes = trace::counter("kernel.freezes");
+  trace::Counter &Repairs = trace::counter("kernel.freeze_repairs");
+  CsrGraph Csr(4, {{0, 1}, {1, 2}, {2, 1}, {3, 0}});
+  const uint64_t FreezesBefore = Freezes.value();
+  const uint64_t RepairsBefore = Repairs.value();
+  Csr.freeze();
+  EXPECT_EQ(Freezes.value(), FreezesBefore + 1);
+  EXPECT_EQ(Repairs.value(), RepairsBefore + 2);
+  const uint32_t Comps = Csr.numComponents();
+  Csr.freeze();
+  EXPECT_EQ(Freezes.value(), FreezesBefore + 1);
+  EXPECT_EQ(Repairs.value(), RepairsBefore + 2);
+  EXPECT_FALSE(Csr.isAcyclic());
+  EXPECT_EQ(Csr.numComponents(), Comps);
+  expectKernelMatchesBfs(4, {{0, 1}, {1, 2}, {2, 1}, {3, 0}});
 }
 
 TEST(CsrGraphTest, AcyclicGraphsHaveIdentityCondensation) {
   // Acyclic freezes never run Tarjan: every node is its own component —
   // both on the ascending-ids shortcut and on the repair path.
-  Graph Ascending(4);
-  Ascending.addEdge(0, 1);
-  Ascending.addEdge(1, 2);
-  Ascending.addEdge(0, 3);
-  Graph Shuffled(4); // Descending-id edges force the repair ordering.
-  Shuffled.addEdge(3, 1);
-  Shuffled.addEdge(1, 0);
-  Shuffled.addEdge(3, 2);
-  for (const Graph *G : {&Ascending, &Shuffled}) {
-    CsrGraph Csr = CsrGraph::freeze(*G);
+  const Edges Ascending = {{0, 1}, {1, 2}, {0, 3}};
+  // Descending-id edges force the repair ordering.
+  const Edges Shuffled = {{3, 1}, {1, 0}, {3, 2}};
+  for (const Edges *E : {&Ascending, &Shuffled}) {
+    CsrGraph Csr = frozen(4, *E);
     EXPECT_TRUE(Csr.isAcyclic());
     EXPECT_EQ(Csr.numComponents(), 4u);
     for (uint32_t Node = 0; Node != 4; ++Node)
       EXPECT_EQ(Csr.componentOf(Node), Node);
-    expectKernelMatchesBfs(*G, allNodes(*G));
+    expectKernelMatchesBfs(4, *E);
   }
 }
 
@@ -152,32 +183,25 @@ TEST(CsrGraphTest, NearSortedGraphRepairsDescendingTail) {
   // Mostly-ascending netlist shape: a long ascending chain plus a couple
   // of descending edges whose targets have further successors, so the
   // repair set is a small non-trivial region rather than the whole graph.
-  Graph G(8);
+  Edges G;
   for (uint32_t Node = 0; Node != 5; ++Node)
-    G.addEdge(Node, Node + 1);
-  G.addEdge(6, 2); // Descending; 2's downstream chain joins the repair set.
-  G.addEdge(7, 0); // Descending onto the chain head.
-  G.addEdge(5, 7); // Ascending feed into a descending-edge source.
-  CsrGraph Csr = CsrGraph::freeze(G);
-  EXPECT_FALSE(Csr.isAcyclic()); // 0..5 -> 7 -> 0 closes a cycle.
+    G.emplace_back(Node, Node + 1);
+  G.emplace_back(6, 2); // Descending; 2 and its chain join the repair set.
+  G.emplace_back(7, 0); // Descending onto the chain head.
+  G.emplace_back(5, 7); // Ascending feed into a descending-edge source.
+  EXPECT_FALSE(frozen(8, G).isAcyclic()); // 0..5 -> 7 -> 0 closes a cycle.
 
-  Graph H(8);
+  Edges H;
   for (uint32_t Node = 0; Node != 5; ++Node)
-    H.addEdge(Node, Node + 1);
-  H.addEdge(6, 2); // Descending but acyclic: 2 never reaches 6.
-  H.addEdge(6, 7);
-  CsrGraph HCsr = CsrGraph::freeze(H);
-  EXPECT_TRUE(HCsr.isAcyclic());
-  expectKernelMatchesBfs(H, allNodes(H));
+    H.emplace_back(Node, Node + 1);
+  H.emplace_back(6, 2); // Descending but acyclic: 2 never reaches 6.
+  H.emplace_back(6, 7);
+  EXPECT_TRUE(frozen(8, H).isAcyclic());
+  expectKernelMatchesBfs(8, H);
 }
 
 TEST(CsrGraphTest, ComponentsGroupTheCycle) {
-  Graph G(4);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 1);
-  G.addEdge(2, 3);
-  CsrGraph Csr = CsrGraph::freeze(G);
+  CsrGraph Csr = frozen(4, {{0, 1}, {1, 2}, {2, 1}, {2, 3}});
   EXPECT_FALSE(Csr.isAcyclic());
   EXPECT_EQ(Csr.numComponents(), 3u);
   EXPECT_EQ(Csr.componentOf(1), Csr.componentOf(2));
@@ -189,15 +213,11 @@ TEST(CsrGraphTest, ComponentsGroupTheCycle) {
 }
 
 TEST(CsrGraphTest, SelfLoopGraphMatchesBfs) {
-  Graph G(3);
-  G.addEdge(0, 0);
-  G.addEdge(0, 1);
-  expectKernelMatchesBfs(G, allNodes(G));
+  expectKernelMatchesBfs(3, {{0, 0}, {0, 1}});
 }
 
 TEST(CsrGraphTest, SingleNodeNoEdgesReachesOnlyItself) {
-  Graph G(1);
-  expectKernelMatchesBfs(G, allNodes(G));
+  expectKernelMatchesBfs(1, {});
 }
 
 TEST(CsrGraphTest, ChunkBoundarySourceCounts) {
@@ -210,19 +230,17 @@ TEST(CsrGraphTest, ChunkBoundarySourceCounts) {
   for (uint32_t NumSources :
        {63u, 64u, 65u, 127u, 128u, 129u, 511u, 512u, 513u}) {
     const uint32_t N = NumSources + 40;
-    Graph G(N);
+    Edges G;
     std::mt19937 Rng(NumSources);
     std::uniform_int_distribution<uint32_t> Sink(NumSources, N - 1);
     for (uint32_t S = 0; S != NumSources; ++S) {
-      G.addEdge(S, Sink(Rng));
-      G.addEdge(S, Sink(Rng));
+      G.emplace_back(S, Sink(Rng));
+      G.emplace_back(S, Sink(Rng));
     }
     for (uint32_t Node = NumSources; Node + 1 != N; ++Node)
       if (Rng() % 2)
-        G.addEdge(Node, Node + 1);
-    std::vector<uint32_t> Sources(NumSources);
-    std::iota(Sources.begin(), Sources.end(), 0);
-    expectKernelMatchesBfs(G, Sources);
+        G.emplace_back(Node, Node + 1);
+    expectKernelMatchesBfs(N, G, allNodes(NumSources));
   }
 }
 
@@ -240,10 +258,7 @@ TEST(CsrGraphTest, ScratchReuseAcrossSweepsIsClean) {
   // A second sweep over disjoint sources must not inherit lanes from the
   // first: sweep once from a node reaching everything, then from an
   // isolated node, and demand an empty lane everywhere else.
-  Graph G(4);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  CsrGraph Csr = CsrGraph::freeze(G);
+  CsrGraph Csr = frozen(4, {{0, 1}, {1, 2}});
   ReachabilityKernel Kernel(Csr);
   const uint32_t First[] = {0};
   Kernel.sweep(First, 1);
@@ -258,16 +273,18 @@ TEST(CsrGraphTest, ScratchReuseAcrossSweepsIsClean) {
 TEST(CsrGraphTest, RandomDagsMatchPerSourceBfs) {
   std::mt19937 Rng(101);
   for (int Trial = 0; Trial != 100; ++Trial) {
-    Graph G = randomGraph(Rng, /*Dag=*/true);
-    expectKernelMatchesBfs(G, allNodes(G));
+    uint32_t N;
+    const Edges G = randomGraph(Rng, /*Dag=*/true, N);
+    expectKernelMatchesBfs(N, G);
   }
 }
 
 TEST(CsrGraphTest, RandomCyclicGraphsMatchPerSourceBfs) {
   std::mt19937 Rng(202);
   for (int Trial = 0; Trial != 100; ++Trial) {
-    Graph G = randomGraph(Rng, /*Dag=*/false);
-    expectKernelMatchesBfs(G, allNodes(G));
+    uint32_t N;
+    const Edges G = randomGraph(Rng, /*Dag=*/false, N);
+    expectKernelMatchesBfs(N, G);
   }
 }
 
@@ -275,10 +292,10 @@ TEST(CsrGraphTest, DenseStronglyConnectedGraphSharesClosure) {
   // One big SCC: every node reaches every node, so after any sweep every
   // node's mask must carry every seeded lane.
   const uint32_t N = 80;
-  Graph G(N);
+  Edges G;
   for (uint32_t I = 0; I != N; ++I)
-    G.addEdge(I, (I + 1) % N);
-  CsrGraph Csr = CsrGraph::freeze(G);
+    G.emplace_back(I, (I + 1) % N);
+  CsrGraph Csr = frozen(N, G);
   EXPECT_EQ(Csr.numComponents(), 1u);
   ReachabilityKernel Kernel(Csr);
   std::vector<uint32_t> Sources(ReachabilityKernel::WordBits);
@@ -312,10 +329,12 @@ TEST(CsrGraphTest, DeadlinePollInsideDenseAndSparseSweeps) {
   const uint32_t Head[] = {0};
 
   for (const bool DenseShape : {true, false}) {
-    Graph G(DenseShape ? Reached : 9 * Reached);
+    const uint32_t N = DenseShape ? Reached : 9 * Reached;
+    Edges Chain;
     for (uint32_t Node = 0; Node + 1 != Reached; ++Node)
-      G.addEdge(Node, Node + 1);
-    const CsrGraph Csr = CsrGraph::freeze(G);
+      Chain.emplace_back(Node, Node + 1);
+    const RefGraph G(N, Chain);
+    const CsrGraph Csr = frozen(N, Chain);
     ReachabilityKernel::Scratch Scratch;
     ReachabilityKernel Kernel(Csr, Scratch);
     trace::Counter &Pass = DenseShape ? Dense : Sparse;

@@ -42,6 +42,12 @@ run() {
 # Exit 0: a loop-free design ends in the well-connected verdict line.
 run loopfree 0 loopfree.blif --format json
 
+# Exit 0: a .subckt that leaves an output port unbound. That output drives
+# no wire of the parent, so Stage 1 and the --depth analysis both skip the
+# summary edges into it instead of aborting.
+run unboundout 0 unboundout.blif --format json
+run unboundout_depth 0 unboundout.blif --format json --depth
+
 # Exit 1: an internal combinational loop, witness rendered as
 # instance.port hops; a malformed BLIF with file:line:col provenance;
 # an ascription sidecar whose declared sorts disagree with computed.

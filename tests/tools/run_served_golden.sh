@@ -64,6 +64,10 @@ run loopfree loopfree.blif --format json
 run loopy loopy.blif --format json
 run malformed malformed.blif --format json
 run badascribe badascribe.blif --format json --check badascribe.wsort
+# A .subckt leaving an output unbound once aborted the checker, and with
+# it the daemon; every case after this one shows the daemon still serves.
+run unboundout unboundout.blif --format json
+run unboundout_depth unboundout.blif --format json --depth
 # A --cache file that is not a cache-v3 stream: the same WS502 refusal.
 run badcache loopfree.blif --format json --cache bogus.wscache
 # Warm repeat: the resident cache serves every summary; bytes unchanged.

@@ -9,11 +9,13 @@
 #      scheduler/cache locking (docs/ENGINE.md) is a correctness claim,
 #      and so is the byte-identical serial/parallel/warm diag ordering
 #      the determinism trials assert, so the concurrency-heavy tests
-#      rerun under -fsanitize=thread; the bit-parallel kernel suite
-#      rides along (its masks feed the engine);
+#      rerun under -fsanitize=thread; the kernel suite rides along (the
+#      graph algorithms and the bit-parallel kernel, whose masks feed the
+#      engine);
 #   3. an UndefinedBehaviorSanitizer build of the kernel suite — the CSR
-#      sweep (docs/KERNEL.md) lives on shifts and index arithmetic, which
-#      is exactly UBSan's beat;
+#      packing, Tarjan, cycle walk, Kahn order and sweep (docs/KERNEL.md)
+#      live on shifts and index arithmetic, which is exactly UBSan's
+#      beat;
 #   4. a jq smoke check that live `wiresort-check --format json` output
 #      is valid NDJSON (skipped when jq is absent);
 #   5. a trace/stats validation stage (docs/OBSERVABILITY.md): export the
@@ -30,7 +32,8 @@
 #      injected faults walk the error/retry/quarantine paths that
 #      ordinary runs never touch, which is exactly where leaks and
 #      use-after-frees hide — plus the kernel suite, which then runs the
-#      row-arena indexing of every row width under ASan, the IR,
+#      graph algorithms and the row-arena indexing of every row width
+#      under ASan, the IR,
 #      analysis, soundness and metamorphic suites, which index
 #      Circuit::seal's bindings and Stage 3's dense port numbering, and
 #      the parser suite, whose BLIF pass 1 holds views into the caller's
@@ -194,9 +197,10 @@ cmake --build "$ASAN_BUILD" -j "$(nproc)" \
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/fault_soak_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/engine_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/support_tests"
-# The kernel suite under ASan: every row width's loads/stores against
-# the flat row arena, including the partial-row tails at the
-# 63/65/127/129/511/513 source boundaries.
+# The kernel suite under ASan: the CSR packing, Tarjan, cycle walk and
+# Kahn order, and every row width's loads/stores against the flat row
+# arena, including the partial-row tails at the 63/65/127/129/511/513
+# source boundaries.
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/kernel_tests"
 # Seal's slot-indexed bindings and Stage 3's dense port numbering: the
 # reference-seal and Stage-3 tests, the soundness oracle, and the
