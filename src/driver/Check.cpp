@@ -182,7 +182,8 @@ checkDeclared(const Design &D,
 
 } // namespace
 
-CheckResult CheckService::run(const CheckRequest &R) {
+CheckResult CheckService::run(const CheckRequest &R,
+                              parse::BlifParseCache *Cache) {
   CheckResult Res;
   Emitter Emit(Res);
   Emit.Fmt = R.Req.OutputFormat;
@@ -249,16 +250,15 @@ CheckResult CheckService::run(const CheckRequest &R) {
     return true;
   };
 
-  // --- Design text: shipped inline (daemon) or read from disk (CLI).
-  std::string Text;
-  if (R.HasInlineText) {
-    Text = R.DesignText;
-  } else {
-    std::optional<std::string> FromDisk = readFile(R.DesignPath);
+  // --- Design text: shipped inline (daemon; parsed where it lies) or
+  // read from disk (CLI).
+  std::optional<std::string> FromDisk;
+  if (!R.HasInlineText) {
+    FromDisk = readFile(R.DesignPath);
     if (!FromDisk)
       return done(ioError(Emit, "cannot read '" + R.DesignPath + "'"));
-    Text = std::move(*FromDisk);
   }
+  const std::string &Text = FromDisk ? *FromDisk : R.DesignText;
   const std::string &Name = R.name();
   Emit.addSource(Name, Text);
 
@@ -278,7 +278,8 @@ CheckResult CheckService::run(const CheckRequest &R) {
     File->Design = std::move(VFile->Design);
     File->Top = VFile->Top;
   } else {
-    auto BFile = parse::parseBlif(Text, Name, DLPtr, &ParseCache);
+    auto BFile =
+        parse::parseBlif(Text, Name, DLPtr, Cache, Engine.config().Threads);
     if (!BFile) {
       bool Cancelled = wasCancelled(BFile.diags());
       Emit.emit(BFile.diags());
@@ -477,7 +478,7 @@ CheckResult CheckService::run(const CheckRequest &R) {
 CheckResult wiresort::driver::runCheck(const CheckRequest &R,
                                        EngineConfig Cfg) {
   CheckService OneShot(Cfg);
-  return OneShot.run(R);
+  return OneShot.run(R, nullptr);
 }
 
 std::optional<std::string> wiresort::driver::readFile(const std::string &Path) {

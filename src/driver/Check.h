@@ -125,7 +125,7 @@ public:
 
   /// Serves one request. Never throws; every failure mode is a
   /// diagnostic in the result (docs/ROBUSTNESS.md).
-  CheckResult run(const CheckRequest &R);
+  CheckResult run(const CheckRequest &R) { return run(R, &ParseCache); }
 
   /// The resident engine (its cache() is the residency).
   analysis::SummaryEngine &engine() { return Engine; }
@@ -133,14 +133,20 @@ public:
   /// The parse half of the residency: BLIF `.model` chunks are cached
   /// by content, so a warm request re-tokenizes only edited models —
   /// the same dirtied-only contract the summary cache gives inference
-  /// (docs/SERVING.md). A one-shot runCheck starts this cold, so CLI
-  /// and daemon bytes cannot diverge on cache state.
+  /// (docs/SERVING.md). A one-shot runCheck parses with no parse cache
+  /// at all; a replay is byte-identical to a parse, so CLI and daemon
+  /// bytes cannot diverge on cache state.
   const parse::BlifParseCache &parseCache() const { return ParseCache; }
 
   /// Requests served since construction (daemon stats).
   size_t requestsServed() const { return Served.load(); }
 
 private:
+  friend CheckResult runCheck(const CheckRequest &, analysis::EngineConfig);
+
+  /// run(), parsing BLIF through \p Cache (null: no parse cache).
+  CheckResult run(const CheckRequest &R, parse::BlifParseCache *Cache);
+
   analysis::SummaryEngine Engine;
   parse::BlifParseCache ParseCache;
   std::mutex TelemetryMutex;
@@ -148,8 +154,9 @@ private:
 };
 
 /// One-shot convenience: a fresh (cold) CheckService for one request —
-/// exactly what a `wiresort-check` process invocation is. \p Cfg carries
-/// the engine knobs (--threads).
+/// exactly what a `wiresort-check` process invocation is — that parses
+/// with no parse cache, since nothing would replay it. \p Cfg carries
+/// the engine knobs (--threads, which also sets the parse threads).
 CheckResult runCheck(const CheckRequest &R, analysis::EngineConfig Cfg = {});
 
 /// The bytes of the file at \p Path, read to its end without seeking, so

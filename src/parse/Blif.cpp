@@ -7,10 +7,13 @@
 #include "parse/Blif.h"
 
 #include "support/FailPoint.h"
+#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <list>
 #include <map>
@@ -20,6 +23,8 @@
 #include <set>
 #include <sstream>
 #include <string_view>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 using namespace wiresort;
@@ -150,12 +155,11 @@ private:
   }
 };
 
-/// Pass 1 as a resumable line consumer, so the plain path (one machine
-/// over the whole file) and the chunk-cache path (one machine per
-/// uncached `.model` chunk) run exactly the same transitions. Chunk
-/// boundaries only ever fall on non-continued `.model` lines, where the
-/// machine is in its initial inter-model state — which is what makes a
-/// fresh Pass1 per chunk equivalent to the single pass.
+/// Pass 1 as a line consumer, run once per uncached `.model` chunk.
+/// Chunk boundaries only ever fall on non-continued `.model` lines, where
+/// the machine is in its initial inter-model state — which is what makes
+/// a fresh Pass1 per chunk equivalent to one pass over the whole file,
+/// and lets the chunks of one file parse on different threads.
 struct Pass1 {
   const std::string &FileName;
   std::vector<ModelBuilder> Models;
@@ -186,10 +190,9 @@ struct Pass1 {
     return W;
   }
 
-  /// Binds Cur's .subckt actuals. A model ends at the next .model or at
-  /// the end of the text (a cache chunk ends at a .model line too), after
-  /// every wire its other lines name; unseen actuals are created here, in
-  /// subckt-then-pair order.
+  /// Binds Cur's .subckt actuals. A model ends at the end of its chunk,
+  /// after every wire its other lines name; unseen actuals are created
+  /// here, in subckt-then-pair order.
   void endModel() {
     if (!Cur)
       return;
@@ -306,6 +309,8 @@ struct Pass1 {
       // A cover row for the pending .names.
       if (!PendingLut)
         return fail(Tok[0], "cover row outside .names");
+      if (Tok.size() > 2)
+        return fail(Tok[2], "extra cover row field " + quote(Tok[2].Text));
       std::string_view Plane = Tok.size() == 2 ? Tok[0].Text : "";
       std::string_view Output = Tok.size() == 2 ? Tok[1].Text : Tok[0].Text;
       if (Output != "0" && Output != "1")
@@ -446,7 +451,8 @@ size_t parse::BlifParseCache::misses() const {
 support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
                                              const std::string &FileName,
                                              const support::Deadline *DL,
-                                             BlifParseCache *Cache) {
+                                             BlifParseCache *Cache,
+                                             unsigned Threads) {
   using support::Diag;
   using support::DiagCode;
   using support::SrcLoc;
@@ -464,18 +470,51 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
     return Diag(Code, Msg).withLoc(SrcLoc{FileName, Line, Col});
   };
 
-  // Feeds Text[Begin, End) to \p P line by line, numbering from
-  // StartLine, then ends the last model. The deadline poll is once per
-  // line: a BLIF line is at most a few hundred bytes of tokenizing, so
-  // this bounds a runaway input without measurable cost (the parse.cancel
-  // failpoint simulates expiry deterministically).
-  auto eachLine = [&](size_t Begin, size_t End, size_t StartLine,
-                      Pass1 &P) -> std::optional<Diag> {
+  /// One `.model` chunk: a cache hit to replay, or a miss and what its
+  /// pass 1 left (models, or the error it stopped at, or what it threw).
+  struct ChunkJob {
+    ChunkRef Ref;
+    std::string_view Bytes;
+    uint64_t Key = 0;
+    std::shared_ptr<const CacheEntry> Hit;
+    std::vector<ModelBuilder> Models;
+    std::optional<Diag> Err;
+    std::exception_ptr Thrown;
+  };
+
+  // Every chunk is looked up here, in file order, so the hit and miss
+  // counts and the cache's recency never depend on the schedule.
+  std::vector<ChunkJob> Jobs;
+  std::vector<size_t> Misses;
+  for (const ChunkRef &C : splitModelChunks(Text)) {
+    ChunkJob &J = Jobs.emplace_back();
+    J.Ref = C;
+    J.Bytes = std::string_view(Text.data() + C.Begin, C.End - C.Begin);
+    if (Cache) {
+      // The key lives only in memory, and the exact-bytes guard makes a
+      // collision cost a re-parse, so any fast hash will do.
+      J.Key = std::hash<std::string_view>{}(J.Bytes);
+      J.Hit = Cache->I->find(J.Key, J.Bytes);
+    }
+    if (J.Hit) {
+      ChunkHits.add(1);
+      continue;
+    }
+    ChunkMisses.add(1);
+    Misses.push_back(Jobs.size() - 1);
+  }
+
+  // Feeds chunk \p C to \p P line by line, then ends its last model. The
+  // deadline poll is once per line: a BLIF line is at most a few hundred
+  // bytes of tokenizing, so this bounds a runaway input without
+  // measurable cost (the parse.cancel failpoint simulates expiry
+  // deterministically).
+  auto eachLine = [&](const ChunkRef &C, Pass1 &P) -> std::optional<Diag> {
     const char *Data = Text.data();
-    size_t Pos = Begin, LineNo = StartLine - 1;
-    while (Pos < End) {
-      const void *Eol = std::memchr(Data + Pos, '\n', End - Pos);
-      size_t Stop = Eol ? static_cast<const char *>(Eol) - Data : End;
+    size_t Pos = C.Begin, LineNo = C.StartLine - 1;
+    while (Pos < C.End) {
+      const void *Eol = std::memchr(Data + Pos, '\n', C.End - Pos);
+      size_t Stop = Eol ? static_cast<const char *>(Eol) - Data : C.End;
       ++LineNo;
       if (DL && (DL->expired() || WS_FAILPOINT("parse.cancel")))
         return failAt(DiagCode::WS601_CANCELLED, LineNo, 0,
@@ -488,54 +527,78 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
     return std::nullopt;
   };
 
-  std::vector<ModelBuilder> Models;
-  if (!Cache) {
-    Pass1 P(FileName);
-    if (auto E = eachLine(0, Text.size(), 1, P))
-      return *E;
-    Models = std::move(P.Models);
-  } else {
-    for (const ChunkRef &C : splitModelChunks(Text)) {
-      std::string_view Bytes(Text.data() + C.Begin, C.End - C.Begin);
-      // The key lives only in memory, and the exact-bytes guard makes a
-      // collision cost a re-parse, so any fast hash will do.
-      uint64_t Key = std::hash<std::string_view>{}(Bytes);
-      if (auto E = Cache->I->find(Key, Bytes)) {
-        // Replay: copy the pristine models, rebasing source lines to
-        // where the chunk sits in *this* file so any later resolution
-        // diagnostic is byte-identical to an uncached parse.
-        ChunkHits.add(1);
-        ptrdiff_t Delta = static_cast<ptrdiff_t>(C.StartLine) -
-                          static_cast<ptrdiff_t>(E->StartLine);
-        for (const ModelBuilder &MB : E->Models) {
-          // Pass 2 reads Driven and Subckts only of models that
-          // instantiate something; a leaf model's replay is its Module.
-          Models.emplace_back();
-          ModelBuilder &W = Models.back();
-          W.M = MB.M;
-          W.Line = MB.Line + Delta;
-          W.Col = MB.Col;
-          if (!MB.Subckts.empty()) {
-            W.Driven = MB.Driven;
-            W.Subckts = MB.Subckts;
-            for (SubcktRec &Rec : W.Subckts)
-              Rec.Line += Delta;
-          }
-        }
-        continue;
-      }
-      ChunkMisses.add(1);
+  // Pass 1 of one miss on a fresh machine: a chunk starts in the
+  // inter-model state, so chunks parse independently. \returns false
+  // when the chunk failed.
+  auto pass1 = [&](ChunkJob &J) {
+    try {
       Pass1 P(FileName);
-      if (auto E = eachLine(C.Begin, C.End, C.StartLine, P))
-        return *E;
-      auto Entry = std::make_shared<CacheEntry>();
-      Entry->Bytes = std::string(Bytes);
-      Entry->StartLine = C.StartLine;
-      Entry->Models = P.Models; // pristine copy, pre-pass-2
-      Cache->I->insert(Key, std::move(Entry));
-      for (ModelBuilder &MB : P.Models)
-        Models.push_back(std::move(MB));
+      J.Err = eachLine(J.Ref, P);
+      J.Models = std::move(P.Models);
+    } catch (...) {
+      J.Thrown = std::current_exception();
     }
+    return !J.Err && !J.Thrown;
+  };
+  const unsigned Workers =
+      Threads != 0 ? Threads
+                   : std::max(1u, std::thread::hardware_concurrency());
+  if (Workers == 1 || Misses.size() <= 1) {
+    // File order, stopping at the first failure: only it is reported.
+    for (size_t I : Misses)
+      if (!pass1(Jobs[I]))
+        break;
+  } else {
+    // Largest first, so the biggest chunk never starts last.
+    std::stable_sort(Misses.begin(), Misses.end(), [&](size_t A, size_t B) {
+      return Jobs[A].Bytes.size() > Jobs[B].Bytes.size();
+    });
+    ThreadPool Pool(
+        static_cast<unsigned>(std::min<size_t>(Workers, Misses.size())));
+    for (size_t I : Misses)
+      Pool.submit([&pass1, &J = Jobs[I]] { pass1(J); });
+    Pool.wait();
+  }
+
+  // Results in file order: the first failing chunk's diagnostic (or
+  // exception) wins, and the misses before it enter the cache.
+  std::vector<ModelBuilder> Models;
+  for (ChunkJob &J : Jobs) {
+    if (J.Hit) {
+      // Replay: copy the pristine models, rebasing source lines to where
+      // the chunk sits in *this* file so any later resolution diagnostic
+      // is byte-identical to an uncached parse.
+      ptrdiff_t Delta = static_cast<ptrdiff_t>(J.Ref.StartLine) -
+                        static_cast<ptrdiff_t>(J.Hit->StartLine);
+      for (const ModelBuilder &MB : J.Hit->Models) {
+        // Pass 2 reads Driven and Subckts only of models that
+        // instantiate something; a leaf model's replay is its Module.
+        ModelBuilder &W = Models.emplace_back();
+        W.M = MB.M;
+        W.Line = MB.Line + Delta;
+        W.Col = MB.Col;
+        if (!MB.Subckts.empty()) {
+          W.Driven = MB.Driven;
+          W.Subckts = MB.Subckts;
+          for (SubcktRec &Rec : W.Subckts)
+            Rec.Line += Delta;
+        }
+      }
+      continue;
+    }
+    if (J.Thrown)
+      std::rethrow_exception(J.Thrown);
+    if (J.Err)
+      return *J.Err;
+    if (Cache) {
+      auto Entry = std::make_shared<CacheEntry>();
+      Entry->Bytes = std::string(J.Bytes);
+      Entry->StartLine = J.Ref.StartLine;
+      Entry->Models = J.Models; // pristine copy, pre-pass-2
+      Cache->I->insert(J.Key, std::move(Entry));
+    }
+    for (ModelBuilder &MB : J.Models)
+      Models.push_back(std::move(MB));
   }
 
   if (Models.empty())
@@ -551,6 +614,11 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
                     "duplicate model '" + MB.M.Name + "'");
     IdByName[MB.M.Name] = Id;
   }
+  // Each instantiated model's ports by name, built on first use, so a
+  // formal costs one lookup rather than a scan of every port. Pass 1
+  // rejects a repeated port name, so this binds what a scan would.
+  std::vector<std::unordered_map<std::string_view, WireId>> PortsByName(
+      Models.size());
   for (ModelBuilder &MB : Models) {
     for (const SubcktRec &Rec : MB.Subckts) {
       auto It = IdByName.find(Rec.DefName);
@@ -563,12 +631,20 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
       Inst.Def = It->second;
       Inst.Name = Rec.DefName + "$" + std::to_string(MB.M.Instances.size());
       const Module &Def = Models[It->second].M;
+      auto &Ports = PortsByName[It->second];
+      if (Ports.empty()) {
+        for (WireId Port : Def.Inputs)
+          Ports.emplace(Def.wire(Port).Name, Port);
+        for (WireId Port : Def.Outputs)
+          Ports.emplace(Def.wire(Port).Name, Port);
+      }
       for (const auto &[Formal, Local] : Rec.Pairs) {
-        WireId Port = Def.findPort(Formal);
-        if (Port == InvalidId)
+        auto PortIt = Ports.find(Formal);
+        if (PortIt == Ports.end())
           return failAt(DiagCode::WS202_BLIF_STRUCTURE, Rec.Line, Rec.Col,
                         "model '" + Rec.DefName + "' has no port '" +
                             Formal + "'");
+        const WireId Port = PortIt->second;
         if (Def.isOutput(Port) && !MB.drive(Local))
           return failAt(DiagCode::WS202_BLIF_STRUCTURE, Rec.Line, Rec.Col,
                         "signal " + quote(MB.M.wire(Local).Name) +

@@ -39,13 +39,12 @@ struct BlifFile {
 };
 
 /// Content-keyed cache of parsed `.model` chunks, the parse half of the
-/// serving layer's residency (docs/SERVING.md). When passed to
-/// parseBlif, the text is split at `.model` boundaries and each chunk
-/// is keyed by its exact bytes: a hit replays the stored parse (with
-/// source lines rebased to the chunk's position in the new file, so
-/// diagnostics stay byte-identical to an uncached parse), a miss
-/// parses normally and populates the cache. A warm re-parse of an
-/// edited file therefore re-tokenizes only the edited models — the
+/// serving layer's residency (docs/SERVING.md). parseBlif keys each
+/// chunk by its exact bytes: a hit replays the stored parse (with source
+/// lines rebased to the chunk's position in the new file, so diagnostics
+/// stay byte-identical to an uncached parse), a miss parses like any
+/// chunk and its pristine result populates the cache. A warm re-parse of
+/// an edited file therefore re-tokenizes only the edited models — the
 /// same dirtied-only contract the summary cache gives Stage 1.
 ///
 /// Thread-safe: concurrent parseBlif calls may share one cache.
@@ -60,7 +59,7 @@ public:
   BlifParseCache(const BlifParseCache &) = delete;
   BlifParseCache &operator=(const BlifParseCache &) = delete;
 
-  /// Cached chunks / chunk lookups that replayed / that parsed.
+  /// Cached chunks / chunk lookups that replayed / that missed.
   size_t size() const;
   size_t hits() const;
   size_t misses() const;
@@ -70,7 +69,7 @@ public:
 private:
   friend support::Expected<BlifFile>
   parseBlif(const std::string &, const std::string &,
-            const support::Deadline *, BlifParseCache *);
+            const support::Deadline *, BlifParseCache *, unsigned);
   std::unique_ptr<Impl> I;
 };
 
@@ -81,13 +80,21 @@ private:
 /// An active \p DL is polled once per input line; when it fires the
 /// parse stops with a WS601_CANCELLED diagnostic locating the line it
 /// stopped at (docs/ROBUSTNESS.md). A null \p DL never cancels.
-/// A non-null \p Cache reuses previously parsed `.model` chunks by
-/// content — same result, same diagnostics, same bytes out, only the
-/// tokenizing skipped (see BlifParseCache).
+///
+/// The text is split at non-continued `.model` lines, and each chunk
+/// gets its own pass 1. A non-null \p Cache replays chunks it has seen
+/// by content — same result, same diagnostics, same bytes out, only the
+/// tokenizing skipped (see BlifParseCache). The chunks that are not
+/// replayed parse on up to \p Threads threads (0 = hardware
+/// concurrency), largest first. The result, diagnostics and counters do
+/// not depend on the thread count: the first failing chunk in file order
+/// supplies the diagnostic, the cache is consulted and filled in file
+/// order on the calling thread, and so is `.subckt` resolution.
 support::Expected<BlifFile> parseBlif(const std::string &Text,
                                       const std::string &FileName = "",
                                       const support::Deadline *DL = nullptr,
-                                      BlifParseCache *Cache = nullptr);
+                                      BlifParseCache *Cache = nullptr,
+                                      unsigned Threads = 1);
 
 /// Serializes \p Top and every definition it (transitively) instantiates.
 /// All reachable modules must be bit-level (1-bit wires) and contain only

@@ -155,6 +155,39 @@ TEST(Driver, ParseResidencySkipsUnchangedChunks) {
   EXPECT_EQ(Cold.Err, Edited.Err);
 }
 
+TEST(Driver, OneShotMatchesResidentAtAnyThreadCount) {
+  // A one-shot runCheck parses with no parse cache; a resident service
+  // parses through its own. Same bytes either way at one thread and at
+  // four (a text-mode Out carries a timing, so text compares Err), and
+  // the resident's hit/miss accounting does not depend on the threads.
+  const std::string Good = hierarchy(".names a t\n0 1\n.names t y\n0 1\n");
+  const std::string Bad = hierarchy(".names a y\n0 1 1\n");
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE(Threads);
+    const analysis::EngineConfig Cfg{Threads, true};
+    CheckService Resident(Cfg);
+    for (const std::string *Text : {&Good, &Bad}) {
+      for (analysis::Format Fmt :
+           {analysis::Format::Json, analysis::Format::Text}) {
+        CheckRequest R = inlineRequest(Text->c_str(), "hier.blif", Fmt);
+        CheckResult Cold = runCheck(R, Cfg);
+        CheckResult Warm = Resident.run(R);
+        EXPECT_EQ(Cold.ExitCode, Text == &Good ? 0 : 1);
+        EXPECT_EQ(Cold.ExitCode, Warm.ExitCode);
+        EXPECT_EQ(Cold.Err, Warm.Err);
+        if (Fmt == analysis::Format::Json) {
+          EXPECT_EQ(Cold.Out, Warm.Out);
+        }
+      }
+    }
+    // Good: 3 misses, then 3 hits. Bad, twice: top and leaf1 hit, the
+    // broken leaf2 misses and is never cached.
+    EXPECT_EQ(Resident.parseCache().hits(), 7u);
+    EXPECT_EQ(Resident.parseCache().misses(), 5u);
+    EXPECT_EQ(Resident.parseCache().size(), 3u);
+  }
+}
+
 TEST(Driver, CaretEchoKeyedPerRequestFile) {
   // Two different malformed sources through one resident service: each
   // text-mode render must echo *its own* line under the caret. (The old

@@ -10,6 +10,8 @@
 #include "gen/Fifo.h"
 #include "riscv/Cpu.h"
 #include "sim/Simulator.h"
+#include "support/Deadline.h"
+#include "support/Trace.h"
 #include "support/Wire.h"
 #include "synth/CycleDetect.h"
 #include "synth/Lower.h"
@@ -90,6 +92,34 @@ void eachParse(const std::string &Text, CheckFn Check) {
   Check(parseBlif(Text, "t.blif", nullptr, &Cache));
   Check(parseBlif(Text, "t.blif", nullptr, &Cache));
   EXPECT_EQ(Cache.hits(), Cache.misses()); // The replay parsed nothing.
+}
+
+/// Thread counts every threaded-parse case sweeps.
+const unsigned ThreadCounts[] = {1, 2, 4, 8};
+
+/// `.model Name` passing `a` to `y` through a chain of \p Gates buffers,
+/// with \p Extra lines before its `.end`.
+std::string leafModel(const std::string &Name, size_t Gates,
+                      const std::string &Extra = "") {
+  std::string S = ".model " + Name + "\n.inputs a\n.outputs y\n";
+  std::string Prev = "a";
+  for (size_t I = 0; I != Gates; ++I) {
+    std::string Next = I + 1 == Gates ? "y" : "n" + std::to_string(I);
+    S += ".names " + Prev + " " + Next + "\n1 1\n";
+    Prev = Next;
+  }
+  return S + Extra + ".end\n";
+}
+
+/// A top (8 lines) chaining leaves l1..l4 through `.subckt` lines; its
+/// first instance refers to \p FirstDef.
+std::string chainTop(const std::string &FirstDef = "l1") {
+  return ".model top\n.inputs a\n.outputs y\n"
+         ".subckt " + FirstDef + " a=a y=t1\n"
+         ".subckt l2 a=t1 y=t2\n"
+         ".subckt l3 a=t2 y=t3\n"
+         ".subckt l4 a=t3 y=y\n"
+         ".end\n";
 }
 
 } // namespace
@@ -435,8 +465,9 @@ TEST(BlifTest, ParseCacheEvictsLeastRecentlyUsedNotWholesale) {
 TEST(BlifTest, ParsedSocIsPinned) {
   // The lowered riscv SoC (the netlist wiresort-check users feed in),
   // dumped fact by fact: any change to a wire id, name, kind, net,
-  // cover, register, instance or port order moves the digest. A replay
-  // from the parse cache must give the same design.
+  // cover, register, instance or port order moves the digest. A parse
+  // on any number of threads, cached or not, and a replay from the
+  // parse cache must all give the same design.
   Design D;
   riscv::Cpu C = riscv::buildCpu(D);
   ModuleId Top = riscv::sealCpu(C);
@@ -444,17 +475,160 @@ TEST(BlifTest, ParsedSocIsPinned) {
   const std::string Text = writeBlif(Low.Design, Low.Top);
   const uint64_t Pinned = 0x63d6f2fd7fc754aaull;
 
-  auto Plain = parseBlif(Text, "soc.blif");
-  ASSERT_TRUE(Plain.hasValue()) << Plain.describe();
-  EXPECT_EQ(Plain->Design.numModules(), 12u);
-  EXPECT_EQ(support::wire::fnv1a(dumpDesign(Plain->Design)), Pinned);
+  for (unsigned Threads : ThreadCounts) {
+    SCOPED_TRACE(Threads);
+    auto Plain = parseBlif(Text, "soc.blif", nullptr, nullptr, Threads);
+    ASSERT_TRUE(Plain.hasValue()) << Plain.describe();
+    EXPECT_EQ(Plain->Design.numModules(), 12u);
+    EXPECT_EQ(support::wire::fnv1a(dumpDesign(Plain->Design)), Pinned);
 
-  BlifParseCache Cache;
-  ASSERT_TRUE(parseBlif(Text, "soc.blif", nullptr, &Cache).hasValue());
-  auto Replayed = parseBlif(Text, "soc.blif", nullptr, &Cache);
-  ASSERT_TRUE(Replayed.hasValue()) << Replayed.describe();
-  EXPECT_EQ(Cache.hits(), 12u);
-  EXPECT_EQ(support::wire::fnv1a(dumpDesign(Replayed->Design)), Pinned);
+    BlifParseCache Cache;
+    auto Cold = parseBlif(Text, "soc.blif", nullptr, &Cache, Threads);
+    ASSERT_TRUE(Cold.hasValue()) << Cold.describe();
+    EXPECT_EQ(support::wire::fnv1a(dumpDesign(Cold->Design)), Pinned);
+    auto Replayed = parseBlif(Text, "soc.blif", nullptr, &Cache, Threads);
+    ASSERT_TRUE(Replayed.hasValue()) << Replayed.describe();
+    EXPECT_EQ(Cache.hits(), 12u);
+    EXPECT_EQ(Cache.misses(), 12u);
+    EXPECT_EQ(support::wire::fnv1a(dumpDesign(Replayed->Design)), Pinned);
+  }
+}
+
+TEST(BlifTest, FirstFailingChunkInFileOrderWinsAtEveryThreadCount) {
+  // Chunk 2 and chunk 5 both fail pass 1; chunk 5 is much larger, so a
+  // threaded parse starts it first and may finish it first. Chunk 2's
+  // diagnostic is the one reported, as a serial parse would, with and
+  // without a cache and on a cache's second look.
+  const std::string Text = chainTop() + leafModel("l1", 2, ".bogus\n") +
+                           leafModel("l2", 2) + leafModel("l3", 2) +
+                           leafModel("l4", 400, ".latch x\n");
+  // A pass-1 error in a late chunk beats the pass-2 error (an unknown
+  // model) in the first.
+  const std::string Late = chainTop("nosuch") + leafModel("l1", 2) +
+                           leafModel("l2", 2) + leafModel("l3", 2) +
+                           leafModel("l4", 2, ".latch x\n");
+  auto expectDiag = [](const support::Expected<BlifFile> &File,
+                       const std::string &Msg, size_t Line) {
+    ASSERT_FALSE(File.hasValue());
+    const support::Diag &Diag = File.diags().firstError();
+    EXPECT_EQ(Diag.code(), support::DiagCode::WS201_BLIF_SYNTAX);
+    EXPECT_EQ(Diag.message(), Msg);
+    ASSERT_TRUE(Diag.loc().has_value());
+    EXPECT_EQ(Diag.loc()->Line, Line);
+    EXPECT_EQ(Diag.loc()->Col, 1u);
+  };
+  for (unsigned Threads : ThreadCounts) {
+    SCOPED_TRACE(Threads);
+    BlifParseCache Cache;
+    for (BlifParseCache *C : {(BlifParseCache *)nullptr, &Cache, &Cache}) {
+      expectDiag(parseBlif(Text, "f.blif", nullptr, C, Threads),
+                 "unsupported directive '.bogus'", 16);
+      expectDiag(parseBlif(Late, "f.blif", nullptr, C, Threads),
+                 ".latch expects input and output", 40);
+    }
+  }
+}
+
+TEST(BlifTest, ExpiredDeadlineCancelsAtLineOneAtEveryThreadCount) {
+  // Every chunk stops at its first line; chunk 1's is the one reported,
+  // and a cancelled chunk never enters the cache.
+  const std::string Text = chainTop() + leafModel("l1", 2) +
+                           leafModel("l2", 50) + leafModel("l3", 2) +
+                           leafModel("l4", 100);
+  support::CancellationToken Token = support::CancellationToken::create();
+  Token.cancel();
+  const support::Deadline DL = support::Deadline::afterMs(0, Token);
+  for (unsigned Threads : ThreadCounts) {
+    SCOPED_TRACE(Threads);
+    BlifParseCache Cache;
+    for (BlifParseCache *C : {(BlifParseCache *)nullptr, &Cache}) {
+      auto File = parseBlif(Text, "d.blif", &DL, C, Threads);
+      ASSERT_FALSE(File.hasValue());
+      const support::Diag &Diag = File.diags().firstError();
+      EXPECT_EQ(Diag.code(), support::DiagCode::WS601_CANCELLED);
+      ASSERT_TRUE(Diag.loc().has_value());
+      EXPECT_EQ(Diag.loc()->Line, 1u);
+    }
+    EXPECT_EQ(Cache.size(), 0u);
+  }
+}
+
+TEST(BlifTest, ChunkCountersMatchAtAnyThreadCount) {
+  // parse.chunk.hits/misses count lookups in file order on the calling
+  // thread: the same at one thread as at four, with or without a cache,
+  // and through a failed parse too.
+  const std::string Good = chainTop() + leafModel("l1", 2) +
+                           leafModel("l2", 30) + leafModel("l3", 2) +
+                           leafModel("l4", 60);
+  const std::string Bad = chainTop() + leafModel("l1", 2, ".bogus\n") +
+                          leafModel("l2", 30) + leafModel("l3", 2) +
+                          leafModel("l4", 60);
+  auto counts = [&](unsigned Threads, bool Cached) {
+    trace::Session Metrics(trace::SessionOptions{"", false});
+    BlifParseCache Cache;
+    BlifParseCache *C = Cached ? &Cache : nullptr;
+    EXPECT_TRUE(parseBlif(Good, "c.blif", nullptr, C, Threads).hasValue());
+    EXPECT_FALSE(parseBlif(Bad, "c.blif", nullptr, C, Threads).hasValue());
+    EXPECT_TRUE(parseBlif(Good, "c.blif", nullptr, C, Threads).hasValue());
+    return std::make_pair(trace::counter("parse.chunk.hits").value(),
+                          trace::counter("parse.chunk.misses").value());
+  };
+  EXPECT_EQ(counts(1, false), std::make_pair(uint64_t(0), uint64_t(15)));
+  EXPECT_EQ(counts(4, false), counts(1, false));
+  // Good: 5 misses; Bad: l1 misses, the rest hit; Good again: all hit.
+  EXPECT_EQ(counts(1, true), std::make_pair(uint64_t(9), uint64_t(6)));
+  EXPECT_EQ(counts(4, true), counts(1, true));
+}
+
+TEST(BlifTest, WideSubcktBindsEveryFormalInAnyOrder) {
+  // A top instantiating a 4,000-port model once, formals in reverse
+  // order: each formal is one name lookup, and binds its own port.
+  const size_t Half = 2000;
+  auto file = [&](const std::string &ExtraPair) {
+    std::string Top = ".model top\n.inputs", Wide = ".model wide\n.inputs";
+    for (size_t I = 0; I != Half; ++I) {
+      Top += " a" + std::to_string(I);
+      Wide += " i" + std::to_string(I);
+    }
+    Top += "\n.outputs";
+    Wide += "\n.outputs";
+    for (size_t I = 0; I != Half; ++I) {
+      Top += " b" + std::to_string(I);
+      Wide += " o" + std::to_string(I);
+    }
+    Top += "\n.subckt wide";
+    for (size_t I = Half; I-- != 0;)
+      Top += " o" + std::to_string(I) + "=b" + std::to_string(I);
+    for (size_t I = Half; I-- != 0;)
+      Top += " i" + std::to_string(I) + "=a" + std::to_string(I);
+    Wide += "\n";
+    for (size_t I = 0; I != Half; ++I)
+      Wide += ".names i" + std::to_string(I) + " o" + std::to_string(I) +
+              "\n1 1\n";
+    return Top + ExtraPair + "\n.end\n" + Wide + ".end\n";
+  };
+  eachParse(file(""), [&](const support::Expected<BlifFile> &File) {
+    ASSERT_TRUE(File.hasValue()) << File.describe();
+    const Module &M = File->Design.module(File->Top);
+    ASSERT_EQ(M.Instances.size(), 1u);
+    const Bindings &B = M.Instances[0].Bindings;
+    ASSERT_EQ(B.size(), 2 * Half);
+    // Both models number their inputs 0..Half-1, outputs Half..2Half-1.
+    for (WireId K = 0; K != Half; ++K) {
+      const WireId Out = 2 * Half - 1 - K, In = Half - 1 - K;
+      EXPECT_EQ(B[K], std::make_pair(Out, Out));
+      EXPECT_EQ(B[Half + K], std::make_pair(In, In));
+    }
+  });
+  eachParse(file(" nosuch=a0"), [](const support::Expected<BlifFile> &File) {
+    ASSERT_FALSE(File.hasValue());
+    const support::Diag &Diag = File.diags().firstError();
+    EXPECT_EQ(Diag.code(), support::DiagCode::WS202_BLIF_STRUCTURE);
+    EXPECT_EQ(Diag.message(), "model 'wide' has no port 'nosuch'");
+    ASSERT_TRUE(Diag.loc().has_value());
+    EXPECT_EQ(Diag.loc()->Line, 4u);
+    EXPECT_EQ(Diag.loc()->Col, 1u);
+  });
 }
 
 TEST(BlifTest, SubcktActualNamedBeforeItsDriverKeepsItsId) {

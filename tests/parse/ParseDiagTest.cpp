@@ -98,6 +98,22 @@ TEST(ParseDiagTest, BlifCoverRowOutsideNames) {
                  "cover row outside .names", 2);
 }
 
+TEST(ParseDiagTest, BlifCoverRowThirdFieldOfAConstant) {
+  // Read as the constant 1 before: two fields fill a zero-input row.
+  Diag D = expectBlifDiag(".model m\n.outputs y\n.names y\n1 1 1\n.end\n",
+                          DiagCode::WS201_BLIF_SYNTAX,
+                          "extra cover row field '1'", 4);
+  EXPECT_EQ(D.loc()->Col, 5u);
+}
+
+TEST(ParseDiagTest, BlifCoverRowThirdFieldIsLocatedAtTheField) {
+  Diag D = expectBlifDiag(".model m\n.inputs a\n.outputs y\n"
+                          ".names a y\n1 1 junk\n.end\n",
+                          DiagCode::WS201_BLIF_SYNTAX,
+                          "extra cover row field 'junk'", 5);
+  EXPECT_EQ(D.loc()->Col, 5u);
+}
+
 TEST(ParseDiagTest, BlifUnsupportedDirective) {
   Diag D = expectBlifDiag(".model m\n  .exdc\n.end\n",
                           DiagCode::WS201_BLIF_SYNTAX,

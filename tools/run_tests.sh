@@ -11,7 +11,8 @@
 #      the determinism trials assert, so the concurrency-heavy tests
 #      rerun under -fsanitize=thread; the kernel suite rides along (the
 #      graph algorithms and the bit-parallel kernel, whose masks feed the
-#      engine);
+#      engine), and so does the parser suite (a BLIF file's `.model`
+#      chunks parse on worker threads beside a shared parse cache);
 #   3. an UndefinedBehaviorSanitizer build of the kernel suite — the CSR
 #      packing, Tarjan, cycle walk, Kahn order and sweep (docs/KERNEL.md)
 #      live on shifts and index arithmetic, which is exactly UBSan's
@@ -41,7 +42,9 @@
 #   7. the scale tier (docs/SCALE.md): the metamorphic and
 #      generator-determinism suites (ctest label `scale`) and a
 #      byte-comparison of `--threads 1` vs `--threads 4` wiresort-check
-#      NDJSON on the golden fixtures;
+#      output — JSON stdout, and text stderr with its caret echoes — on
+#      every golden BLIF fixture and the emitted riscv_soc netlist (the
+#      thread count sets the parse threads as well as Stage 1's);
 #   8. the wire-format contract (docs/FORMATS.md): on the golden
 #      fixtures, text -> binary -> text summary conversion must
 #      round-trip byte-identically, repeated binary writes must be
@@ -96,7 +99,8 @@ echo "=== stage 2: SummaryEngine suites under ThreadSanitizer ($TSAN_BUILD) ==="
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "$TSAN_BUILD" -j "$(nproc)" \
-  --target engine_tests differential_tests kernel_tests trace_tests
+  --target engine_tests differential_tests kernel_tests trace_tests \
+  parse_tests
 # halt_on_error so a single race fails the run instead of scrolling by.
 TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/engine_tests"
 TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/differential_tests"
@@ -104,6 +108,9 @@ TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/kernel_tests"
 # The trace layer's per-thread buffers and counter registry are lockless
 # on the hot path; the suite hammers them from a ThreadPool on purpose.
 TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/trace_tests"
+# BLIF chunks parse on worker threads, polling the deadline and the
+# failpoint registry, while the calling thread owns the parse cache.
+TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/parse_tests"
 
 echo
 echo "=== stage 3: kernel suite under UndefinedBehaviorSanitizer ($ROOT/build-ubsan) ==="
@@ -225,15 +232,23 @@ SCALE_TMP=$(mktemp -d)
 trap 'rm -rf "${TRACE_TMP:-}" "$SCALE_TMP"' EXIT
 CHECK="$BUILD/tools/wiresort-check"
 FIXTURES="$ROOT/tests/tools"
-for Fixture in loopfree.blif loopy.blif; do
-  # Serial vs four worker threads: byte-identical NDJSON.
-  (cd "$FIXTURES" && "$CHECK" "$Fixture" --format json --threads 1) \
-    >"$SCALE_TMP/serial.json" || [ $? -eq 1 ]
-  (cd "$FIXTURES" && "$CHECK" "$Fixture" --format json --threads 4) \
-    >"$SCALE_TMP/threads4.json" || [ $? -eq 1 ]
-  cmp "$SCALE_TMP/serial.json" "$SCALE_TMP/threads4.json"
+cmake --build "$BUILD" -j "$(nproc)" --target riscv_soc
+"$BUILD/examples/riscv_soc" --emit-blif "$SCALE_TMP/soc.blif" >/dev/null
+for Fixture in loopfree.blif loopy.blif malformed.blif twins.blif \
+  unboundout.blif "$SCALE_TMP/soc.blif"; do
+  # Serial vs four worker threads: byte-identical NDJSON on stdout, and
+  # byte-identical text diagnostics (caret echoes included) on stderr.
+  for Threads in 1 4; do
+    (cd "$FIXTURES" && "$CHECK" "$Fixture" --format json \
+      --threads "$Threads") >"$SCALE_TMP/json$Threads" || [ $? -eq 1 ]
+    (cd "$FIXTURES" && "$CHECK" "$Fixture" --quiet \
+      --threads "$Threads") >/dev/null 2>"$SCALE_TMP/text$Threads" ||
+      [ $? -eq 1 ]
+  done
+  cmp "$SCALE_TMP/json1" "$SCALE_TMP/json4"
+  cmp "$SCALE_TMP/text1" "$SCALE_TMP/text4"
 done
-echo "--threads 1 and --threads 4 NDJSON agree byte-for-byte"
+echo "--threads 1 and --threads 4 NDJSON and text diagnostics agree byte-for-byte"
 
 echo
 echo "=== stage 8: wire-format round-trip contract (docs/FORMATS.md) ==="

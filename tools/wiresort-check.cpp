@@ -19,7 +19,7 @@
 //   wiresort-check design.blif --dot out.dot   # top module, colored
 //   wiresort-check design.blif --quiet         # verdict only
 //   wiresort-check design.blif --depth         # timing extension
-//   wiresort-check design.blif --threads 8     # parallel inference
+//   wiresort-check design.blif --threads 8     # parallel parse + inference
 //   wiresort-check design.blif --cache d.wscache   # warm-start repeats
 //   wiresort-check design.blif --trace-out t.json  # Chrome trace events
 //   wiresort-check design.blif --stats         # registry counter dump
