@@ -119,6 +119,7 @@ analysis::parseSummaries(const std::string &Text, const Design &D,
   const Module *M = nullptr;
   ModuleId CurId = InvalidId;
   ModuleSummary Cur;
+  PortIndex Ports;
 
   auto fail = [&](const std::string &Msg) {
     return support::Diag(support::DiagCode::WS221_SUMMARY_SYNTAX, Msg)
@@ -152,6 +153,7 @@ analysis::parseSummaries(const std::string &Text, const Design &D,
       if (Id == InvalidId)
         return fail("unknown module '" + Name + "'");
       M = &D.module(Id);
+      Ports = PortIndex(*M);
       CurId = Id;
       Cur = ModuleSummary();
       Cur.Id = Id;
@@ -174,12 +176,14 @@ analysis::parseSummaries(const std::string &Text, const Design &D,
     std::string PortName, SortToken;
     if (!(LS >> PortName >> SortToken))
       return fail("port line expects a name and a sort");
-    WireId Port = M->findPort(PortName);
+    WireId Port = Ports.find(*M, PortName);
     if (Port == InvalidId)
       return fail("module '" + M->Name + "' has no port '" + PortName +
                   "'");
     if (M->isInput(Port) != IsInput)
       return fail("port '" + PortName + "' direction mismatch");
+    if ((IsInput ? Cur.OutputPortSets : Cur.InputPortSets).count(Port))
+      return fail("port '" + PortName + "' declared twice");
 
     // Rest of line: either a subsort keyword or a {set}.
     std::string Rest;
@@ -196,7 +200,7 @@ analysis::parseSummaries(const std::string &Text, const Design &D,
       std::istringstream SetStream(Inner);
       std::string Member;
       while (SetStream >> Member) {
-        WireId W = M->findPort(Member);
+        WireId W = Ports.find(*M, Member);
         if (W == InvalidId)
           return fail("unknown port '" + Member + "' in set");
         Set.push_back(W);
@@ -317,6 +321,7 @@ bool decodeSummaryBody(support::wire::Reader::Cursor &C, const Design &D,
     return false;
   }
   const Module &M = D.module(Id);
+  const PortIndex Ports(M);
   Out = ModuleSummary();
   Out.Id = Id;
   Out.ModuleName = std::string(Name);
@@ -328,7 +333,7 @@ bool decodeSummaryBody(support::wire::Reader::Cursor &C, const Design &D,
       Why = "malformed port entry";
       return false;
     }
-    WireId Port = M.findPort(std::string(PortName));
+    WireId Port = Ports.find(M, PortName);
     if (Port == InvalidId || M.isInput(Port) != IsInput) {
       Why = "module '" + M.Name + "' has no matching port '" +
             std::string(PortName) + "'";
@@ -353,7 +358,7 @@ bool decodeSummaryBody(support::wire::Reader::Cursor &C, const Design &D,
           Why = "truncated port set";
           return false;
         }
-        WireId W = M.findPort(std::string(Member));
+        WireId W = Ports.find(M, Member);
         if (W == InvalidId) {
           Why = "unknown port '" + std::string(Member) + "' in set";
           return false;

@@ -17,37 +17,26 @@ InstId Circuit::addInstance(ModuleId Def, std::string InstName) {
   return static_cast<InstId>(Insts.size() - 1);
 }
 
-const std::unordered_map<std::string_view, WireId> &
-Circuit::portsOf(ModuleId Def) {
-  if (!Ports)
-    Ports = std::make_unique<PortIndex>();
-  auto [It, Fresh] = Ports->ByDef.try_emplace(Def);
-  if (Fresh) {
-    const Module &DefM = D->module(Def);
-    It->second.reserve(DefM.numPorts());
-    for (WireId Port : DefM.Inputs)
-      It->second.emplace(Ports->Names.intern(DefM.wire(Port).Name), Port);
-    for (WireId Port : DefM.Outputs)
-      It->second.emplace(Ports->Names.intern(DefM.wire(Port).Name), Port);
-  }
-  return It->second;
+WireId Circuit::portNamed(InstId Inst, const std::string &PortName) {
+  const ModuleId Def = Insts[Inst].Def;
+  if (Def >= Ports.size())
+    Ports.resize(D->numModules());
+  if (!Ports[Def])
+    Ports[Def].emplace(D->module(Def));
+  return Ports[Def]->find(D->module(Def), PortName);
 }
 
 void Circuit::connect(InstId From, const std::string &OutPort, InstId To,
                       const std::string &InPort) {
   assert(From < Insts.size() && To < Insts.size());
-  // MegaScale generators resolve millions of port names through here:
-  // the interned per-definition index makes each one a hash probe, and
-  // definitions repeat across instances so the index amortizes to a few
-  // entries per distinct module.
-  const auto &FromPorts = portsOf(Insts[From].Def);
-  const auto &ToPorts = portsOf(Insts[To].Def);
-  auto OutIt = FromPorts.find(std::string_view(OutPort));
-  auto InIt = ToPorts.find(std::string_view(InPort));
-  assert(OutIt != FromPorts.end() && "unknown output port name");
-  assert(InIt != ToPorts.end() && "unknown input port name");
-  WireId Out = OutIt == FromPorts.end() ? InvalidId : OutIt->second;
-  WireId In = InIt == ToPorts.end() ? InvalidId : InIt->second;
+  // MegaScale generators resolve millions of port names through here,
+  // one probe of the definition's port index each. The index holds no
+  // views of the names, so seal() growing the Design's module vector
+  // (another circuit's, or this one's) leaves it valid.
+  const WireId Out = portNamed(From, OutPort);
+  const WireId In = portNamed(To, InPort);
+  assert(Out != InvalidId && "unknown output port name");
+  assert(In != InvalidId && "unknown input port name");
   connectPorts(PortRef{From, Out}, PortRef{To, In});
 }
 

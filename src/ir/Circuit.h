@@ -20,14 +20,10 @@
 #define WIRESORT_IR_CIRCUIT_H
 
 #include "ir/Design.h"
-#include "support/Arena.h"
 
 #include <cassert>
-#include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -66,10 +62,10 @@ public:
   /// Adds an instance of \p Def named \p InstName.
   InstId addInstance(ModuleId Def, std::string InstName);
 
-  /// Connects an output port to an input port, resolving names against
-  /// the instances' defining modules. Asserts if a name does not resolve,
-  /// the direction is wrong, widths differ, or the input is already
-  /// driven.
+  /// Connects an output port to an input port, resolving names through
+  /// one \ref PortIndex per defining module. Asserts if a name does not
+  /// resolve, the direction is wrong, widths differ, or the input is
+  /// already driven.
   void connect(InstId From, const std::string &OutPort, InstId To,
                const std::string &InPort);
 
@@ -104,19 +100,8 @@ public:
   ModuleId seal();
 
 private:
-  /// Lazy per-definition port-name index: one hash lookup per \ref
-  /// connect instead of a linear findPort scan of the definition's
-  /// ports. Keys are interned into the circuit's arena — NOT views into
-  /// Module wire names, whose SSO buffers move when the Design's module
-  /// vector grows (seal() grows it) — so they stay stable for the
-  /// index's lifetime.
-  struct PortIndex {
-    support::Arena Arena;
-    support::StringInterner Names{Arena};
-    std::unordered_map<ModuleId, std::unordered_map<std::string_view, WireId>>
-        ByDef;
-  };
-  const std::unordered_map<std::string_view, WireId> &portsOf(ModuleId Def);
+  /// The port of \p Inst's definition named \p PortName, or InvalidId.
+  WireId portNamed(InstId Inst, const std::string &PortName);
 
   static uint64_t portKey(PortRef Ref) {
     return (uint64_t(Ref.Inst) << 32) | Ref.Port;
@@ -126,7 +111,9 @@ private:
   std::string Name;
   std::vector<Instance> Insts;
   std::vector<Connection> Conns;
-  std::unique_ptr<PortIndex> Ports;
+  /// Port-name index by definition, each built on the first \ref connect
+  /// that names one of its ports.
+  std::vector<std::optional<PortIndex>> Ports;
   /// Input ports already driven by a connection — O(1) duplicate-driver
   /// rejection (the old per-connect scan of Conns made debug builds of
   /// million-connection circuits quadratic) and the fast half of

@@ -6,7 +6,9 @@
 
 #include "ir/Module.h"
 
+#include <bit>
 #include <cassert>
+#include <functional>
 #include <sstream>
 
 using namespace wiresort;
@@ -147,6 +149,39 @@ WireId Module::findWire(const std::string &Name) const {
     if (Wires[Id].Name == Name)
       return Id;
   return InvalidId;
+}
+
+PortIndex::PortIndex(const Module &M) {
+  if (M.numPorts() == 0)
+    return;
+  Slots.resize(std::bit_ceil(2 * M.numPorts()));
+  auto insert = [&](WireId Port) {
+    const std::string &Name = M.wire(Port).Name;
+    const size_t Hash = std::hash<std::string_view>{}(Name);
+    Slot &S = Slots[probe(M, Name, Hash)];
+    if (S.Id == InvalidId) // Else an earlier port has this name.
+      S = Slot{Hash, Port};
+  };
+  for (WireId Port : M.Inputs)
+    insert(Port);
+  for (WireId Port : M.Outputs)
+    insert(Port);
+}
+
+size_t PortIndex::probe(const Module &M, std::string_view Name,
+                        size_t Hash) const {
+  const size_t Mask = Slots.size() - 1;
+  size_t I = Hash & Mask;
+  while (Slots[I].Id != InvalidId &&
+         (Slots[I].Hash != Hash || M.wire(Slots[I].Id).Name != Name))
+    I = (I + 1) & Mask;
+  return I;
+}
+
+WireId PortIndex::find(const Module &M, std::string_view Name) const {
+  if (Slots.empty())
+    return InvalidId;
+  return Slots[probe(M, Name, std::hash<std::string_view>{}(Name))].Id;
 }
 
 std::optional<uint16_t>

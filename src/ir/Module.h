@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -146,12 +147,14 @@ public:
   bool isInput(WireId Id) const { return Wires[Id].Kind == WireKind::Input; }
   bool isOutput(WireId Id) const { return Wires[Id].Kind == WireKind::Output; }
 
-  /// Looks up a port (input or output) by name. \returns InvalidId when no
-  /// such port exists.
+  /// Looks up a port (input or output) by name, inputs first. A linear
+  /// scan for one-off lookups; a caller resolving many names against one
+  /// module builds a \ref PortIndex. \returns InvalidId when no such
+  /// port exists.
   WireId findPort(const std::string &Name) const;
 
-  /// Looks up any wire by name (linear scan; intended for tests and
-  /// import tooling, not hot paths). \returns InvalidId when absent.
+  /// Looks up any wire by name. A linear scan for one-off lookups (tests,
+  /// the simulator), not for hot paths. \returns InvalidId when absent.
   WireId findWire(const std::string &Name) const;
 
   /// Total interface port count (paper Table 2's "Ports" column).
@@ -167,6 +170,42 @@ public:
   static std::optional<uint16_t>
   resultWidth(Op Operation, const std::vector<uint16_t> &Widths, uint32_t Aux,
               uint16_t OutWidth);
+};
+
+/// A name index over one module's ports, for every caller that resolves
+/// many names against one definition (`.subckt` formals, Verilog named
+/// connections, circuit connections, summary sidecars and cache records).
+/// It binds what \ref Module::findPort binds: inputs before outputs, the
+/// first port with a name wins.
+///
+/// The index keeps only (name hash, WireId) pairs and compares each probe
+/// against the module's own wire name, so it holds no strings or views:
+/// it stays valid wherever the names move (the module moving, its wire
+/// vector reallocating and moving the short names std::string keeps
+/// inline) and serves a copy of the module too, until the port lists or
+/// port names change. Pass \ref find the module the index was built
+/// from, or such a copy.
+class PortIndex {
+public:
+  PortIndex() = default;
+  explicit PortIndex(const Module &M);
+
+  /// \returns the port of \p M named \p Name, or InvalidId.
+  WireId find(const Module &M, std::string_view Name) const;
+
+private:
+  struct Slot {
+    size_t Hash = 0;
+    WireId Id = InvalidId; ///< InvalidId marks an empty slot.
+  };
+
+  /// The slot holding the port named \p Name, else the empty slot that
+  /// ends its probe sequence.
+  size_t probe(const Module &M, std::string_view Name, size_t Hash) const;
+
+  /// Open addressing with linear probing; a power-of-two size at most
+  /// half full, or empty for a module without ports.
+  std::vector<Slot> Slots;
 };
 
 } // namespace wiresort::ir

@@ -24,7 +24,6 @@
 #include <sstream>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 using namespace wiresort;
@@ -614,11 +613,9 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
                     "duplicate model '" + MB.M.Name + "'");
     IdByName[MB.M.Name] = Id;
   }
-  // Each instantiated model's ports by name, built on first use, so a
-  // formal costs one lookup rather than a scan of every port. Pass 1
-  // rejects a repeated port name, so this binds what a scan would.
-  std::vector<std::unordered_map<std::string_view, WireId>> PortsByName(
-      Models.size());
+  // Each instantiated model's port index, built on first use, so a
+  // formal costs one lookup rather than a scan of every port.
+  std::vector<std::optional<PortIndex>> Ports(Models.size());
   for (ModelBuilder &MB : Models) {
     for (const SubcktRec &Rec : MB.Subckts) {
       auto It = IdByName.find(Rec.DefName);
@@ -631,20 +628,15 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
       Inst.Def = It->second;
       Inst.Name = Rec.DefName + "$" + std::to_string(MB.M.Instances.size());
       const Module &Def = Models[It->second].M;
-      auto &Ports = PortsByName[It->second];
-      if (Ports.empty()) {
-        for (WireId Port : Def.Inputs)
-          Ports.emplace(Def.wire(Port).Name, Port);
-        for (WireId Port : Def.Outputs)
-          Ports.emplace(Def.wire(Port).Name, Port);
-      }
+      std::optional<PortIndex> &DefPorts = Ports[It->second];
+      if (!DefPorts)
+        DefPorts.emplace(Def);
       for (const auto &[Formal, Local] : Rec.Pairs) {
-        auto PortIt = Ports.find(Formal);
-        if (PortIt == Ports.end())
+        const WireId Port = DefPorts->find(Def, Formal);
+        if (Port == InvalidId)
           return failAt(DiagCode::WS202_BLIF_STRUCTURE, Rec.Line, Rec.Col,
                         "model '" + Rec.DefName + "' has no port '" +
                             Formal + "'");
-        const WireId Port = PortIt->second;
         if (Def.isOutput(Port) && !MB.drive(Local))
           return failAt(DiagCode::WS202_BLIF_STRUCTURE, Rec.Line, Rec.Col,
                         "signal " + quote(MB.M.wire(Local).Name) +

@@ -39,6 +39,8 @@ struct ModuleShell {
   /// Token span of the module body (after the header ';').
   size_t BodyBegin = 0, BodyEnd = 0;
   std::map<std::string, WireId> ByName;
+  /// The ports by name, indexed once phase 1 has declared them all.
+  PortIndex Ports;
   /// Declared 'reg' names (promoted to registers when assigned).
   std::set<std::string> Regs;
   /// Declared reg initializers.
@@ -339,6 +341,7 @@ private:
     Shell.BodyEnd = Pos;
     if (!expect("endmodule"))
       return false;
+    Shell.Ports = PortIndex(Shell.M);
     Shells.push_back(std::move(Shell));
     return true;
   }
@@ -847,7 +850,7 @@ private:
       std::string PortName;
       if (!expectIdent(PortName))
         return false;
-      WireId Port = Def.M.findPort(PortName);
+      WireId Port = Def.Ports.find(Def.M, PortName);
       if (Port == InvalidId)
         return failB("module '" + DefName + "' has no port '" +
                      PortName + "'");

@@ -95,13 +95,11 @@ Writer::Writer() { Out.append(Magic, sizeof(Magic)); Out.push_back(
     static_cast<char>(FormatVersion)); }
 
 uint32_t Writer::intern(std::string_view S) {
-  std::string_view Stable = Interner.intern(S);
-  auto It = IdOf.find(Stable);
+  auto It = IdOf.find(S);
   if (It != IdOf.end())
     return It->second;
   uint32_t Id = static_cast<uint32_t>(IdOf.size());
-  IdOf.emplace(Stable, Id);
-  Pending.push_back(Stable);
+  Pending.push_back(IdOf.emplace(S, Id).first->first);
   return Id;
 }
 

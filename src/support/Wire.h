@@ -21,11 +21,10 @@
 /// Every record is `kind(1) | payload-length(varint) | payload |
 /// fnv1a64(kind+payload, 8 bytes LE)`, so the framing itself checksums
 /// every record. Ints travel as LEB128-style varints; strings are
-/// interned: the writer assigns each distinct string an id (backed by
-/// \ref StringInterner on a \ref Arena) and flushes newly seen strings
-/// in StringTable records ahead of the record that references them, so
-/// streams stay valid under incremental flushing (take() between
-/// records).
+/// interned: the writer assigns each distinct string an id on first
+/// sight and flushes newly seen strings in StringTable records ahead of
+/// the record that references them, so streams stay valid under
+/// incremental flushing (take() between records).
 ///
 /// The first payload byte of a stream is \ref SniffByte (0xD7): no text
 /// sidecar can start with it (they begin '#', 'm', or whitespace), so
@@ -43,9 +42,8 @@
 #ifndef WIRESORT_SUPPORT_WIRE_H
 #define WIRESORT_SUPPORT_WIRE_H
 
-#include "support/Arena.h"
-
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -101,6 +99,9 @@ void internCounters();
 class Writer {
 public:
   Writer();
+  // Pending views the keys of IdOf, so a copy would view the original's.
+  Writer(const Writer &) = delete;
+  Writer &operator=(const Writer &) = delete;
 
   /// Interns \p S for this stream, assigning an id on first sight. New
   /// strings are flushed in a StringTable record by the enclosing
@@ -135,11 +136,20 @@ private:
   void frame(RecordKind K, const std::string &Payload);
   void flushStrings();
 
+  /// Hashes views and strings alike, so lookups build no std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>{}(S);
+    }
+  };
+
   std::string Out;
   std::string Payload;
-  Arena StringArena;
-  StringInterner Interner{StringArena};
-  std::unordered_map<std::string_view, uint32_t> IdOf;
+  /// Every string interned so far, with its id.
+  std::unordered_map<std::string, uint32_t, NameHash, std::equal_to<>> IdOf;
+  /// Strings interned since the last StringTable record: views of IdOf's
+  /// keys, which stay put when the map rehashes (its nodes never move).
   std::vector<std::string_view> Pending;
   RecordKind CurKind = RecordKind::StringTable;
   bool InRecord = false;

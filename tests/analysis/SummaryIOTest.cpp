@@ -51,6 +51,41 @@ void expectEquivalent(const Design &D, const Summaries &A,
   }
 }
 
+/// "wide": 2,000 inputs iK, each buffered to its output oK, with i0 and
+/// o0 named \p In0 and \p Out0; when \p Internal, i0 reaches o0 through
+/// an internal wire `t`. \p Reversed declares the ports in reverse order.
+Module wideModule(bool Reversed, bool Internal, const std::string &In0 = "i0",
+                  const std::string &Out0 = "o0") {
+  const size_t Half = 2000;
+  Module M("wide");
+  std::vector<WireId> In(Half), Out(Half);
+  for (size_t K = 0; K != Half; ++K) {
+    const size_t I = Reversed ? Half - 1 - K : K;
+    In[I] = M.addInput(I ? "i" + std::to_string(I) : In0);
+  }
+  for (size_t K = 0; K != Half; ++K) {
+    const size_t I = Reversed ? Half - 1 - K : K;
+    Out[I] = M.addOutput(I ? "o" + std::to_string(I) : Out0);
+  }
+  for (size_t I = 0; I != Half; ++I) {
+    WireId From = In[I];
+    if (I == 0 && Internal) {
+      From = M.addWire("t", WireKind::Basic);
+      M.addNet(Op::Buf, {In[I]}, From);
+    }
+    M.addNet(Op::Buf, {From}, Out[I]);
+  }
+  return M;
+}
+
+/// \p M's summaries as a text and as a binary sidecar.
+std::pair<std::string, std::string> sidecarsOf(Module M) {
+  Design D;
+  D.addModule(std::move(M));
+  Summaries S = analyzeOrDie(D);
+  return {writeSummaries(D, S), writeSummariesBinary(D, S)};
+}
+
 } // namespace
 
 TEST(SummaryIOTest, RoundTripFifoAndPiso) {
@@ -142,6 +177,46 @@ TEST(SummaryIOTest, ErrorsNameLinesAndPorts) {
   expectRejected("module fifo_w8_d4\n  input v_i to-port\nend\n",
                  "nonempty", 2);
   expectRejected("module fifo_w8_d4\n", "missing final", 1);
+  // A second declaration of one port would silently replace the first.
+  expectRejected("module fifo_w8_d4\n  input data_i to-sync\n"
+                 "  input v_i to-sync indirect\n  input v_i to-sync direct\n"
+                 "  input yumi_i to-sync\n  output data_o from-sync\n"
+                 "  output v_o from-sync\n  output ready_o from-sync\nend\n",
+                 "port 'v_i' declared twice", 4);
+}
+
+TEST(SummaryIOTest, WideModuleResolvesEveryNameToItsOwnPort) {
+  // Sidecars written from a twin that declares the 4,000 ports in
+  // reverse order resolve every name to its own port, in the text and
+  // the binary reader alike. Names of a port in the twin but of the
+  // internal wire `t` here are refused, as a port and as a set member.
+  Design D;
+  D.addModule(wideModule(/*Reversed=*/false, /*Internal=*/true));
+  const Summaries Want = analyzeOrDie(D);
+
+  const auto [Text, Bytes] =
+      sidecarsOf(wideModule(/*Reversed=*/true, /*Internal=*/false));
+  auto FromText = parseSummaries(Text, D);
+  auto FromBinary = readSummariesBinary(Bytes, D);
+  ASSERT_TRUE(FromText.hasValue()) << FromText.describe();
+  ASSERT_TRUE(FromBinary.hasValue()) << FromBinary.describe();
+  EXPECT_TRUE(structurallyEqual(FromText->at(0), Want.at(0)));
+  EXPECT_TRUE(structurallyEqual(FromBinary->at(0), Want.at(0)));
+
+  auto expectRefused = [&](Module Twin, const std::string &Needle) {
+    const auto [TwinText, TwinBytes] = sidecarsOf(std::move(Twin));
+    for (const auto &Parsed : {parseSummaries(TwinText, D),
+                               readSummariesBinary(TwinBytes, D)}) {
+      ASSERT_FALSE(Parsed.hasValue()) << Needle;
+      EXPECT_EQ(Parsed.diags().firstError().code(),
+                support::DiagCode::WS221_SUMMARY_SYNTAX);
+      EXPECT_NE(Parsed.describe().find(Needle), std::string::npos)
+          << Parsed.describe();
+    }
+  };
+  expectRefused(wideModule(false, false, /*In0=*/"t"), "port 't'");
+  expectRefused(wideModule(false, false, "i0", /*Out0=*/"t"),
+                "unknown port 't' in set");
 }
 
 TEST(SummaryIOTest, MissingPortRejected) {

@@ -113,6 +113,36 @@ TEST(CircuitTest, ConnectByName) {
   EXPECT_EQ(C.portLabel(C.connections()[0].To), "u1.a");
 }
 
+TEST(CircuitTest, ConnectSurvivesAnotherCircuitsSeal) {
+  // Two circuits on one Design. Between A's connects on the short names
+  // "a" and "y", B's seal() grows the module vector, moving every Module
+  // A's port index was built over; each connection still lands on its
+  // own port.
+  Design D;
+  const ModuleId Stage = pipeStage(D, "stage");
+  Circuit A(D, "a"), B(D, "b");
+  const InstId U0 = A.addInstance(Stage, "u0");
+  const InstId U1 = A.addInstance(Stage, "u1");
+  const InstId U2 = A.addInstance(Stage, "u2");
+  B.addInstance(Stage, "v0");
+  A.connect(U0, "y", U1, "a");
+  const Module *Before = &D.module(Stage);
+  B.seal();
+  ASSERT_NE(&D.module(Stage), Before) << "seal() did not move the module";
+  A.connect(U1, "y", U2, "a");
+  A.connect(U2, "y", U0, "a");
+
+  const Module &Def = D.module(Stage);
+  ASSERT_EQ(A.connections().size(), 3u);
+  for (const Connection &C : A.connections()) {
+    EXPECT_EQ(C.From.Port, Def.findPort("y"));
+    EXPECT_EQ(C.To.Port, Def.findPort("a"));
+  }
+  EXPECT_EQ(A.connections()[1].From.Inst, U1);
+  EXPECT_EQ(A.connections()[1].To.Inst, U2);
+  EXPECT_TRUE(A.isComplete());
+}
+
 TEST(CircuitTest, CompletenessDetection) {
   Design D;
   ModuleId Stage = pipeStage(D, "stage");

@@ -91,6 +91,51 @@ TEST(ModuleTest, FindPortResolvesNames) {
   EXPECT_EQ(M.numPorts(), 2u);
 }
 
+TEST(ModuleTest, PortIndexBindsWhatFindPortBinds) {
+  // Inputs before outputs, whatever the wire order, and the first port
+  // with a name wins; an internal wire is not a port.
+  Module M("dup");
+  M.addOutput("x");
+  const WireId X = M.addInput("x");
+  const WireId A = M.addInput("a");
+  M.addInput("a");
+  const WireId Y = M.addOutput("y");
+  M.addOutput("y");
+  M.addWire("w", WireKind::Basic);
+  const PortIndex Ports(M);
+  for (const char *Name : {"x", "a", "y", "w", "nope", ""})
+    EXPECT_EQ(Ports.find(M, Name), M.findPort(Name)) << Name;
+  EXPECT_EQ(Ports.find(M, "x"), X);
+  EXPECT_EQ(Ports.find(M, "a"), A);
+  EXPECT_EQ(Ports.find(M, "y"), Y);
+  EXPECT_EQ(Ports.find(M, "w"), InvalidId);
+
+  // A module without ports, and an index built from nothing.
+  const Module Empty("empty");
+  EXPECT_EQ(PortIndex(Empty).find(Empty, "a"), InvalidId);
+  EXPECT_EQ(PortIndex().find(M, "a"), InvalidId);
+}
+
+TEST(ModuleTest, PortIndexFindsEveryPortOfAWideModule) {
+  Module M("wide");
+  std::vector<std::pair<std::string, WireId>> Want;
+  for (int I = 0; I != 2500; ++I)
+    Want.emplace_back("i" + std::to_string(I),
+                      M.addInput("i" + std::to_string(I)));
+  for (int I = 0; I != 2500; ++I)
+    Want.emplace_back("o" + std::to_string(I),
+                      M.addOutput("o" + std::to_string(I)));
+  const PortIndex Ports(M);
+  // Reallocating the wire vector moves every short name (std::string
+  // keeps them inline); the index holds no views of them.
+  for (int I = 0; I != 10000; ++I)
+    M.addWire("n" + std::to_string(I), WireKind::Basic);
+  for (const auto &[Name, Id] : Want)
+    ASSERT_EQ(Ports.find(M, Name), Id) << Name;
+  EXPECT_EQ(Ports.find(M, "n0"), InvalidId);
+  EXPECT_EQ(Ports.find(M, "i2500"), InvalidId);
+}
+
 TEST(DesignTest, InstanceBindingValidation) {
   Design D;
   ModuleId Inv = D.addModule(inverter());

@@ -582,7 +582,8 @@ TEST(BlifTest, ChunkCountersMatchAtAnyThreadCount) {
 
 TEST(BlifTest, WideSubcktBindsEveryFormalInAnyOrder) {
   // A top instantiating a 4,000-port model once, formals in reverse
-  // order: each formal is one name lookup, and binds its own port.
+  // order: each formal is one name lookup, and binds its own port. The
+  // model's internal wire `t` is no port.
   const size_t Half = 2000;
   auto file = [&](const std::string &ExtraPair) {
     std::string Top = ".model top\n.inputs", Wide = ".model wide\n.inputs";
@@ -601,8 +602,8 @@ TEST(BlifTest, WideSubcktBindsEveryFormalInAnyOrder) {
       Top += " o" + std::to_string(I) + "=b" + std::to_string(I);
     for (size_t I = Half; I-- != 0;)
       Top += " i" + std::to_string(I) + "=a" + std::to_string(I);
-    Wide += "\n";
-    for (size_t I = 0; I != Half; ++I)
+    Wide += "\n.names i0 t\n1 1\n.names t o0\n1 1\n";
+    for (size_t I = 1; I != Half; ++I)
       Wide += ".names i" + std::to_string(I) + " o" + std::to_string(I) +
               "\n1 1\n";
     return Top + ExtraPair + "\n.end\n" + Wide + ".end\n";
@@ -620,15 +621,19 @@ TEST(BlifTest, WideSubcktBindsEveryFormalInAnyOrder) {
       EXPECT_EQ(B[Half + K], std::make_pair(In, In));
     }
   });
-  eachParse(file(" nosuch=a0"), [](const support::Expected<BlifFile> &File) {
-    ASSERT_FALSE(File.hasValue());
-    const support::Diag &Diag = File.diags().firstError();
-    EXPECT_EQ(Diag.code(), support::DiagCode::WS202_BLIF_STRUCTURE);
-    EXPECT_EQ(Diag.message(), "model 'wide' has no port 'nosuch'");
-    ASSERT_TRUE(Diag.loc().has_value());
-    EXPECT_EQ(Diag.loc()->Line, 4u);
-    EXPECT_EQ(Diag.loc()->Col, 1u);
-  });
+  for (const std::string Bad : {"nosuch", "t"})
+    eachParse(file(" " + Bad + "=a0"),
+              [&](const support::Expected<BlifFile> &File) {
+                ASSERT_FALSE(File.hasValue());
+                const support::Diag &Diag = File.diags().firstError();
+                EXPECT_EQ(Diag.code(),
+                          support::DiagCode::WS202_BLIF_STRUCTURE);
+                EXPECT_EQ(Diag.message(),
+                          "model 'wide' has no port '" + Bad + "'");
+                ASSERT_TRUE(Diag.loc().has_value());
+                EXPECT_EQ(Diag.loc()->Line, 4u);
+                EXPECT_EQ(Diag.loc()->Col, 1u);
+              });
 }
 
 TEST(BlifTest, SubcktActualNamedBeforeItsDriverKeepsItsId) {

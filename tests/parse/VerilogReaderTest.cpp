@@ -244,6 +244,50 @@ TEST(VerilogReaderTest, ErrorsAreSpecific) {
   expectError("module m(input wire a, output wire y);\n"
               "  assign y = q;\nendmodule",
               "undeclared");
+  // `n` is a net of inv, not a port.
+  expectError("module top(input wire x, output wire y);\n"
+              "  inv u0 (.a(x), .n(y));\nendmodule\n"
+              "module inv(input wire a, output wire y);\n"
+              "  wire n;\n  assign n = ~a;\n  assign y = n;\nendmodule",
+              "module 'inv' has no port 'n'");
+}
+
+TEST(VerilogReaderTest, WideInstanceBindsEveryPortInAnyOrder) {
+  // A top instantiating a 4,000-port module once, named connections in
+  // reverse order: each binds its own port.
+  const size_t Half = 2000;
+  std::string Top = "module top(", Wide = "module wide(", Inst = "  wide u (";
+  for (size_t I = 0; I != Half; ++I) {
+    Top += "input wire a" + std::to_string(I) + ", ";
+    Wide += "input wire i" + std::to_string(I) + ", ";
+  }
+  for (size_t I = 0; I != Half; ++I) {
+    const char *Sep = I + 1 == Half ? ");\n" : ", ";
+    Top += "output wire b" + std::to_string(I) + Sep;
+    Wide += "output wire o" + std::to_string(I) + Sep;
+  }
+  for (size_t I = Half; I-- != 0;)
+    Inst += ".o" + std::to_string(I) + "(b" + std::to_string(I) + "), ";
+  for (size_t I = Half; I-- != 0;)
+    Inst += ".i" + std::to_string(I) + "(a" + std::to_string(I) + ")" +
+            (I ? ", " : ");\n");
+  for (size_t I = 0; I != Half; ++I)
+    Wide += "  assign o" + std::to_string(I) + " = i" + std::to_string(I) +
+            ";\n";
+  VerilogFile File =
+      parseOrDie(Top + Inst + "endmodule\n" + Wide + "endmodule\n");
+
+  const Module &M = File.Design.module(File.Top);
+  ASSERT_EQ(M.Instances.size(), 1u);
+  const SubInstance &U = M.Instances[0];
+  const Module &Def = File.Design.module(U.Def);
+  ASSERT_EQ(U.Bindings.size(), 2 * Half);
+  for (const auto &[Port, Local] : U.Bindings) {
+    // iK binds aK and oK binds bK.
+    const std::string &Formal = Def.wire(Port).Name;
+    const std::string &Actual = M.wire(Local).Name;
+    EXPECT_EQ(Actual, (Formal[0] == 'i' ? "a" : "b") + Formal.substr(1));
+  }
 }
 
 TEST(VerilogReaderTest, CombinationalLoopInSourceIsCaught) {

@@ -143,12 +143,32 @@ TEST(WireTest, StringsAreInternedOncePerStream) {
     W.putString("other");
     W.endRecord();
   }
-  W.finish();
   std::string Bytes = W.take();
+  // Then thousands of distinct names, both longer than std::string's
+  // inline buffer and within it, passed as temporaries and drained a
+  // record at a time: the writer's table rehashes while the names of
+  // the open record wait for their StringTable flush.
+  auto name = [](int Rec, int I) {
+    return (I % 2 ? "s" : "a_name_past_the_inline_buffer_") +
+           std::to_string(Rec * 1000 + I);
+  };
+  const int Records = 4, PerRecord = 1000;
+  for (int Rec = 0; Rec != Records; ++Rec) {
+    W.beginRecord(RecordKind::ModuleSummary);
+    for (int I = 0; I != PerRecord; ++I)
+      W.putString(name(Rec, I));
+    W.putString("repeated_name");
+    W.putString(name(0, 0));
+    W.endRecord();
+    Bytes += W.take();
+  }
+  W.finish();
+  Bytes += W.take();
 
   // The same id comes back every time, and the stream carries each
   // distinct string exactly once.
   EXPECT_EQ(Bytes.find("repeated_name"), Bytes.rfind("repeated_name"));
+  EXPECT_EQ(Bytes.find(name(0, 0)), Bytes.rfind(name(0, 0)));
 
   Reader R(Bytes);
   skipPreamble(R);
@@ -161,6 +181,20 @@ TEST(WireTest, StringsAreInternedOncePerStream) {
     ASSERT_TRUE(C.getString(B));
     EXPECT_EQ(A, "repeated_name");
     EXPECT_EQ(B, "other");
+  }
+  for (int RecNo = 0; RecNo != Records; ++RecNo) {
+    ASSERT_EQ(R.next(Rec), Reader::Item::Record) << "record " << RecNo;
+    Reader::Cursor C(Rec, R);
+    std::string_view S;
+    for (int I = 0; I != PerRecord; ++I) {
+      ASSERT_TRUE(C.getString(S));
+      ASSERT_EQ(S, name(RecNo, I));
+    }
+    ASSERT_TRUE(C.getString(S));
+    EXPECT_EQ(S, "repeated_name");
+    ASSERT_TRUE(C.getString(S));
+    EXPECT_EQ(S, name(0, 0));
+    EXPECT_TRUE(C.atEnd());
   }
   EXPECT_EQ(R.next(Rec), Reader::Item::End);
 }
