@@ -37,6 +37,8 @@ struct GateLevelRun {
   size_t PrimGates = 0;
   size_t Ports = 0;
   double InferSeconds = 0.0;
+  /// Summaries the call served from the engine's cache.
+  size_t CacheHits = 0;
   analysis::ModuleSummary Summary;
   ir::Module Gates;
 };
@@ -59,8 +61,10 @@ inline GateLevelRun runGateLevel(const ir::Design &D, ir::ModuleId Id,
   analysis::SummaryEngine &E = Engine ? *Engine : Local;
   Timer T;
   std::map<ir::ModuleId, analysis::ModuleSummary> Out;
-  auto Loop = E.analyze(Flat, Out);
+  analysis::AnalyzeOutcome Outcome;
+  auto Loop = E.analyze(Flat, Out, {}, {}, &Outcome);
   Run.InferSeconds = T.seconds();
+  Run.CacheHits = Outcome.Stats.CacheHits;
   if (!Loop.hasError())
     Run.Summary = std::move(Out.at(FlatId));
   return Run;

@@ -87,11 +87,12 @@ bool runProtocol(const Design &D, FamilyResult &R) {
 
   // Warm re-check against the parallel engine's now-populated cache.
   std::map<ModuleId, ModuleSummary> WarmOut;
+  AnalyzeOutcome Warm;
   T.restart();
-  if (Parallel.analyze(D, WarmOut).hasError())
+  if (Parallel.analyze(D, WarmOut, {}, {}, &Warm).hasError())
     return false;
   R.Warm = T.seconds();
-  R.WarmHits = Parallel.stats().CacheHits;
+  R.WarmHits = Warm.Stats.CacheHits;
   return true;
 }
 
@@ -212,11 +213,12 @@ int main(int ArgC, char **ArgV) {
     M.addNet(Op::Not, {A}, B);
 
     Timer T2;
-    if (Engine.analyze(D, Out).hasError()) {
+    AnalyzeOutcome Edit;
+    if (Engine.analyze(D, Out, {}, {}, &Edit).hasError()) {
       std::printf("opdb after edit: unexpected loop\n");
       return 1;
     }
-    const EngineStats &S = Engine.stats();
+    const EngineStats &S = Edit.Stats;
     std::printf("edited module '%s': re-analysis %.3f s — %zu re-inferred "
                 "(changed + transitive instantiators), %zu of %zu served "
                 "from cache\n",
@@ -421,7 +423,8 @@ int main(int ArgC, char **ArgV) {
     const EngineConfig O{1, true};
     SummaryEngine Engine(O);
     std::map<ModuleId, ModuleSummary> Out;
-    if (Engine.analyze(D, Out).hasError()) {
+    AnalyzeOutcome Cold;
+    if (Engine.analyze(D, Out, {}, {}, &Cold).hasError()) {
       std::printf("cold-load family: unexpected loop\n");
       return 1;
     }
@@ -468,7 +471,7 @@ int main(int ArgC, char **ArgV) {
       return Decoded.hasValue() && sameAsOut(*Decoded) ? S : -1.0;
     });
     const std::string CachePath = "bench_engine_coldload.wscache";
-    if (!Engine.saveCache(CachePath, D, Out).empty()) {
+    if (!SummaryEngine::saveCache(CachePath, D, Out, Cold.Keys).empty()) {
       std::printf("cold-load family: saveCache failed\n");
       return 1;
     }

@@ -93,7 +93,7 @@ int main(int ArgC, char **ArgV) {
       Design D;
       ModuleId Id = D.addModule(E.Build());
       GateLevelRun Run = runGateLevel(D, Id, &Engine);
-      Hits += Engine.stats().CacheHits;
+      Hits += Run.CacheHits;
       ++Modules;
       TotalGates += Run.PrimGates;
       TotalPorts += D.module(Id).numPorts();

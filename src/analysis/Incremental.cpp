@@ -6,23 +6,11 @@
 
 #include "analysis/Incremental.h"
 
-#include "analysis/SummaryEngine.h"
-
-#include <cassert>
 #include <set>
 
 using namespace wiresort;
 using namespace wiresort::analysis;
 using namespace wiresort::ir;
-
-IncrementalChecker::IncrementalChecker(const ir::Circuit &Circ,
-                                       SummaryEngine &Engine)
-    : Circ(&Circ), Summaries(&OwnedSummaries) {
-  support::Status Stage1 = Engine.analyze(Circ.design(), OwnedSummaries);
-  assert(!Stage1.hasError() &&
-         "incremental sessions need loop-free module libraries");
-  (void)Stage1;
-}
 
 namespace {
 /// DFS frame used by the path-reconstructing search.
@@ -36,7 +24,7 @@ bool IncrementalChecker::reaches(PortRef Start, PortRef Target,
                                  std::vector<PortRef> *Path) const {
   std::set<uint64_t> Seen;
   std::vector<Frame> Stack{Frame{Start}};
-  Seen.insert(keyOf(Start));
+  Seen.insert(nodeKey(Start));
 
   auto successorsOf = [&](PortRef Ref) {
     std::vector<PortRef> Out;
@@ -47,7 +35,7 @@ bool IncrementalChecker::reaches(PortRef Start, PortRef Target,
       for (WireId OutPort : SummaryIt->second)
         Out.push_back(PortRef{Ref.Inst, OutPort});
     } else {
-      auto ConnIt = Fwd.find(keyOf(Ref));
+      auto ConnIt = Fwd.find(nodeKey(Ref));
       if (ConnIt != Fwd.end())
         Out = ConnIt->second;
     }
@@ -70,14 +58,14 @@ bool IncrementalChecker::reaches(PortRef Start, PortRef Target,
       continue;
     }
     PortRef Next = Succ[F.NextSucc++];
-    if (Seen.insert(keyOf(Next)).second)
+    if (Seen.insert(nodeKey(Next)).second)
       Stack.push_back(Frame{Next});
   }
   return false;
 }
 
 bool IncrementalChecker::forwardHitsToPort(PortRef Start) const {
-  std::set<uint64_t> Seen{keyOf(Start)};
+  std::set<uint64_t> Seen{nodeKey(Start)};
   std::vector<PortRef> Work{Start};
   while (!Work.empty()) {
     PortRef Ref = Work.back();
@@ -91,18 +79,18 @@ bool IncrementalChecker::forwardHitsToPort(PortRef Start) const {
         return true;
       continue;
     }
-    auto ConnIt = Fwd.find(keyOf(Ref));
+    auto ConnIt = Fwd.find(nodeKey(Ref));
     if (ConnIt == Fwd.end())
       continue;
     for (PortRef Next : ConnIt->second)
-      if (Seen.insert(keyOf(Next)).second)
+      if (Seen.insert(nodeKey(Next)).second)
         Work.push_back(Next);
   }
   return false;
 }
 
 bool IncrementalChecker::backwardHitsFromPort(PortRef Start) const {
-  std::set<uint64_t> Seen{keyOf(Start)};
+  std::set<uint64_t> Seen{nodeKey(Start)};
   std::vector<PortRef> Work{Start};
   while (!Work.empty()) {
     PortRef Ref = Work.back();
@@ -116,11 +104,11 @@ bool IncrementalChecker::backwardHitsFromPort(PortRef Start) const {
         return true;
       continue;
     }
-    auto ConnIt = Bwd.find(keyOf(Ref));
+    auto ConnIt = Bwd.find(nodeKey(Ref));
     if (ConnIt == Bwd.end())
       continue;
     for (PortRef Prev : ConnIt->second)
-      if (Seen.insert(keyOf(Prev)).second)
+      if (Seen.insert(nodeKey(Prev)).second)
         Work.push_back(Prev);
   }
   return false;
@@ -133,8 +121,8 @@ IncrementalChecker::addConnection(const Connection &C) {
   // The forward walk from the target must cross into module summaries, so
   // register the edge first; the trigger condition below is evaluated on
   // the circuit including the new connection, as in Section 4.
-  Fwd[keyOf(C.From)].push_back(C.To);
-  Bwd[keyOf(C.To)].push_back(C.From);
+  Fwd[nodeKey(C.From)].push_back(C.To);
+  Bwd[nodeKey(C.To)].push_back(C.From);
 
   // Section 4 trigger: forward reach includes a to-port input and
   // backward reach includes a from-port output.

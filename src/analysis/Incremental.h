@@ -33,8 +33,6 @@
 
 namespace wiresort::analysis {
 
-class SummaryEngine;
-
 /// Interactive checker that observes a circuit as it is wired up.
 class IncrementalChecker {
 public:
@@ -51,17 +49,6 @@ public:
                      const std::map<ir::ModuleId, ModuleSummary> &Summaries)
       : Circ(&Circ), Summaries(&Summaries) {}
 
-  /// Engine-fed flavor: Stage 1 for the circuit's design runs through
-  /// \p Engine (parallel + cached — repeated design-time sessions over
-  /// the same library hit the engine's summary cache) and the checker
-  /// owns the resulting summaries. The design must be loop-free: a
-  /// session cannot start from unsummarizable modules (asserted).
-  IncrementalChecker(const ir::Circuit &Circ, SummaryEngine &Engine);
-
-  // Summaries may point into OwnedSummaries; copying would dangle.
-  IncrementalChecker(const IncrementalChecker &) = delete;
-  IncrementalChecker &operator=(const IncrementalChecker &) = delete;
-
   /// Registers \p C (which the caller has already added to the circuit)
   /// and decides whether to check. State is maintained across calls.
   Step addConnection(const ir::Connection &C);
@@ -73,7 +60,7 @@ public:
 private:
   /// Nodes are (inst, port) keys into adjacency built lazily from the
   /// summaries plus the connections seen so far.
-  uint64_t keyOf(ir::PortRef Ref) const {
+  uint64_t nodeKey(ir::PortRef Ref) const {
     return (static_cast<uint64_t>(Ref.Inst) << 32) | Ref.Port;
   }
 
@@ -89,9 +76,6 @@ private:
 
   const ir::Circuit *Circ;
   const std::map<ir::ModuleId, ModuleSummary> *Summaries;
-  /// Backing storage when constructed from an engine; Summaries points
-  /// here in that case.
-  std::map<ir::ModuleId, ModuleSummary> OwnedSummaries;
   /// Connections registered so far: out-port key -> in ports, and the
   /// reverse direction for backward walks.
   std::map<uint64_t, std::vector<ir::PortRef>> Fwd;

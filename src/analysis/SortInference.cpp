@@ -6,7 +6,6 @@
 
 #include "analysis/SortInference.h"
 
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <cassert>
@@ -21,7 +20,6 @@ analysis::inferSummary(const Design &D, ModuleId Id,
                        const std::map<ModuleId, ModuleSummary>
                            &SubSummaries,
                        const support::Deadline *DL) {
-  Timer T;
   const Module &M = D.module(Id);
   auto cancelled = [&] {
     return support::Diag(support::DiagCode::WS601_CANCELLED,
@@ -80,7 +78,6 @@ analysis::inferSummary(const Design &D, ModuleId Id,
                                   : SubSort::Indirect;
   }
 
-  Summary.InferenceSeconds = T.seconds();
   return Summary;
 }
 

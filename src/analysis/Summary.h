@@ -41,9 +41,6 @@ struct ModuleSummary {
   /// Section 3.7 subsort per port (only sync ports are Direct/Indirect).
   std::map<ir::WireId, SubSort> SubSorts;
 
-  /// Wall-clock seconds spent inferring this summary (benchmark use).
-  double InferenceSeconds = 0.0;
-
   /// \returns the sort of port \p Port (which must be an interface wire
   /// recorded in this summary).
   Sort sortOf(ir::WireId Port) const {
@@ -68,9 +65,8 @@ struct ModuleSummary {
 };
 
 /// Structural equality of two summaries: every field Stage-2/3 checking
-/// can observe. InferenceSeconds is excluded (wall-clock, run-dependent),
-/// which is what lets the determinism suite demand bitwise-equal results
-/// from serial, parallel, and cache-served inference.
+/// can observe. The determinism suite demands it of serial, parallel,
+/// and cache-served inference.
 inline bool structurallyEqual(const ModuleSummary &A,
                               const ModuleSummary &B) {
   return A.Id == B.Id && A.ModuleName == B.ModuleName &&

@@ -200,24 +200,12 @@ support::Status
 SummaryEngine::analyze(const Design &D,
                        std::map<ModuleId, ModuleSummary> &Out,
                        const std::map<ModuleId, ModuleSummary> &Ascribed,
-                       const support::Deadline &DL) {
-  AnalyzeOutcome Outcome;
-  support::Status Verdict = analyzeShared(D, Out, Ascribed, DL, Outcome);
-  Stats = Outcome.Stats;
-  Keys = std::move(Outcome.Keys);
-  return Verdict;
-}
-
-support::Status
-SummaryEngine::analyzeShared(const Design &D,
-                             std::map<ModuleId, ModuleSummary> &Out,
-                             const std::map<ModuleId, ModuleSummary> &Ascribed,
-                             const support::Deadline &DL,
-                             AnalyzeOutcome &Outcome) {
-  Timer T;
+                       const support::Deadline &DL, AnalyzeOutcome *Outcome) {
   // Everything below writes through these aliases; no engine member is
   // touched except the thread-safe Cache, keeping this path re-entrant.
-  EngineStats &Stats = Outcome.Stats;
+  AnalyzeOutcome Local;
+  AnalyzeOutcome &Result = Outcome ? *Outcome : Local;
+  EngineStats &Stats = Result.Stats;
   Stats = EngineStats();
   Stats.Modules = D.numModules();
 
@@ -232,8 +220,8 @@ SummaryEngine::analyzeShared(const Design &D,
   static trace::Counter &CancelledC =
       trace::counter("fault.cancelled_modules");
 
-  Outcome.Keys = computeKeys(D, Ascribed);
-  const std::vector<uint64_t> &Keys = Outcome.Keys;
+  Result.Keys = computeKeys(D, Ascribed);
+  const std::vector<uint64_t> &Keys = Result.Keys;
   SummaryCache *Cache = Cfg.UseCache ? &this->Cache : nullptr;
 
   unsigned Threads = Cfg.Threads != 0
@@ -437,7 +425,6 @@ SummaryEngine::analyzeShared(const Design &D,
   Stats.Ascribed = AscribedCount;
   Stats.Cancelled = CancelledCount;
   Stats.Panicked = PanickedCount;
-  Stats.Seconds = T.seconds();
   ModulesC.add(Stats.Modules);
   InferredC.add(Stats.Inferred);
   AscribedC.add(Stats.Ascribed);
@@ -586,14 +573,8 @@ support::Status atomicWriteCache(const std::string &Path,
 
 support::Status SummaryEngine::saveCache(
     const std::string &Path, const Design &D,
-    const std::map<ModuleId, ModuleSummary> &Summaries) const {
-  return saveCache(Path, D, Summaries, Keys);
-}
-
-support::Status SummaryEngine::saveCache(
-    const std::string &Path, const Design &D,
     const std::map<ModuleId, ModuleSummary> &Summaries,
-    const std::vector<uint64_t> &Keys) const {
+    const std::vector<uint64_t> &Keys) {
   std::vector<std::pair<uint64_t, const ModuleSummary *>> Entries;
   Entries.reserve(Summaries.size());
   for (const auto &[Id, S] : Summaries)

@@ -88,13 +88,14 @@ private:
   size_t Misses = 0;
 };
 
-/// Per-call counters for the most recent analyze(). The same values are
-/// mirrored into the support::trace registry (counters "engine.modules",
+/// Counters of one analyze() call. The same values are mirrored into the
+/// support::trace registry (counters "engine.modules",
 /// "engine.cache_hits", "engine.inferred", "engine.ascribed", and the
 /// "engine.infer_us" per-module histogram — docs/OBSERVABILITY.md)
 /// whenever a trace::Session is live; this struct is the per-call
 /// snapshot that works even with tracing disabled, the registry is the
-/// session-cumulative view.
+/// session-cumulative view. Time is measured by the engine.analyze and
+/// engine.module spans, not here.
 struct EngineStats {
   size_t Modules = 0;    ///< Modules the design required summaries for.
   size_t CacheHits = 0;  ///< Summaries served from the cache.
@@ -102,15 +103,14 @@ struct EngineStats {
   size_t Ascribed = 0;   ///< Summaries taken as-is from the caller.
   size_t Cancelled = 0;  ///< Modules abandoned to a deadline (WS601).
   size_t Panicked = 0;   ///< Modules whose worker threw (WS604).
-  double Seconds = 0.0;  ///< Wall-clock time of the whole analyze().
   unsigned ThreadsUsed = 1;
 };
 
-/// Everything one analyze pass produced besides the summaries
+/// Everything one analyze() call produced besides the summaries
 /// themselves: its counters and the per-module cache keys of the design
-/// it ran over. analyzeShared() fills one of these per call instead of
-/// mutating engine members, which is what lets a resident engine serve
-/// concurrent requests (docs/SERVING.md).
+/// it ran over (what saveCache needs). The engine keeps no per-call
+/// state, so this record travels with the call and concurrent calls on
+/// one engine never see each other's (docs/SERVING.md).
 struct AnalyzeOutcome {
   EngineStats Stats;
   std::vector<uint64_t> Keys;
@@ -127,7 +127,9 @@ struct CacheLoadResult {
 };
 
 /// Scheduler + cache front end replacing serial analyzeDesign on every
-/// production path (wiresort-check, circuit checking, the benches).
+/// production path (wiresort-check, the daemon, the benches). An engine
+/// is its configuration plus its thread-safe cache and nothing else:
+/// any number of threads may call analyze() on one engine at once.
 class SummaryEngine {
 public:
   SummaryEngine() = default;
@@ -154,68 +156,46 @@ public:
   /// delivered through \p Out (partial progress is a feature: a caller
   /// can warm the cache even from a timed-out run). The default, inert
   /// deadline never fires.
+  ///
+  /// When \p Outcome is given it receives this call's counters and the
+  /// design's cache keys. The call touches no engine state but the
+  /// thread-safe cache, so it is re-entrant: the resident service
+  /// (src/driver/) runs concurrent requests through one engine.
   support::Status
   analyze(const ir::Design &D, std::map<ir::ModuleId, ModuleSummary> &Out,
           const std::map<ir::ModuleId, ModuleSummary> &Ascribed = {},
-          const support::Deadline &DL = {});
-
-  /// The re-entrant core of analyze(): identical semantics, but every
-  /// per-call artifact (stats, cache keys) is written into \p Outcome
-  /// instead of engine members, and the only shared state touched is the
-  /// SummaryCache, which is thread-safe. Any number of threads may call
-  /// analyzeShared() on the same engine concurrently — the resident
-  /// service (src/driver/) runs every request through this entry point.
-  /// The member-mutating analyze() is a thin wrapper that copies the
-  /// outcome back into stats()/keyOf()/saveCache() state and remains
-  /// single-caller-at-a-time.
-  support::Status
-  analyzeShared(const ir::Design &D,
-                std::map<ir::ModuleId, ModuleSummary> &Out,
-                const std::map<ir::ModuleId, ModuleSummary> &Ascribed,
-                const support::Deadline &DL, AnalyzeOutcome &Outcome);
+          const support::Deadline &DL = {},
+          AnalyzeOutcome *Outcome = nullptr);
 
   /// Pure key computation: structuralHash of each module body folded
   /// with the keys of its instantiated definitions in instance order
   /// (ascribed modules key on summary content). The one key function
-  /// shared — by construction, not convention — between analyze paths
-  /// and saveCache.
+  /// shared — by construction, not convention — between analyze() and
+  /// saveCache's callers.
   static std::vector<uint64_t>
   computeKeys(const ir::Design &D,
               const std::map<ir::ModuleId, ModuleSummary> &Ascribed = {});
-
-  /// Counters for the most recent analyze() call.
-  const EngineStats &stats() const { return Stats; }
 
   /// The engine's cache (shared across analyze() calls; hand the same
   /// engine to repeated checks to get warm-cache behavior).
   SummaryCache &cache() { return Cache; }
 
-  /// Cache key of module \p Id computed by the last analyze() call.
-  uint64_t keyOf(ir::ModuleId Id) const { return Keys.at(Id); }
-
-  /// Persists the last analyze()'s summaries of \p D as a cache-v3 wire
-  /// stream (docs/FORMATS.md): one CacheEntry record per module carrying
-  /// its cache key and name-based summary body, every record
-  /// length-prefixed and FNV-1a-checksummed by the framing. The write is
-  /// crash-safe: the whole stream is composed in memory, written to
-  /// Path+".tmp", fsync'd, and renamed over \p Path, so an interrupted
-  /// save leaves either the old cache or the new one — never a torn
-  /// file. Transient I/O failures are retried a bounded number of times
-  /// with backoff. \returns an empty Status on success, or a
-  /// WS602_CACHE_IO warning naming the failing path and syscall (the
-  /// caller keeps its verdict; a failed save only costs the next run its
-  /// warm start).
-  support::Status
-  saveCache(const std::string &Path, const ir::Design &D,
-            const std::map<ir::ModuleId, ModuleSummary> &Summaries) const;
-
-  /// Re-entrant saveCache: identical stream bytes, but the per-module
-  /// \p Keys come from the caller (an AnalyzeOutcome from analyzeShared)
-  /// instead of the engine's last-analyze members.
-  support::Status
+  /// Persists \p Summaries of \p D as a cache-v3 wire stream
+  /// (docs/FORMATS.md): one CacheEntry record per module carrying its
+  /// key from \p Keys (as computeKeys or an AnalyzeOutcome gives them)
+  /// and its name-based summary body, every record length-prefixed and
+  /// FNV-1a-checksummed by the framing. The write is crash-safe: the
+  /// whole stream is composed in memory, written to Path+".tmp",
+  /// fsync'd, and renamed over \p Path, so an interrupted save leaves
+  /// either the old cache or the new one — never a torn file. Transient
+  /// I/O failures are retried a bounded number of times with backoff.
+  /// \returns an empty Status on success, or a WS602_CACHE_IO warning
+  /// naming the failing path and syscall (the caller keeps its verdict;
+  /// a failed save only costs the next run its warm start).
+  static support::Status
   saveCache(const std::string &Path, const ir::Design &D,
             const std::map<ir::ModuleId, ModuleSummary> &Summaries,
-            const std::vector<uint64_t> &Keys) const;
+            const std::vector<uint64_t> &Keys);
 
   /// Seeds the cache from a cache-v3 stream written by saveCache,
   /// resolving port names against \p D. Staleness of any kind is
@@ -238,9 +218,6 @@ public:
 private:
   EngineConfig Cfg;
   SummaryCache Cache;
-  EngineStats Stats;
-  /// Per-module cache keys of the last analyzed design.
-  std::vector<uint64_t> Keys;
 };
 
 } // namespace wiresort::analysis

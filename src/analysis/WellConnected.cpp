@@ -6,8 +6,6 @@
 
 #include "analysis/WellConnected.h"
 
-#include "analysis/SummaryEngine.h"
-#include "support/Timer.h"
 #include "support/Trace.h"
 
 #include <cassert>
@@ -173,7 +171,6 @@ bool neededPortsAcyclic(const Circuit &Circ,
 CircuitCheckResult
 analysis::checkCircuit(const Circuit &Circ,
                        const std::map<ModuleId, ModuleSummary> &Summaries) {
-  Timer T;
   trace::Span CheckSpan("analysis.check_circuit", "analysis");
   CheckSpan.note("circuit", Circ.name());
   CircuitCheckResult Result;
@@ -211,26 +208,6 @@ analysis::checkCircuit(const Circuit &Circ,
     Result.Diags.add(std::move(Diag));
     Result.WellConnected = false;
   }
-  Result.Seconds = T.seconds();
-  return Result;
-}
-
-CircuitCheckResult analysis::checkCircuit(const Circuit &Circ,
-                                          SummaryEngine &Engine) {
-  Timer T;
-  std::map<ModuleId, ModuleSummary> Summaries;
-  support::Status Stage1 = Engine.analyze(Circ.design(), Summaries);
-  if (Stage1.hasError()) {
-    // The design's own modules already contain loops; the circuit can
-    // never be well-connected, and the diagnostics name the culprits.
-    CircuitCheckResult Result;
-    Result.WellConnected = false;
-    Result.Diags = std::move(Stage1);
-    Result.Seconds = T.seconds();
-    return Result;
-  }
-  CircuitCheckResult Result = checkCircuit(Circ, Summaries);
-  Result.Seconds = T.seconds(); // Include Stage 1 in the reported time.
   return Result;
 }
 
@@ -277,7 +254,6 @@ CircuitCheckResult
 analysis::checkCircuitPairwise(const Circuit &Circ,
                                const std::map<ModuleId, ModuleSummary>
                                    &Summaries) {
-  Timer T;
   trace::Span CheckSpan("analysis.check_circuit", "analysis");
   CheckSpan.note("circuit", Circ.name()).note("mode", "pairwise");
   CircuitCheckResult Result;
@@ -372,6 +348,5 @@ analysis::checkCircuitPairwise(const Circuit &Circ,
             .withHop(Circ.instances()[C.To.Inst].Name,
                      Circ.defOf(C.To.Inst).wire(C.To.Port).Name));
   }
-  Result.Seconds = T.seconds();
   return Result;
 }

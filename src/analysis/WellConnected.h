@@ -95,23 +95,12 @@ struct CircuitCheckResult {
   size_t SafeBySort = 0;
   /// Connections requiring the stage-3 circuit check.
   size_t NeedsCheck = 0;
-  double Seconds = 0.0;
 };
 
 /// SCC-based whole-circuit check (production path).
 CircuitCheckResult checkCircuit(const ir::Circuit &Circ,
                                 const std::map<ir::ModuleId, ModuleSummary>
                                     &Summaries);
-
-class SummaryEngine;
-
-/// Engine-driven flavor of the production check: Stage 1 runs through
-/// \p Engine (parallel, cache-served on repeats), then checkCircuit runs
-/// over the resulting summaries. If the design itself contains a
-/// combinational loop the result reports it without a circuit pass.
-/// Repeated checks with the same engine hit its summary cache.
-CircuitCheckResult checkCircuit(const ir::Circuit &Circ,
-                                SummaryEngine &Engine);
 
 /// Definition 3.1: is \p C's output wire well-connected to its input wire?
 /// I.e., no w2 in the input's output-port-set transitively affects any w1

@@ -314,9 +314,10 @@ CheckResult CheckService::run(const CheckRequest &R,
     return done(0);
   }
 
-  // --- Engine setup. Requests run through the *resident* engine via
-  // the re-entrant analyzeShared path, so repeated submissions of the
-  // same (or a lightly edited) design are mostly cache hits.
+  // --- Engine setup. Requests run through the *resident* engine, whose
+  // analyze() keeps every per-call artifact in the request's outcome, so
+  // repeated submissions of the same (or a lightly edited) design are
+  // mostly cache hits.
   if (!R.Req.CachePath.empty()) {
     support::Expected<CacheLoadResult> Loaded =
         Engine.loadCache(R.Req.CachePath, File->Design);
@@ -336,15 +337,15 @@ CheckResult CheckService::run(const CheckRequest &R,
   std::map<ModuleId, ModuleSummary> Summaries;
   AnalyzeOutcome Outcome;
   support::Status Stage1 =
-      Engine.analyzeShared(File->Design, Summaries, {}, DL, Outcome);
+      Engine.analyze(File->Design, Summaries, {}, DL, &Outcome);
   double Ms = T.milliseconds();
   Res.Stats = Outcome.Stats;
 
   auto save = [&]() {
     if (R.Req.CachePath.empty())
       return;
-    Emit.emit(Engine.saveCache(R.Req.CachePath, File->Design, Summaries,
-                               Outcome.Keys));
+    Emit.emit(SummaryEngine::saveCache(R.Req.CachePath, File->Design,
+                                       Summaries, Outcome.Keys));
   };
 
   if (Stage1.hasError()) {

@@ -115,10 +115,11 @@ struct CheckResult {
 /// A resident check core: one SummaryEngine whose summary cache
 /// persists across run() calls. Thread-safe — concurrent run() calls
 /// share the cache (first writer wins per key) and otherwise touch only
-/// request-local state via SummaryEngine::analyzeShared. Requests that
-/// open a telemetry window (Stats or TraceOutPath) serialize on an
-/// internal mutex, because at most one trace::Session may be live per
-/// process.
+/// request-local state: SummaryEngine::analyze returns each call's
+/// counters and cache keys in the request's own AnalyzeOutcome.
+/// Requests that open a telemetry window (Stats or TraceOutPath)
+/// serialize on an internal mutex, because at most one trace::Session
+/// may be live per process.
 class CheckService {
 public:
   explicit CheckService(analysis::EngineConfig Cfg = {}) : Engine(Cfg) {}

@@ -662,7 +662,7 @@ Response driver::requestWithRetry(const std::string &SocketPath, Method M,
       // Busy is the server's explicit "come back later".
       Retryable = Out.Busy;
     } else if (Out.Transport.hasError()) {
-      // Same transient set as dialWithRetry: the daemon is restarting.
+      // Refused or missing socket: the daemon is restarting.
       std::string E = Out.Transport.firstError().note("errno");
       Retryable = E == "ECONNREFUSED" || E == "ENOENT";
     }

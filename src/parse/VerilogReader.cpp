@@ -15,6 +15,7 @@
 #include "support/FailPoint.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cassert>
 #include <map>
 #include <set>
@@ -38,6 +39,12 @@ struct ModuleShell {
   Module M;
   /// Token span of the module body (after the header ';').
   size_t BodyBegin = 0, BodyEnd = 0;
+  /// A classic (non-ANSI) header's port names, each mapped to the index
+  /// of its token; token order is header order. Only these names may be
+  /// declared input or output in the body.
+  std::map<std::string, size_t> ClassicPorts;
+  /// Token spans of the body declarations phase 1 consumed, in order.
+  std::vector<std::pair<size_t, size_t>> DeclSpans;
   std::map<std::string, WireId> ByName;
   /// The ports by name, indexed once phase 1 has declared them all.
   PortIndex Ports;
@@ -69,9 +76,6 @@ public:
       failB("no modules found");
       return takeDiags();
     }
-
-    for (size_t I = 0; I != Shells.size(); ++I)
-      IdByName[Shells[I].M.Name] = static_cast<ModuleId>(I);
 
     // ---- Phase 2: bodies. ----
     for (ModuleShell &Shell : Shells) {
@@ -132,16 +136,22 @@ private:
     return true;
   }
 
-  /// Records the first diagnostic at the current token (later failures
-  /// are fallout from the first) and returns false.
-  bool failAs(support::DiagCode Code, const std::string &Msg) {
+  /// Records the first diagnostic at token \p At (later failures are
+  /// fallout from the first) and returns false.
+  bool failAt(size_t At, support::DiagCode Code, const std::string &Msg) {
     if (Diags.empty())
       Diags.add(support::Diag(Code, Msg).withLoc(
-          support::SrcLoc{FileName, cur().Line, cur().Col}));
+          support::SrcLoc{FileName, Toks[At].Line, Toks[At].Col}));
     return false;
+  }
+  bool failAs(support::DiagCode Code, const std::string &Msg) {
+    return failAt(Pos, Code, Msg);
   }
   bool failB(const std::string &Msg) {
     return failAs(support::DiagCode::WS212_VERILOG_SYNTAX, Msg);
+  }
+  bool failBAt(size_t At, const std::string &Msg) {
+    return failAt(At, support::DiagCode::WS212_VERILOG_SYNTAX, Msg);
   }
   /// A construct outside the supported subset (valid Verilog we reject).
   bool failU(const std::string &Msg) {
@@ -238,8 +248,14 @@ private:
       return false;
     while (true) {
       std::string Name;
+      const size_t NameTok = Pos;
       if (!expectIdent(Name))
         return false;
+      if (Direction != Dir::None && !InHeader &&
+          !Shell.ClassicPorts.count(Name))
+        return failBAt(NameTok, "port '" + Name +
+                                    "' is not in the port list of module '" +
+                                    Shell.M.Name + "'");
       if (!declareNet(Shell, Direction, IsReg, Width, Name))
         return false;
       if (InHeader) {
@@ -258,8 +274,12 @@ private:
     if (!expect("module"))
       return false;
     ModuleShell Shell;
+    const size_t NameTok = Pos;
     if (!expectIdent(Shell.M.Name))
       return false;
+    if (!IdByName.emplace(Shell.M.Name, static_cast<ModuleId>(Shells.size()))
+             .second)
+      return failBAt(NameTok, "duplicate module '" + Shell.M.Name + "'");
 
     if (atPunct("(")) {
       advance();
@@ -296,13 +316,15 @@ private:
               break;
           }
         } else {
-          // Classic: just names; directions come from body decls. We
-          // record the order and patch at body-decl time.
+          // Classic: just names; directions come from body decls, and
+          // the header order becomes the port order once they are in.
           while (true) {
             std::string Name;
+            const size_t PortTok = Pos;
             if (!expectIdent(Name))
               return false;
-            ClassicPorts[Shell.M.Name].push_back(Name);
+            if (!Shell.ClassicPorts.emplace(Name, PortTok).second)
+              return failBAt(PortTok, "port '" + Name + "' listed twice");
             if (!atPunct(","))
               break;
             advance();
@@ -322,14 +344,12 @@ private:
     while (!atEnd() && !(Depth == 0 && at("endmodule"))) {
       if (Depth == 0 && (at("input") || at("output") || at("wire") ||
                          at("reg"))) {
-        // Splice declarations out by parsing them in place; phase 2
-        // re-walks the body and skips them again, so leave markers by
-        // re-scanning: simplest is to parse here and remember the span
-        // to skip later. We record decl spans in DeclSpans.
+        // Parse declarations in place and remember their spans, which
+        // phase 2's walk over the body skips.
         size_t Start = Pos;
         if (!parseDecl(Shell, /*InHeader=*/false))
           return false;
-        DeclSpans[Shell.M.Name].emplace_back(Start, Pos);
+        Shell.DeclSpans.emplace_back(Start, Pos);
         continue;
       }
       if (at("begin"))
@@ -341,8 +361,37 @@ private:
     Shell.BodyEnd = Pos;
     if (!expect("endmodule"))
       return false;
+    if (!orderClassicPorts(Shell))
+      return false;
     Shell.Ports = PortIndex(Shell.M);
     Shells.push_back(std::move(Shell));
+    return true;
+  }
+
+  /// Puts a classic header's ports in header order. Every body
+  /// input/output is listed (parseDecl refuses the others), so each
+  /// listed name must resolve to one.
+  bool orderClassicPorts(ModuleShell &Shell) {
+    if (Shell.ClassicPorts.empty())
+      return true;
+    std::vector<std::pair<size_t, const std::string *>> Listed;
+    for (const auto &[Name, Tok] : Shell.ClassicPorts)
+      Listed.emplace_back(Tok, &Name);
+    std::sort(Listed.begin(), Listed.end());
+    Module &M = Shell.M;
+    M.Inputs.clear();
+    M.Outputs.clear();
+    for (const auto &[Tok, Name] : Listed) {
+      auto It = Shell.ByName.find(*Name);
+      WireId W = It == Shell.ByName.end() ? InvalidId : It->second;
+      if (W != InvalidId && M.isInput(W))
+        M.Inputs.push_back(W);
+      else if (W != InvalidId && M.isOutput(W))
+        M.Outputs.push_back(W);
+      else
+        return failBAt(Tok, "port '" + *Name +
+                                "' has no input or output declaration");
+    }
     return true;
   }
 
@@ -764,15 +813,18 @@ private:
   }
 
   bool elaborateRegister(ModuleShell &Shell, const std::string &Target,
-                         Value D) {
+                         size_t TargetTok, Value D) {
     auto It = Shell.ByName.find(Target);
     if (It == Shell.ByName.end())
-      return failB("nonblocking assignment to undeclared '" + Target +
-                   "'");
+      return failBAt(TargetTok, "nonblocking assignment to undeclared '" +
+                                    Target + "'");
     if (!Shell.Regs.count(Target))
-      return failB("nonblocking assignment target '" + Target +
-                   "' is not a reg");
+      return failBAt(TargetTok, "nonblocking assignment target '" + Target +
+                                    "' is not a reg");
     WireId Q = It->second;
+    if (Shell.M.isInput(Q))
+      return failBAt(TargetTok, "nonblocking assignment to input '" +
+                                    Target + "'");
     uint16_t Width = Shell.M.wire(Q).Width;
     if (!adapt(Shell, D, Width))
       return false;
@@ -806,6 +858,7 @@ private:
 
     auto statement = [&]() {
       std::string Target;
+      const size_t TargetTok = Pos;
       if (!expectIdent(Target))
         return false;
       if (!expect("<="))
@@ -813,7 +866,7 @@ private:
       Value D;
       if (!parseExpr(Shell, D))
         return false;
-      if (!elaborateRegister(Shell, Target, D))
+      if (!elaborateRegister(Shell, Target, TargetTok, D))
         return false;
       return expect(";");
     };
@@ -898,7 +951,7 @@ private:
   }
 
   bool elaborateBody(ModuleShell &Shell) {
-    const auto &Decls = DeclSpans[Shell.M.Name];
+    const auto &Decls = Shell.DeclSpans;
     size_t DeclIdx = 0;
     Pos = Shell.BodyBegin;
     while (Pos < Shell.BodyEnd) {
@@ -939,8 +992,6 @@ private:
   uint64_t Temp = 0;
   std::vector<ModuleShell> Shells;
   std::map<std::string, ModuleId> IdByName;
-  std::map<std::string, std::vector<std::string>> ClassicPorts;
-  std::map<std::string, std::vector<std::pair<size_t, size_t>>> DeclSpans;
 };
 
 } // namespace

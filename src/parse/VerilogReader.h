@@ -13,9 +13,10 @@
 /// directly", Section 5.4) — rather than via synthesized BLIF.
 ///
 /// Supported subset:
-///  * modules with ANSI or classic port declarations, `wire`/`reg`
-///    declarations with ranges (widths up to 64), optional reg
-///    initializers;
+///  * modules with ANSI or classic port declarations (a classic header
+///    sets the port order, and every port must be both listed and
+///    declared `input`/`output`), `wire`/`reg` declarations with ranges
+///    (widths up to 64), optional reg initializers;
 ///  * continuous assignments over expressions with `~ ! & | ^ && ||
 ///    == != < <= > >= + - << >> ?:`, bit/part selects, concatenation,
 ///    sized/unsized literals;
@@ -52,7 +53,8 @@ struct VerilogFile {
 /// WS213_VERILOG_UNSUPPORTED for constructs outside the structural
 /// subset — whose SrcLoc gives the 1-based line:col (file field set to
 /// \p FileName); the result validates on success. Forward references
-/// between modules are allowed.
+/// between modules are allowed; a second module of the same name is
+/// refused.
 ///
 /// An active \p DL is polled between module shells and bodies; when it
 /// fires the parse stops with a WS601_CANCELLED diagnostic locating

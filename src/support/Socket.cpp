@@ -10,9 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include <poll.h>
@@ -214,29 +212,6 @@ uint64_t sock::nextBackoffMs(const RetryPolicy &P, uint64_t PrevMs,
   uint64_t Span = Hi - Base + 1;
   uint64_t Draw = mix64(P.Seed ^ (0x5e'72'76'65ull + Attempt)) % Span;
   return std::min(Cap, Base + Draw);
-}
-
-Expected<int> sock::dialWithRetry(const std::string &Path,
-                                  const RetryPolicy &P) {
-  unsigned Attempts = std::max(P.MaxAttempts, 1u);
-  uint64_t SleepMs = 0;
-  for (unsigned A = 0;; ++A) {
-    Expected<int> Fd = connectTo(Path);
-    if (Fd)
-      return Fd;
-    // Only "daemon not there yet" is worth retrying; everything else
-    // (permissions, oversize path) is permanent.
-    std::string Err = Fd.diags().firstError().note("errno");
-    bool Retryable = Err == "ECONNREFUSED" || Err == "ENOENT";
-    if (!Retryable || A + 1 >= Attempts) {
-      DiagList Out = Fd.diags();
-      Diag Last = Out[0];
-      Out[0] = std::move(Last).withNote("attempts", std::to_string(A + 1));
-      return Out;
-    }
-    SleepMs = nextBackoffMs(P, SleepMs, A);
-    std::this_thread::sleep_for(std::chrono::milliseconds(SleepMs));
-  }
 }
 
 Status sock::writeAll(int Fd, std::string_view Bytes, const Deadline *DL) {

@@ -25,9 +25,9 @@
 /// Everything reports through support::Diag (WS501_IO_ERROR with the
 /// failing syscall, errno text, and a symbolic `errno` note callers can
 /// key exit codes on; WS606_TRANSPORT_TIMEOUT when a deadline fires);
-/// nothing here throws. The only retry policy in this file is the one
-/// explicitly asked for via dialWithRetry — the plain helpers never
-/// retry beyond EINTR.
+/// nothing here throws. The helpers never retry beyond EINTR; the
+/// backoff schedule below is for callers that retry whole requests
+/// (driver::requestWithRetry).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,8 +87,8 @@ private:
 /// existed.
 Expected<int> connectTo(const std::string &Path);
 
-/// Backoff policy for dialWithRetry (and the serving layer's
-/// request-level retries): exponential growth with decorrelated jitter
+/// Backoff policy for the serving layer's request-level retries
+/// (driver::requestWithRetry): exponential growth with decorrelated jitter
 /// — sleep = min(CapMs, uniform(BaseMs, 3 * previous sleep)) — which
 /// spreads a thundering herd of restarting clients without
 /// synchronizing them. \c Seed makes the jitter stream deterministic
@@ -103,20 +103,9 @@ struct RetryPolicy {
 
 /// The next decorrelated-jitter delay: min(Cap, uniform(Base, 3 *
 /// \p PrevMs)) drawn deterministically from (Seed, Attempt). \p PrevMs
-/// of 0 (the first retry) yields BaseMs exactly. Exposed so the serving
-/// layer's busy-retry loop shares one schedule shape with dialWithRetry.
+/// of 0 (the first retry) yields BaseMs exactly.
 uint64_t nextBackoffMs(const RetryPolicy &P, uint64_t PrevMs,
                        unsigned Attempt);
-
-/// connectTo with retry: connection-refused and socket-file-not-found
-/// (the daemon is restarting, or systemd has not re-created the path
-/// yet) are retried per \p P; anything else — permission, path too long
-/// — fails immediately, because retrying cannot fix it. The
-/// `client.connect.refuse` failpoint simulates a refused connect ahead
-/// of the syscall, so the retry path is testable against a healthy
-/// daemon. \returns the fd, or the *last* attempt's diagnostic with an
-/// `attempts` note appended.
-Expected<int> dialWithRetry(const std::string &Path, const RetryPolicy &P);
 
 /// Writes all of \p Bytes to \p Fd, retrying short writes and EINTR.
 /// \returns an empty status or one diagnostic. A peer that hangs up

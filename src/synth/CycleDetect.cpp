@@ -7,7 +7,6 @@
 #include "synth/CycleDetect.h"
 
 #include "support/CsrGraph.h"
-#include "support/Timer.h"
 
 #include <cassert>
 
@@ -17,7 +16,6 @@ using namespace wiresort::synth;
 
 NetlistCycleResult synth::detectCycles(const Module &Flat) {
   assert(Flat.Instances.empty() && "cycle detection needs a flat netlist");
-  Timer T;
   std::vector<CsrGraph::Edge> Edges;
   for (const Net &N : Flat.Nets)
     for (WireId In : N.Inputs)
@@ -39,6 +37,5 @@ NetlistCycleResult synth::detectCycles(const Module &Flat) {
       Diag.addHop(Flat.Name, Flat.wire(Node).Name);
     Result.Diags.add(std::move(Diag));
   }
-  Result.Seconds = T.seconds();
   return Result;
 }

@@ -31,7 +31,6 @@ struct NetlistCycleResult {
   support::DiagList Diags;
   size_t NumWires = 0;
   size_t NumGates = 0;
-  double Seconds = 0.0;
 };
 
 /// Runs SCC-based cycle detection over \p Flat, which must be

@@ -67,8 +67,8 @@ int crashMidSave(const std::string &Path, const Design &D,
     if (support::failpoint::configure("cache.save.partial=always")
             .hasError())
       ::_exit(110);
-    SummaryEngine Child;
-    (void)Child.saveCache(Path, D, Out); // _exit(125)s inside.
+    (void)SummaryEngine::saveCache(
+        Path, D, Out, SummaryEngine::computeKeys(D)); // _exit(125)s inside.
     ::_exit(111); // The failpoint did not fire: fail the test.
   }
   int Status = 0;
@@ -91,21 +91,23 @@ TEST(CrashRecoveryTest, InterruptedSaveLeavesThePreviousCacheIntact) {
   const EngineConfig Serial{1, true};
   SummaryEngine Engine(Serial);
   Summaries Out;
-  ASSERT_FALSE(Engine.analyze(D, Out).hasError());
-  ASSERT_TRUE(Engine.saveCache(Path, D, Out).empty());
+  AnalyzeOutcome Outcome;
+  ASSERT_FALSE(Engine.analyze(D, Out, {}, {}, &Outcome).hasError());
+  ASSERT_TRUE(SummaryEngine::saveCache(Path, D, Out, Outcome.Keys).empty());
   std::optional<std::string> Old = slurp(Path);
   ASSERT_TRUE(Old.has_value());
 
   ASSERT_EQ(crashMidSave(Path, D, Out), 125);
 
   // The target is byte-identical to before the crash; the torn prefix
-  // landed in .tmp (and is strictly shorter than a full record set).
+  // landed in .tmp: exactly half of the same payload, which tears the
+  // record set midway.
   std::optional<std::string> After = slurp(Path);
   ASSERT_TRUE(After.has_value());
   EXPECT_EQ(*After, *Old);
   std::optional<std::string> Torn = slurp(Tmp);
   ASSERT_TRUE(Torn.has_value()) << "crash did not happen mid-write";
-  EXPECT_LT(Torn->size(), Old->size());
+  EXPECT_EQ(Torn->size(), Old->size() / 2);
   std::remove(Tmp.c_str());
 
   // A fresh process (modeled by a fresh engine) recovers: every record
@@ -118,9 +120,10 @@ TEST(CrashRecoveryTest, InterruptedSaveLeavesThePreviousCacheIntact) {
   EXPECT_EQ(Loaded->Quarantined, 0u);
   EXPECT_TRUE(Loaded->Warnings.empty());
   Summaries Warm;
-  EXPECT_FALSE(Fresh.analyze(D, Warm).hasError());
-  EXPECT_EQ(Fresh.stats().Inferred, 0u);
-  EXPECT_EQ(Fresh.stats().CacheHits, D.numModules());
+  AnalyzeOutcome WarmRun;
+  EXPECT_FALSE(Fresh.analyze(D, Warm, {}, {}, &WarmRun).hasError());
+  EXPECT_EQ(WarmRun.Stats.Inferred, 0u);
+  EXPECT_EQ(WarmRun.Stats.CacheHits, D.numModules());
   ASSERT_EQ(Warm.size(), Out.size());
   for (const auto &[Id, S] : Out)
     EXPECT_TRUE(structurallyEqual(S, Warm.at(Id))) << "module " << Id;

@@ -3,10 +3,11 @@
 // Part of the wiresort project. Unit coverage for the parallel cached
 // Stage-1 driver: level scheduling over diamond hierarchies, cache hit
 // and miss accounting at pinned thread counts, content-identical twins,
-// content-addressed keys (design-independent, renaming-insensitive,
-// sub-summary-sensitive), ascription, and the disk sidecar. The
-// cross-cutting guarantees (verdict equals the flattened oracle,
-// determinism across thread counts) live in tests/property/.
+// concurrent calls on one engine, content-addressed keys
+// (design-independent, renaming-insensitive, sub-summary-sensitive),
+// ascription, and the disk sidecar. The cross-cutting guarantees
+// (verdict equals the flattened oracle, determinism across thread
+// counts) live in tests/property/.
 //
 //===----------------------------------------------------------------------===//
 
@@ -63,9 +64,10 @@ std::vector<ModuleId> buildDiamond(Design &D) {
   return Ids;
 }
 
-Summaries engineAnalyzeOrDie(SummaryEngine &Engine, const Design &D) {
+Summaries engineAnalyzeOrDie(SummaryEngine &Engine, const Design &D,
+                             AnalyzeOutcome *Outcome = nullptr) {
   Summaries Out;
-  auto Loop = Engine.analyze(D, Out);
+  auto Loop = Engine.analyze(D, Out, {}, {}, Outcome);
   EXPECT_FALSE(Loop.hasError()) << Loop.describe();
   return Out;
 }
@@ -120,9 +122,10 @@ TEST(SummaryEngineTest, DiamondMatchesSerialAnalyzeDesign) {
     ASSERT_FALSE(analyzeDesign(D, Reference).hasError());
 
     SummaryEngine Engine(EngineConfig{Threads, true});
-    Summaries Out = engineAnalyzeOrDie(Engine, D);
+    AnalyzeOutcome Outcome;
+    Summaries Out = engineAnalyzeOrDie(Engine, D, &Outcome);
     expectAllEqual(Reference, Out);
-    EXPECT_EQ(Engine.stats().Modules, D.numModules());
+    EXPECT_EQ(Outcome.Stats.Modules, D.numModules());
   }
 }
 
@@ -134,12 +137,14 @@ TEST(SummaryEngineTest, DiamondSchedulesDependenciesBeforeDependents) {
   Design D;
   std::vector<ModuleId> Ids = buildDiamond(D);
   SummaryEngine Engine;
-  Summaries Out = engineAnalyzeOrDie(Engine, D);
+  AnalyzeOutcome Outcome;
+  Summaries Out = engineAnalyzeOrDie(Engine, D, &Outcome);
   ASSERT_EQ(Out.size(), D.numModules());
+  const std::vector<uint64_t> &Keys = Outcome.Keys;
   // mid_a and mid_b are separate seals with identical shape: same key.
-  EXPECT_EQ(Engine.keyOf(Ids[1]), Engine.keyOf(Ids[2]));
-  EXPECT_NE(Engine.keyOf(Ids[0]), Engine.keyOf(Ids[1]));
-  EXPECT_NE(Engine.keyOf(Ids[1]), Engine.keyOf(Ids[3]));
+  EXPECT_EQ(Keys.at(Ids[1]), Keys.at(Ids[2]));
+  EXPECT_NE(Keys.at(Ids[0]), Keys.at(Ids[1]));
+  EXPECT_NE(Keys.at(Ids[1]), Keys.at(Ids[3]));
 }
 
 TEST(SummaryEngineTest, CacheAccountingColdAndWarm) {
@@ -149,8 +154,9 @@ TEST(SummaryEngineTest, CacheAccountingColdAndWarm) {
     buildDiamond(D);
     SummaryEngine Engine(EngineConfig{Threads, true});
 
-    engineAnalyzeOrDie(Engine, D);
-    const EngineStats &Cold = Engine.stats();
+    AnalyzeOutcome ColdRun;
+    engineAnalyzeOrDie(Engine, D, &ColdRun);
+    const EngineStats &Cold = ColdRun.Stats;
     EXPECT_EQ(Cold.Modules, D.numModules());
     // mid_b is content-identical to mid_a, so even the cold pass serves
     // it from the cache.
@@ -158,8 +164,9 @@ TEST(SummaryEngineTest, CacheAccountingColdAndWarm) {
     EXPECT_EQ(Cold.CacheHits, 1u);
     EXPECT_EQ(Engine.cache().misses(), D.numModules() - 1);
 
-    engineAnalyzeOrDie(Engine, D);
-    const EngineStats &Warm = Engine.stats();
+    AnalyzeOutcome WarmRun;
+    engineAnalyzeOrDie(Engine, D, &WarmRun);
+    const EngineStats &Warm = WarmRun.Stats;
     EXPECT_EQ(Warm.Inferred, 0u);
     EXPECT_EQ(Warm.CacheHits, D.numModules());
     // The cache holds one entry per distinct content.
@@ -173,10 +180,11 @@ TEST(SummaryEngineTest, RenamingIsKeyNeutralBodyEditIsNot) {
   ModuleId B = D.addModule(makeCone("cone_b", false)); // Renamed only.
   ModuleId C = D.addModule(makeCone("cone_c", true));  // Different body.
   SummaryEngine Engine;
-  Summaries Out = engineAnalyzeOrDie(Engine, D);
+  AnalyzeOutcome Outcome;
+  Summaries Out = engineAnalyzeOrDie(Engine, D, &Outcome);
 
-  EXPECT_EQ(Engine.keyOf(A), Engine.keyOf(B));
-  EXPECT_NE(Engine.keyOf(A), Engine.keyOf(C));
+  EXPECT_EQ(Outcome.Keys.at(A), Outcome.Keys.at(B));
+  EXPECT_NE(Outcome.Keys.at(A), Outcome.Keys.at(C));
   // The shared entry still reports each module's own identity.
   EXPECT_EQ(Out.at(B).ModuleName, "cone_b");
   EXPECT_EQ(Out.at(B).Id, B);
@@ -188,10 +196,11 @@ TEST(SummaryEngineTest, LeafEditInvalidatesTransitiveInstantiators) {
     Design D;
     std::vector<ModuleId> Ids = buildDiamond(D);
     SummaryEngine Engine(EngineConfig{Threads, true});
-    engineAnalyzeOrDie(Engine, D);
+    AnalyzeOutcome First;
+    engineAnalyzeOrDie(Engine, D, &First);
     std::vector<uint64_t> Before;
     for (ModuleId Id : Ids)
-      Before.push_back(Engine.keyOf(Id));
+      Before.push_back(First.Keys.at(Id));
 
     // Edit the leaf: a summary-neutral pair of inverters off a constant.
     Module &Leaf = D.module(Ids[0]);
@@ -199,14 +208,15 @@ TEST(SummaryEngineTest, LeafEditInvalidatesTransitiveInstantiators) {
     WireId W = Leaf.addWire("edit_w", WireKind::Basic, 1);
     Leaf.addNet(Op::Not, {C0}, W);
 
-    engineAnalyzeOrDie(Engine, D);
+    AnalyzeOutcome Edited;
+    engineAnalyzeOrDie(Engine, D, &Edited);
     // Everything re-keys (leaf body changed; the rest via sub-summary
     // keys), so everything re-infers even though the summaries are
     // unchanged.
     for (size_t I = 0; I != Ids.size(); ++I)
-      EXPECT_NE(Engine.keyOf(Ids[I]), Before[I]) << "module " << I;
-    EXPECT_EQ(Engine.stats().CacheHits, 1u); // mid_b off fresh mid_a.
-    EXPECT_EQ(Engine.stats().Inferred, D.numModules() - 1);
+      EXPECT_NE(Edited.Keys.at(Ids[I]), Before[I]) << "module " << I;
+    EXPECT_EQ(Edited.Stats.CacheHits, 1u); // mid_b off fresh mid_a.
+    EXPECT_EQ(Edited.Stats.Inferred, D.numModules() - 1);
   }
 }
 
@@ -227,14 +237,15 @@ TEST(SummaryEngineTest, KeysAreDesignIndependent) {
   ModuleId W2 = C2.seal();
 
   SummaryEngine Engine;
-  engineAnalyzeOrDie(Engine, D1);
-  uint64_t KeyL = Engine.keyOf(L1), KeyW = Engine.keyOf(W1);
+  AnalyzeOutcome First, Second;
+  engineAnalyzeOrDie(Engine, D1, &First);
+  uint64_t KeyL = First.Keys.at(L1), KeyW = First.Keys.at(W1);
 
-  engineAnalyzeOrDie(Engine, D2);
-  EXPECT_EQ(Engine.keyOf(L2), KeyL);
-  EXPECT_EQ(Engine.keyOf(W2), KeyW);
+  engineAnalyzeOrDie(Engine, D2, &Second);
+  EXPECT_EQ(Second.Keys.at(L2), KeyL);
+  EXPECT_EQ(Second.Keys.at(W2), KeyW);
   // And the shared cache served both across the design boundary.
-  EXPECT_GE(Engine.stats().CacheHits, 2u);
+  EXPECT_GE(Second.Stats.CacheHits, 2u);
 }
 
 TEST(SummaryEngineTest, DisabledCacheNeverHits) {
@@ -242,9 +253,10 @@ TEST(SummaryEngineTest, DisabledCacheNeverHits) {
   buildDiamond(D);
   SummaryEngine Engine(EngineConfig{0, false});
   Summaries First = engineAnalyzeOrDie(Engine, D);
-  Summaries Second = engineAnalyzeOrDie(Engine, D);
-  EXPECT_EQ(Engine.stats().CacheHits, 0u);
-  EXPECT_EQ(Engine.stats().Inferred, D.numModules());
+  AnalyzeOutcome Outcome;
+  Summaries Second = engineAnalyzeOrDie(Engine, D, &Outcome);
+  EXPECT_EQ(Outcome.Stats.CacheHits, 0u);
+  EXPECT_EQ(Outcome.Stats.Inferred, D.numModules());
   EXPECT_EQ(Engine.cache().size(), 0u);
   expectAllEqual(First, Second);
 }
@@ -274,6 +286,90 @@ TEST(SummaryEngineTest, CacheCountersCanBePolledDuringLookups) {
   EXPECT_EQ(Cache.misses(), Lookups / 2);
 }
 
+TEST(SummaryEngineTest, ConcurrentCallsOnOneEngineMatchTheirSoloRuns) {
+  // The re-entrancy contract: analyze() keeps every per-call artifact in
+  // the caller's outcome, so concurrent calls on one engine each get
+  // exactly what a solo run on a fresh engine gets. Only the hit/infer
+  // split may move, because the threads share the cache (the ring's leaf
+  // is the diamond's); together they still count every summary.
+  struct Case {
+    Design D;
+    Summaries Ascribed;
+    std::string Json;
+    Summaries Out;
+    std::vector<uint64_t> Keys;
+  };
+  std::vector<Case> Cases(4);
+  buildDiamond(Cases[0].D);
+  Cases[1].D.addModule(makeCone("cone_a", false));
+  Cases[1].D.addModule(makeCone("cone_b", false));
+  {
+    Design &D = Cases[2].D;
+    ModuleId A = D.addModule(gen::makeFifo({8, 2, true}));
+    gen::buildLoopedRing(D, {A, A}, "ring").seal();
+  }
+  {
+    Design &D = Cases[3].D;
+    ModuleId Leaf = D.addModule(gen::makeFifo({8, 2, true}));
+    Circuit C(D, "wrap");
+    C.addInstance(Leaf, "inner");
+    C.seal();
+    Summaries Reference;
+    ASSERT_FALSE(analyzeDesign(D, Reference).hasError());
+    Cases[3].Ascribed = {{Leaf, Reference.at(Leaf)}};
+  }
+  const EngineConfig Cfg{2, true};
+  for (Case &C : Cases) {
+    SummaryEngine Solo(Cfg);
+    AnalyzeOutcome Outcome;
+    C.Json = support::renderJson(
+        Solo.analyze(C.D, C.Out, C.Ascribed, {}, &Outcome));
+    C.Keys = SummaryEngine::computeKeys(C.D, C.Ascribed);
+    EXPECT_EQ(Outcome.Keys, C.Keys);
+  }
+  ASSERT_NE(Cases[2].Json.find("WS101"), std::string::npos) << Cases[2].Json;
+
+  struct Call {
+    std::string Json;
+    Summaries Out;
+    AnalyzeOutcome Outcome;
+  };
+  constexpr int CallsPerThread = 6;
+  std::vector<std::vector<Call>> Got(Cases.size());
+  SummaryEngine Shared(Cfg);
+  std::atomic<bool> Go{false};
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T != Cases.size(); ++T)
+    Threads.emplace_back([&, T] {
+      while (!Go.load())
+        std::this_thread::yield();
+      for (int I = 0; I != CallsPerThread; ++I) {
+        Call C;
+        C.Json = support::renderJson(Shared.analyze(
+            Cases[T].D, C.Out, Cases[T].Ascribed, {}, &C.Outcome));
+        Got[T].push_back(std::move(C));
+      }
+    });
+  Go.store(true);
+  for (std::thread &T : Threads)
+    T.join();
+
+  for (size_t T = 0; T != Cases.size(); ++T) {
+    const Case &Solo = Cases[T];
+    for (size_t I = 0; I != Got[T].size(); ++I) {
+      SCOPED_TRACE("design " + std::to_string(T) + " call " +
+                   std::to_string(I));
+      const Call &C = Got[T][I];
+      EXPECT_EQ(C.Json, Solo.Json);
+      expectAllEqual(Solo.Out, C.Out);
+      EXPECT_EQ(C.Outcome.Keys, Solo.Keys);
+      const EngineStats &S = C.Outcome.Stats;
+      EXPECT_EQ(S.Modules, Solo.D.numModules());
+      EXPECT_EQ(S.Inferred + S.CacheHits + S.Ascribed, C.Out.size());
+    }
+  }
+}
+
 TEST(SummaryEngineTest, AscribedModulesAreTakenAsIs) {
   Design D;
   ModuleId Leaf = D.addModule(gen::makeFifo({8, 2, true}));
@@ -287,8 +383,9 @@ TEST(SummaryEngineTest, AscribedModulesAreTakenAsIs) {
 
   SummaryEngine Engine;
   Summaries Out;
-  ASSERT_FALSE(Engine.analyze(D, Out, Ascribed).hasError());
-  EXPECT_EQ(Engine.stats().Ascribed, 1u);
+  AnalyzeOutcome Outcome;
+  ASSERT_FALSE(Engine.analyze(D, Out, Ascribed, {}, &Outcome).hasError());
+  EXPECT_EQ(Outcome.Stats.Ascribed, 1u);
   expectAllEqual(Reference, Out);
 }
 
@@ -328,11 +425,12 @@ TEST(SummaryEngineTest, LoopedTwinsEachReportTheirOwnLoop) {
     SCOPED_TRACE("threads " + std::to_string(Threads));
     SummaryEngine Engine(EngineConfig{Threads, true});
     Summaries Out;
-    support::Status Verdict = Engine.analyze(D, Out);
+    AnalyzeOutcome Outcome;
+    support::Status Verdict = Engine.analyze(D, Out, {}, {}, &Outcome);
     EXPECT_EQ(Verdict.describe(), Serial.describe());
     EXPECT_TRUE(Out.empty());
-    EXPECT_EQ(Engine.stats().Inferred, 0u);
-    EXPECT_EQ(Engine.stats().CacheHits, 0u);
+    EXPECT_EQ(Outcome.Stats.Inferred, 0u);
+    EXPECT_EQ(Outcome.Stats.CacheHits, 0u);
     EXPECT_EQ(Engine.cache().size(), 0u);
   }
 }
@@ -349,9 +447,10 @@ TEST(SummaryEngineTest, PanickedLeaderLeavesItsTwinToInferItself) {
     SummaryEngine Engine(EngineConfig{Threads, true});
     Summaries Out;
     support::Status Verdict;
+    AnalyzeOutcome Outcome;
     {
       ArmedFailpoints Armed("engine.module.throw=nth(1)");
-      Verdict = Engine.analyze(D, Out);
+      Verdict = Engine.analyze(D, Out, {}, {}, &Outcome);
     }
     ASSERT_EQ(Verdict.size(), 1u) << Verdict.describe();
     EXPECT_EQ(Verdict.firstError().code(),
@@ -360,9 +459,9 @@ TEST(SummaryEngineTest, PanickedLeaderLeavesItsTwinToInferItself) {
     EXPECT_EQ(Out.count(A), 0u);
     ASSERT_EQ(Out.count(B), 1u);
     EXPECT_EQ(Out.at(B).ModuleName, "cone_b");
-    EXPECT_EQ(Engine.stats().Panicked, 1u);
-    EXPECT_EQ(Engine.stats().Inferred, 1u);
-    EXPECT_EQ(Engine.stats().CacheHits, 0u);
+    EXPECT_EQ(Outcome.Stats.Panicked, 1u);
+    EXPECT_EQ(Outcome.Stats.Inferred, 1u);
+    EXPECT_EQ(Outcome.Stats.CacheHits, 0u);
   }
 }
 
@@ -373,8 +472,9 @@ TEST(SummaryEngineTest, SidecarRoundTripWarmsAFreshEngine) {
       ::testing::TempDir() + "/summary_engine_roundtrip.wsort";
 
   SummaryEngine Writer;
-  Summaries Out = engineAnalyzeOrDie(Writer, D);
-  ASSERT_TRUE(Writer.saveCache(Path, D, Out).empty());
+  AnalyzeOutcome Written;
+  Summaries Out = engineAnalyzeOrDie(Writer, D, &Written);
+  ASSERT_TRUE(SummaryEngine::saveCache(Path, D, Out, Written.Keys).empty());
 
   SummaryEngine Reader;
   auto Loaded = Reader.loadCache(Path, D);
@@ -383,9 +483,10 @@ TEST(SummaryEngineTest, SidecarRoundTripWarmsAFreshEngine) {
   EXPECT_EQ(Loaded->Quarantined, 0u);
   EXPECT_TRUE(Loaded->Warnings.empty());
 
-  Summaries Warm = engineAnalyzeOrDie(Reader, D);
-  EXPECT_EQ(Reader.stats().Inferred, 0u);
-  EXPECT_EQ(Reader.stats().CacheHits, D.numModules());
+  AnalyzeOutcome Read;
+  Summaries Warm = engineAnalyzeOrDie(Reader, D, &Read);
+  EXPECT_EQ(Read.Stats.Inferred, 0u);
+  EXPECT_EQ(Read.Stats.CacheHits, D.numModules());
   expectAllEqual(Out, Warm);
   std::remove(Path.c_str());
 }
@@ -405,8 +506,9 @@ TEST(SummaryEngineTest, MissingAndStaleSidecarsAreHarmless) {
     // A sidecar written for an older body: keys no longer match, so the
     // entries load but never hit.
     std::string Path = ::testing::TempDir() + "/summary_engine_stale.wsort";
-    Summaries Out = engineAnalyzeOrDie(Engine, D);
-    ASSERT_TRUE(Engine.saveCache(Path, D, Out).empty());
+    AnalyzeOutcome Written;
+    Summaries Out = engineAnalyzeOrDie(Engine, D, &Written);
+    ASSERT_TRUE(SummaryEngine::saveCache(Path, D, Out, Written.Keys).empty());
 
     Design Edited;
     std::vector<ModuleId> Ids = buildDiamond(Edited);
@@ -418,8 +520,9 @@ TEST(SummaryEngineTest, MissingAndStaleSidecarsAreHarmless) {
     SummaryEngine Fresh(EngineConfig{Threads, true});
     auto Loaded = Fresh.loadCache(Path, Edited);
     ASSERT_TRUE(Loaded.hasValue()) << Loaded.describe();
-    engineAnalyzeOrDie(Fresh, Edited);
-    EXPECT_EQ(Fresh.stats().CacheHits, 1u); // Only the mid_a/mid_b share.
+    AnalyzeOutcome Rerun;
+    engineAnalyzeOrDie(Fresh, Edited, &Rerun);
+    EXPECT_EQ(Rerun.Stats.CacheHits, 1u); // Only the mid_a/mid_b share.
     std::remove(Path.c_str());
   }
 }
@@ -432,9 +535,10 @@ TEST(SummaryEngineTest, StaleBinaryCacheEntriesAreSkippedSilently) {
   Design A;
   buildDiamond(A);
   SummaryEngine Writer;
-  Summaries Out = engineAnalyzeOrDie(Writer, A);
+  AnalyzeOutcome Written;
+  Summaries Out = engineAnalyzeOrDie(Writer, A, &Written);
   std::string Path = ::testing::TempDir() + "/summary_engine_stale.wsort";
-  ASSERT_TRUE(Writer.saveCache(Path, A, Out).empty());
+  ASSERT_TRUE(SummaryEngine::saveCache(Path, A, Out, Written.Keys).empty());
 
   Design B; // Same leaf, no diamond: only the fifo records resolve.
   B.addModule(gen::makeFifo({8, 2, /*Forwarding=*/true}));
@@ -454,9 +558,10 @@ TEST(SummaryEngineTest, SavedCacheIsAWireStreamAndReloadsWarm) {
   Design D;
   buildDiamond(D);
   SummaryEngine Writer;
-  Summaries Out = engineAnalyzeOrDie(Writer, D);
+  AnalyzeOutcome Written;
+  Summaries Out = engineAnalyzeOrDie(Writer, D, &Written);
   std::string Path = ::testing::TempDir() + "/summary_engine_v3.wsort";
-  ASSERT_TRUE(Writer.saveCache(Path, D, Out).empty());
+  ASSERT_TRUE(SummaryEngine::saveCache(Path, D, Out, Written.Keys).empty());
   {
     std::ifstream In(Path, std::ios::binary);
     char First = 0;
@@ -469,9 +574,10 @@ TEST(SummaryEngineTest, SavedCacheIsAWireStreamAndReloadsWarm) {
   ASSERT_TRUE(Loaded.hasValue()) << Loaded.describe();
   EXPECT_EQ(Loaded->Loaded, Out.size());
   EXPECT_TRUE(Loaded->Warnings.empty()) << Loaded->Warnings.describe();
-  Summaries Warm = engineAnalyzeOrDie(Reader, D);
-  EXPECT_EQ(Reader.stats().Inferred, 0u);
-  EXPECT_EQ(Reader.stats().CacheHits, D.numModules());
+  AnalyzeOutcome Read;
+  Summaries Warm = engineAnalyzeOrDie(Reader, D, &Read);
+  EXPECT_EQ(Read.Stats.Inferred, 0u);
+  EXPECT_EQ(Read.Stats.CacheHits, D.numModules());
   expectAllEqual(Out, Warm);
   std::remove(Path.c_str());
 }
@@ -497,12 +603,13 @@ TEST(SummaryEngineTest, NonSidecarFilesAreRejectedByLoadCache) {
   // A pre-v3 text cache is refused the same way and left byte-identical:
   // loadCache never rewrites a file it cannot read.
   SummaryEngine Writer;
-  Summaries Out = engineAnalyzeOrDie(Writer, D);
+  AnalyzeOutcome Written;
+  Summaries Out = engineAnalyzeOrDie(Writer, D, &Written);
   std::ostringstream Legacy;
   Legacy << "# wiresort summary cache v2\n";
   for (const auto &[Id, S] : Out)
     Legacy << "# key " << D.module(Id).Name << ' ' << std::hex
-           << Writer.keyOf(Id) << std::dec << '\n';
+           << Written.Keys.at(Id) << std::dec << '\n';
   Legacy << writeSummaries(D, Out);
   std::ofstream(Path) << Legacy.str();
   auto V2 = Engine.loadCache(Path, D);

@@ -149,42 +149,56 @@ TEST(ServedRobustness, BackoffIsDeterministicAndBounded) {
 }
 
 TEST(ServedRobustness, ConnectErrnosAreMachineReadable) {
-  // Stale socket path: ENOENT, immediately fatal through dialWithRetry
-  // is wrong — it's the daemon-restart window — so it retries, then
-  // reports the errno and the attempt count.
+  // A refused or missing socket is the daemon-restart window, so
+  // requestWithRetry re-dials it MaxAttempts times, then reports the
+  // last connect's errno. The client.connect.refuse site counts every
+  // connect: armed as nth(N) past MaxAttempts it never fires.
   sock::RetryPolicy P;
   P.MaxAttempts = 3;
   P.BaseMs = 1;
   P.CapMs = 2;
-  auto NoEnt =
-      sock::dialWithRetry(::testing::TempDir() + "/no_such_daemon.sock", P);
-  ASSERT_FALSE(NoEnt.hasValue());
-  EXPECT_EQ(NoEnt.diags().firstError().note("errno"), "ENOENT");
-  EXPECT_EQ(NoEnt.diags().firstError().note("attempts"), "3");
+  const support::failpoint::Site &Connects =
+      support::failpoint::site("client.connect.refuse");
+  {
+    ArmedSchedule Count("client.connect.refuse=nth(100)");
+    Response NoEnt =
+        requestWithRetry(::testing::TempDir() + "/no_such_daemon.sock",
+                         Method::Check, inlineRequest(LoopFree, "x.blif"), P);
+    ASSERT_FALSE(NoEnt.Ok);
+    ASSERT_TRUE(NoEnt.Transport.hasError());
+    EXPECT_EQ(NoEnt.Transport.firstError().note("errno"), "ENOENT");
+    EXPECT_EQ(Connects.hits(), P.MaxAttempts);
+  }
 
   // Refused connect (simulated by the client.connect.refuse site so no
   // half-bound socket is needed): distinct errno, same retry behavior.
   ArmedSchedule Arm("client.connect.refuse=always");
-  auto Refused = sock::dialWithRetry("/tmp/irrelevant.sock", P);
-  ASSERT_FALSE(Refused.hasValue());
-  EXPECT_EQ(Refused.diags().firstError().note("errno"), "ECONNREFUSED");
-  EXPECT_EQ(Refused.diags().firstError().note("attempts"), "3");
+  Response Refused =
+      requestWithRetry("/tmp/irrelevant.sock", Method::Check,
+                       inlineRequest(LoopFree, "x.blif"), P);
+  ASSERT_FALSE(Refused.Ok);
+  ASSERT_TRUE(Refused.Transport.hasError());
+  EXPECT_EQ(Refused.Transport.firstError().note("errno"), "ECONNREFUSED");
+  EXPECT_EQ(Connects.hits(), P.MaxAttempts);
 }
 
-TEST(ServedRobustness, DialWithRetryRecoversFromTransientRefusal) {
+TEST(ServedRobustness, RequestWithRetryRecoversFromTransientRefusal) {
   ServeOptions Opts;
   Opts.SocketPath = ::testing::TempDir() + "/robust_dial.sock";
   Server S(Opts);
   ASSERT_FALSE(S.start().hasError());
-  // First attempt refused (simulated), second reaches the live daemon.
+  // First connect refused (simulated), the retry reaches the live
+  // daemon and gets its verdict.
   ArmedSchedule Arm("client.connect.refuse=nth(1)");
   sock::RetryPolicy P;
   P.MaxAttempts = 3;
   P.BaseMs = 1;
   P.CapMs = 2;
-  auto Fd = sock::dialWithRetry(Opts.SocketPath, P);
-  ASSERT_TRUE(Fd.hasValue()) << Fd.describe();
-  sock::closeFd(*Fd);
+  Response Res = requestWithRetry(Opts.SocketPath, Method::Check,
+                                  inlineRequest(LoopFree, "dial.blif"), P);
+  ASSERT_TRUE(Res.Ok) << support::renderText(Res.Transport);
+  EXPECT_EQ(Res.ExitCode, 0);
+  EXPECT_EQ(support::failpoint::site("client.connect.refuse").hits(), 2u);
   S.stop();
   S.wait();
 }

@@ -27,6 +27,30 @@ VerilogFile parseOrDie(const std::string &Text) {
   return File ? std::move(*File) : VerilogFile{};
 }
 
+/// Expects \p Text to be refused with one WS212 whose message contains
+/// \p Needle, located at \p Line:\p Col of "t.v".
+void expectRefusedAt(const std::string &Text, const std::string &Needle,
+                     unsigned Line, unsigned Col) {
+  auto File = parseVerilog(Text, "t.v");
+  ASSERT_FALSE(File.hasValue()) << Text;
+  ASSERT_EQ(File.diags().size(), 1u) << File.describe();
+  const support::Diag &D = File.diags()[0];
+  EXPECT_EQ(D.code(), support::DiagCode::WS212_VERILOG_SYNTAX);
+  EXPECT_NE(D.message().find(Needle), std::string::npos) << D.message();
+  ASSERT_TRUE(D.loc().has_value()) << D.message();
+  EXPECT_EQ(D.loc()->File, "t.v");
+  EXPECT_EQ(D.loc()->Line, Line) << D.message();
+  EXPECT_EQ(D.loc()->Col, Col) << D.message();
+}
+
+std::vector<std::string> portNames(const Module &M,
+                                   const std::vector<WireId> &Ports) {
+  std::vector<std::string> Names;
+  for (WireId W : Ports)
+    Names.push_back(M.wire(W).Name);
+  return Names;
+}
+
 } // namespace
 
 TEST(VerilogReaderTest, AnsiPortsAndAssigns) {
@@ -84,6 +108,76 @@ endmodule
     S->step();
   S->evaluate();
   EXPECT_EQ(S->value("count"), 5u);
+}
+
+TEST(VerilogReaderTest, ClassicHeaderSetsThePortOrder) {
+  VerilogFile File = parseOrDie("module m(y, b, a);\n"
+                                "  input a;\n"
+                                "  input b;\n"
+                                "  output y;\n"
+                                "  assign y = a & b;\n"
+                                "endmodule\n");
+  const Module &M = File.Design.module(File.Top);
+  EXPECT_EQ(portNames(M, M.Inputs), (std::vector<std::string>{"b", "a"}));
+  EXPECT_EQ(portNames(M, M.Outputs), (std::vector<std::string>{"y"}));
+}
+
+TEST(VerilogReaderTest, ClassicHeaderAndDeclarationsMustAgree) {
+  // Declared but not listed: refused at the declaration.
+  expectRefusedAt("module m(b, a);\n"
+                  "  input a;\n"
+                  "  input b;\n"
+                  "  output y;\n"
+                  "  assign y = a & b;\n"
+                  "endmodule\n",
+                  "port 'y' is not in the port list of module 'm'", 4, 10);
+  // Listed but never declared input or output: refused at the listing.
+  expectRefusedAt("module m(b, a, c);\n"
+                  "  input a;\n"
+                  "  input b;\n"
+                  "  wire y;\n"
+                  "  assign y = a & b;\n"
+                  "endmodule\n",
+                  "port 'c' has no input or output declaration", 1, 16);
+  expectRefusedAt("module m(a, a);\n"
+                  "  input a;\n"
+                  "endmodule\n",
+                  "port 'a' listed twice", 1, 13);
+  // An ANSI or empty header lists every port already.
+  expectRefusedAt("module m(input wire a, output wire y);\n"
+                  "  input b;\n"
+                  "  assign y = a & b;\n"
+                  "endmodule\n",
+                  "port 'b' is not in the port list of module 'm'", 2, 9);
+  expectRefusedAt("module m;\n"
+                  "  input a;\n"
+                  "endmodule\n",
+                  "port 'a' is not in the port list of module 'm'", 2, 9);
+}
+
+TEST(VerilogReaderTest, NonblockingAssignmentIsRefusedAtItsTarget) {
+  expectRefusedAt("module sub(input wire clk, input reg q,\n"
+                  "           output wire y);\n"
+                  "  always @(posedge clk) q <= ~q;\n"
+                  "  assign y = q;\n"
+                  "endmodule\n",
+                  "nonblocking assignment to input 'q'", 3, 25);
+  expectRefusedAt("module m(input wire clk, input wire a, output wire y);\n"
+                  "  wire w;\n"
+                  "  always @(posedge clk) w <= a;\n"
+                  "  assign y = w;\n"
+                  "endmodule\n",
+                  "nonblocking assignment target 'w' is not a reg", 3, 25);
+}
+
+TEST(VerilogReaderTest, DuplicateModuleIsRefusedAtItsSecondName) {
+  expectRefusedAt("module a(input wire x, output wire y);\n"
+                  "  assign y = x;\n"
+                  "endmodule\n"
+                  "module a(input wire x, output wire y);\n"
+                  "  assign y = ~x;\n"
+                  "endmodule\n",
+                  "duplicate module 'a'", 4, 8);
 }
 
 TEST(VerilogReaderTest, OperatorsAndSelects) {

@@ -179,9 +179,10 @@ TEST_P(DeterminismTrial, ParallelAndCachedRunsAreStructurallyIdentical) {
   // through a shared cache run: all must be structurally identical to the
   // serial reference, verdict included.
   SummaryEngine Parallel(EngineConfig{4, true});
+  AnalyzeOutcome Outcome;
   for (const char *Phase : {"parallel cold", "parallel warm"}) {
     Summaries Out;
-    support::Status Verdict = Parallel.analyze(D, Out);
+    support::Status Verdict = Parallel.analyze(D, Out, {}, {}, &Outcome);
     ASSERT_EQ(Verdict.hasError(), SerialVerdict.hasError())
         << "seed " << Seed << " " << Phase;
     EXPECT_EQ(Verdict, SerialVerdict)
@@ -199,7 +200,7 @@ TEST_P(DeterminismTrial, ParallelAndCachedRunsAreStructurallyIdentical) {
           << "seed " << Seed << " " << Phase << " module " << Id;
   }
   if (!SerialVerdict.hasError()) {
-    EXPECT_EQ(Parallel.stats().CacheHits, Reference.size())
+    EXPECT_EQ(Outcome.Stats.CacheHits, Reference.size())
         << "warm re-run must be all hits (seed " << Seed << ")";
   }
 }

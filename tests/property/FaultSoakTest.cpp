@@ -133,9 +133,11 @@ TEST_P(FaultSoakTrial, FaultsNeverCorruptCacheOrVerdict) {
   // --- file the faulty run starts from.
   SummaryEngine Ref(Opts);
   Summaries RefOut;
-  support::Status RefVerdict = Ref.analyze(D, RefOut);
+  AnalyzeOutcome RefRun;
+  support::Status RefVerdict = Ref.analyze(D, RefOut, {}, {}, &RefRun);
   const std::string RefJson = support::renderJson(RefVerdict);
-  ASSERT_TRUE(Ref.saveCache(Path, D, RefOut).empty()) << Trial;
+  ASSERT_TRUE(SummaryEngine::saveCache(Path, D, RefOut, RefRun.Keys).empty())
+      << Trial;
 
   // --- The faulty run: same pipeline, schedule armed, a live (but
   // --- never naturally expiring) deadline so the DL-gated kernel
@@ -148,9 +150,11 @@ TEST_P(FaultSoakTrial, FaultsNeverCorruptCacheOrVerdict) {
   ASSERT_TRUE(Loaded.hasValue())
       << Trial << ": intact cache rejected\n" << Loaded.describe();
   Summaries FaultyOut;
-  support::Status FaultyVerdict =
-      Faulty.analyze(D, FaultyOut, {}, support::Deadline::afterMs(60000));
-  support::Status SaveStatus = Faulty.saveCache(Path, D, FaultyOut);
+  AnalyzeOutcome FaultyRun;
+  support::Status FaultyVerdict = Faulty.analyze(
+      D, FaultyOut, {}, support::Deadline::afterMs(60000), &FaultyRun);
+  support::Status SaveStatus =
+      SummaryEngine::saveCache(Path, D, FaultyOut, FaultyRun.Keys);
   EXPECT_FALSE(SaveStatus.hasError())
       << Trial << ": cache faults must degrade to warnings\n"
       << SaveStatus.describe();

@@ -180,16 +180,19 @@ TEST_P(RenameTrial, RenamingMovesNoKeyNoPortSetNoVerdictShape) {
   const EngineConfig Opts{1, true};
   SummaryEngine OrigEngine(Opts);
   Summaries OrigOut;
-  support::Status OrigVerdict = OrigEngine.analyze(Orig, OrigOut);
+  AnalyzeOutcome OrigRun;
+  support::Status OrigVerdict =
+      OrigEngine.analyze(Orig, OrigOut, {}, {}, &OrigRun);
 
   SummaryEngine RenamedEngine(Opts);
   Summaries RenamedOut;
+  AnalyzeOutcome RenamedRun;
   support::Status RenamedVerdict =
-      RenamedEngine.analyze(Renamed, RenamedOut);
+      RenamedEngine.analyze(Renamed, RenamedOut, {}, {}, &RenamedRun);
 
   ASSERT_EQ(Orig.numModules(), Renamed.numModules()) << "seed " << Seed;
   for (ModuleId Id = 0; Id != Orig.numModules(); ++Id)
-    EXPECT_EQ(OrigEngine.keyOf(Id), RenamedEngine.keyOf(Id))
+    EXPECT_EQ(OrigRun.Keys.at(Id), RenamedRun.Keys.at(Id))
         << "seed " << Seed << " module " << Id;
 
   EXPECT_EQ(OrigVerdict.hasError(), P.InjectLoop) << "seed " << Seed;
@@ -205,10 +208,12 @@ TEST_P(RenameTrial, RenamingMovesNoKeyNoPortSetNoVerdictShape) {
   // rebind on lookup restores the new names, so the summaries still
   // match a fresh analysis of the renamed design exactly).
   Summaries WarmOut;
-  support::Status WarmVerdict = OrigEngine.analyze(Renamed, WarmOut);
-  EXPECT_EQ(OrigEngine.stats().CacheHits, OrigOut.size())
+  AnalyzeOutcome WarmRun;
+  support::Status WarmVerdict =
+      OrigEngine.analyze(Renamed, WarmOut, {}, {}, &WarmRun);
+  EXPECT_EQ(WarmRun.Stats.CacheHits, OrigOut.size())
       << "seed " << Seed;
-  EXPECT_EQ(OrigEngine.stats().Inferred, 0u) << "seed " << Seed;
+  EXPECT_EQ(WarmRun.Stats.Inferred, 0u) << "seed " << Seed;
   EXPECT_EQ(codeMultiset(WarmVerdict), codeMultiset(RenamedVerdict))
       << "seed " << Seed;
   ASSERT_EQ(WarmOut.size(), RenamedOut.size()) << "seed " << Seed;
@@ -229,37 +234,40 @@ TEST_P(MegaTrial, ThreadedColdAndWarmRunsMatchSerialBytes) {
   // Serial reference: verdict NDJSON, cache sidecar, binary summaries.
   SummaryEngine Serial(EngineConfig{1, true});
   Summaries RefOut;
-  support::Status RefVerdict = Serial.analyze(D, RefOut);
+  AnalyzeOutcome SerialRun;
+  support::Status RefVerdict = Serial.analyze(D, RefOut, {}, {}, &SerialRun);
   EXPECT_EQ(RefVerdict.hasError(), P.InjectLoop) << "seed " << Seed;
   const std::string Path = ::testing::TempDir() + "/meta_threads_" +
                            std::to_string(Seed) + ".wscache";
   std::remove(Path.c_str());
-  ASSERT_TRUE(Serial.saveCache(Path, D, RefOut).empty()) << "seed " << Seed;
+  ASSERT_TRUE(SummaryEngine::saveCache(Path, D, RefOut, SerialRun.Keys).empty())
+      << "seed " << Seed;
   const std::string RefCache = slurp(Path);
   ASSERT_FALSE(RefCache.empty()) << "seed " << Seed;
   const std::string RefBinary = writeSummariesBinary(D, RefOut);
 
   SummaryEngine Parallel(EngineConfig{4, true});
+  AnalyzeOutcome Run;
   for (const char *Phase : {"cold", "warm"}) {
     const std::string Trial = "seed " + std::to_string(Seed) + " " + Phase;
     Summaries Out;
-    support::Status Verdict = Parallel.analyze(D, Out);
+    support::Status Verdict = Parallel.analyze(D, Out, {}, {}, &Run);
     EXPECT_EQ(support::renderJson(Verdict), support::renderJson(RefVerdict))
         << Trial;
     if (Phase == std::string("cold")) {
       // The counters, too, are a function of the design, not the schedule.
-      EXPECT_EQ(Parallel.stats().Inferred, Serial.stats().Inferred) << Trial;
-      EXPECT_EQ(Parallel.stats().CacheHits, Serial.stats().CacheHits)
-          << Trial;
-      EXPECT_EQ(Parallel.stats().Ascribed, Serial.stats().Ascribed) << Trial;
+      EXPECT_EQ(Run.Stats.Inferred, SerialRun.Stats.Inferred) << Trial;
+      EXPECT_EQ(Run.Stats.CacheHits, SerialRun.Stats.CacheHits) << Trial;
+      EXPECT_EQ(Run.Stats.Ascribed, SerialRun.Stats.Ascribed) << Trial;
     }
     std::remove(Path.c_str());
-    ASSERT_TRUE(Parallel.saveCache(Path, D, Out).empty()) << Trial;
+    ASSERT_TRUE(SummaryEngine::saveCache(Path, D, Out, Run.Keys).empty())
+        << Trial;
     EXPECT_EQ(slurp(Path), RefCache) << Trial;
     EXPECT_EQ(writeSummariesBinary(D, Out), RefBinary) << Trial;
   }
   if (!RefVerdict.hasError()) {
-    EXPECT_EQ(Parallel.stats().CacheHits, RefOut.size())
+    EXPECT_EQ(Run.Stats.CacheHits, RefOut.size())
         << "seed " << Seed << " warm";
   }
   std::remove(Path.c_str());

@@ -39,32 +39,17 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "wiresort.h"
+#include "CheckFlags.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 using namespace wiresort;
 using namespace wiresort::analysis;
+using tools::emitEarly;
 
 namespace {
-
-/// Pre-run diagnostics (usage, failpoint-spec trouble) still honor the
-/// format parsed so far: JSON renderings go to stdout like every other
-/// machine-readable diag, text to stderr.
-void emitEarly(Format Fmt, const support::Diag &D) {
-  if (Fmt == Format::Json)
-    std::printf("%s\n", support::renderJson(D).c_str());
-  else
-    std::fprintf(stderr, "%s\n", support::renderText(D, nullptr).c_str());
-}
-
-void emitEarly(Format Fmt, const support::Status &Ds) {
-  for (const support::Diag &D : Ds)
-    emitEarly(Fmt, D);
-}
 
 int usage(const char *Argv0, Format Fmt, const std::string &Why) {
   emitEarly(Fmt, support::Diag(support::DiagCode::WS503_USAGE, Why));
@@ -86,88 +71,22 @@ int main(int ArgC, char **ArgV) {
   EngineConfig Cfg;
   for (int I = 1; I < ArgC; ++I) {
     std::string Arg = ArgV[I];
-    auto takeValue = [&](std::string &Slot) {
-      if (I + 1 >= ArgC)
-        return false;
-      Slot = ArgV[++I];
-      return true;
-    };
     Format Fmt = R.Req.OutputFormat;
-    if (Arg == "--summaries") {
-      if (!takeValue(R.SummariesOut))
-        return usage(ArgV[0], Fmt, "--summaries expects a file");
-    } else if (Arg == "--summary-format") {
-      std::string Value;
-      if (!takeValue(Value))
-        return usage(ArgV[0], Fmt, "--summary-format expects text or binary");
-      if (Value == "binary")
-        R.BinarySummaries = true;
-      else if (Value == "text")
-        R.BinarySummaries = false;
-      else
-        return usage(ArgV[0], Fmt, "unknown --summary-format '" + Value +
-                                       "' (text|binary)");
-    } else if (Arg == "--convert-summaries") {
-      if (!takeValue(R.ConvertIn))
+    std::string Value;
+    if (Arg == "--convert-summaries") {
+      if (!tools::takeValue(ArgC, ArgV, I, R.ConvertIn))
         return usage(ArgV[0], Fmt, "--convert-summaries expects a file");
-    } else if (Arg == "--check") {
-      if (!takeValue(R.CheckPath))
-        return usage(ArgV[0], Fmt, "--check expects a file");
-    } else if (Arg == "--dot") {
-      if (!takeValue(R.DotPath))
-        return usage(ArgV[0], Fmt, "--dot expects a file");
-    } else if (Arg == "--cache") {
-      if (!takeValue(R.Req.CachePath))
-        return usage(ArgV[0], Fmt, "--cache expects a file");
-    } else if (Arg == "--trace-out") {
-      if (!takeValue(R.Req.TraceOutPath))
-        return usage(ArgV[0], Fmt, "--trace-out expects a file");
     } else if (Arg == "--stats") {
       R.Req.Stats = true;
-    } else if (Arg == "--format") {
-      std::string Value;
-      if (!takeValue(Value))
-        return usage(ArgV[0], Fmt, "--format expects text or json");
-      if (Value == "json")
-        R.Req.OutputFormat = Format::Json;
-      else if (Value == "text")
-        R.Req.OutputFormat = Format::Text;
-      else
-        return usage(ArgV[0], Fmt,
-                     "unknown --format '" + Value + "' (text|json)");
     } else if (Arg == "--threads") {
-      std::string Value;
-      if (!takeValue(Value))
+      if (!tools::takeValue(ArgC, ArgV, I, Value))
         return usage(ArgV[0], Fmt, "--threads expects a count");
       Cfg.Threads = static_cast<unsigned>(std::atoi(Value.c_str()));
       if (Cfg.Threads == 0)
         return usage(ArgV[0], Fmt, "--threads expects a positive count");
-    } else if (Arg == "--timeout-ms") {
-      std::string Value;
-      if (!takeValue(Value))
-        return usage(ArgV[0], Fmt, "--timeout-ms expects milliseconds");
-      R.Req.TimeoutMs = std::strtoull(Value.c_str(), nullptr, 10);
-      if (R.Req.TimeoutMs == 0)
-        return usage(ArgV[0], Fmt,
-                     "--timeout-ms expects a positive millisecond count");
-    } else if (Arg == "--failpoints") {
-      if (!takeValue(R.Req.FailpointSpec))
-        return usage(ArgV[0], Fmt, "--failpoints expects site=mode,...");
-    } else if (Arg == "--fault-seed") {
-      std::string Value;
-      if (!takeValue(Value))
-        return usage(ArgV[0], Fmt, "--fault-seed expects a number");
-      R.Req.FaultSeed = std::strtoull(Value.c_str(), nullptr, 10);
-    } else if (Arg == "--quiet") {
-      R.Quiet = true;
-    } else if (Arg == "--depth") {
-      R.ShowDepth = true;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      return usage(ArgV[0], Fmt, "unknown option '" + Arg + "'");
-    } else if (R.DesignPath.empty()) {
-      R.DesignPath = Arg;
-    } else {
-      return usage(ArgV[0], Fmt, "more than one design file");
+    } else if (std::string Why = tools::parseCheckArg(ArgC, ArgV, I, R);
+               !Why.empty()) {
+      return usage(ArgV[0], Fmt, Why);
     }
   }
   const Format Fmt = R.Req.OutputFormat;

@@ -41,31 +41,19 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "wiresort.h"
+#include "CheckFlags.h"
 
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 
 using namespace wiresort;
 using namespace wiresort::analysis;
+using tools::emitEarly;
 
 namespace {
-
-void emitEarly(Format Fmt, const support::Diag &D) {
-  if (Fmt == Format::Json)
-    std::printf("%s\n", support::renderJson(D).c_str());
-  else
-    std::fprintf(stderr, "%s\n", support::renderText(D, nullptr).c_str());
-}
-
-void emitEarly(Format Fmt, const support::Status &Ds) {
-  for (const support::Diag &D : Ds)
-    emitEarly(Fmt, D);
-}
 
 int usage(const char *Argv0, Format Fmt, const std::string &Why) {
   emitEarly(Fmt, support::Diag(support::DiagCode::WS503_USAGE, Why));
@@ -92,16 +80,10 @@ int main(int ArgC, char **ArgV) {
   uint64_t RetryBaseMs = 10, TransportTimeoutMs = 0;
   for (int I = 1; I < ArgC; ++I) {
     std::string Arg = ArgV[I];
-    auto takeValue = [&](std::string &Slot) {
-      if (I + 1 >= ArgC)
-        return false;
-      Slot = ArgV[++I];
-      return true;
-    };
     Format Fmt = R.Req.OutputFormat;
     std::string Value;
     if (Arg == "--socket") {
-      if (!takeValue(SocketPath))
+      if (!tools::takeValue(ArgC, ArgV, I, SocketPath))
         return usage(ArgV[0], Fmt, "--socket expects a path");
     } else if (Arg == "--stats") {
       WantStats = true;
@@ -110,7 +92,7 @@ int main(int ArgC, char **ArgV) {
     } else if (Arg == "--health") {
       WantHealth = true;
     } else if (Arg == "--retries") {
-      if (!takeValue(Value))
+      if (!tools::takeValue(ArgC, ArgV, I, Value))
         return usage(ArgV[0], Fmt, "--retries expects a count");
       // strtoull silently negates "-1" into ~4 billion attempts, so
       // reject a leading sign and trailing junk explicitly; cap the
@@ -124,81 +106,25 @@ int main(int ArgC, char **ArgV) {
                      "--retries expects a count between 0 and 1000");
       Retries = static_cast<unsigned>(N);
     } else if (Arg == "--retry-base-ms") {
-      if (!takeValue(Value))
+      if (!tools::takeValue(ArgC, ArgV, I, Value))
         return usage(ArgV[0], Fmt, "--retry-base-ms expects milliseconds");
       RetryBaseMs = std::strtoull(Value.c_str(), nullptr, 10);
       if (RetryBaseMs == 0)
         return usage(ArgV[0], Fmt,
                      "--retry-base-ms expects a positive millisecond count");
     } else if (Arg == "--transport-timeout-ms") {
-      if (!takeValue(Value))
+      if (!tools::takeValue(ArgC, ArgV, I, Value))
         return usage(ArgV[0], Fmt,
                      "--transport-timeout-ms expects milliseconds");
       TransportTimeoutMs = std::strtoull(Value.c_str(), nullptr, 10);
       if (TransportTimeoutMs == 0)
         return usage(ArgV[0], Fmt,
                      "--transport-timeout-ms expects a positive count");
-    } else if (Arg == "--summaries") {
-      if (!takeValue(R.SummariesOut))
-        return usage(ArgV[0], Fmt, "--summaries expects a file");
-    } else if (Arg == "--summary-format") {
-      if (!takeValue(Value))
-        return usage(ArgV[0], Fmt, "--summary-format expects text or binary");
-      if (Value == "binary")
-        R.BinarySummaries = true;
-      else if (Value == "text")
-        R.BinarySummaries = false;
-      else
-        return usage(ArgV[0], Fmt, "unknown --summary-format '" + Value +
-                                       "' (text|binary)");
-    } else if (Arg == "--check") {
-      if (!takeValue(R.CheckPath))
-        return usage(ArgV[0], Fmt, "--check expects a file");
-    } else if (Arg == "--dot") {
-      if (!takeValue(R.DotPath))
-        return usage(ArgV[0], Fmt, "--dot expects a file");
-    } else if (Arg == "--cache") {
-      if (!takeValue(R.Req.CachePath))
-        return usage(ArgV[0], Fmt, "--cache expects a file");
-    } else if (Arg == "--trace-out") {
-      if (!takeValue(R.Req.TraceOutPath))
-        return usage(ArgV[0], Fmt, "--trace-out expects a file");
     } else if (Arg == "--stats-line") {
       R.Req.Stats = true;
-    } else if (Arg == "--format") {
-      if (!takeValue(Value))
-        return usage(ArgV[0], Fmt, "--format expects text or json");
-      if (Value == "json")
-        R.Req.OutputFormat = Format::Json;
-      else if (Value == "text")
-        R.Req.OutputFormat = Format::Text;
-      else
-        return usage(ArgV[0], Fmt,
-                     "unknown --format '" + Value + "' (text|json)");
-    } else if (Arg == "--timeout-ms") {
-      if (!takeValue(Value))
-        return usage(ArgV[0], Fmt, "--timeout-ms expects milliseconds");
-      R.Req.TimeoutMs = std::strtoull(Value.c_str(), nullptr, 10);
-      if (R.Req.TimeoutMs == 0)
-        return usage(ArgV[0], Fmt,
-                     "--timeout-ms expects a positive millisecond count");
-    } else if (Arg == "--failpoints") {
-      if (!takeValue(R.Req.FailpointSpec))
-        return usage(ArgV[0], Fmt, "--failpoints expects site=mode,...");
-    } else if (Arg == "--fault-seed") {
-      if (!takeValue(Value))
-        return usage(ArgV[0], Fmt, "--fault-seed expects a number");
-      R.Req.FaultSeed = std::strtoull(Value.c_str(), nullptr, 10);
-    } else if (Arg == "--quiet") {
-      R.Quiet = true;
-    } else if (Arg == "--depth") {
-      R.ShowDepth = true;
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      return usage(ArgV[0], Fmt, "unknown option '" + Arg + "'");
-    } else if (R.DesignPath.empty()) {
-      R.DesignPath = Arg;
-    } else {
-      return usage(ArgV[0], Fmt, "more than one design file");
+    } else if (std::string Why = tools::parseCheckArg(ArgC, ArgV, I, R);
+               !Why.empty()) {
+      return usage(ArgV[0], Fmt, Why);
     }
   }
   const Format Fmt = R.Req.OutputFormat;

@@ -143,7 +143,8 @@ int main(int ArgC, char **ArgV) {
   // so this summarizes exactly the instantiated definitions).
   SummaryEngine Engine(EngineConfig{Threads, true});
   std::map<ModuleId, ModuleSummary> Summaries;
-  support::Status Stage1 = Engine.analyze(D, Summaries, {}, DL);
+  AnalyzeOutcome Outcome;
+  support::Status Stage1 = Engine.analyze(D, Summaries, {}, DL, &Outcome);
 
   auto emitDiags = [&](const support::DiagList &Ds) {
     for (const support::Diag &Dg : Ds) {
@@ -202,7 +203,7 @@ int main(int ArgC, char **ArgV) {
     if (Ok)
       std::printf("stage 1: %zu inferred, %zu cache hit(s); stage 3: "
                   "%zu safe by sort, %zu checked\n",
-                  Engine.stats().Inferred, Engine.stats().CacheHits,
+                  Outcome.Stats.Inferred, Outcome.Stats.CacheHits,
                   Check.SafeBySort, Check.NeedsCheck);
   }
   if (Cancelled)
