@@ -37,10 +37,10 @@ int main() {
     const Module &M = D.module(Id);
     std::printf("%s:\n", M.Name.c_str());
     for (WireId In : M.Inputs)
-      std::printf("  input  %-8s %s\n", M.wire(In).Name.c_str(),
+      std::printf("  input  %-8s %s\n", std::string(M.wireName(In)).c_str(),
                   sortName(Summaries.at(Id).sortOf(In)));
     for (WireId Out : M.Outputs)
-      std::printf("  output %-8s %s\n", M.wire(Out).Name.c_str(),
+      std::printf("  output %-8s %s\n", std::string(M.wireName(Out)).c_str(),
                   sortName(Summaries.at(Id).sortOf(Out)));
   }
 

@@ -53,7 +53,7 @@ analysis::checkAscriptions(const Module &M, const ModuleSummary &Summary,
   };
 
   for (const Ascription &A : Declared) {
-    const std::string &PortName = M.wire(A.Port).Name;
+    const WireName PortName = M.wireName(A.Port);
     Sort Computed = Summary.sortOf(A.Port);
     if (Computed != A.DeclaredSort) {
       report(A.Port, "port '" + PortName + "' declared " +

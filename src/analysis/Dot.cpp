@@ -8,6 +8,7 @@
 
 #include <set>
 #include <sstream>
+#include <string_view>
 
 using namespace wiresort;
 using namespace wiresort::analysis;
@@ -29,7 +30,7 @@ const char *sortColor(Sort S) {
   return "white";
 }
 
-std::string escape(const std::string &S) {
+std::string escape(std::string_view S) {
   std::string Out;
   for (char C : S) {
     if (C == '"' || C == '\\')

@@ -356,8 +356,9 @@ SummaryEngine::analyze(const Design &D,
         for (Job &J : Jobs)
           infer(J);
       } else {
+        // No round has more jobs than the design has modules.
         if (!Pool)
-          Pool.emplace(Threads);
+          Pool.emplace(std::min<size_t>(Threads, D.numModules()));
         for (Job &J : Jobs)
           Pool->submit([&infer, &J] { infer(J); });
         Pool->wait();

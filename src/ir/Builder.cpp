@@ -17,11 +17,10 @@ V Builder::fresh(uint16_t Width, const char *Hint) {
   return V{M.addWire(freshName(Hint), WireKind::Basic, Width), Width};
 }
 
-std::string Builder::freshName(std::string_view Hint) {
-  // Composed in a reused member buffer: one allocation (the copy into
-  // the Wire) per wire instead of a chain of concatenation temporaries
-  // — Builder::fresh runs once per net, millions of times for
-  // generator-scale designs.
+std::string_view Builder::freshName(std::string_view Hint) {
+  // Composed in a reused member buffer, which addWire copies into the
+  // module's name buffer: no allocation per wire — Builder::fresh runs
+  // once per net, millions of times for generator-scale designs.
   NameBuf.assign(Hint);
   NameBuf += '$';
   char Digits[20];
@@ -310,7 +309,7 @@ Builder::instantiate(const Design &D, ModuleId Def,
   Inst.Def = Def;
   Inst.Name = InstName;
   for (WireId In : DefM.Inputs) {
-    auto It = InputBindings.find(DefM.Wires[In].Name);
+    auto It = InputBindings.find(DefM.wireName(In));
     assert(It != InputBindings.end() && "instance input left unbound");
     assert(It->second.Width == DefM.Wires[In].Width &&
            "instance input width mismatch");
@@ -322,10 +321,10 @@ Builder::instantiate(const Design &D, ModuleId Def,
   for (WireId Out : DefM.Outputs) {
     HintBuf = InstName;
     HintBuf += '.';
-    HintBuf += DefM.Wires[Out].Name;
+    HintBuf += DefM.wireName(Out);
     V Local = fresh(DefM.Wires[Out].Width, HintBuf.c_str());
     Inst.Bindings.emplace_back(Out, Local.Id);
-    Outs.emplace(DefM.Wires[Out].Name, Local);
+    Outs.emplace(DefM.wireName(Out), Local);
   }
   M.addInstance(std::move(Inst));
   return Outs;
@@ -350,7 +349,7 @@ Module Builder::finish() {
     if (R.D == InvalidId) {
       std::fprintf(stderr,
                    "wiresort: register '%s' in module '%s' left undriven\n",
-                   M.Wires[R.Q].Name.c_str(), M.Name.c_str());
+                   std::string(M.wireName(R.Q)).c_str(), M.Name.c_str());
       std::abort();
     }
   }

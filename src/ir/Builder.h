@@ -159,7 +159,7 @@ public:
 private:
   V fresh(uint16_t Width, const char *Hint);
   /// "hint$N" composed into \ref NameBuf (reused across calls).
-  std::string freshName(std::string_view Hint);
+  std::string_view freshName(std::string_view Hint);
   V binary(Op Operation, V A, V B, uint16_t OutWidth);
 
   Module M;

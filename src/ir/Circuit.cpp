@@ -78,7 +78,7 @@ bool Circuit::isComplete() const {
 
 std::string Circuit::portLabel(PortRef Ref) const {
   const std::string &Inst = Insts[Ref.Inst].Name;
-  const std::string &Port = defOf(Ref.Inst).wire(Ref.Port).Name;
+  const std::string_view Port = defOf(Ref.Inst).wireName(Ref.Port);
   std::string Label;
   Label.reserve(Inst.size() + 1 + Port.size());
   Label += Inst;
@@ -96,8 +96,9 @@ ModuleId Circuit::seal() {
 
   // Every instance's Bindings in slot order, all unbound. Connection
   // endpoints then index their own instance's slot directly: no side
-  // table keyed by port.
-  size_t NumInputs = 0, NumOutputs = 0;
+  // table keyed by port. Every port's "inst.port" label is counted here;
+  // the connected inputs', which name no wire, come off below.
+  size_t NumInputs = 0, NumOutputs = 0, LabelBytes = 0;
   Top.Instances.reserve(Insts.size());
   for (InstId Inst = 0; Inst != Insts.size(); ++Inst) {
     const Module &Def = defOf(Inst);
@@ -105,10 +106,15 @@ ModuleId Circuit::seal() {
     Sub.Def = Insts[Inst].Def;
     Sub.Name = Insts[Inst].Name;
     Sub.Bindings.reserve(Def.numPorts());
-    for (WireId Port : Def.Inputs)
+    for (WireId Port : Def.Inputs) {
       Sub.Bindings.emplace_back(Port, Unbound);
-    for (WireId Port : Def.Outputs)
+      LabelBytes += Def.wireName(Port).size();
+    }
+    for (WireId Port : Def.Outputs) {
       Sub.Bindings.emplace_back(Port, Unbound);
+      LabelBytes += Def.wireName(Port).size();
+    }
+    LabelBytes += Def.numPorts() * (Sub.Name.size() + 1);
     NumInputs += Def.Inputs.size();
     NumOutputs += Def.Outputs.size();
   }
@@ -116,8 +122,9 @@ ModuleId Circuit::seal() {
     return Top.Instances[Ref.Inst].Bindings[Numbering.slot(Ref)].second;
   };
 
-  // Count the driving outputs first so every vector is reserved exactly:
-  // one local wire each, and each input is driven at most once.
+  // Count the driving outputs first so every vector and the name buffer
+  // are reserved exactly: one local wire each, and each input is driven
+  // at most once.
   size_t NumDriving = 0;
   for (const Connection &C : Conns) {
     WireId &Out = binding(C.From);
@@ -125,35 +132,46 @@ ModuleId Circuit::seal() {
       Out = Driving;
       ++NumDriving;
     }
+    LabelBytes -= Insts[C.To.Inst].Name.size() + 1 +
+                  defOf(C.To.Inst).wireName(C.To.Port).size();
   }
   const size_t OpenInputs = NumInputs - Conns.size();
   const size_t OpenOutputs = NumOutputs - NumDriving;
-  Top.Wires.reserve(NumDriving + OpenInputs + OpenOutputs);
+  Top.reserveWires(NumDriving + OpenInputs + OpenOutputs, LabelBytes);
   Top.Inputs.reserve(OpenInputs);
   Top.Outputs.reserve(OpenOutputs);
+
+  // A wire named "inst.port", written straight into Top's name buffer.
+  auto addPortWire = [&](PortRef Ref, WireKind Kind) {
+    const Module &Def = defOf(Ref.Inst);
+    return Top.addWire({Insts[Ref.Inst].Name, ".", Def.wireName(Ref.Port)},
+                       Kind, Def.Wires[Ref.Port].Width);
+  };
 
   // One local wire per driving output, in first-connection order
   // (fan-out shares the wire).
   for (const Connection &C : Conns) {
     WireId &Out = binding(C.From);
     if (Out == Driving)
-      Out = Top.addWire(portLabel(C.From), WireKind::Basic,
-                        defOf(C.From.Inst).wire(C.From.Port).Width);
+      Out = addPortWire(C.From, WireKind::Basic);
     binding(C.To) = Out;
   }
 
   // Promote every port still unbound, in instance and slot order.
   for (InstId Inst = 0; Inst != Insts.size(); ++Inst) {
-    const Module &Def = defOf(Inst);
+    const size_t NumDefInputs = defOf(Inst).Inputs.size();
     auto &Bindings = Top.Instances[Inst].Bindings;
     for (size_t Slot = 0; Slot != Bindings.size(); ++Slot) {
       auto &[Port, Local] = Bindings[Slot];
       if (Local != Unbound)
         continue;
-      const uint16_t Width = Def.wire(Port).Width;
-      Local = Slot < Def.Inputs.size()
-                  ? Top.addInput(portLabel({Inst, Port}), Width)
-                  : Top.addOutput(portLabel({Inst, Port}), Width);
+      if (Slot < NumDefInputs) {
+        Local = addPortWire({Inst, Port}, WireKind::Input);
+        Top.Inputs.push_back(Local);
+      } else {
+        Local = addPortWire({Inst, Port}, WireKind::Output);
+        Top.Outputs.push_back(Local);
+      }
     }
   }
 

@@ -69,23 +69,23 @@ std::optional<std::string> Design::validate() const {
         if (PortWire.Kind != WireKind::Input &&
             PortWire.Kind != WireKind::Output)
           return fail("instance '" + Inst.Name + "' binds non-port wire '" +
-                      PortWire.Name + "'");
+                      Def.wireName(DefPort) + "'");
         if (PortWire.Width != M.Wires[Local].Width)
           return fail("instance '" + Inst.Name + "' width mismatch on '" +
-                      PortWire.Name + "'");
+                      Def.wireName(DefPort) + "'");
         if (PortWire.Kind == WireKind::Output) {
           ++Drivers[Local];
         } else {
           if (InputBound[DefPort])
             return fail("instance '" + Inst.Name + "' binds input '" +
-                        PortWire.Name + "' twice");
+                        Def.wireName(DefPort) + "' twice");
           InputBound[DefPort] = true;
         }
       }
       for (WireId In : Def.Inputs)
         if (!InputBound[In])
           return fail("instance '" + Inst.Name + "' leaves input '" +
-                      Def.Wires[In].Name + "' unbound");
+                      Def.wireName(In) + "' unbound");
     }
 
     for (WireId Id = 0; Id != M.Wires.size(); ++Id) {
@@ -95,9 +95,9 @@ std::optional<std::string> Design::validate() const {
       if (MayBeUndriven)
         continue;
       if (Drivers[Id] == 0)
-        return fail("wire '" + W.Name + "' has no driver");
+        return fail("wire '" + M.wireName(Id) + "' has no driver");
       if (Drivers[Id] > 1)
-        return fail("wire '" + W.Name + "' has multiple drivers");
+        return fail("wire '" + M.wireName(Id) + "' has multiple drivers");
     }
   }
   return std::nullopt;

@@ -6,10 +6,12 @@
 
 #include "ir/Module.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <functional>
-#include <sstream>
+#include <limits>
+#include <stdexcept>
 
 using namespace wiresort;
 using namespace wiresort::ir;
@@ -92,23 +94,64 @@ bool ir::isPrimitiveOp(Op Operation) {
   }
 }
 
-WireId Module::addWire(std::string Name, WireKind Kind, uint16_t Width,
-                       uint64_t ConstValue) {
+void Module::appendName(Wire &W,
+                        std::initializer_list<std::string_view> Parts) {
+  size_t Size = 0;
+  for (std::string_view Part : Parts)
+    Size += Part.size();
+  const size_t Offset = Names.size();
+  if (Size > std::numeric_limits<uint32_t>::max() - Offset)
+    throw std::length_error("module '" + Name + "': wire names pass 4 GiB");
+  if (Names.capacity() - Offset < Size) {
+    // Copy into the grown buffer before the old one is freed: a part may
+    // view this module's own names.
+    std::string Grown;
+    Grown.reserve(std::max(Offset + Size, 2 * Names.capacity()));
+    Grown.append(Names);
+    for (std::string_view Part : Parts)
+      Grown.append(Part);
+    Names.swap(Grown);
+  } else {
+    for (std::string_view Part : Parts)
+      Names.append(Part);
+  }
+  W.NameOffset = static_cast<uint32_t>(Offset);
+  W.NameSize = static_cast<uint32_t>(Size);
+}
+
+WireId Module::addWire(std::initializer_list<std::string_view> NameParts,
+                       WireKind Kind, uint16_t Width, uint64_t ConstValue) {
   assert(Width >= 1 && Width <= 64 && "wire width must be in [1, 64]");
-  Wires.push_back(Wire{std::move(Name), Kind, Width, ConstValue});
+  Wire W{0, 0, Kind, Width, ConstValue};
+  appendName(W, NameParts);
+  Wires.push_back(W);
   return static_cast<WireId>(Wires.size() - 1);
 }
 
-WireId Module::addInput(std::string Name, uint16_t Width) {
-  WireId Id = addWire(std::move(Name), WireKind::Input, Width);
+WireId Module::addWire(std::string_view Name, WireKind Kind, uint16_t Width,
+                       uint64_t ConstValue) {
+  return addWire({Name}, Kind, Width, ConstValue);
+}
+
+WireId Module::addInput(std::string_view Name, uint16_t Width) {
+  WireId Id = addWire(Name, WireKind::Input, Width);
   Inputs.push_back(Id);
   return Id;
 }
 
-WireId Module::addOutput(std::string Name, uint16_t Width) {
-  WireId Id = addWire(std::move(Name), WireKind::Output, Width);
+WireId Module::addOutput(std::string_view Name, uint16_t Width) {
+  WireId Id = addWire(Name, WireKind::Output, Width);
   Outputs.push_back(Id);
   return Id;
+}
+
+void Module::reserveWires(size_t Count, size_t NameBytes) {
+  Wires.reserve(Wires.size() + Count);
+  Names.reserve(Names.size() + NameBytes);
+}
+
+void Module::renameWire(WireId Id, std::string_view Name) {
+  appendName(Wires[Id], {Name});
 }
 
 NetId Module::addNet(Op Operation, std::vector<WireId> Inputs, WireId Output,
@@ -134,19 +177,19 @@ InstId Module::addInstance(SubInstance Inst) {
   return static_cast<InstId>(Instances.size() - 1);
 }
 
-WireId Module::findPort(const std::string &Name) const {
+WireId Module::findPort(std::string_view Name) const {
   for (WireId Id : Inputs)
-    if (Wires[Id].Name == Name)
+    if (wireName(Id) == Name)
       return Id;
   for (WireId Id : Outputs)
-    if (Wires[Id].Name == Name)
+    if (wireName(Id) == Name)
       return Id;
   return InvalidId;
 }
 
-WireId Module::findWire(const std::string &Name) const {
+WireId Module::findWire(std::string_view Name) const {
   for (WireId Id = 0; Id != Wires.size(); ++Id)
-    if (Wires[Id].Name == Name)
+    if (wireName(Id) == Name)
       return Id;
   return InvalidId;
 }
@@ -156,7 +199,7 @@ PortIndex::PortIndex(const Module &M) {
     return;
   Slots.resize(std::bit_ceil(2 * M.numPorts()));
   auto insert = [&](WireId Port) {
-    const std::string &Name = M.wire(Port).Name;
+    const std::string_view Name = M.wireName(Port);
     const size_t Hash = std::hash<std::string_view>{}(Name);
     Slot &S = Slots[probe(M, Name, Hash)];
     if (S.Id == InvalidId) // Else an earlier port has this name.
@@ -173,7 +216,7 @@ size_t PortIndex::probe(const Module &M, std::string_view Name,
   const size_t Mask = Slots.size() - 1;
   size_t I = Hash & Mask;
   while (Slots[I].Id != InvalidId &&
-         (Slots[I].Hash != Hash || M.wire(Slots[I].Id).Name != Name))
+         (Slots[I].Hash != Hash || M.wireName(Slots[I].Id) != Name))
     I = (I + 1) & Mask;
   return I;
 }
@@ -275,18 +318,18 @@ std::optional<std::string> Module::validate() const {
         resultWidth(N.Operation, Widths, N.Aux, Wires[N.Output].Width);
     if (!Result)
       return fail(std::string("ill-typed ") + opName(N.Operation) +
-                  " net driving '" + Wires[N.Output].Name + "'");
+                  " net driving '" + wireName(N.Output) + "'");
     if (*Result != Wires[N.Output].Width)
       return fail(std::string("width mismatch on ") + opName(N.Operation) +
-                  " net driving '" + Wires[N.Output].Name + "'");
+                  " net driving '" + wireName(N.Output) + "'");
   }
   for (const Register &R : Registers) {
     if (R.D >= Wires.size() || R.Q >= Wires.size())
       return fail("register pin out of range");
     if (Wires[R.Q].Kind != WireKind::Reg)
-      return fail("register Q wire '" + Wires[R.Q].Name + "' is not reg-kind");
+      return fail("register Q wire '" + wireName(R.Q) + "' is not reg-kind");
     if (Wires[R.D].Width != Wires[R.Q].Width)
-      return fail("register width mismatch on '" + Wires[R.Q].Name + "'");
+      return fail("register width mismatch on '" + wireName(R.Q) + "'");
     ++Drivers[R.Q];
   }
   for (const Memory &M : Memories) {
@@ -317,22 +360,22 @@ std::optional<std::string> Module::validate() const {
     bool MayBeUndriven =
         W.Kind == WireKind::Input || W.Kind == WireKind::Const;
     if (MayBeUndriven && Drivers[Id] != 0)
-      return fail("wire '" + W.Name + "' of kind " + wireKindName(W.Kind) +
-                  " must not be driven");
+      return fail("wire '" + wireName(Id) + "' of kind " +
+                  wireKindName(W.Kind) + " must not be driven");
     // Non-port basic wires may be driven by instance outputs, which this
     // local pass cannot count; Design::validate finishes the job. Here we
     // only reject multiple drivers.
     if (Drivers[Id] > 1)
-      return fail("wire '" + W.Name + "' has multiple drivers");
+      return fail("wire '" + wireName(Id) + "' has multiple drivers");
   }
 
   for (WireId Id : Inputs)
     if (Wires[Id].Kind != WireKind::Input)
-      return fail("input list contains non-input wire '" + Wires[Id].Name +
+      return fail("input list contains non-input wire '" + wireName(Id) +
                   "'");
   for (WireId Id : Outputs)
     if (Wires[Id].Kind != WireKind::Output)
-      return fail("output list contains non-output wire '" + Wires[Id].Name +
+      return fail("output list contains non-output wire '" + wireName(Id) +
                   "'");
   return std::nullopt;
 }

@@ -21,6 +21,7 @@
 #include "ir/Wire.h"
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -95,10 +96,21 @@ struct PortContract {
 ///  * instance bindings refer to ports of the instantiated definition
 ///    with matching widths (validated by Design::validate, which can see
 ///    other modules).
+///
+/// Wire names live in one byte buffer the module owns, back to back in
+/// the order wires were added or renamed; each Wire record holds its
+/// name's offset and size there. A module with N wires thus holds two
+/// blocks, not N strings, and copies, moves and frees them as such.
+/// \ref wireName and \ref wire hand out views of the buffer: a WireName
+/// is valid until the module adds or renames a wire, or is moved or
+/// destroyed.
 class Module {
 public:
   std::string Name;
 
+  /// One record per wire, indexed by WireId. Add wires through
+  /// \ref addWire (or \ref addInput / \ref addOutput), which writes the
+  /// name; callers may change a record's Kind, Width and ConstValue.
   std::vector<Wire> Wires;
   std::vector<Net> Nets;
   std::vector<Register> Registers;
@@ -115,16 +127,32 @@ public:
 
   // --- Construction -----------------------------------------------------
 
-  /// Creates a wire and returns its id.
-  WireId addWire(std::string Name, WireKind Kind, uint16_t Width = 1,
+  /// Creates a wire and returns its id. \p Name is copied into the name
+  /// buffer and may view that very buffer (another wire's name). Throws
+  /// std::length_error when the buffer would pass 4 GiB.
+  WireId addWire(std::string_view Name, WireKind Kind, uint16_t Width = 1,
                  uint64_t ConstValue = 0);
 
+  /// Creates a wire named by the concatenation of \p NameParts, written
+  /// straight into the name buffer: a caller composing "inst.port" names
+  /// builds no string per wire. Same rules as the one-name overload.
+  WireId addWire(std::initializer_list<std::string_view> NameParts,
+                 WireKind Kind, uint16_t Width = 1, uint64_t ConstValue = 0);
+
   /// Creates an input port of the given width.
-  WireId addInput(std::string Name, uint16_t Width = 1);
+  WireId addInput(std::string_view Name, uint16_t Width = 1);
 
   /// Creates an output port of the given width. The port must later be
   /// driven (typically via \ref addNet with Op::Buf).
-  WireId addOutput(std::string Name, uint16_t Width = 1);
+  WireId addOutput(std::string_view Name, uint16_t Width = 1);
+
+  /// Reserves room for \p Count more wires whose names take \p NameBytes
+  /// bytes in all, so adding them allocates nothing.
+  void reserveWires(size_t Count, size_t NameBytes);
+
+  /// Gives wire \p Id the name \p Name (which may view the name buffer).
+  /// The new name is appended; the old bytes stay in the buffer unused.
+  void renameWire(WireId Id, std::string_view Name);
 
   /// Creates a net; \returns the id of the new net.
   NetId addNet(Op Operation, std::vector<WireId> Inputs, WireId Output,
@@ -141,7 +169,18 @@ public:
 
   // --- Queries ------------------------------------------------------------
 
-  const Wire &wire(WireId Id) const { return Wires[Id]; }
+  /// Wire \p Id's record fields and name.
+  WireView wire(WireId Id) const {
+    const Wire &W = Wires[Id];
+    return WireView{wireName(Id), W.Kind, W.Width, W.ConstValue};
+  }
+
+  /// Wire \p Id's name, a view of the name buffer.
+  WireName wireName(WireId Id) const {
+    const Wire &W = Wires[Id];
+    return WireName(Names.data() + W.NameOffset, W.NameSize);
+  }
+
   size_t numWires() const { return Wires.size(); }
 
   bool isInput(WireId Id) const { return Wires[Id].Kind == WireKind::Input; }
@@ -151,11 +190,11 @@ public:
   /// scan for one-off lookups; a caller resolving many names against one
   /// module builds a \ref PortIndex. \returns InvalidId when no such
   /// port exists.
-  WireId findPort(const std::string &Name) const;
+  WireId findPort(std::string_view Name) const;
 
   /// Looks up any wire by name. A linear scan for one-off lookups (tests,
   /// the simulator), not for hot paths. \returns InvalidId when absent.
-  WireId findWire(const std::string &Name) const;
+  WireId findWire(std::string_view Name) const;
 
   /// Total interface port count (paper Table 2's "Ports" column).
   size_t numPorts() const { return Inputs.size() + Outputs.size(); }
@@ -170,6 +209,14 @@ public:
   static std::optional<uint16_t>
   resultWidth(Op Operation, const std::vector<uint16_t> &Widths, uint32_t Aux,
               uint16_t OutWidth);
+
+private:
+  /// Appends the concatenation of \p Parts to the name buffer and points
+  /// \p W at it.
+  void appendName(Wire &W, std::initializer_list<std::string_view> Parts);
+
+  /// Every wire's name, back to back (see the class comment).
+  std::string Names;
 };
 
 /// A name index over one module's ports, for every caller that resolves
@@ -180,11 +227,10 @@ public:
 ///
 /// The index keeps only (name hash, WireId) pairs and compares each probe
 /// against the module's own wire name, so it holds no strings or views:
-/// it stays valid wherever the names move (the module moving, its wire
-/// vector reallocating and moving the short names std::string keeps
-/// inline) and serves a copy of the module too, until the port lists or
-/// port names change. Pass \ref find the module the index was built
-/// from, or such a copy.
+/// it stays valid wherever the names move (the module moving, its name
+/// buffer growing) and serves a copy of the module too, until the port
+/// lists or port names change. Pass \ref find the module the index was
+/// built from, or such a copy.
 class PortIndex {
 public:
   PortIndex() = default;

@@ -25,6 +25,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 namespace wiresort::ir {
 
@@ -40,14 +42,57 @@ enum class WireKind : uint8_t {
 /// Returns a short printable name for \p Kind ("const", "reg", ...).
 const char *wireKindName(WireKind Kind);
 
-/// A (possibly multi-bit) wire inside a module.
+/// A (possibly multi-bit) wire inside a module: the record Module::Wires
+/// holds, one per wire. It owns no string. The wire's name is the byte
+/// range [NameOffset, NameOffset + NameSize) of its module's name buffer,
+/// read through Module::wireName or Module::wire, so a module's wires
+/// copy, move and free as one block and its names as another.
 struct Wire {
-  std::string Name;
+  uint32_t NameOffset = 0;
+  uint32_t NameSize = 0;
   WireKind Kind = WireKind::Basic;
   /// Bit width; the Builder enforces 1 <= Width <= 64.
   uint16_t Width = 1;
   /// Value produced when Kind == Const; low Width bits are significant.
   uint64_t ConstValue = 0;
+};
+
+static_assert(sizeof(Wire) == 24 && std::is_trivially_copyable_v<Wire>,
+              "a wire record is 24 bytes and owns nothing");
+
+/// A wire's name: a view of its module's name buffer. It is valid until
+/// that module adds or renames a wire, or is moved or destroyed; copy it
+/// into a std::string to keep it longer. It converts to std::string
+/// implicitly and concatenates with std::string and C strings, so most
+/// code reads it as it would a std::string.
+class WireName : public std::string_view {
+public:
+  using std::string_view::string_view;
+
+  operator std::string() const { return std::string(data(), size()); }
+
+  friend std::string operator+(std::string L, WireName R) {
+    L.append(R);
+    return L;
+  }
+  friend std::string operator+(WireName L, const std::string &R) {
+    return std::string(L).append(R);
+  }
+  friend std::string operator+(const char *L, WireName R) {
+    return std::string(L).append(R);
+  }
+  friend std::string operator+(WireName L, const char *R) {
+    return std::string(L).append(R);
+  }
+};
+
+/// One wire as Module::wire returns it, by value: the record's fields and
+/// its name. The name is a WireName, valid as long as it is.
+struct WireView {
+  WireName Name;
+  WireKind Kind;
+  uint16_t Width;
+  uint64_t ConstValue;
 };
 
 } // namespace wiresort::ir

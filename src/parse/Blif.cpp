@@ -185,7 +185,7 @@ struct Pass1 {
   WireId wireFor(std::string_view Name) {
     WireId &W = Names[Name];
     if (W == InvalidId)
-      W = Cur->M.addWire(std::string(Name), WireKind::Basic, 1);
+      W = Cur->M.addWire(Name, WireKind::Basic, 1);
     return W;
   }
 
@@ -254,9 +254,8 @@ struct Pass1 {
         WireId &W = Names[Tok[I].Text];
         if (W != InvalidId)
           return fail(Tok[I], "duplicate signal " + quote(Tok[I].Text));
-        std::string Name(Tok[I].Text);
-        W = IsInput ? Cur->M.addInput(std::move(Name), 1)
-                    : Cur->M.addOutput(std::move(Name), 1);
+        W = IsInput ? Cur->M.addInput(Tok[I].Text, 1)
+                    : Cur->M.addOutput(Tok[I].Text, 1);
       }
       PendingLut = nullptr;
     } else if (Cmd == ".latch") {
@@ -271,8 +270,8 @@ struct Pass1 {
       if (Cur->M.Wires[Q].Kind == WireKind::Output) {
         // Latched output port: latch into an internal reg wire and
         // buffer it out to the port.
-        WireId Inner = Cur->M.addWire(std::string(Tok[2].Text) + "$latch",
-                                      WireKind::Reg, 1);
+        WireId Inner =
+            Cur->M.addWire({Tok[2].Text, "$latch"}, WireKind::Reg, 1);
         Cur->M.addNet(Op::Buf, {Inner}, Q);
         Q = Inner;
       } else {
@@ -670,7 +669,7 @@ void writeModel(std::ostringstream &OS, const Design &D, const Module &M) {
 
   // Constants become zero-input covers.
   for (WireId W = 0; W != M.numWires(); ++W) {
-    const Wire &Wr = M.wire(W);
+    const WireView Wr = M.wire(W);
     assert(Wr.Width == 1 && "writeBlif requires a bit-level module");
     if (Wr.Kind != WireKind::Const)
       continue;
@@ -679,9 +678,7 @@ void writeModel(std::ostringstream &OS, const Design &D, const Module &M) {
       OS << "1\n";
   }
 
-  auto name = [&](WireId W) -> const std::string & {
-    return M.wire(W).Name;
-  };
+  auto name = [&](WireId W) { return M.wireName(W); };
   for (const Net &N : M.Nets) {
     if (N.Operation == Op::Lut) {
       OS << ".names";

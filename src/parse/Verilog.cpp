@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 using namespace wiresort;
 using namespace wiresort::ir;
@@ -19,7 +20,7 @@ using namespace wiresort::parse;
 namespace {
 
 /// True when \p Name is a plain Verilog identifier needing no escape.
-bool isPlainIdent(const std::string &Name) {
+bool isPlainIdent(std::string_view Name) {
   if (Name.empty() ||
       !(std::isalpha(static_cast<unsigned char>(Name[0])) ||
         Name[0] == '_'))
@@ -33,10 +34,10 @@ bool isPlainIdent(const std::string &Name) {
 
 /// Renders \p Name as a (possibly escaped) identifier. Escaped
 /// identifiers carry their terminating space per the standard.
-std::string ident(const std::string &Name) {
+std::string ident(std::string_view Name) {
   if (isPlainIdent(Name))
-    return Name;
-  return "\\" + Name + " ";
+    return std::string(Name);
+  return "\\" + std::string(Name) + " ";
 }
 
 void writeLutExpr(std::ostringstream &OS, const Module &M, const Net &N) {
@@ -90,7 +91,7 @@ void writeModule(std::ostringstream &OS, const Design &D, const Module &M) {
 
   // Internal wire declarations (ports are declared above).
   for (WireId W = 0; W != M.numWires(); ++W) {
-    const Wire &Wr = M.wire(W);
+    const WireView Wr = M.wire(W);
     assert(Wr.Width == 1 && "writeVerilog requires bit-level modules");
     switch (Wr.Kind) {
     case WireKind::Basic:

@@ -200,10 +200,12 @@ private:
 
   enum class Dir { None, Input, Output };
 
+  /// Declares net \p Name, read at token \p NameTok (where a duplicate
+  /// is reported).
   bool declareNet(ModuleShell &Shell, Dir Direction, bool IsReg,
-                  uint16_t Width, const std::string &Name) {
+                  uint16_t Width, const std::string &Name, size_t NameTok) {
     if (Shell.ByName.count(Name))
-      return failB("duplicate declaration of '" + Name + "'");
+      return failBAt(NameTok, "duplicate declaration of '" + Name + "'");
     WireId W;
     switch (Direction) {
     case Dir::Input:
@@ -256,7 +258,7 @@ private:
         return failBAt(NameTok, "port '" + Name +
                                     "' is not in the port list of module '" +
                                     Shell.M.Name + "'");
-      if (!declareNet(Shell, Direction, IsReg, Width, Name))
+      if (!declareNet(Shell, Direction, IsReg, Width, Name, NameTok))
         return false;
       if (InHeader) {
         // In an ANSI header the comma either continues this decl or
@@ -299,17 +301,18 @@ private:
               if (at("input") || at("output"))
                 break;
               std::string Name;
+              const size_t NameTok = Pos;
               if (!expectIdent(Name))
                 return false;
               // Inherit direction/width of the previous declaration.
-              const Wire &Prev =
+              const WireView Prev =
                   Shell.M.wire(Shell.M.numWires() - 1);
               Dir Direction = Prev.Kind == WireKind::Input
                                   ? Dir::Input
                                   : Dir::Output;
               if (!declareNet(Shell, Direction,
                               Shell.Regs.count(Prev.Name) != 0,
-                              Prev.Width, Name))
+                              Prev.Width, Name, NameTok))
                 return false;
             }
             if (atPunct(")"))

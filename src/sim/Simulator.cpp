@@ -98,7 +98,7 @@ uint64_t Simulator::value(const std::string &Name) const {
 
 void Simulator::evalNet(const Net &N) {
   auto in = [&](size_t I) { return Values[N.Inputs[I]]; };
-  const Wire &OutWire = M->wire(N.Output);
+  const Wire &OutWire = M->Wires[N.Output];
   uint64_t Result = 0;
   switch (N.Operation) {
   case Op::And:

@@ -46,7 +46,7 @@ void VcdTrace::sample(const Simulator &S, uint64_t Time) {
       OS << '#' << Time << '\n';
       AnyChange = true;
     }
-    const Wire &W = M->wire(Signals[I]);
+    const Wire &W = M->Wires[Signals[I]];
     if (W.Width == 1) {
       OS << (Value & 1) << idFor(I) << '\n';
     } else {
@@ -65,7 +65,7 @@ std::string VcdTrace::str() const {
   std::ostringstream OS;
   OS << "$timescale 1ns $end\n$scope module " << M->Name << " $end\n";
   for (size_t I = 0; I != Signals.size(); ++I) {
-    const Wire &W = M->wire(Signals[I]);
+    const WireView W = M->wire(Signals[I]);
     // VCD identifiers must not contain spaces; wire names may contain
     // '[]' which viewers accept.
     OS << "$var wire " << W.Width << ' ' << idFor(I) << ' ' << W.Name

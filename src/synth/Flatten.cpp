@@ -41,11 +41,11 @@ private:
     for (WireId W = 0; W != M.numWires(); ++W) {
       if (Map.count(W))
         continue; // Already bound (input port).
-      const Wire &Wr = M.wire(W);
+      const WireView Wr = M.wire(W);
       WireKind Kind = Wr.Kind;
       if (!TopLevel && (Kind == WireKind::Input || Kind == WireKind::Output))
         Kind = WireKind::Basic;
-      WireId NW = Out.addWire(Prefix + Wr.Name, Kind, Wr.Width,
+      WireId NW = Out.addWire({Prefix, Wr.Name}, Kind, Wr.Width,
                               Wr.ConstValue);
       if (TopLevel && Wr.Kind == WireKind::Output)
         Out.Outputs.push_back(NW);

@@ -81,7 +81,7 @@ protected:
     for (WireId W = 0; W != M.numWires(); ++W) {
       if (Bits.count(W))
         continue; // Pre-bound (e.g. inlined instance inputs).
-      const Wire &Wr = M.wire(W);
+      const WireView Wr = M.wire(W);
       std::string Name = Prefix + Wr.Name;
       std::vector<WireId> &Vec = Bits[W];
       switch (Wr.Kind) {
@@ -430,7 +430,7 @@ size_t synth::hierarchicalGateCount(const Design &D, ModuleId Id) {
       if (Copy.Wires[W].Kind == WireKind::Output) {
         // An instance output bound straight to a module port: feed the
         // port from a stand-in input instead.
-        WireId Stub = Copy.addInput(Copy.Wires[W].Name + "$stub",
+        WireId Stub = Copy.addInput(Copy.wireName(W) + "$stub",
                                     Copy.Wires[W].Width);
         Copy.addNet(Op::Buf, {Stub}, W);
       } else {

@@ -212,7 +212,7 @@ size_t removeDeadGates(Module &M) {
   Module Out(M.Name);
   std::vector<WireId> Remap(M.numWires(), InvalidId);
   for (WireId W = 0; W != M.numWires(); ++W) {
-    const Wire &Wr = M.wire(W);
+    const WireView Wr = M.wire(W);
     bool Keep = Live[W] || Wr.Kind == WireKind::Input;
     if (!Keep)
       continue;

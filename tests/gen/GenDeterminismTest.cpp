@@ -104,6 +104,23 @@ TEST(GenDeterminism, DifferentSeedDifferentFingerprint) {
   EXPECT_NE(fingerprint(A, RA.Top), fingerprint(B, RB.Top));
 }
 
+TEST(GenDeterminism, MegaRefusesASignedThreadCount) {
+  const char *Mega = std::getenv("WIRESORT_MEGA");
+  if (!Mega || !*Mega)
+    GTEST_SKIP() << "WIRESORT_MEGA not set; run under ctest";
+  // A signed count is refused, not wrapped ("-1" cast to unsigned is
+  // 4294967295 threads). The preset is unknown too, so a build that took
+  // the count would still stop before any thread pool exists; the
+  // refusal must be the count's.
+  const std::string Cmd =
+      std::string(Mega) + " nosuch --threads -1 2>&1; echo \"exit $?\"";
+  const std::string Out = runAndCapture(Cmd);
+  EXPECT_NE(Out.find("error: --threads expects a positive count\n"),
+            std::string::npos)
+      << Out;
+  EXPECT_NE(Out.find("exit 2\n"), std::string::npos) << Out;
+}
+
 TEST(GenDeterminism, SameParamsSameFingerprintAcrossProcesses) {
   const char *Mega = std::getenv("WIRESORT_MEGA");
   if (!Mega || !*Mega)

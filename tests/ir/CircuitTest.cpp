@@ -8,10 +8,12 @@
 
 #include "gen/MegaScale.h"
 #include "ir/Builder.h"
+#include "support/Wire.h"
 #include "synth/Flatten.h"
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <unordered_map>
 
 using namespace wiresort;
@@ -76,8 +78,8 @@ void expectSealMatchesReference(Circuit &Circ, const std::string &What) {
   const Module &Got = Circ.design().module(Circ.seal());
   EXPECT_EQ(Got.Name, Want.Name) << What;
   ASSERT_EQ(Got.Wires.size(), Want.Wires.size()) << What;
-  for (size_t I = 0; I != Want.Wires.size(); ++I) {
-    const Wire &G = Got.Wires[I], &W = Want.Wires[I];
+  for (WireId I = 0; I != Want.Wires.size(); ++I) {
+    const WireView G = Got.wire(I), W = Want.wire(I);
     if (G.Name != W.Name || G.Kind != W.Kind || G.Width != W.Width) {
       ADD_FAILURE() << What << ": wire " << I << " is '" << G.Name
                     << "' (" << wireKindName(G.Kind) << ", " << G.Width
@@ -97,6 +99,33 @@ void expectSealMatchesReference(Circuit &Circ, const std::string &What) {
       break;
     }
   }
+}
+
+/// Everything seal decides about \p M, in a fixed order: its wires in id
+/// order (name, kind, width), its instances (definition, name,
+/// bindings), then its input and output lists.
+std::string dumpModule(const Module &M) {
+  std::ostringstream OS;
+  OS << "module " << M.Name << '\n';
+  for (WireId Id = 0; Id != M.numWires(); ++Id) {
+    const WireView W = M.wire(Id);
+    OS << "w " << W.Name << ' ' << wireKindName(W.Kind) << ' ' << W.Width
+       << '\n';
+  }
+  for (const SubInstance &I : M.Instances) {
+    OS << "i " << I.Def << ' ' << I.Name;
+    for (const auto &[Port, Local] : I.Bindings)
+      OS << ' ' << Port << '=' << Local;
+    OS << '\n';
+  }
+  OS << "in";
+  for (WireId W : M.Inputs)
+    OS << ' ' << W;
+  OS << "\nout";
+  for (WireId W : M.Outputs)
+    OS << ' ' << W;
+  OS << '\n';
+  return OS.str();
 }
 
 } // namespace
@@ -217,6 +246,26 @@ TEST(CircuitTest, SealMatchesReferenceOnPresets) {
       expectSealMatchesReference(Top, std::string(Name) + " seed " +
                                           std::to_string(Seed));
     }
+  }
+}
+
+TEST(CircuitTest, SealedTopIsPinnedOn10kPreset) {
+  // gen::fingerprint leaves wire names out, and referenceSeal writes its
+  // labels through the same Module code as seal, so these digests are
+  // what pins a large sealed top's labels. They were computed when every
+  // wire still owned its name as a std::string.
+  const std::pair<uint64_t, uint64_t> Pinned[] = {
+      {1, 0x4eb2347bc4d59b89ull},
+      {2, 0xcff6ce64241050beull},
+      {3, 0x6483bf297172e1e2ull}};
+  for (const auto &[Seed, Digest] : Pinned) {
+    std::optional<gen::MegaScaleParams> P = gen::megaScalePreset("10k");
+    ASSERT_TRUE(P.has_value());
+    P->Seed = Seed;
+    Design D;
+    Circuit Top = gen::buildMegaScaleCircuit(D, *P);
+    EXPECT_EQ(support::wire::fnv1a(dumpModule(D.module(Top.seal()))), Digest)
+        << "seed " << Seed;
   }
 }
 

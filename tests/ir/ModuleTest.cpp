@@ -9,8 +9,22 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
 using namespace wiresort;
 using namespace wiresort::ir;
+
+// A wire record owns no string: a module's wires are one flat block.
+static_assert(sizeof(Wire) == 24, "a wire record is 24 bytes");
+static_assert(std::is_trivially_copyable_v<Wire>,
+              "a wire record is trivially copyable");
+// Design's module vector moves its modules when it grows.
+static_assert(std::is_nothrow_move_constructible_v<Module> &&
+                  std::is_nothrow_move_assignable_v<Module>,
+              "moving a module cannot throw");
 
 namespace {
 
@@ -20,6 +34,25 @@ Module inverter() {
   WireId In = M.addInput("a", 1);
   WireId Out = M.addOutput("y", 1);
   M.addNet(Op::Not, {In}, Out);
+  return M;
+}
+
+/// Every wire name of \p M, copied out, in id order.
+std::vector<std::string> wireNames(const Module &M) {
+  std::vector<std::string> Names;
+  for (WireId Id = 0; Id != M.numWires(); ++Id)
+    Names.push_back(M.wireName(Id));
+  return Names;
+}
+
+/// A module whose names mix lengths that fit a std::string's inline
+/// buffer and lengths that do not.
+Module mixedNames() {
+  Module M("mixed");
+  for (int I = 0; I != 100; ++I)
+    M.addWire(I % 3 ? "w" + std::to_string(I)
+                    : "a_wire_name_past_inline_length_" + std::to_string(I),
+              WireKind::Basic);
   return M;
 }
 
@@ -126,14 +159,109 @@ TEST(ModuleTest, PortIndexFindsEveryPortOfAWideModule) {
     Want.emplace_back("o" + std::to_string(I),
                       M.addOutput("o" + std::to_string(I)));
   const PortIndex Ports(M);
-  // Reallocating the wire vector moves every short name (std::string
-  // keeps them inline); the index holds no views of them.
+  // Growing the wire vector and the name buffer moves every name; the
+  // index holds no views of them.
   for (int I = 0; I != 10000; ++I)
     M.addWire("n" + std::to_string(I), WireKind::Basic);
   for (const auto &[Name, Id] : Want)
     ASSERT_EQ(Ports.find(M, Name), Id) << Name;
   EXPECT_EQ(Ports.find(M, "n0"), InvalidId);
   EXPECT_EQ(Ports.find(M, "i2500"), InvalidId);
+}
+
+TEST(ModuleTest, AddWireCopiesANameThatViewsItsOwnBuffer) {
+  // Every new name is a view of the module's own buffer, or is built
+  // from such views, while the buffer grows from empty through several
+  // reallocations: each copy must be made before the old bytes are
+  // freed (a use-after-free under ASan otherwise).
+  Module M("self");
+  std::vector<std::string> Want;
+  M.addInput("a");
+  Want.push_back("a");
+  for (int I = 0; I != 64; ++I) {
+    const WireId Last = static_cast<WireId>(M.numWires() - 1);
+    M.addWire({M.wireName(Last), "_", M.wireName(0)}, WireKind::Basic);
+    Want.push_back(Want.back() + "_a");
+    M.addWire(M.wireName(Last + 1), WireKind::Basic);
+    Want.push_back(Want.back());
+  }
+  M.addOutput(M.wireName(1));
+  Want.push_back(Want[1]);
+  EXPECT_EQ(wireNames(M), Want);
+  EXPECT_EQ(M.findPort(Want[1]), M.Outputs[0]);
+}
+
+TEST(ModuleTest, CopiesAndMovesKeepEveryName) {
+  Module M = mixedNames();
+  const std::vector<std::string> Want = wireNames(M);
+
+  Module Copy(M);
+  EXPECT_EQ(wireNames(Copy), Want);
+  Module Assigned = inverter();
+  Assigned = M;
+  EXPECT_EQ(wireNames(Assigned), Want);
+  Module Moved(std::move(Copy));
+  EXPECT_EQ(wireNames(Moved), Want);
+  Module MoveAssigned = inverter();
+  MoveAssigned = std::move(Moved);
+  EXPECT_EQ(wireNames(MoveAssigned), Want);
+
+  // Each copy owns its names: renaming or adding to one leaves the rest.
+  M.renameWire(0, "changed");
+  M.addWire("extra", WireKind::Basic);
+  EXPECT_EQ(wireNames(Assigned), Want);
+  EXPECT_EQ(wireNames(MoveAssigned), Want);
+
+  // Short names only, all of them inside a std::string's inline bytes.
+  Module Short = inverter();
+  Module ShortMoved(std::move(Short));
+  EXPECT_EQ(wireNames(ShortMoved), (std::vector<std::string>{"a", "y"}));
+}
+
+TEST(ModuleTest, RenameWireKeepsIdsKindsAndOtherNames) {
+  Module M = inverter();
+  const WireId A = M.findPort("a"), Y = M.findPort("y");
+  M.renameWire(A, "an_input_renamed_past_inline_length");
+  EXPECT_EQ(M.wireName(A), "an_input_renamed_past_inline_length");
+  EXPECT_EQ(M.wireName(Y), "y");
+  EXPECT_EQ(M.findPort("a"), InvalidId);
+  EXPECT_EQ(M.findPort("an_input_renamed_past_inline_length"), A);
+  EXPECT_EQ(M.wire(A).Kind, WireKind::Input);
+  // The new name may view the buffer: give y a's name.
+  M.renameWire(Y, M.wireName(A));
+  EXPECT_EQ(M.wireName(Y), "an_input_renamed_past_inline_length");
+  EXPECT_EQ(M.wire(Y).Kind, WireKind::Output);
+  EXPECT_EQ(M.Inputs, std::vector<WireId>{A});
+  EXPECT_EQ(M.Outputs, std::vector<WireId>{Y});
+  EXPECT_FALSE(M.validate().has_value());
+}
+
+TEST(ModuleTest, ModuleWithNoWires) {
+  Module M("empty");
+  EXPECT_EQ(M.numWires(), 0u);
+  EXPECT_EQ(M.findWire(""), InvalidId);
+  EXPECT_EQ(M.findPort("a"), InvalidId);
+  EXPECT_FALSE(M.validate().has_value());
+  Module Copy(M);
+  Module Moved(std::move(Copy));
+  EXPECT_EQ(Moved.numWires(), 0u);
+  // An empty name takes no bytes and is still found.
+  const WireId W = Moved.addWire("", WireKind::Basic);
+  EXPECT_EQ(Moved.wireName(W), "");
+  EXPECT_EQ(Moved.findWire(""), W);
+}
+
+TEST(ModuleTest, WireNameReadsLikeAString) {
+  Module M = mixedNames();
+  const WireName Name = M.wireName(0);
+  const std::string Copy = Name;
+  EXPECT_EQ(Copy, "a_wire_name_past_inline_length_0");
+  EXPECT_EQ("'" + Name + "'", "'" + Copy + "'");
+  EXPECT_EQ(Name + "$stub", Copy + "$stub");
+  EXPECT_EQ(std::string("x.") + Name, "x." + Copy);
+  EXPECT_EQ(Name + std::string(".y"), Copy + ".y");
+  EXPECT_EQ(M.wire(1).Name, "w1");
+  EXPECT_EQ(M.wire(1).Width, 1);
 }
 
 TEST(DesignTest, InstanceBindingValidation) {

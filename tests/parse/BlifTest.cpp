@@ -43,9 +43,11 @@ std::string dumpDesign(const Design &D) {
   for (ModuleId Id = 0; Id != D.numModules(); ++Id) {
     const Module &M = D.module(Id);
     OS << "module " << M.Name << '\n';
-    for (const Wire &W : M.Wires)
+    for (WireId I = 0; I != M.numWires(); ++I) {
+      const WireView W = M.wire(I);
       OS << "w " << W.Name << ' ' << wireKindName(W.Kind) << ' ' << W.Width
          << '\n';
+    }
     for (const Net &N : M.Nets) {
       ids(opName(N.Operation), N.Inputs);
       OS << "-> " << N.Output;
@@ -75,9 +77,10 @@ const char *const Leaves = ".model and2\n.inputs a b\n.outputs y\n"
 
 /// The wire names of \p File's top model, in id order.
 std::vector<std::string> topWireNames(const BlifFile &File) {
+  const Module &M = File.Design.module(File.Top);
   std::vector<std::string> Names;
-  for (const Wire &W : File.Design.module(File.Top).Wires)
-    Names.push_back(W.Name);
+  for (WireId Id = 0; Id != M.numWires(); ++Id)
+    Names.push_back(M.wireName(Id));
   return Names;
 }
 

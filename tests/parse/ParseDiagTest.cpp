@@ -148,12 +148,23 @@ TEST(ParseDiagTest, VerilogGarbageInsteadOfModule) {
 }
 
 TEST(ParseDiagTest, VerilogDuplicateDeclaration) {
-  expectVerilogDiag("module m(input wire a, output wire y);\n"
-                    "  wire a;\n"
-                    "  assign y = a;\n"
-                    "endmodule\n",
-                    DiagCode::WS212_VERILOG_SYNTAX,
-                    "duplicate declaration of 'a'", 2);
+  Diag D = expectVerilogDiag("module m(input wire a, output wire y);\n"
+                             "  wire a;\n"
+                             "  assign y = a;\n"
+                             "endmodule\n",
+                             DiagCode::WS212_VERILOG_SYNTAX,
+                             "duplicate declaration of 'a'", 2);
+  EXPECT_EQ(D.loc()->Col, 8u); // The name, not the ';' after it.
+}
+
+TEST(ParseDiagTest, VerilogDuplicateHeaderDeclaration) {
+  // The second 'a' continues the header's first declaration.
+  Diag D = expectVerilogDiag("module m(input wire a, b, a, output wire y);\n"
+                             "  assign y = a & b;\n"
+                             "endmodule\n",
+                             DiagCode::WS212_VERILOG_SYNTAX,
+                             "duplicate declaration of 'a'", 1);
+  EXPECT_EQ(D.loc()->Col, 27u);
 }
 
 TEST(ParseDiagTest, VerilogUndeclaredNet) {

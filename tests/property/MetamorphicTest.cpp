@@ -99,8 +99,8 @@ void renameEverything(Design &D) {
   for (ModuleId Id = 0; Id != D.numModules(); ++Id) {
     Module &M = D.module(Id);
     M.Name = "renamed_mod_" + std::to_string(Id);
-    for (size_t W = 0; W != M.Wires.size(); ++W)
-      M.Wires[W].Name = "rw" + std::to_string(W);
+    for (WireId W = 0; W != M.numWires(); ++W)
+      M.renameWire(W, "rw" + std::to_string(W));
     for (size_t I = 0; I != M.Instances.size(); ++I)
       M.Instances[I].Name = "ri" + std::to_string(I);
   }

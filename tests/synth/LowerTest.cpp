@@ -38,7 +38,7 @@ void coSimulate(Design &D, ModuleId Id, unsigned Cycles, uint32_t Seed) {
   std::mt19937 Rng(Seed);
   for (unsigned Cycle = 0; Cycle != Cycles; ++Cycle) {
     for (WireId In : Rtl.Inputs) {
-      const Wire &W = Rtl.wire(In);
+      const WireView W = Rtl.wire(In);
       uint64_t Mask = W.Width >= 64 ? ~0ull : ((1ull << W.Width) - 1);
       uint64_t Value = Rng() & Mask;
       RtlSim->setInput(W.Name, Value);
@@ -49,7 +49,7 @@ void coSimulate(Design &D, ModuleId Id, unsigned Cycles, uint32_t Seed) {
     RtlSim->evaluate();
     GateSim->evaluate();
     for (WireId Out : Rtl.Outputs) {
-      const Wire &W = Rtl.wire(Out);
+      const WireView W = Rtl.wire(Out);
       uint64_t Bits = 0;
       for (uint16_t Bit = 0; Bit != W.Width; ++Bit)
         Bits |= GateSim->value(W.Name + "[" + std::to_string(Bit) + "]")

@@ -63,6 +63,10 @@ run missing 2 no_such_file.blif --format json
 # WS501, not an empty design.
 run dirdesign 2 . --format json
 run badflag 2 loopfree.blif --format json --bogus
+# A count with a sign is refused, not wrapped ("-1" cast to unsigned is
+# 4294967295 threads). The design is missing too, so a build that took
+# the count would still stop before any thread pool exists.
+run badthreads 2 no_such_file.blif --format json --threads -1
 run badcache 2 loopfree.blif --format json --cache bogus.wscache
 
 # A pipe has no size to seek for: a design read through /dev/stdin gives

@@ -91,6 +91,34 @@ else
   echo "ok dirdesign (exit 2, WS501)"
 fi
 
+# refuse <name> <message> <command...>: the command must exit 2 and say
+# <message> on stderr.
+refuse() {
+  Name=$1
+  Want=$2
+  shift 2
+  "$@" > /dev/null 2> "$SCRATCH/refuse.err"
+  GotExit=$?
+  if [ "$GotExit" -ne 2 ]; then
+    echo "FAIL $Name: exit $GotExit, want 2" >&2
+    Failures=$((Failures + 1))
+  elif ! grep -q -e "$Want" "$SCRATCH/refuse.err"; then
+    echo "FAIL $Name: stderr does not say '$Want'" >&2
+    cat "$SCRATCH/refuse.err" >&2
+    Failures=$((Failures + 1))
+  else
+    echo "ok $Name (exit 2)"
+  fi
+}
+
+# A count with a sign is refused, not wrapped ("-1" cast to unsigned is
+# 4294967295 pool threads). No --socket either, so a build that took the
+# count would still stop before any pool exists.
+refuse badworkers "--workers expects a count" "$SERVED" --workers -1
+# The client reads its retry count with the same count parser.
+refuse badretries "--retries expects a count between 0 and 1000" \
+  "$CLIENT" --socket "$SOCK" --retries -1 --health
+
 # Daemon counters: one NDJSON record, requests counted.
 if "$CLIENT" --socket "$SOCK" --stats | grep -q '"type":"served-stats"'; then
   echo "ok stats"

@@ -11,7 +11,8 @@
 /// request flags with the same messages. The library takes a parsed
 /// request and never sees argv (src/driver/Check.h); each tool keeps its
 /// own usage line and its own flags, and offers every other word to
-/// parseCheckArg.
+/// parseCheckArg. parseCount reads every tool's thread and worker
+/// counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,9 +21,12 @@
 
 #include "wiresort.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace wiresort::tools {
 
@@ -39,6 +43,19 @@ inline void emitEarly(analysis::Format Fmt, const support::Diag &D) {
 inline void emitEarly(analysis::Format Fmt, const support::Status &Ds) {
   for (const support::Diag &D : Ds)
     emitEarly(Fmt, D);
+}
+
+/// Parses \p Text as a count: decimal digits only, with no sign, no
+/// blank and nothing after them, whose value fits in unsigned. A count
+/// read any other way can wrap ("-1" through atoi and a cast is
+/// 4294967295 threads). \returns std::nullopt when \p Text is no count.
+inline std::optional<unsigned> parseCount(std::string_view Text) {
+  unsigned Value = 0;
+  const char *End = Text.data() + Text.size();
+  const auto [Stop, Error] = std::from_chars(Text.data(), End, Value);
+  if (Error != std::errc() || Stop != End)
+    return std::nullopt;
+  return Value;
 }
 
 /// Moves \p I onto the value after flag ArgV[I] and copies it into

@@ -38,9 +38,13 @@
 #      graph algorithms and the row-arena indexing of every row width
 #      under ASan, the IR,
 #      analysis, soundness and metamorphic suites, which index
-#      Circuit::seal's bindings and Stage 3's dense port numbering, and
-#      the parser suite, whose BLIF pass 1 holds views into the caller's
-#      text and whose chunk cache must own everything it keeps;
+#      Circuit::seal's bindings and Stage 3's dense port numbering, the
+#      parser suite, whose BLIF pass 1 holds views into the caller's
+#      text and whose chunk cache must own everything it keeps, and
+#      every other suite that builds or reads wire names, which are
+#      views into one name buffer per module (synthesis composes bit and
+#      hierarchy names, the generators seal circuits, the simulator and
+#      the VCD writer read names, the driver renders them);
 #   7. the scale tier (docs/SCALE.md): the metamorphic and
 #      generator-determinism suites (ctest label `scale`) and a
 #      byte-comparison of `--threads 1` vs `--threads 4` wiresort-check
@@ -201,7 +205,7 @@ else
 fi
 
 echo
-echo "=== stage 6: fault-injection, circuit and parser suites under AddressSanitizer ($ROOT/build-asan) ==="
+echo "=== stage 6: fault-injection, circuit, parser and name-building suites under AddressSanitizer ($ROOT/build-asan) ==="
 ASAN_BUILD="$ROOT/build-asan"
 [ -f "$ASAN_BUILD/CMakeCache.txt" ] || cmake -B "$ASAN_BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -209,7 +213,8 @@ ASAN_BUILD="$ROOT/build-asan"
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
 cmake --build "$ASAN_BUILD" -j "$(nproc)" \
   --target fault_soak_tests engine_tests support_tests kernel_tests \
-  ir_tests analysis_tests property_tests metamorphic_tests parse_tests
+  ir_tests analysis_tests property_tests metamorphic_tests parse_tests \
+  synth_tests gen_tests sim_tests riscv_tests driver_tests
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/fault_soak_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/engine_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/support_tests"
@@ -229,6 +234,13 @@ ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/metamorphic_tests"
 # cache must copy what it keeps (the freed-text replay case) and no view
 # may outlive the parse.
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/parse_tests"
+# Wire names are views into their module's name buffer, valid until the
+# module adds a wire: lowering, flattening and optimizing compose names
+# from other names, the generators seal circuits, and the simulator, the
+# VCD writer and the check driver read names.
+for Suite in synth_tests gen_tests sim_tests riscv_tests driver_tests; do
+  ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/$Suite"
+done
 
 echo
 echo "=== stage 7: scale tier — thread-count determinism (docs/SCALE.md) ==="

@@ -42,7 +42,7 @@
 #include "CheckFlags.h"
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 
 using namespace wiresort;
@@ -81,9 +81,10 @@ int main(int ArgC, char **ArgV) {
     } else if (Arg == "--threads") {
       if (!tools::takeValue(ArgC, ArgV, I, Value))
         return usage(ArgV[0], Fmt, "--threads expects a count");
-      Cfg.Threads = static_cast<unsigned>(std::atoi(Value.c_str()));
-      if (Cfg.Threads == 0)
+      const std::optional<unsigned> Count = tools::parseCount(Value);
+      if (!Count || *Count == 0)
         return usage(ArgV[0], Fmt, "--threads expects a positive count");
+      Cfg.Threads = *Count;
     } else if (std::string Why = tools::parseCheckArg(ArgC, ArgV, I, R);
                !Why.empty()) {
       return usage(ArgV[0], Fmt, Why);

@@ -43,7 +43,6 @@
 
 #include "CheckFlags.h"
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -94,17 +93,12 @@ int main(int ArgC, char **ArgV) {
     } else if (Arg == "--retries") {
       if (!tools::takeValue(ArgC, ArgV, I, Value))
         return usage(ArgV[0], Fmt, "--retries expects a count");
-      // strtoull silently negates "-1" into ~4 billion attempts, so
-      // reject a leading sign and trailing junk explicitly; cap the
-      // count so a typo cannot spell an effectively-infinite loop.
-      const char *Text = Value.c_str();
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(Text, &End, 10);
-      if (End == Text || *End != '\0' ||
-          !std::isdigit(static_cast<unsigned char>(Value[0])) || N > 1000)
+      // Capped so a typo cannot spell an effectively-infinite loop.
+      const std::optional<unsigned> Count = tools::parseCount(Value);
+      if (!Count || *Count > 1000)
         return usage(ArgV[0], Fmt,
                      "--retries expects a count between 0 and 1000");
-      Retries = static_cast<unsigned>(N);
+      Retries = *Count;
     } else if (Arg == "--retry-base-ms") {
       if (!tools::takeValue(ArgC, ArgV, I, Value))
         return usage(ArgV[0], Fmt, "--retry-base-ms expects milliseconds");

@@ -24,6 +24,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CheckFlags.h"
 #include "wiresort.h"
 
 #include <cstdio>
@@ -85,10 +86,11 @@ int main(int ArgC, char **ArgV) {
     } else if (Arg == "--quiet") {
       Quiet = true;
     } else if (Arg == "--threads") {
-      uint64_t V = 0;
-      if (!takeValue(V) || V == 0)
+      const std::optional<unsigned> Count =
+          I + 1 < ArgC ? tools::parseCount(ArgV[++I]) : std::nullopt;
+      if (!Count || *Count == 0)
         return usage("--threads expects a positive count");
-      Threads = static_cast<unsigned>(V);
+      Threads = *Count;
     } else if (Arg == "--timeout-ms") {
       if (!takeValue(TimeoutMs) || TimeoutMs == 0)
         return usage("--timeout-ms expects positive milliseconds");

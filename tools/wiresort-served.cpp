@@ -28,6 +28,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CheckFlags.h"
 #include "wiresort.h"
 
 #include <atomic>
@@ -36,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -79,16 +81,19 @@ int main(int ArgC, char **ArgV) {
       if (!takeValue(Opts.SocketPath))
         return usage(ArgV[0], "--socket expects a path");
     } else if (Arg == "--workers") {
-      if (!takeValue(Value))
+      // 0 = one worker per core (ServeOptions::Workers).
+      const std::optional<unsigned> Count =
+          takeValue(Value) ? tools::parseCount(Value) : std::nullopt;
+      if (!Count)
         return usage(ArgV[0], "--workers expects a count");
-      Opts.Workers = static_cast<unsigned>(std::atoi(Value.c_str()));
+      Opts.Workers = *Count;
     } else if (Arg == "--threads") {
       if (!takeValue(Value))
         return usage(ArgV[0], "--threads expects a count");
-      Opts.Engine.Threads =
-          static_cast<unsigned>(std::atoi(Value.c_str()));
-      if (Opts.Engine.Threads == 0)
+      const std::optional<unsigned> Count = tools::parseCount(Value);
+      if (!Count || *Count == 0)
         return usage(ArgV[0], "--threads expects a positive count");
+      Opts.Engine.Threads = *Count;
     } else if (Arg == "--no-cache") {
       Opts.Engine.UseCache = false;
     } else if (Arg == "--max-request-bytes") {
