@@ -8,6 +8,7 @@
 
 #include "analysis/SortInference.h"
 #include "gen/Fifo.h"
+#include "parse/DumpDesign.h"
 #include "riscv/Cpu.h"
 #include "sim/Simulator.h"
 #include "support/Deadline.h"
@@ -20,54 +21,14 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 
 using namespace wiresort;
 using namespace wiresort::analysis;
 using namespace wiresort::ir;
 using namespace wiresort::parse;
+using wiresort::test::dumpDesign;
 
 namespace {
-
-/// Everything the parser decides, in a fixed order: per module its wires
-/// in id order (name, kind, width), nets (op, inputs, output, cover),
-/// registers, instances (def, name, bindings), inputs and outputs.
-std::string dumpDesign(const Design &D) {
-  std::ostringstream OS;
-  auto ids = [&](const char *Tag, const std::vector<WireId> &Ws) {
-    OS << Tag;
-    for (WireId W : Ws)
-      OS << ' ' << W;
-    OS << '\n';
-  };
-  for (ModuleId Id = 0; Id != D.numModules(); ++Id) {
-    const Module &M = D.module(Id);
-    OS << "module " << M.Name << '\n';
-    for (WireId I = 0; I != M.numWires(); ++I) {
-      const WireView W = M.wire(I);
-      OS << "w " << W.Name << ' ' << wireKindName(W.Kind) << ' ' << W.Width
-         << '\n';
-    }
-    for (const Net &N : M.Nets) {
-      ids(opName(N.Operation), N.Inputs);
-      OS << "-> " << N.Output;
-      for (const std::string &Row : N.Cover)
-        OS << ' ' << Row;
-      OS << '\n';
-    }
-    for (const Register &R : M.Registers)
-      OS << "r " << R.D << ' ' << R.Q << ' ' << R.Init << '\n';
-    for (const SubInstance &I : M.Instances) {
-      OS << "i " << I.Def << ' ' << I.Name;
-      for (const auto &[Port, Local] : I.Bindings)
-        OS << ' ' << Port << '=' << Local;
-      OS << '\n';
-    }
-    ids("in", M.Inputs);
-    ids("out", M.Outputs);
-  }
-  return OS.str();
-}
 
 /// The two leaf models the hand-written hierarchy cases instantiate.
 const char *const Leaves = ".model and2\n.inputs a b\n.outputs y\n"

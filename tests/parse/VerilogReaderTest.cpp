@@ -8,8 +8,11 @@
 
 #include "analysis/SortInference.h"
 #include "gen/Fifo.h"
+#include "ir/Builder.h"
+#include "parse/DumpDesign.h"
 #include "parse/Verilog.h"
 #include "sim/Simulator.h"
+#include "support/Wire.h"
 #include "synth/Lower.h"
 
 #include <gtest/gtest.h>
@@ -51,6 +54,383 @@ std::vector<std::string> portNames(const Module &M,
   return Names;
 }
 
+/// A module with 4-bit inputs a, x and y whose output o, 4 bits wide or
+/// 1 bit wide, is assigned \p Expr.
+std::string assignSource(bool WideOut, const std::string &Expr) {
+  return std::string("module m(input wire [3:0] a, input wire [3:0] x,\n"
+                     "         input wire [3:0] y, output wire ") +
+         (WideOut ? "[3:0] " : "") + "o);\n  assign o = " + Expr +
+         ";\nendmodule\n";
+}
+
+/// What ParsedCorpusIsPinned feeds the reader: every ordered pair of
+/// binary operators, the other expression forms, declarations,
+/// registers and instances, a hierarchical netlist from the writer, and
+/// every source the cases here and in ParseDiagTest refuse.
+std::vector<std::string> readerCorpus() {
+  std::vector<std::string> Corpus;
+  const std::string Ops[] = {"||", "&&", "|",  "^",  "&",  "==", "!=", "<",
+                             ">",  "<=", ">=", "<<", ">>", "+",  "-"};
+  auto shiftOrElse = [](const std::string &Op, const std::string &Operand) {
+    return Op == "<<" || Op == ">>" ? std::string("1") : Operand;
+  };
+  // a OP1 x OP2 y, with x an identifier or an unsized literal; a
+  // shift's right operand is always 1.
+  for (const std::string &Op1 : Ops)
+    for (const std::string &Op2 : Ops)
+      for (bool WideOut : {true, false})
+        for (const char *Mid : {"x", "5"})
+          Corpus.push_back(assignSource(
+              WideOut, "a " + Op1 + ' ' + shiftOrElse(Op1, Mid) + ' ' + Op2 +
+                           ' ' + shiftOrElse(Op2, "y")));
+
+  const char *const Exprs[] = {
+      // Ternaries.
+      "a[0] ? x : y", "a ? x : y", "a == x ? 3 : y", "a[1] ? 1 : 2",
+      "a[0] ? x : a[1] ? y : 7", "a[0] ? x[1:0] : y", "(a[0] ? x : y) + 1",
+      "a[0] ? 20 : y", "a[0] ? x : 4'd2", "a ? : y",
+      // Unary prefixes.
+      "~a", "!a", "&a", "|a", "^a", "~a[2]", "!a[1:0]", "~~x", "!!x", "&~a",
+      "~&a", "~5", "-a", "!5", "^5",
+      // Concatenations.
+      "{a[1:0], x[3:2]}", "{a, x}", "{2, a}", "{a[0], x[0], y[0], a[3]}",
+      "{a, x, y, a, x, y, a, x, y, a, x, y, a, x, y, a, x}", "{a[0]}",
+      "{a[1:0], 2'b01}", "{a[1:0] x}",
+      // Selects.
+      "a[2]", "a[3:1]", "a[4]", "a[1:2]", "a[x]", "a[3:x]", "x[0:0]",
+      "a[2:0] + x[2:0]", "a[3:0",
+      // Shifts.
+      "a << 0", "a >> 0", "a << 4", "a >> 9", "a << x", "5 << 1",
+      "a << 1 << 2", "(a + x) >> 2", "a >> 1 + 1",
+      // Grouping, literals and associativity.
+      "a + x - y", "a - (x - y)", "(a)", "((a & x) | y)", "4'b1010", "4'hF",
+      "8'd3", "a + 16", "a + 15", "a - 1 - 1", "a == 1 == 1", "a < x < y",
+      "(a", "a +", "", "ghost", "a & x | y ^ a", "a | x & y", "a || 0",
+      "1 && a", "a != 0 != 0"};
+  for (const char *Expr : Exprs)
+    for (bool WideOut : {true, false})
+      Corpus.push_back(assignSource(WideOut, Expr));
+
+  const char *const Modules[] = {
+      // Registers: a latched output reg keeps its port wire, an inner
+      // reg is retyped, and an ANSI continuation inherits the reg flag.
+      "module m(input wire clk, input wire [3:0] d,\n"
+      "         output reg [3:0] q = 4'd3, r);\n"
+      "  reg [3:0] s = 2;\n"
+      "  always @(posedge clk) begin\n"
+      "    q <= d + 1;\n"
+      "    r <= s;\n"
+      "    s <= s + d;\n"
+      "  end\n"
+      "endmodule\n",
+      "module m(clk, d, q);\n"
+      "  input clk;\n"
+      "  input [3:0] d;\n"
+      "  output [3:0] q;\n"
+      "  reg [3:0] q = 4'd9;\n"
+      "  always @(posedge clk) q <= d;\n"
+      "endmodule\n",
+      "module m(input wire clk, input wire a, output wire y);\n"
+      "  reg r = a;\n"
+      "  assign y = a;\n"
+      "endmodule\n",
+      "module m(input wire clk, input wire a, output wire y);\n"
+      "  wire w = 1;\n"
+      "  reg q;\n"
+      "  always @(posedge clk) q <= w & a;\n"
+      "  assign y = q;\n"
+      "endmodule\n",
+      "module m(input wire clk, input wire a, output wire y);\n"
+      "  always @(posedge clk) ghost <= a;\n"
+      "  assign y = a;\n"
+      "endmodule\n",
+      "module m(input wire clk, input wire a, output wire y);\n"
+      "  reg q;\n"
+      "  always @(posedge clock) q <= a;\n"
+      "  assign y = q;\n"
+      "endmodule\n",
+      "module m(input wire clk, input wire a, output wire y);\n"
+      "  reg q;\n"
+      "  always @(posedge clk) begin q <= a;\n"
+      "endmodule\n",
+      "module m(input wire clk, input wire a, output wire y);\n"
+      "  reg [1:0] q;\n"
+      "  always @(posedge clk) q <= 7;\n"
+      "  assign y = q[0];\n"
+      "endmodule\n",
+      "module m(input wire clk, output reg [1:0] q);\n"
+      "  always @(posedge clk) q <= 3;\n"
+      "  always @(posedge clk) q <= 2;\n"
+      "endmodule\n",
+      // Declarations and headers.
+      "module m(input wire a, output wire y);\n"
+      "  assign y[0] = a;\n"
+      "endmodule\n",
+      "module m(input wire a, output wire y);\n"
+      "  assign y = a\n"
+      "endmodule\n",
+      "module m(input wire a, output wire y);\n"
+      "  123;\n"
+      "endmodule\n",
+      "module m(input wire a, output wire y);\n"
+      "  assign y = a;\n"
+      "  assign y = ~a;\n"
+      "endmodule\n",
+      "module m(input wire a, output wire y);\n"
+      "endmodule\n",
+      "module m(input wire [3:1] a, output wire y);\n"
+      "endmodule\n",
+      "module m(input wire [64:0] a, output wire y);\n"
+      "endmodule\n",
+      "module m(input wire [63:0] a, output wire [63:0] y);\n"
+      "  assign y = a + 18446744073709551615;\n"
+      "endmodule\n",
+      "module m(input wire [a:0] a, output wire y);\n"
+      "endmodule\n",
+      "module m(input wire a, b, output wire [1:0] y, z);\n"
+      "  assign y = {a, b};\n"
+      "  assign z = {b, a};\n"
+      "endmodule\n",
+      "module m(wire a);\n"
+      "endmodule\n",
+      "module m(input wire a b, output wire y);\n"
+      "endmodule\n",
+      "module m(input wire a, , output wire y);\n"
+      "endmodule\n",
+      "module m(input wire a, output wire y, );\n"
+      "endmodule\n",
+      "module m(input wire a, wire b, output wire y);\n"
+      "endmodule\n",
+      "module m(input a, input b, output y);\n"
+      "  assign y = a | b;\n"
+      "endmodule\n",
+      "module m(output reg [1:0] q, input wire clk, d);\n"
+      "  always @(posedge clk) q <= {d, d};\n"
+      "endmodule\n",
+      "module m(input wire [1:0] a, b, c, output wire [1:0] y);\n"
+      "  assign y = a ^ b ^ c;\n"
+      "endmodule\n",
+      "module m(input wire clk, output wire [3:0] y);\n"
+      "  reg [3:0] r1 = 1, r2 = 2;\n"
+      "  always @(posedge clk) begin r1 <= r2; r2 <= r1; end\n"
+      "  assign y = r1;\n"
+      "endmodule\n",
+      "module m();\n"
+      "  input a;\n"
+      "endmodule\n",
+      "module m;\n"
+      "  wire w;\n"
+      "  assign w = 1;\n"
+      "endmodule\n",
+      "module m(a, b, y);\n"
+      "  input a, b;\n"
+      "  output y;\n"
+      "  wire t;\n"
+      "  assign t = a ^ b;\n"
+      "  assign y = t;\n"
+      "endmodule\n",
+      "module m(a, y);\n"
+      "  input a;\n"
+      "  assign y = a;\n"
+      "endmodule\n",
+      "module m(a, y);\n"
+      "  input a;\n"
+      "  wire y;\n"
+      "  assign y = a;\n"
+      "endmodule\n",
+      "module m(a, y);\n"
+      "  input a;\n"
+      "  output y;\n"
+      "  input a;\n"
+      "endmodule\n",
+      "module m(a, y);\n"
+      "  input a;\n"
+      "  output y;\n"
+      "  wire a;\n"
+      "endmodule\n",
+      "module m(a, 1);\n"
+      "endmodule\n",
+      "module m(a, y)\n"
+      "endmodule\n",
+      "module m(input wire a, output wire y);\n"
+      "  assign y = a;\n",
+      "module 1;\nendmodule\n",
+      "module m(input wire a, output wire y);\n"
+      "  initial begin end\n"
+      "endmodule\n",
+      // Instances: classic and ANSI definitions, forward references,
+      // unbound outputs and inputs, and every binding refusal.
+      "module top(input wire [3:0] x, output wire [3:0] y, output wire z);\n"
+      "  wire [3:0] mid;\n"
+      "  leaf u0 (.a(x), .y(mid));\n"
+      "  leaf u1 (.y(y), .a(mid + 1));\n"
+      "  pair u2 (.b(x[0]), .a(1), .o(z));\n"
+      "  pair u3 (.a(x[1]), .b(x[2]));\n"
+      "endmodule\n"
+      "module leaf(y, a);\n"
+      "  input [3:0] a;\n"
+      "  output [3:0] y;\n"
+      "  wire [3:0] n;\n"
+      "  assign n = ~a;\n"
+      "  assign y = n;\n"
+      "endmodule\n"
+      "module pair(input wire a, input wire b, output wire o, output wire p);\n"
+      "  assign o = a & b;\n"
+      "  assign p = a | b;\n"
+      "endmodule\n",
+      "module top(input wire [3:0] x, output wire [3:0] y);\n"
+      "  leaf u0 (.a(x), .n(y));\n"
+      "endmodule\n"
+      "module leaf(y, a);\n"
+      "  input [3:0] a;\n"
+      "  output [3:0] y;\n"
+      "  wire [3:0] n;\n"
+      "  assign n = ~a;\n"
+      "  assign y = n;\n"
+      "endmodule\n",
+      "module top(input wire [3:0] x, output wire [3:0] y);\n"
+      "  leaf u0 (.a(x), .a(x), .y(y));\n"
+      "endmodule\n"
+      "module leaf(input wire [3:0] a, output wire [3:0] y);\n"
+      "  assign y = a;\n"
+      "endmodule\n",
+      "module top(input wire [3:0] x, output wire [3:0] y);\n"
+      "  leaf u0 (.a(x), .y(ghost));\n"
+      "endmodule\n"
+      "module leaf(input wire [3:0] a, output wire [3:0] y);\n"
+      "  assign y = a;\n"
+      "endmodule\n",
+      "module top(input wire [3:0] x, output wire [1:0] y);\n"
+      "  leaf u0 (.a(x), .y(y));\n"
+      "endmodule\n"
+      "module leaf(input wire [3:0] a, output wire [3:0] y);\n"
+      "  assign y = a;\n"
+      "endmodule\n",
+      "module top(input wire [3:0] x, output wire [3:0] y);\n"
+      "  leaf u0 (.a(x[1:0]), .y(y));\n"
+      "endmodule\n"
+      "module leaf(input wire [3:0] a, output wire [3:0] y);\n"
+      "  assign y = a;\n"
+      "endmodule\n",
+      "module top(input wire [3:0] x, output wire [3:0] y);\n"
+      "  leaf u0 (.a(x), .y(y & x));\n"
+      "endmodule\n"
+      "module leaf(input wire [3:0] a, output wire [3:0] y);\n"
+      "  assign y = a;\n"
+      "endmodule\n",
+      "module top(input wire [3:0] x, output wire [3:0] y);\n"
+      "  leaf u0 (.y(y));\n"
+      "endmodule\n"
+      "module leaf(input wire [3:0] a, output wire [3:0] y);\n"
+      "  assign y = a;\n"
+      "endmodule\n",
+      "module top(input wire [3:0] x, output wire [3:0] y);\n"
+      "  leaf u0 (a(x), .y(y));\n"
+      "endmodule\n"
+      "module leaf(input wire [3:0] a, output wire [3:0] y);\n"
+      "  assign y = a;\n"
+      "endmodule\n",
+      "module top(input wire [3:0] x, output wire [3:0] y);\n"
+      "  top u0 (.x(x), .y(y));\n"
+      "endmodule\n",
+  };
+  for (const char *Module : Modules)
+    Corpus.push_back(Module);
+
+  // The writer's netlist of a hierarchically lowered forwarding FIFO:
+  // two instances of one definition, chained.
+  {
+    Design D;
+    ModuleId Fifo = D.addModule(gen::makeFifo({4, 1, true}));
+    Builder Top("fifo_pair");
+    V Valid = Top.input("v_i", 1);
+    V Data = Top.input("data_i", 4);
+    V Yumi0 = Top.input("yumi0_i", 1);
+    V Yumi1 = Top.input("yumi1_i", 1);
+    auto First = Top.instantiate(
+        D, Fifo, "u0", {{"v_i", Valid}, {"data_i", Data}, {"yumi_i", Yumi0}});
+    auto Second =
+        Top.instantiate(D, Fifo, "u1",
+                        {{"v_i", First.at("v_o")},
+                         {"data_i", First.at("data_o")},
+                         {"yumi_i", Yumi1}});
+    Top.output("v_o", Second.at("v_o"));
+    Top.output("data_o", Second.at("data_o"));
+    Top.output("ready_o", First.at("ready_o"));
+    ModuleId TopId = D.addModule(Top.finish());
+    synth::HierLowered Low = synth::lowerHierarchical(D, TopId);
+    Corpus.push_back(writeVerilog(Low.Design, Low.Top));
+  }
+
+  // Every source the cases above and ParseDiagTest's Verilog cases
+  // refuse, verbatim.
+  const char *const Refused[] = {
+      "module m(b, a);\n  input a;\n  input b;\n  output y;\n"
+      "  assign y = a & b;\nendmodule\n",
+      "module m(b, a, c);\n  input a;\n  input b;\n  wire y;\n"
+      "  assign y = a & b;\nendmodule\n",
+      "module m(a, a);\n  input a;\nendmodule\n",
+      "module m(input wire a, output wire y);\n  input b;\n"
+      "  assign y = a & b;\nendmodule\n",
+      "module m;\n  input a;\nendmodule\n",
+      "module sub(input wire clk, input reg q,\n"
+      "           output wire y);\n"
+      "  always @(posedge clk) q <= ~q;\n"
+      "  assign y = q;\n"
+      "endmodule\n",
+      "module m(input wire clk, input wire a, output wire y);\n"
+      "  wire w;\n"
+      "  always @(posedge clk) w <= a;\n"
+      "  assign y = w;\n"
+      "endmodule\n",
+      "module a(input wire x, output wire y);\n"
+      "  assign y = x;\n"
+      "endmodule\n"
+      "module a(input wire x, output wire y);\n"
+      "  assign y = ~x;\n"
+      "endmodule\n",
+      "",
+      "module m(input wire a); assign b = a; endmodule",
+      "module m(input wire a, output wire y);\n"
+      "  assign y = a + 2'b11;\nendmodule",
+      "module m(input wire a, output wire y);\n"
+      "  initial y = 0;\nendmodule",
+      "module m(input wire a, output wire y);\n"
+      "  assign y = q;\nendmodule",
+      "module top(input wire x, output wire y);\n"
+      "  inv u0 (.a(x), .n(y));\nendmodule\n"
+      "module inv(input wire a, output wire y);\n"
+      "  wire n;\n  assign n = ~a;\n  assign y = n;\nendmodule",
+      "garbage\n",
+      "module m(input wire a, output wire y);\n"
+      "  wire a;\n"
+      "  assign y = a;\n"
+      "endmodule\n",
+      "module m(input wire a, b, a, output wire y);\n"
+      "  assign y = a & b;\n"
+      "endmodule\n",
+      "module m(output wire y);\n"
+      "  assign y = ghost;\n"
+      "endmodule\n",
+      "module m(input wire [7:0] a, input wire [3:0] b,\n"
+      "         output wire [7:0] y);\n"
+      "  assign y = a + b;\n"
+      "endmodule\n",
+      "module m(input wire [4:1] a, output wire y);\n"
+      "  assign y = a[1];\n"
+      "endmodule\n",
+      "module m(input wire a, output wire y);\n"
+      "  mystery u0(.x(a), .y(y));\n"
+      "endmodule\n",
+      "module m(output wire y);\n"
+      "  assign y = ghost1;\n"
+      "  assign z = ghost2;\n"
+      "endmodule\n",
+  };
+  for (const char *Source : Refused)
+    Corpus.push_back(Source);
+  return Corpus;
+}
 } // namespace
 
 TEST(VerilogReaderTest, AnsiPortsAndAssigns) {
@@ -415,4 +795,29 @@ endmodule
   S->evaluate();
   EXPECT_EQ(S->value("y"), 1235u);
   EXPECT_EQ(S->value("z"), 1u);
+}
+
+TEST(VerilogReaderTest, ParsedCorpusIsPinned) {
+  // Everything the reader decides on each corpus source: a parsed
+  // design fact by fact (wire ids, names and constants, nets, registers,
+  // instance bindings, port order), or a refusal's diagnostics with
+  // their codes and positions. Any change to either moves the digest,
+  // which was computed before the reader kept one name table per module
+  // and parsed binary operators in one precedence loop.
+  const std::vector<std::string> Corpus = readerCorpus();
+  ASSERT_EQ(Corpus.size(), 1117u);
+  std::string Dump;
+  size_t Parsed = 0;
+  for (const std::string &Source : Corpus) {
+    auto File = parseVerilog(Source, "c.v");
+    if (File) {
+      ++Parsed;
+      Dump += "top " + std::to_string(File->Top) + '\n' +
+              test::dumpDesign(File->Design);
+    } else {
+      Dump += "refused\n" + test::dumpDiags(File.diags());
+    }
+  }
+  EXPECT_EQ(Parsed, 332u);
+  EXPECT_EQ(support::wire::fnv1a(Dump), 0x7b7ef6b2447653ccull);
 }
