@@ -275,6 +275,7 @@ int main(int ArgC, char **ArgV) {
       support::wire::Reader R(Stream);
       if (!R.readHeader())
         return 1;
+      const ModuleIndex Modules(D);
       support::wire::Reader::Record Rec;
       for (;;) {
         support::wire::Reader::Item It = R.next(Rec);
@@ -289,7 +290,7 @@ int main(int ArgC, char **ArgV) {
         support::wire::Reader::Cursor C(Rec, R);
         ModuleSummary S;
         std::string Why;
-        if (!analysis::detail::decodeSummaryBody(C, D, S, Why)) {
+        if (!analysis::detail::decodeSummaryBody(C, D, Modules, S, Why)) {
           std::fprintf(stderr, "codec throughput: %s\n", Why.c_str());
           return 1;
         }

@@ -638,6 +638,7 @@ SummaryEngine::loadCache(const std::string &Path, const Design &D) {
             .withNote("detail", Reason));
   };
 
+  const ModuleIndex Modules(D);
   bool SawBegin = false;
   for (;;) {
     support::wire::Reader::Record Rec;
@@ -686,7 +687,8 @@ SummaryEngine::loadCache(const std::string &Path, const Design &D) {
     // is provably *stale*, not corrupt — the design evolved past it
     // (module renamed away, interface changed). Stale entries never hit,
     // so skipping silently loses nothing.
-    if (!C.getFixed64(Key) || !detail::decodeSummaryBody(C, D, S, DecodeWhy))
+    if (!C.getFixed64(Key) ||
+        !detail::decodeSummaryBody(C, D, Modules, S, DecodeWhy))
       continue;
     Cache.insert(Key, S);
     ++Res.Loaded;

@@ -116,6 +116,7 @@ analysis::parseSummaries(const std::string &Text, const Design &D,
   std::string Line;
   size_t LineNo = 0;
 
+  const ModuleIndex Modules(D);
   const Module *M = nullptr;
   ModuleId CurId = InvalidId;
   ModuleSummary Cur;
@@ -149,7 +150,7 @@ analysis::parseSummaries(const std::string &Text, const Design &D,
       std::string Name;
       if (!(LS >> Name))
         return fail("module expects a name");
-      ModuleId Id = D.findModule(Name);
+      ModuleId Id = Modules.find(Name);
       if (Id == InvalidId)
         return fail("unknown module '" + Name + "'");
       M = &D.module(Id);
@@ -309,13 +310,14 @@ void encodeSummaryBody(support::wire::Writer &W, const Module &M,
 }
 
 bool decodeSummaryBody(support::wire::Reader::Cursor &C, const Design &D,
-                       ModuleSummary &Out, std::string &Why) {
+                       const ModuleIndex &Modules, ModuleSummary &Out,
+                       std::string &Why) {
   std::string_view Name;
   if (!C.getString(Name)) {
     Why = "truncated module name";
     return false;
   }
-  ModuleId Id = D.findModule(std::string(Name));
+  ModuleId Id = Modules.find(Name);
   if (Id == InvalidId) {
     Why = "unknown module '" + std::string(Name) + "'";
     return false;
@@ -449,6 +451,7 @@ analysis::readSummariesBinary(const std::string &Bytes, const Design &D,
   if (!R.readHeader(&Why))
     return fail(Why, 0);
 
+  const ModuleIndex Modules(D);
   std::map<ModuleId, ModuleSummary> Result;
   bool SawBegin = false;
   for (;;) {
@@ -488,7 +491,7 @@ analysis::readSummariesBinary(const std::string &Bytes, const Design &D,
     if (!SawBegin)
       return fail("module record before StreamBegin", Rec.Offset);
     ModuleSummary S;
-    if (!detail::decodeSummaryBody(C, D, S, Why))
+    if (!detail::decodeSummaryBody(C, D, Modules, S, Why))
       return fail(Why, Rec.Offset);
     Result[S.Id] = std::move(S);
   }

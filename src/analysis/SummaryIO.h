@@ -98,12 +98,13 @@ namespace detail {
 /// records and CacheEntry payloads (docs/FORMATS.md). encode appends to
 /// the writer's current record; decode resolves against \p D and runs
 /// the same consistency cross-checks as the text parser, reporting the
-/// failure in \p Why.
+/// failure in \p Why. \p Modules indexes \p D; a reader builds it once
+/// and passes it to every record it decodes.
 void encodeSummaryBody(support::wire::Writer &W, const ir::Module &M,
                        const ModuleSummary &S);
 bool decodeSummaryBody(support::wire::Reader::Cursor &C,
-                       const ir::Design &D, ModuleSummary &Out,
-                       std::string &Why);
+                       const ir::Design &D, const ir::ModuleIndex &Modules,
+                       ModuleSummary &Out, std::string &Why);
 
 } // namespace detail
 

@@ -25,6 +25,17 @@ ModuleId Design::findModule(const std::string &Name) const {
   return InvalidId;
 }
 
+ModuleIndex::ModuleIndex(const Design &D) {
+  Ids.reserve(D.numModules());
+  for (ModuleId Id = 0; Id != D.numModules(); ++Id)
+    Ids.emplace(D.module(Id).Name, Id); // Keeps the first of a name.
+}
+
+ModuleId ModuleIndex::find(std::string_view Name) const {
+  auto It = Ids.find(Name);
+  return It == Ids.end() ? InvalidId : It->second;
+}
+
 std::optional<std::vector<ModuleId>> Design::topologicalModuleOrder() const {
   std::vector<CsrGraph::Edge> Edges;
   for (ModuleId Id = 0; Id != Modules.size(); ++Id)

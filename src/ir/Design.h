@@ -21,6 +21,8 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace wiresort::ir {
@@ -36,7 +38,9 @@ public:
   const Module &module(ModuleId Id) const { return Modules[Id]; }
   size_t numModules() const { return Modules.size(); }
 
-  /// Finds a module by name; InvalidId when absent.
+  /// Finds a module by name; InvalidId when absent. A linear scan for
+  /// one-off lookups; a caller resolving many names builds a
+  /// \ref ModuleIndex.
   ModuleId findModule(const std::string &Name) const;
 
   /// Validates every module plus the cross-module properties local
@@ -53,6 +57,22 @@ public:
 
 private:
   std::vector<Module> Modules;
+};
+
+/// Module ids by name, for a caller resolving many names against one
+/// design (the summary decoders resolve one per record). The first
+/// module with a name wins, as in \ref Design::findModule. It holds
+/// views of the module names, so it is valid while the design's modules
+/// keep their names and places.
+class ModuleIndex {
+public:
+  explicit ModuleIndex(const Design &D);
+
+  /// \returns the first module named \p Name, or InvalidId.
+  ModuleId find(std::string_view Name) const;
+
+private:
+  std::unordered_map<std::string_view, ModuleId> Ids;
 };
 
 } // namespace wiresort::ir

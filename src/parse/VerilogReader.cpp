@@ -17,8 +17,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <tuple>
+#include <unordered_map>
 
 using namespace wiresort;
 using namespace wiresort::ir;
@@ -34,24 +37,42 @@ struct Value {
   bool Unsized = false;
 };
 
+/// What one name in a module stands for.
+struct NameEntry {
+  static constexpr size_t NotListed = SIZE_MAX;
+  /// The declared wire; InvalidId while a classic header lists the name
+  /// and no declaration has come yet.
+  WireId Wire = InvalidId;
+  /// Declared 'reg' (a register once a nonblocking assignment drives it).
+  bool IsReg = false;
+  /// The declaration's initializer, 0 when it has none.
+  uint64_t Init = 0;
+  /// The name's token in a classic header list (token order is header
+  /// order), or NotListed.
+  size_t ListedAt = NotListed;
+};
+
 /// Everything known about one module between the phases.
 struct ModuleShell {
   Module M;
   /// Token span of the module body (after the header ';').
   size_t BodyBegin = 0, BodyEnd = 0;
-  /// A classic (non-ANSI) header's port names, each mapped to the index
-  /// of its token; token order is header order. Only these names may be
-  /// declared input or output in the body.
-  std::map<std::string, size_t> ClassicPorts;
+  /// The header is a classic (non-ANSI) name list: only the names it
+  /// lists may be declared input or output in the body.
+  bool Classic = false;
   /// Token spans of the body declarations phase 1 consumed, in order.
   std::vector<std::pair<size_t, size_t>> DeclSpans;
-  std::map<std::string, WireId> ByName;
-  /// The ports by name, indexed once phase 1 has declared them all.
-  PortIndex Ports;
-  /// Declared 'reg' names (promoted to registers when assigned).
-  std::set<std::string> Regs;
-  /// Declared reg initializers.
-  std::map<std::string, uint64_t> RegInit;
+  /// Every name the module declares or its header lists (names are
+  /// unique per module).
+  std::unordered_map<std::string, NameEntry> Names;
+
+  /// \returns the declaration of \p Name, or null when nothing declares
+  /// it (a listed name has an entry and no wire until its declaration).
+  const NameEntry *declared(const std::string &Name) const {
+    auto It = Names.find(Name);
+    return It == Names.end() || It->second.Wire == InvalidId ? nullptr
+                                                             : &It->second;
+  }
 };
 
 class Parser {
@@ -198,48 +219,16 @@ private:
     return true;
   }
 
-  enum class Dir { None, Input, Output };
-
-  /// Declares net \p Name, read at token \p NameTok (where a duplicate
-  /// is reported).
-  bool declareNet(ModuleShell &Shell, Dir Direction, bool IsReg,
-                  uint16_t Width, const std::string &Name, size_t NameTok) {
-    if (Shell.ByName.count(Name))
-      return failBAt(NameTok, "duplicate declaration of '" + Name + "'");
-    WireId W;
-    switch (Direction) {
-    case Dir::Input:
-      W = Shell.M.addInput(Name, Width);
-      break;
-    case Dir::Output:
-      W = Shell.M.addOutput(Name, Width);
-      break;
-    case Dir::None:
-      W = Shell.M.addWire(Name, WireKind::Basic, Width);
-      break;
-    }
-    Shell.ByName[Name] = W;
-    if (IsReg)
-      Shell.Regs.insert(Name);
-    // Optional initializer: reg q = 1'b1;
-    if (atPunct("=")) {
-      advance();
-      if (cur().Kind != TokKind::Number)
-        return failB("reg initializer must be a literal");
-      Shell.RegInit[Name] = cur().Value;
-      advance();
-    }
-    return true;
-  }
-
   /// Parses "input|output|wire|reg [range] name {, name}" after the
-  /// direction keyword has been *identified* but not consumed.
+  /// direction keyword has been *identified* but not consumed. In an
+  /// ANSI header a comma either continues the declaration or starts the
+  /// next one, which the caller parses.
   bool parseDecl(ModuleShell &Shell, bool InHeader) {
-    Dir Direction = Dir::None;
+    WireKind Kind = WireKind::Basic;
     if (accept("input"))
-      Direction = Dir::Input;
+      Kind = WireKind::Input;
     else if (accept("output"))
-      Direction = Dir::Output;
+      Kind = WireKind::Output;
     bool IsReg = false;
     if (accept("reg"))
       IsReg = true;
@@ -253,23 +242,34 @@ private:
       const size_t NameTok = Pos;
       if (!expectIdent(Name))
         return false;
-      if (Direction != Dir::None && !InHeader &&
-          !Shell.ClassicPorts.count(Name))
+      NameEntry &Entry = Shell.Names[Name];
+      if (Kind != WireKind::Basic && !InHeader &&
+          Entry.ListedAt == NameEntry::NotListed)
         return failBAt(NameTok, "port '" + Name +
                                     "' is not in the port list of module '" +
                                     Shell.M.Name + "'");
-      if (!declareNet(Shell, Direction, IsReg, Width, Name, NameTok))
-        return false;
-      if (InHeader) {
-        // In an ANSI header the comma either continues this decl or
-        // starts a new one; the caller handles that.
-        return true;
+      if (Entry.Wire != InvalidId)
+        return failBAt(NameTok, "duplicate declaration of '" + Name + "'");
+      Entry.Wire = Kind == WireKind::Input ? Shell.M.addInput(Name, Width)
+                   : Kind == WireKind::Output
+                       ? Shell.M.addOutput(Name, Width)
+                       : Shell.M.addWire(Name, Kind, Width);
+      Entry.IsReg = IsReg;
+      // Optional initializer: reg q = 1'b1;
+      if (atPunct("=")) {
+        advance();
+        if (cur().Kind != TokKind::Number)
+          return failB("reg initializer must be a literal");
+        Entry.Init = cur().Value;
+        advance();
       }
       if (!atPunct(","))
         break;
       advance();
+      if (InHeader && (at("input") || at("output")))
+        return true;
     }
-    return expect(";");
+    return InHeader || expect(";");
   }
 
   bool parseModuleShell() {
@@ -289,44 +289,23 @@ private:
         // ANSI declarations or a classic name list.
         bool Ansi = at("input") || at("output");
         if (Ansi) {
-          while (true) {
+          do {
             if (!at("input") && !at("output"))
               return failB("expected port direction");
             if (!parseDecl(Shell, /*InHeader=*/true))
               return false;
-            // Additional names under the same decl arrive as plain
-            // identifiers after commas; new directions restart.
-            while (atPunct(",")) {
-              advance();
-              if (at("input") || at("output"))
-                break;
-              std::string Name;
-              const size_t NameTok = Pos;
-              if (!expectIdent(Name))
-                return false;
-              // Inherit direction/width of the previous declaration.
-              const WireView Prev =
-                  Shell.M.wire(Shell.M.numWires() - 1);
-              Dir Direction = Prev.Kind == WireKind::Input
-                                  ? Dir::Input
-                                  : Dir::Output;
-              if (!declareNet(Shell, Direction,
-                              Shell.Regs.count(Prev.Name) != 0,
-                              Prev.Width, Name, NameTok))
-                return false;
-            }
-            if (atPunct(")"))
-              break;
-          }
+          } while (!atPunct(")"));
         } else {
           // Classic: just names; directions come from body decls, and
           // the header order becomes the port order once they are in.
+          Shell.Classic = true;
           while (true) {
             std::string Name;
             const size_t PortTok = Pos;
             if (!expectIdent(Name))
               return false;
-            if (!Shell.ClassicPorts.emplace(Name, PortTok).second)
+            if (!Shell.Names.emplace(Name, NameEntry{.ListedAt = PortTok})
+                     .second)
               return failBAt(PortTok, "port '" + Name + "' listed twice");
             if (!atPunct(","))
               break;
@@ -364,29 +343,28 @@ private:
     Shell.BodyEnd = Pos;
     if (!expect("endmodule"))
       return false;
-    if (!orderClassicPorts(Shell))
+    if (!orderListedPorts(Shell))
       return false;
-    Shell.Ports = PortIndex(Shell.M);
     Shells.push_back(std::move(Shell));
     return true;
   }
 
   /// Puts a classic header's ports in header order. Every body
   /// input/output is listed (parseDecl refuses the others), so each
-  /// listed name must resolve to one.
-  bool orderClassicPorts(ModuleShell &Shell) {
-    if (Shell.ClassicPorts.empty())
+  /// listed name must resolve to one. The only walk over the name
+  /// table: it sorts by token, so the table's order never shows.
+  bool orderListedPorts(ModuleShell &Shell) {
+    if (!Shell.Classic)
       return true;
-    std::vector<std::pair<size_t, const std::string *>> Listed;
-    for (const auto &[Name, Tok] : Shell.ClassicPorts)
-      Listed.emplace_back(Tok, &Name);
+    std::vector<std::tuple<size_t, const std::string *, WireId>> Listed;
+    for (const auto &[Name, Entry] : Shell.Names)
+      if (Entry.ListedAt != NameEntry::NotListed)
+        Listed.emplace_back(Entry.ListedAt, &Name, Entry.Wire);
     std::sort(Listed.begin(), Listed.end());
     Module &M = Shell.M;
     M.Inputs.clear();
     M.Outputs.clear();
-    for (const auto &[Tok, Name] : Listed) {
-      auto It = Shell.ByName.find(*Name);
-      WireId W = It == Shell.ByName.end() ? InvalidId : It->second;
+    for (const auto &[Tok, Name, W] : Listed) {
       if (W != InvalidId && M.isInput(W))
         M.Inputs.push_back(W);
       else if (W != InvalidId && M.isOutput(W))
@@ -403,6 +381,15 @@ private:
   WireId freshWire(ModuleShell &Shell, uint16_t Width) {
     return Shell.M.addWire("$t" + std::to_string(Temp++),
                            WireKind::Basic, Width);
+  }
+
+  /// Adds a net computing \p Operation of \p Inputs into a fresh
+  /// \p Width-bit wire, whose value it returns.
+  Value emitNet(ModuleShell &Shell, Op Operation, std::vector<WireId> Inputs,
+                uint16_t Width, uint32_t Aux = 0) {
+    WireId W = freshWire(Shell, Width);
+    Shell.M.addNet(Operation, std::move(Inputs), W, Aux);
+    return Value{W, Width};
   }
 
   Value constValue(ModuleShell &Shell, uint64_t V, uint16_t Width,
@@ -441,19 +428,13 @@ private:
     }
     uint16_t OutW =
         (Operation == Op::Eq || Operation == Op::Lt) ? 1 : A.Width;
-    WireId W = freshWire(Shell, OutW);
-    Shell.M.addNet(Operation, {A.Wire, B.Wire}, W);
-    Out = Value{W, OutW, false};
+    Out = emitNet(Shell, Operation, {A.Wire, B.Wire}, OutW);
     return true;
   }
 
   /// OR-reduces to one bit (for logical operators).
   Value toBool(ModuleShell &Shell, Value V) {
-    if (V.Width == 1)
-      return V;
-    WireId W = freshWire(Shell, 1);
-    Shell.M.addNet(Op::OrR, {V.Wire}, W);
-    return Value{W, 1, false};
+    return V.Width == 1 ? V : emitNet(Shell, Op::OrR, {V.Wire}, 1);
   }
 
   /// Constant shift via concat/select (no variable shifts in the
@@ -474,24 +455,21 @@ private:
     WireId Zeros = Shell.M.addWire("$z" + std::to_string(Temp++),
                                    WireKind::Const,
                                    static_cast<uint16_t>(By), 0);
-    WireId Piece = freshWire(Shell, static_cast<uint16_t>(W - By));
-    WireId Result = freshWire(Shell, W);
-    if (Left) {
-      Shell.M.addNet(Op::Select, {A.Wire}, Piece, /*Aux=*/0);
-      Shell.M.addNet(Op::Concat, {Piece, Zeros}, Result);
-    } else {
-      Shell.M.addNet(Op::Select, {A.Wire}, Piece,
-                     /*Aux=*/static_cast<uint32_t>(By));
-      Shell.M.addNet(Op::Concat, {Zeros, Piece}, Result);
-    }
-    Out = Value{Result, W, false};
+    // a << n keeps bits [W-n-1:0] above n zeros; a >> n keeps [W-1:n].
+    Value Piece =
+        emitNet(Shell, Op::Select, {A.Wire}, static_cast<uint16_t>(W - By),
+                Left ? 0 : static_cast<uint32_t>(By));
+    Out = emitNet(Shell, Op::Concat,
+                  Left ? std::vector<WireId>{Piece.Wire, Zeros}
+                       : std::vector<WireId>{Zeros, Piece.Wire},
+                  W);
     return true;
   }
 
   // Expression grammar, lowest precedence first.
   bool parseExpr(ModuleShell &Shell, Value &Out) { // ?:
     Value Cond;
-    if (!parseLogicalOr(Shell, Cond))
+    if (!parseBinary(Shell, 0, Cond))
       return false;
     if (!atPunct("?")) {
       Out = Cond;
@@ -514,160 +492,79 @@ private:
       if (TrueV.Width != FalseV.Width)
         return failB("mux arm width mismatch");
     }
-    WireId W = freshWire(Shell, TrueV.Width);
-    Shell.M.addNet(Op::Mux, {Cond.Wire, TrueV.Wire, FalseV.Wire}, W);
-    Out = Value{W, TrueV.Width, false};
+    Out = emitNet(Shell, Op::Mux, {Cond.Wire, TrueV.Wire, FalseV.Wire},
+                  TrueV.Width);
     return true;
   }
 
-  bool parseLogicalOr(ModuleShell &Shell, Value &Out) {
-    if (!parseLogicalAnd(Shell, Out))
-      return false;
-    while (atPunct("||")) {
-      advance();
-      Value Rhs;
-      if (!parseLogicalAnd(Shell, Rhs))
-        return false;
-      Value A = toBool(Shell, Out), B = toBool(Shell, Rhs);
-      if (!emitBinary(Shell, Op::Or, A, B, Out))
-        return false;
-    }
-    return true;
+  /// How a binary operator builds its net from operands a and b.
+  enum Form : uint8_t {
+    Plain = 0,
+    Logical = 1, ///< op(|a, |b): || and && reduce each operand to a bit.
+    Swap = 2,    ///< op(b, a): a > b is b < a.
+    Negate = 4,  ///< ~op(..): a != b is ~(a == b), a >= b is ~(a < b).
+    Shift = 8,   ///< b is a number token; emitShift builds the net.
+  };
+
+  struct BinaryOp {
+    const char *Text;
+    /// Precedence level: 0 binds loosest; each level is left-associative.
+    unsigned Level;
+    Op Operation; ///< Unused by the shifts.
+    uint8_t How;  ///< Form flags.
+  };
+
+  static constexpr unsigned NumLevels = 9;
+  static constexpr BinaryOp BinaryOps[] = {
+      {"||", 0, Op::Or, Logical},       {"&&", 1, Op::And, Logical},
+      {"|", 2, Op::Or, Plain},          {"^", 3, Op::Xor, Plain},
+      {"&", 4, Op::And, Plain},         {"==", 5, Op::Eq, Plain},
+      {"!=", 5, Op::Eq, Negate},        {"<", 6, Op::Lt, Plain},
+      {">", 6, Op::Lt, Swap},           {"<=", 6, Op::Lt, Swap | Negate},
+      {">=", 6, Op::Lt, Negate},        {"<<", 7, Op::Concat, Shift},
+      {">>", 7, Op::Concat, Shift},     {"+", 8, Op::Add, Plain},
+      {"-", 8, Op::Sub, Plain}};
+
+  /// \returns the operator of precedence \p Level at the cursor, if any.
+  const BinaryOp *binaryOpAt(unsigned Level) const {
+    if (cur().Kind != TokKind::Punct)
+      return nullptr;
+    for (const BinaryOp &Bin : BinaryOps)
+      if (Bin.Level == Level && cur().Text == Bin.Text)
+        return &Bin;
+    return nullptr;
   }
 
-  bool parseLogicalAnd(ModuleShell &Shell, Value &Out) {
-    if (!parseBitOr(Shell, Out))
+  /// Parses the operators of precedence \p Level and tighter.
+  bool parseBinary(ModuleShell &Shell, unsigned Level, Value &Out) {
+    if (Level == NumLevels)
+      return parseUnary(Shell, Out);
+    if (!parseBinary(Shell, Level + 1, Out))
       return false;
-    while (atPunct("&&")) {
+    while (const BinaryOp *Bin = binaryOpAt(Level)) {
       advance();
-      Value Rhs;
-      if (!parseBitOr(Shell, Rhs))
-        return false;
-      Value A = toBool(Shell, Out), B = toBool(Shell, Rhs);
-      if (!emitBinary(Shell, Op::And, A, B, Out))
-        return false;
-    }
-    return true;
-  }
-
-  bool parseBitOr(ModuleShell &Shell, Value &Out) {
-    if (!parseBitXor(Shell, Out))
-      return false;
-    while (atPunct("|")) {
-      advance();
-      Value Rhs;
-      if (!parseBitXor(Shell, Rhs))
-        return false;
-      if (!emitBinary(Shell, Op::Or, Out, Rhs, Out))
-        return false;
-    }
-    return true;
-  }
-
-  bool parseBitXor(ModuleShell &Shell, Value &Out) {
-    if (!parseBitAnd(Shell, Out))
-      return false;
-    while (atPunct("^")) {
-      advance();
-      Value Rhs;
-      if (!parseBitAnd(Shell, Rhs))
-        return false;
-      if (!emitBinary(Shell, Op::Xor, Out, Rhs, Out))
-        return false;
-    }
-    return true;
-  }
-
-  bool parseBitAnd(ModuleShell &Shell, Value &Out) {
-    if (!parseEquality(Shell, Out))
-      return false;
-    while (atPunct("&")) {
-      advance();
-      Value Rhs;
-      if (!parseEquality(Shell, Rhs))
-        return false;
-      if (!emitBinary(Shell, Op::And, Out, Rhs, Out))
-        return false;
-    }
-    return true;
-  }
-
-  bool parseEquality(ModuleShell &Shell, Value &Out) {
-    if (!parseRelational(Shell, Out))
-      return false;
-    while (atPunct("==") || atPunct("!=")) {
-      bool Negate = cur().Text == "!=";
-      advance();
-      Value Rhs;
-      if (!parseRelational(Shell, Rhs))
-        return false;
-      if (!emitBinary(Shell, Op::Eq, Out, Rhs, Out))
-        return false;
-      if (Negate) {
-        WireId W = freshWire(Shell, 1);
-        Shell.M.addNet(Op::Not, {Out.Wire}, W);
-        Out = Value{W, 1, false};
-      }
-    }
-    return true;
-  }
-
-  bool parseRelational(ModuleShell &Shell, Value &Out) {
-    if (!parseShift(Shell, Out))
-      return false;
-    while (atPunct("<") || atPunct(">") || atPunct("<=") ||
-           atPunct(">=")) {
-      std::string Op2 = cur().Text;
-      advance();
-      Value Rhs;
-      if (!parseShift(Shell, Rhs))
-        return false;
-      // a > b == b < a; a >= b == !(a < b); a <= b == !(b < a).
-      Value &L = (Op2 == "<" || Op2 == "<=") ? Out : Rhs;
-      Value &R = (Op2 == "<" || Op2 == "<=") ? Rhs : Out;
-      Value Lt;
-      if (Op2 == "<" || Op2 == ">") {
-        if (!emitBinary(Shell, Op::Lt, L, R, Lt))
+      if (Bin->How & Shift) {
+        if (cur().Kind != TokKind::Number)
+          return failU("only constant shift amounts are supported");
+        const uint64_t By = cur().Value;
+        advance();
+        if (!emitShift(Shell, Bin->Text[0] == '<', Out, By, Out))
           return false;
-        Out = Lt;
-      } else {
-        if (!emitBinary(Shell, Op::Lt, R, L, Lt))
-          return false;
-        WireId W = freshWire(Shell, 1);
-        Shell.M.addNet(Op::Not, {Lt.Wire}, W);
-        Out = Value{W, 1, false};
+        continue;
       }
-    }
-    return true;
-  }
-
-  bool parseShift(ModuleShell &Shell, Value &Out) {
-    if (!parseAdditive(Shell, Out))
-      return false;
-    while (atPunct("<<") || atPunct(">>")) {
-      bool Left = cur().Text == "<<";
-      advance();
-      if (cur().Kind != TokKind::Number)
-        return failU("only constant shift amounts are supported");
-      uint64_t By = cur().Value;
-      advance();
-      if (!emitShift(Shell, Left, Out, By, Out))
-        return false;
-    }
-    return true;
-  }
-
-  bool parseAdditive(ModuleShell &Shell, Value &Out) {
-    if (!parseUnary(Shell, Out))
-      return false;
-    while (atPunct("+") || atPunct("-")) {
-      Op Operation = cur().Text == "+" ? Op::Add : Op::Sub;
-      advance();
       Value Rhs;
-      if (!parseUnary(Shell, Rhs))
+      if (!parseBinary(Shell, Level + 1, Rhs))
         return false;
-      if (!emitBinary(Shell, Operation, Out, Rhs, Out))
+      if (Bin->How & Logical) {
+        Out = toBool(Shell, Out);
+        Rhs = toBool(Shell, Rhs);
+      }
+      Value &A = Bin->How & Swap ? Rhs : Out;
+      Value &B = Bin->How & Swap ? Out : Rhs;
+      if (!emitBinary(Shell, Bin->Operation, A, B, Out))
         return false;
+      if (Bin->How & Negate)
+        Out = emitNet(Shell, Op::Not, {Out.Wire}, 1);
     }
     return true;
   }
@@ -677,19 +574,14 @@ private:
       advance();
       if (!parseUnary(Shell, Out))
         return false;
-      WireId W = freshWire(Shell, Out.Width);
-      Shell.M.addNet(Op::Not, {Out.Wire}, W);
-      Out = Value{W, Out.Width, false};
+      Out = emitNet(Shell, Op::Not, {Out.Wire}, Out.Width);
       return true;
     }
     if (atPunct("!")) {
       advance();
       if (!parseUnary(Shell, Out))
         return false;
-      Out = toBool(Shell, Out);
-      WireId W = freshWire(Shell, 1);
-      Shell.M.addNet(Op::Not, {Out.Wire}, W);
-      Out = Value{W, 1, false};
+      Out = emitNet(Shell, Op::Not, {toBool(Shell, Out).Wire}, 1);
       return true;
     }
     // Reduction operators: &x |x ^x as prefixes of a primary.
@@ -705,9 +597,7 @@ private:
       Value Inner;
       if (!parseUnary(Shell, Inner))
         return false;
-      WireId W = freshWire(Shell, 1);
-      Shell.M.addNet(Operation, {Inner.Wire}, W);
-      Out = Value{W, 1, false};
+      Out = emitNet(Shell, Operation, {Inner.Wire}, 1);
       return true;
     }
     return parsePrimary(Shell, Out);
@@ -750,17 +640,16 @@ private:
       }
       if (Total > 64)
         return failU("concatenation wider than 64 bits");
-      WireId W = freshWire(Shell, static_cast<uint16_t>(Total));
-      Shell.M.addNet(Op::Concat, std::move(Ids), W);
-      Out = Value{W, static_cast<uint16_t>(Total), false};
+      Out = emitNet(Shell, Op::Concat, std::move(Ids),
+                    static_cast<uint16_t>(Total));
       return true;
     }
     if (cur().Kind == TokKind::Ident) {
-      auto It = Shell.ByName.find(cur().Text);
-      if (It == Shell.ByName.end())
+      const NameEntry *Entry = Shell.declared(cur().Text);
+      if (!Entry)
         return failB("use of undeclared net '" + cur().Text + "'");
       advance();
-      Value V{It->second, Shell.M.wire(It->second).Width, false};
+      Out = Value{Entry->Wire, Shell.M.wire(Entry->Wire).Width};
       // Optional bit/part select.
       if (atPunct("[")) {
         advance();
@@ -778,15 +667,12 @@ private:
         }
         if (!expect("]"))
           return false;
-        if (Lo > Hi || Hi >= V.Width)
+        if (Lo > Hi || Hi >= Out.Width)
           return failB("select out of range");
-        uint16_t W = static_cast<uint16_t>(Hi - Lo + 1);
-        WireId Sliced = freshWire(Shell, W);
-        Shell.M.addNet(Op::Select, {V.Wire}, Sliced,
-                       static_cast<uint32_t>(Lo));
-        V = Value{Sliced, W, false};
+        Out = emitNet(Shell, Op::Select, {Out.Wire},
+                      static_cast<uint16_t>(Hi - Lo + 1),
+                      static_cast<uint32_t>(Lo));
       }
-      Out = V;
       return true;
     }
     return failB("expected expression, got '" + cur().Text + "'");
@@ -800,50 +686,45 @@ private:
       return false;
     if (atPunct("["))
       return failU("bit-select assignment targets are unsupported");
-    auto It = Shell.ByName.find(Target);
-    if (It == Shell.ByName.end())
+    const NameEntry *Entry = Shell.declared(Target);
+    if (!Entry)
       return failB("assignment to undeclared net '" + Target + "'");
     if (!expect("="))
       return false;
     Value V;
     if (!parseExpr(Shell, V))
       return false;
-    uint16_t Width = Shell.M.wire(It->second).Width;
-    if (!adapt(Shell, V, Width))
+    if (!adapt(Shell, V, Shell.M.wire(Entry->Wire).Width))
       return false;
-    Shell.M.addNet(Op::Buf, {V.Wire}, It->second);
+    Shell.M.addNet(Op::Buf, {V.Wire}, Entry->Wire);
     return expect(";");
   }
 
   bool elaborateRegister(ModuleShell &Shell, const std::string &Target,
                          size_t TargetTok, Value D) {
-    auto It = Shell.ByName.find(Target);
-    if (It == Shell.ByName.end())
+    const NameEntry *Entry = Shell.declared(Target);
+    if (!Entry)
       return failBAt(TargetTok, "nonblocking assignment to undeclared '" +
                                     Target + "'");
-    if (!Shell.Regs.count(Target))
+    if (!Entry->IsReg)
       return failBAt(TargetTok, "nonblocking assignment target '" + Target +
                                     "' is not a reg");
-    WireId Q = It->second;
+    const WireId Q = Entry->Wire;
     if (Shell.M.isInput(Q))
       return failBAt(TargetTok, "nonblocking assignment to input '" +
                                     Target + "'");
     uint16_t Width = Shell.M.wire(Q).Width;
     if (!adapt(Shell, D, Width))
       return false;
-    uint64_t Init = 0;
-    auto InitIt = Shell.RegInit.find(Target);
-    if (InitIt != Shell.RegInit.end())
-      Init = InitIt->second;
-    if (Shell.M.wire(Q).Kind == WireKind::Output) {
+    if (Shell.M.isOutput(Q)) {
       // Latched output port: register an inner wire, buffer it out.
       WireId Inner =
           Shell.M.addWire(Target + "$reg", WireKind::Reg, Width);
-      Shell.M.addRegister(D.Wire, Inner, Init);
+      Shell.M.addRegister(D.Wire, Inner, Entry->Init);
       Shell.M.addNet(Op::Buf, {Inner}, Q);
     } else {
       Shell.M.Wires[Q].Kind = WireKind::Reg;
-      Shell.M.addRegister(D.Wire, Q, Init);
+      Shell.M.addRegister(D.Wire, Q, Entry->Init);
     }
     return true;
   }
@@ -854,7 +735,7 @@ private:
     std::string Clock;
     if (!expectIdent(Clock))
       return false;
-    if (!Shell.ByName.count(Clock))
+    if (!Shell.declared(Clock))
       return failB("unknown clock '" + Clock + "'");
     if (!expect(")"))
       return false;
@@ -906,8 +787,10 @@ private:
       std::string PortName;
       if (!expectIdent(PortName))
         return false;
-      WireId Port = Def.Ports.find(Def.M, PortName);
-      if (Port == InvalidId)
+      // A formal is a port when it names one of Def's inputs or outputs.
+      const NameEntry *Formal = Def.declared(PortName);
+      const WireId Port = Formal ? Formal->Wire : InvalidId;
+      if (Port == InvalidId || !(Def.M.isInput(Port) || Def.M.isOutput(Port)))
         return failB("module '" + DefName + "' has no port '" +
                      PortName + "'");
       if (!Bound.insert(Port).second)
@@ -926,13 +809,13 @@ private:
         std::string Target;
         if (!expectIdent(Target))
           return false;
-        auto It = Shell.ByName.find(Target);
-        if (It == Shell.ByName.end())
+        const NameEntry *Actual = Shell.declared(Target);
+        if (!Actual)
           return failB("instance output bound to undeclared '" +
                        Target + "'");
-        if (Shell.M.wire(It->second).Width != Def.M.wire(Port).Width)
+        if (Shell.M.wire(Actual->Wire).Width != Def.M.wire(Port).Width)
           return failB("width mismatch on port '" + PortName + "'");
-        Inst.Bindings.emplace_back(Port, It->second);
+        Inst.Bindings.emplace_back(Port, Actual->Wire);
       }
       if (!expect(")"))
         return false;

@@ -7,6 +7,7 @@
 #include "analysis/SummaryIO.h"
 
 #include "analysis/SortInference.h"
+#include "analysis/SummaryEngine.h"
 #include "analysis/WellConnected.h"
 #include "gen/Catalog.h"
 #include "gen/Fifo.h"
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <random>
 
 using namespace wiresort;
@@ -217,6 +219,69 @@ TEST(SummaryIOTest, WideModuleResolvesEveryNameToItsOwnPort) {
   expectRefused(wideModule(false, false, /*In0=*/"t"), "port 't'");
   expectRefused(wideModule(false, false, "i0", /*Out0=*/"t"),
                 "unknown port 't' in set");
+}
+
+TEST(SummaryIOTest, ManyModulesResolveEachRecordToItsModule) {
+  // 5,000 one-gate modules, the last named and shaped like module 7. The
+  // text, binary and cache streams resolve every record to its own
+  // module, and the duplicate name to the first module that has it, as
+  // Design::findModule does.
+  const size_t Count = 5000;
+  const size_t Dup = 7;
+  Design D;
+  for (size_t K = 0; K != Count; ++K) {
+    const size_t Shape = K + 1 == Count ? Dup : K;
+    Module M("m" + std::to_string(Shape));
+    WireId A = M.addInput("a");
+    WireId Y = M.addOutput("y");
+    if (Shape % 2) {
+      WireId Q = M.addWire("q", WireKind::Reg);
+      M.addRegister(A, Q);
+      M.addNet(Op::Buf, {Q}, Y);
+    } else {
+      M.addNet(Op::Not, {A}, Y);
+    }
+    D.addModule(std::move(M));
+  }
+  SummaryEngine Cold;
+  AnalyzeOutcome Written;
+  Summaries Want;
+  ASSERT_FALSE(Cold.analyze(D, Want, {}, {}, &Written).hasError());
+
+  auto expectResolved = [&](const Summaries &Got) {
+    EXPECT_EQ(Got.size(), Count - 1);
+    EXPECT_EQ(Got.count(Count - 1), 0u);
+    EXPECT_EQ(Got.count(Dup), 1u);
+    for (const auto &[Id, S] : Got) {
+      EXPECT_EQ(S.Id, Id);
+      EXPECT_EQ(S.ModuleName, D.module(Id).Name);
+      EXPECT_TRUE(structurallyEqual(S, Want.at(Id))) << S.ModuleName;
+    }
+  };
+  auto FromText = parseSummaries(writeSummaries(D, Want), D);
+  ASSERT_TRUE(FromText.hasValue()) << FromText.describe();
+  expectResolved(*FromText);
+  auto FromBinary = readSummariesBinary(writeSummariesBinary(D, Want), D);
+  ASSERT_TRUE(FromBinary.hasValue()) << FromBinary.describe();
+  expectResolved(*FromBinary);
+
+  // Every cache record resolves and loads, so a warm engine infers
+  // nothing and returns the cold summaries.
+  const std::string Path = ::testing::TempDir() + "/summary_io_many.wscache";
+  ASSERT_TRUE(SummaryEngine::saveCache(Path, D, Want, Written.Keys).empty());
+  SummaryEngine Warm;
+  auto Loaded = Warm.loadCache(Path, D);
+  std::remove(Path.c_str());
+  ASSERT_TRUE(Loaded.hasValue()) << Loaded.describe();
+  EXPECT_EQ(Loaded->Loaded, Count);
+  AnalyzeOutcome Read;
+  Summaries Again;
+  ASSERT_FALSE(Warm.analyze(D, Again, {}, {}, &Read).hasError());
+  EXPECT_EQ(Read.Stats.CacheHits, Count);
+  EXPECT_EQ(Read.Stats.Inferred, 0u);
+  ASSERT_EQ(Again.size(), Count);
+  for (const auto &[Id, S] : Again)
+    EXPECT_TRUE(structurallyEqual(S, Want.at(Id))) << S.ModuleName;
 }
 
 TEST(SummaryIOTest, MissingPortRejected) {

@@ -104,21 +104,25 @@ TEST(GenDeterminism, DifferentSeedDifferentFingerprint) {
   EXPECT_NE(fingerprint(A, RA.Top), fingerprint(B, RB.Top));
 }
 
-TEST(GenDeterminism, MegaRefusesASignedThreadCount) {
+TEST(GenDeterminism, MegaRefusesSignedCounts) {
   const char *Mega = std::getenv("WIRESORT_MEGA");
   if (!Mega || !*Mega)
     GTEST_SKIP() << "WIRESORT_MEGA not set; run under ctest";
   // A signed count is refused, not wrapped ("-1" cast to unsigned is
-  // 4294967295 threads). The preset is unknown too, so a build that took
-  // the count would still stop before any thread pool exists; the
-  // refusal must be the count's.
-  const std::string Cmd =
-      std::string(Mega) + " nosuch --threads -1 2>&1; echo \"exit $?\"";
-  const std::string Out = runAndCapture(Cmd);
-  EXPECT_NE(Out.find("error: --threads expects a positive count\n"),
-            std::string::npos)
-      << Out;
-  EXPECT_NE(Out.find("exit 2\n"), std::string::npos) << Out;
+  // 4294967295 threads, and through strtoull a 2^64-1 ms timeout, which
+  // passed the positive check). The preset is unknown too, so a build
+  // that took the count would still stop before any thread pool exists;
+  // the refusal must be the count's.
+  const std::pair<const char *, const char *> Cases[] = {
+      {"--threads", "error: --threads expects a positive count\n"},
+      {"--timeout-ms", "error: --timeout-ms expects positive milliseconds\n"}};
+  for (const auto &[Flag, Refusal] : Cases) {
+    const std::string Cmd = std::string(Mega) + " nosuch " + Flag +
+                            " -1 2>&1; echo \"exit $?\"";
+    const std::string Out = runAndCapture(Cmd);
+    EXPECT_NE(Out.find(Refusal), std::string::npos) << Out;
+    EXPECT_NE(Out.find("exit 2\n"), std::string::npos) << Out;
+  }
 }
 
 TEST(GenDeterminism, SameParamsSameFingerprintAcrossProcesses) {

@@ -67,6 +67,9 @@ run badflag 2 loopfree.blif --format json --bogus
 # 4294967295 threads). The design is missing too, so a build that took
 # the count would still stop before any thread pool exists.
 run badthreads 2 no_such_file.blif --format json --threads -1
+# The same for a 64-bit count: "-1" through strtoull was a 2^64-1 ms
+# timeout, which passed the positive check.
+run badtimeout 2 no_such_file.blif --format json --timeout-ms -1
 run badcache 2 loopfree.blif --format json --cache bogus.wscache
 
 # A pipe has no size to seek for: a design read through /dev/stdin gives

@@ -5,7 +5,9 @@
 # exit code against a fresh serial `wiresort-check --format json` run on
 # the same inputs — the daemon's identity-by-construction claim, checked
 # from the outside. Then stats, shutdown, and the no-droppings check:
-# the daemon must exit 0 and unlink its socket file.
+# the daemon must exit 0 and unlink its socket file. A daemon that does
+# not stop within 30 s is killed and counted as a failure, and the exit
+# trap kills any daemon a failed step leaves running.
 #
 # Usage: run_served_golden.sh <wiresort-served> <wiresort-client> \
 #            <wiresort-check> <fixture-dir>
@@ -19,7 +21,35 @@ cd "$FIXTURES" || exit 2
 
 SCRATCH=$(mktemp -d "${TMPDIR:-/tmp}/served_golden.XXXXXX")
 SOCK=$SCRATCH/served.sock
-trap 'kill $SERVED_PID 2>/dev/null; rm -rf "$SCRATCH"' EXIT
+# The daemons still running (each is cleared once it has been reaped).
+SERVED_PID=""
+DRAIN_PID=""
+cleanup() {
+  for Pid in $SERVED_PID $DRAIN_PID; do
+    kill -KILL "$Pid" 2>/dev/null
+  done
+  rm -rf "$SCRATCH"
+}
+trap cleanup EXIT
+
+Failures=0
+
+# await <pid>: waits up to 30 s for a daemon to exit and puts its exit
+# status in AwaitExit. A daemon still running then is killed, and await
+# returns 1.
+await() {
+  Deadline=$(($(date +%s) + 30))
+  while kill -0 "$1" 2>/dev/null; do
+    if [ "$(date +%s)" -ge "$Deadline" ]; then
+      kill -KILL "$1" 2>/dev/null
+      wait "$1" 2>/dev/null
+      return 1
+    fi
+    sleep 0.1
+  done
+  wait "$1"
+  AwaitExit=$?
+}
 
 "$SERVED" --socket "$SOCK" --workers 2 > "$SCRATCH/served.log" 2>&1 &
 SERVED_PID=$!
@@ -35,8 +65,6 @@ while ! grep -q "listening on" "$SCRATCH/served.log" 2>/dev/null; do
   fi
   sleep 0.05
 done
-
-Failures=0
 
 # run <name> <arg...>: the same request through the daemon and through a
 # cold serial CLI process; stdout and exit must match byte for byte.
@@ -115,6 +143,11 @@ refuse() {
 # 4294967295 pool threads). No --socket either, so a build that took the
 # count would still stop before any pool exists.
 refuse badworkers "--workers expects a count" "$SERVED" --workers -1
+# Every other numeric flag reads its value the same way: --max-pending
+# through atoi was 4294967295 pending requests, --drain-ms through
+# strtoull a 2^64-1 ms drain.
+refuse badpending "--max-pending expects a count" "$SERVED" --max-pending -1
+refuse baddrain "--drain-ms expects a positive count" "$SERVED" --drain-ms -1
 # The client reads its retry count with the same count parser.
 refuse badretries "--retries expects a count between 0 and 1000" \
   "$CLIENT" --socket "$SOCK" --retries -1 --health
@@ -137,12 +170,11 @@ fi
 
 # Clean shutdown: exit 0, no socket file left behind.
 "$CLIENT" --socket "$SOCK" --shutdown > /dev/null
-wait $SERVED_PID
-ServedExit=$?
-SERVED_PID=""
-trap 'rm -rf "$SCRATCH"' EXIT
-if [ "$ServedExit" -ne 0 ]; then
-  echo "FAIL shutdown: daemon exit $ServedExit" >&2
+if ! await "$SERVED_PID"; then
+  echo "FAIL shutdown: daemon still running 30 s later; killed" >&2
+  Failures=$((Failures + 1))
+elif [ "$AwaitExit" -ne 0 ]; then
+  echo "FAIL shutdown: daemon exit $AwaitExit" >&2
   cat "$SCRATCH/served.log" >&2
   Failures=$((Failures + 1))
 elif [ -e "$SOCK" ]; then
@@ -151,6 +183,7 @@ elif [ -e "$SOCK" ]; then
 else
   echo "ok shutdown (exit 0, socket unlinked)"
 fi
+SERVED_PID=""
 
 # Graceful drain (docs/SERVING.md): a second daemon instance, stopped
 # with SIGTERM instead of the protocol shutdown, must drain within its
@@ -164,17 +197,17 @@ while ! grep -q "listening on" "$SCRATCH/drain.log" 2>/dev/null; do
   Tries=$((Tries + 1))
   if [ "$Tries" -gt 100 ]; then
     echo "FAIL drain: second daemon never started" >&2
-    kill "$DRAIN_PID" 2>/dev/null
     exit 1
   fi
   sleep 0.05
 done
 "$CLIENT" --socket "$DRAINSOCK" loopfree.blif --format json > /dev/null
 kill -TERM "$DRAIN_PID"
-wait "$DRAIN_PID"
-DrainExit=$?
-if [ "$DrainExit" -ne 0 ]; then
-  echo "FAIL drain: daemon exit $DrainExit after SIGTERM" >&2
+if ! await "$DRAIN_PID"; then
+  echo "FAIL drain: daemon still running 30 s after SIGTERM; killed" >&2
+  Failures=$((Failures + 1))
+elif [ "$AwaitExit" -ne 0 ]; then
+  echo "FAIL drain: daemon exit $AwaitExit after SIGTERM" >&2
   cat "$SCRATCH/drain.log" >&2
   Failures=$((Failures + 1))
 elif [ -e "$DRAINSOCK" ]; then
@@ -187,6 +220,7 @@ elif ! grep -q "draining on signal" "$SCRATCH/drain.log"; then
 else
   echo "ok drain (SIGTERM, exit 0, socket unlinked)"
 fi
+DRAIN_PID=""
 
 if [ "$Failures" -ne 0 ]; then
   echo "$Failures serving golden case(s) failed" >&2

@@ -11,8 +11,7 @@
 /// request flags with the same messages. The library takes a parsed
 /// request and never sees argv (src/driver/Check.h); each tool keeps its
 /// own usage line and its own flags, and offers every other word to
-/// parseCheckArg. parseCount reads every tool's thread and worker
-/// counts.
+/// parseCheckArg. parseCount reads every tool's numeric flags.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,8 +21,8 @@
 #include "wiresort.h"
 
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -46,11 +45,13 @@ inline void emitEarly(analysis::Format Fmt, const support::Status &Ds) {
 }
 
 /// Parses \p Text as a count: decimal digits only, with no sign, no
-/// blank and nothing after them, whose value fits in unsigned. A count
-/// read any other way can wrap ("-1" through atoi and a cast is
-/// 4294967295 threads). \returns std::nullopt when \p Text is no count.
-inline std::optional<unsigned> parseCount(std::string_view Text) {
-  unsigned Value = 0;
+/// blank and nothing after them, whose value fits in \p T. A count read
+/// any other way can wrap ("-1" through atoi and a cast is 4294967295
+/// threads, through strtoull a 2^64-1 ms timeout) or lose its tail ("5x"
+/// reads as 5). \returns std::nullopt when \p Text is no count.
+template <typename T = unsigned>
+inline std::optional<T> parseCount(std::string_view Text) {
+  T Value = 0;
   const char *End = Text.data() + Text.size();
   const auto [Stop, Error] = std::from_chars(Text.data(), End, Value);
   if (Error != std::errc() || Stop != End)
@@ -111,16 +112,20 @@ inline std::string parseCheckArg(int ArgC, char **ArgV, int &I,
   } else if (Arg == "--timeout-ms") {
     if (!takeValue(ArgC, ArgV, I, Value))
       return "--timeout-ms expects milliseconds";
-    R.Req.TimeoutMs = std::strtoull(Value.c_str(), nullptr, 10);
-    if (R.Req.TimeoutMs == 0)
+    const std::optional<uint64_t> Ms = parseCount<uint64_t>(Value);
+    if (!Ms || *Ms == 0)
       return "--timeout-ms expects a positive millisecond count";
+    R.Req.TimeoutMs = *Ms;
   } else if (Arg == "--failpoints") {
     if (!takeValue(ArgC, ArgV, I, R.Req.FailpointSpec))
       return "--failpoints expects site=mode,...";
   } else if (Arg == "--fault-seed") {
-    if (!takeValue(ArgC, ArgV, I, Value))
+    const std::optional<uint64_t> Seed =
+        takeValue(ArgC, ArgV, I, Value) ? parseCount<uint64_t>(Value)
+                                        : std::nullopt;
+    if (!Seed)
       return "--fault-seed expects a number";
-    R.Req.FaultSeed = std::strtoull(Value.c_str(), nullptr, 10);
+    R.Req.FaultSeed = *Seed;
   } else if (Arg == "--quiet") {
     R.Quiet = true;
   } else if (Arg == "--depth") {

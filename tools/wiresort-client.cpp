@@ -102,18 +102,20 @@ int main(int ArgC, char **ArgV) {
     } else if (Arg == "--retry-base-ms") {
       if (!tools::takeValue(ArgC, ArgV, I, Value))
         return usage(ArgV[0], Fmt, "--retry-base-ms expects milliseconds");
-      RetryBaseMs = std::strtoull(Value.c_str(), nullptr, 10);
-      if (RetryBaseMs == 0)
+      const std::optional<uint64_t> Ms = tools::parseCount<uint64_t>(Value);
+      if (!Ms || *Ms == 0)
         return usage(ArgV[0], Fmt,
                      "--retry-base-ms expects a positive millisecond count");
+      RetryBaseMs = *Ms;
     } else if (Arg == "--transport-timeout-ms") {
       if (!tools::takeValue(ArgC, ArgV, I, Value))
         return usage(ArgV[0], Fmt,
                      "--transport-timeout-ms expects milliseconds");
-      TransportTimeoutMs = std::strtoull(Value.c_str(), nullptr, 10);
-      if (TransportTimeoutMs == 0)
+      const std::optional<uint64_t> Ms = tools::parseCount<uint64_t>(Value);
+      if (!Ms || *Ms == 0)
         return usage(ArgV[0], Fmt,
                      "--transport-timeout-ms expects a positive count");
+      TransportTimeoutMs = *Ms;
     } else if (Arg == "--stats-line") {
       R.Req.Stats = true;
     } else if (std::string Why = tools::parseCheckArg(ArgC, ArgV, I, R);

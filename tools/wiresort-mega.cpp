@@ -28,7 +28,6 @@
 #include "wiresort.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -66,17 +65,16 @@ int main(int ArgC, char **ArgV) {
 
   for (int I = 1; I < ArgC; ++I) {
     std::string Arg = ArgV[I];
-    auto takeValue = [&](uint64_t &Slot) {
-      if (I + 1 >= ArgC)
-        return false;
-      Slot = std::strtoull(ArgV[++I], nullptr, 10);
-      return true;
+    // The flag's value as a count, or std::nullopt when it is missing or
+    // no count.
+    auto takeCount = [&]() -> std::optional<uint64_t> {
+      return I + 1 < ArgC ? tools::parseCount<uint64_t>(ArgV[++I])
+                          : std::nullopt;
     };
     if (Arg == "--seed") {
-      uint64_t V = 0;
-      if (!takeValue(V))
+      SeedOverride = takeCount();
+      if (!SeedOverride)
         return usage("--seed expects a number");
-      SeedOverride = V;
     } else if (Arg == "--inject-loop") {
       InjectLoop = true;
     } else if (Arg == "--fingerprint") {
@@ -92,8 +90,10 @@ int main(int ArgC, char **ArgV) {
         return usage("--threads expects a positive count");
       Threads = *Count;
     } else if (Arg == "--timeout-ms") {
-      if (!takeValue(TimeoutMs) || TimeoutMs == 0)
+      const std::optional<uint64_t> Ms = takeCount();
+      if (!Ms || *Ms == 0)
         return usage("--timeout-ms expects positive milliseconds");
+      TimeoutMs = *Ms;
     } else if (!Arg.empty() && Arg[0] == '-') {
       return usage("unknown option '" + Arg + "'");
     } else if (PresetName.empty()) {

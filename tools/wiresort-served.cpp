@@ -35,7 +35,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -99,28 +98,37 @@ int main(int ArgC, char **ArgV) {
     } else if (Arg == "--max-request-bytes") {
       if (!takeValue(Value))
         return usage(ArgV[0], "--max-request-bytes expects a byte count");
-      Opts.MaxRequestBytes = std::strtoull(Value.c_str(), nullptr, 10);
-      if (Opts.MaxRequestBytes == 0)
+      const std::optional<uint64_t> Bytes = tools::parseCount<uint64_t>(Value);
+      if (!Bytes || *Bytes == 0)
         return usage(ArgV[0], "--max-request-bytes expects a positive count");
+      Opts.MaxRequestBytes = *Bytes;
     } else if (Arg == "--max-pending") {
       // 0 = unbounded (the pre-admission-control behavior).
-      if (!takeValue(Value))
+      const std::optional<unsigned> Count =
+          takeValue(Value) ? tools::parseCount(Value) : std::nullopt;
+      if (!Count)
         return usage(ArgV[0], "--max-pending expects a count");
-      Opts.MaxPending = static_cast<unsigned>(std::atoi(Value.c_str()));
+      Opts.MaxPending = *Count;
     } else if (Arg == "--read-timeout-ms") {
-      if (!takeValue(Value))
+      // 0 = no timeout, here and for writes.
+      const std::optional<uint64_t> Ms =
+          takeValue(Value) ? tools::parseCount<uint64_t>(Value) : std::nullopt;
+      if (!Ms)
         return usage(ArgV[0], "--read-timeout-ms expects milliseconds");
-      Opts.ReadTimeoutMs = std::strtoull(Value.c_str(), nullptr, 10);
+      Opts.ReadTimeoutMs = *Ms;
     } else if (Arg == "--write-timeout-ms") {
-      if (!takeValue(Value))
+      const std::optional<uint64_t> Ms =
+          takeValue(Value) ? tools::parseCount<uint64_t>(Value) : std::nullopt;
+      if (!Ms)
         return usage(ArgV[0], "--write-timeout-ms expects milliseconds");
-      Opts.WriteTimeoutMs = std::strtoull(Value.c_str(), nullptr, 10);
+      Opts.WriteTimeoutMs = *Ms;
     } else if (Arg == "--drain-ms") {
       if (!takeValue(Value))
         return usage(ArgV[0], "--drain-ms expects milliseconds");
-      Opts.DrainDeadlineMs = std::strtoull(Value.c_str(), nullptr, 10);
-      if (Opts.DrainDeadlineMs == 0)
+      const std::optional<uint64_t> Ms = tools::parseCount<uint64_t>(Value);
+      if (!Ms || *Ms == 0)
         return usage(ArgV[0], "--drain-ms expects a positive count");
+      Opts.DrainDeadlineMs = *Ms;
     } else {
       return usage(ArgV[0], "unknown option '" + Arg + "'");
     }
