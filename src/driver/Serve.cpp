@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstring>
 #include <thread>
 
 using namespace wiresort;
@@ -177,8 +178,12 @@ std::string driver::encodeRequest(Method M, const CheckRequest &R) {
   return W.take();
 }
 
-bool driver::decodeRequest(std::string_view Bytes, Method &M, CheckRequest &R,
-                           std::string &Why) {
+namespace {
+
+/// Both decodeRequest overloads: decodes every field of \p R except
+/// DesignText, and points \p DesignText at the design text in \p Bytes.
+bool decodeRequestFields(std::string_view Bytes, Method &M, CheckRequest &R,
+                         std::string_view &DesignText, std::string &Why) {
   wire::Reader Reader(Bytes);
   wire::Reader::Record Rec;
   if (!readServeStream(wire::RecordKind::ServeRequest, Reader, Rec, Why))
@@ -187,7 +192,7 @@ bool driver::decodeRequest(std::string_view Bytes, Method &M, CheckRequest &R,
   uint8_t Meth = 0, Fmt = 0, Flags = 0;
   uint64_t TimeoutMs = 0, Seed = 0, Reserved[ReservedSlots] = {};
   std::string_view DesignPath, DesignName, CachePath, TraceOut, Failpoints,
-      SummariesOut, CheckPath, DotPath, ConvertIn, DesignText, CheckText;
+      SummariesOut, CheckPath, DotPath, ConvertIn, CheckText;
   if (!C.getByte(Meth) || !C.getByte(Fmt) || !C.getByte(Flags) ||
       !C.getVarint(TimeoutMs) || !C.getVarint(Seed) ||
       !C.getVarint(Reserved[0]) || !C.getVarint(Reserved[1]) ||
@@ -236,8 +241,33 @@ bool driver::decodeRequest(std::string_view Bytes, Method &M, CheckRequest &R,
   R.CheckPath = std::string(CheckPath);
   R.DotPath = std::string(DotPath);
   R.ConvertIn = std::string(ConvertIn);
-  R.DesignText = std::string(DesignText);
   R.CheckText = std::string(CheckText);
+  return true;
+}
+
+} // namespace
+
+bool driver::decodeRequest(std::string_view Bytes, Method &M, CheckRequest &R,
+                           std::string &Why) {
+  std::string_view DesignText;
+  if (!decodeRequestFields(Bytes, M, R, DesignText, Why))
+    return false;
+  R.DesignText = std::string(DesignText);
+  return true;
+}
+
+bool driver::decodeRequest(std::string &&Bytes, Method &M, CheckRequest &R,
+                           std::string &Why) {
+  std::string_view DesignText;
+  if (!decodeRequestFields(Bytes, M, R, DesignText, Why))
+    return false;
+  // Every other field is a copy by now, so the buffer is free to hold
+  // the design text alone: move it to the front and hand the buffer
+  // over.
+  const size_t Size = DesignText.size();
+  std::memmove(Bytes.data(), DesignText.data(), Size);
+  Bytes.resize(Size);
+  R.DesignText = std::move(Bytes);
   return true;
 }
 
@@ -406,7 +436,7 @@ void Server::serveConnection(int Fd, bool Work) {
       InFlightWork.fetch_sub(1);
     return;
   }
-  std::string ResponseBytes = handle(*Request);
+  std::string ResponseBytes = handle(std::move(*Request));
   // A worker wedged after the work is done (the serve.drain.hang site)
   // must not outlive a bounded drain: it parks until the drain kill
   // token or stop() releases it.
@@ -456,7 +486,7 @@ std::string Server::healthJson() const {
          ",\"timed_out\":" + std::to_string(TimedOutC.load()) + "}\n";
 }
 
-std::string Server::handle(std::string_view RequestBytes) {
+std::string Server::handle(std::string RequestBytes) {
   auto reject = [](const std::string &Why) {
     CheckResult Res;
     Res.ExitCode = 2;
@@ -474,7 +504,7 @@ std::string Server::handle(std::string_view RequestBytes) {
   Method M = Method::Check;
   CheckRequest R;
   std::string Why;
-  if (!decodeRequest(RequestBytes, M, R, Why))
+  if (!decodeRequest(std::move(RequestBytes), M, R, Why))
     return reject(Why);
 
   // Health answers in every state — it is how operators watch a drain.

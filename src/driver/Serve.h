@@ -179,7 +179,8 @@ private:
   void acceptLoop();
   void serveConnection(int Fd, bool Work);
   /// Decode + dispatch one request; \returns the response stream bytes.
-  std::string handle(std::string_view RequestBytes);
+  /// Takes the read buffer over: it becomes the request's DesignText.
+  std::string handle(std::string RequestBytes);
   std::string healthJson() const;
 
   ServeOptions Opts;
@@ -245,6 +246,13 @@ std::string encodeRequest(Method M, const CheckRequest &R);
 /// Decodes a request stream. \returns false (with \p Why) on any
 /// framing or schema damage — the server rejects, never guesses.
 bool decodeRequest(std::string_view Bytes, Method &M, CheckRequest &R,
+                   std::string &Why);
+
+/// decodeRequest for a caller that hands its buffer over (the server's
+/// read buffer): on success the design text moves to the front of
+/// \p Bytes, which becomes R.DesignText, so the largest field is never
+/// copied into a fresh buffer. On failure \p Bytes is left as it was.
+bool decodeRequest(std::string &&Bytes, Method &M, CheckRequest &R,
                    std::string &Why);
 
 /// Composes the complete response stream; \p Status stamps the

@@ -8,6 +8,7 @@
 
 #include "support/CsrGraph.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace wiresort;
@@ -36,26 +37,44 @@ ModuleId ModuleIndex::find(std::string_view Name) const {
   return It == Ids.end() ? InvalidId : It->second;
 }
 
-std::optional<std::vector<ModuleId>> Design::topologicalModuleOrder() const {
+namespace {
+
+/// One edge per instance, from its definition to the instantiating
+/// module.
+CsrGraph instantiationGraph(const std::vector<Module> &Modules) {
   std::vector<CsrGraph::Edge> Edges;
   for (ModuleId Id = 0; Id != Modules.size(); ++Id)
     for (const SubInstance &Inst : Modules[Id].Instances)
       if (Inst.Def < Modules.size())
         Edges.emplace_back(Inst.Def, Id);
-  return CsrGraph(Modules.size(), Edges).topoSort();
+  return CsrGraph(Modules.size(), Edges);
 }
 
-std::optional<std::string> Design::validate() const {
-  for (const Module &M : Modules)
-    if (auto Err = M.validate())
-      return Err;
+} // namespace
 
-  if (!topologicalModuleOrder())
-    return std::string("design: module instantiation is cyclic");
+std::optional<std::vector<ModuleId>> Design::topologicalModuleOrder() const {
+  return instantiationGraph(Modules).topoSort();
+}
 
-  for (const Module &M : Modules) {
-    auto fail = [&](const std::string &Msg) {
-      return std::optional<std::string>("module '" + M.Name + "': " + Msg);
+std::optional<DesignError> Design::validate() const {
+  for (ModuleId Id = 0; Id != Modules.size(); ++Id)
+    if (auto Err = Modules[Id].validate())
+      return DesignError{std::move(*Err), Id};
+
+  if (!topologicalModuleOrder()) {
+    std::optional<std::vector<uint32_t>> Cycle =
+        instantiationGraph(Modules).findCycle();
+    assert(Cycle && "a design without a topological order has a cycle");
+    return DesignError{"design: module instantiation is cyclic",
+                       *std::min_element(Cycle->begin(), Cycle->end())};
+  }
+
+  for (ModuleId Id = 0; Id != Modules.size(); ++Id) {
+    const Module &M = Modules[Id];
+    auto fail = [&](const std::string &Msg,
+                    size_t Instance = DesignError::NoInstance) {
+      return std::optional<DesignError>(
+          DesignError{"module '" + M.Name + "': " + Msg, Id, Instance});
     };
 
     // Count drivers again, now including instance outputs, and check that
@@ -68,35 +87,38 @@ std::optional<std::string> Design::validate() const {
     for (const Memory &Mem : M.Memories)
       ++Drivers[Mem.RData];
 
-    for (const SubInstance &Inst : M.Instances) {
+    for (size_t I = 0; I != M.Instances.size(); ++I) {
+      const SubInstance &Inst = M.Instances[I];
+      auto failInst = [&](const std::string &Msg) {
+        return fail("instance '" + Inst.Name + "' " + Msg, I);
+      };
       if (Inst.Def >= Modules.size())
-        return fail("instance '" + Inst.Name + "' has no definition");
+        return failInst("has no definition");
       const Module &Def = Modules[Inst.Def];
       std::vector<bool> InputBound(Def.Wires.size(), false);
       for (const auto &[DefPort, Local] : Inst.Bindings) {
         if (DefPort >= Def.Wires.size())
-          return fail("instance '" + Inst.Name + "' binds unknown port");
+          return failInst("binds unknown port");
         const Wire &PortWire = Def.Wires[DefPort];
         if (PortWire.Kind != WireKind::Input &&
             PortWire.Kind != WireKind::Output)
-          return fail("instance '" + Inst.Name + "' binds non-port wire '" +
-                      Def.wireName(DefPort) + "'");
+          return failInst("binds non-port wire '" + Def.wireName(DefPort) +
+                          "'");
         if (PortWire.Width != M.Wires[Local].Width)
-          return fail("instance '" + Inst.Name + "' width mismatch on '" +
-                      Def.wireName(DefPort) + "'");
+          return failInst("width mismatch on '" + Def.wireName(DefPort) +
+                          "'");
         if (PortWire.Kind == WireKind::Output) {
           ++Drivers[Local];
         } else {
           if (InputBound[DefPort])
-            return fail("instance '" + Inst.Name + "' binds input '" +
-                        Def.wireName(DefPort) + "' twice");
+            return failInst("binds input '" + Def.wireName(DefPort) +
+                            "' twice");
           InputBound[DefPort] = true;
         }
       }
       for (WireId In : Def.Inputs)
         if (!InputBound[In])
-          return fail("instance '" + Inst.Name + "' leaves input '" +
-                      Def.wireName(In) + "' unbound");
+          return failInst("leaves input '" + Def.wireName(In) + "' unbound");
     }
 
     for (WireId Id = 0; Id != M.Wires.size(); ++Id) {

@@ -19,6 +19,7 @@
 
 #include "ir/Module.h"
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -26,6 +27,17 @@
 #include <vector>
 
 namespace wiresort::ir {
+
+/// Why \ref Design::validate refused a design, and where: the module
+/// that failed and, when the message names one, the instance, so a
+/// reader can point at the source that declared them.
+struct DesignError {
+  static constexpr size_t NoInstance = SIZE_MAX;
+  std::string Message;
+  ModuleId Module = InvalidId;
+  /// Index into the module's Instances, or NoInstance.
+  size_t Instance = NoInstance;
+};
 
 /// An ordered collection of module definitions.
 class Design {
@@ -47,8 +59,10 @@ public:
   /// validation cannot see: instance definitions exist, instantiation is
   /// acyclic, bindings name real ports with matching widths, every
   /// instance input port is bound, and every local wire has exactly one
-  /// driver once instance outputs are counted.
-  std::optional<std::string> validate() const;
+  /// driver once instance outputs are counted. A cyclic instantiation
+  /// is charged to the first module, by id, of the cycle found;
+  /// \ref Module::validate's refusals name only their module.
+  std::optional<DesignError> validate() const;
 
   /// \returns module ids in dependency order (instantiated definitions
   /// before their instantiators), or std::nullopt if instantiation is

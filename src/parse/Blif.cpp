@@ -651,8 +651,16 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
     Result.Design.module(Id) = std::move(Models[Id].M);
   Result.Top = 0; // Models are added in file order; the first is top.
 
-  if (auto Err = Result.Design.validate())
-    return failAt(DiagCode::WS202_BLIF_STRUCTURE, 0, 0, *Err);
+  if (auto Err = Result.Design.validate()) {
+    // Point at the .subckt line of the instance the refusal names, or
+    // else at its model's .model line.
+    const ModelBuilder &MB = Models[Err->Module];
+    const bool AtInstance = Err->Instance != DesignError::NoInstance;
+    return failAt(DiagCode::WS202_BLIF_STRUCTURE,
+                  AtInstance ? MB.Subckts[Err->Instance].Line : MB.Line,
+                  AtInstance ? MB.Subckts[Err->Instance].Col : MB.Col,
+                  Err->Message);
+  }
   return Result;
 }
 

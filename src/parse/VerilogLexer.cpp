@@ -7,6 +7,8 @@
 #include "parse/VerilogLexer.h"
 
 #include <cctype>
+#include <cstdint>
+#include <string>
 
 using namespace wiresort;
 using namespace wiresort::parse;
@@ -21,9 +23,13 @@ bool isIdentChar(char C) {
          C == '$';
 }
 
-/// Decodes the digits of a based literal; \returns false on a bad digit.
-bool decodeDigits(const std::string &Digits, int Base, uint64_t &Value) {
+/// Decodes the digits of a literal; \returns false on a bad digit. A
+/// value past 64 bits sets \p Overflow and keeps decoding, so a bad
+/// digit still wins.
+bool decodeDigits(const std::string &Digits, int Base, uint64_t &Value,
+                  bool &Overflow) {
   Value = 0;
+  Overflow = false;
   for (char C : Digits) {
     if (C == '_')
       continue;
@@ -38,6 +44,8 @@ bool decodeDigits(const std::string &Digits, int Base, uint64_t &Value) {
       return false;
     if (Digit >= Base)
       return false;
+    if (Value > (UINT64_MAX - Digit) / Base)
+      Overflow = true;
     Value = Value * Base + Digit;
   }
   return true;
@@ -130,7 +138,9 @@ parse::lexVerilog(const std::string &Text, const std::string &FileName) {
                          Text[Pos] == '_'))
         ++Pos;
       uint64_t Lead;
-      if (!decodeDigits(Text.substr(Start, Pos - Start), 10, Lead))
+      bool LeadOverflow;
+      if (!decodeDigits(Text.substr(Start, Pos - Start), 10, Lead,
+                        LeadOverflow))
         return failAt(Start, "bad decimal literal");
       size_t Mark = Pos;
       while (Mark < N &&
@@ -159,12 +169,16 @@ parse::lexVerilog(const std::string &Text, const std::string &FileName) {
         while (Pos < N && (isIdentChar(Text[Pos])))
           ++Pos;
         uint64_t Value;
+        bool Overflow;
         if (DigStart == Pos ||
             !decodeDigits(Text.substr(DigStart, Pos - DigStart), Base,
-                          Value))
+                          Value, Overflow))
           return failAt(DigStart, "bad digits in based literal");
-        if (Lead == 0 || Lead > 64)
+        if (LeadOverflow || Lead == 0 || Lead > 64)
           return failAt(Start, "literal width must be in [1, 64]");
+        if (Overflow || (Lead < 64 && (Value >> Lead) != 0))
+          return failAt(Start, "literal does not fit its width " +
+                                   std::to_string(Lead));
         Token T;
         T.Kind = TokKind::Number;
         T.Text = Text.substr(Start, Pos - Start);
@@ -174,6 +188,8 @@ parse::lexVerilog(const std::string &Text, const std::string &FileName) {
         T.Col = colOf(Start);
         Out.push_back(T);
       } else {
+        if (LeadOverflow)
+          return failAt(Start, "literal does not fit in 64 bits");
         Token T;
         T.Kind = TokKind::Number;
         T.Text = Text.substr(Start, Pos - Start);

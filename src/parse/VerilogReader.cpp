@@ -55,6 +55,10 @@ struct NameEntry {
 /// Everything known about one module between the phases.
 struct ModuleShell {
   Module M;
+  /// The module's name token, and each instance's name token in
+  /// M.Instances order: where a refusal of the elaborated design points.
+  size_t NameTok = 0;
+  std::vector<size_t> InstanceToks;
   /// Token span of the module body (after the header ';').
   size_t BodyBegin = 0, BodyEnd = 0;
   /// The header is a classic (non-ANSI) name list: only the names it
@@ -111,9 +115,11 @@ public:
       Result.Design.addModule(std::move(Shell.M));
     Result.Top = 0;
     if (auto Err = Result.Design.validate()) {
-      Diags.add(support::Diag(support::DiagCode::WS212_VERILOG_SYNTAX,
-                              *Err)
-                    .withLoc(support::SrcLoc{FileName, 0, 0}));
+      const ModuleShell &Shell = Shells[Err->Module];
+      failBAt(Err->Instance == DesignError::NoInstance
+                  ? Shell.NameTok
+                  : Shell.InstanceToks[Err->Instance],
+              Err->Message);
       return takeDiags();
     }
     return Result;
@@ -276,12 +282,13 @@ private:
     if (!expect("module"))
       return false;
     ModuleShell Shell;
-    const size_t NameTok = Pos;
+    Shell.NameTok = Pos;
     if (!expectIdent(Shell.M.Name))
       return false;
     if (!IdByName.emplace(Shell.M.Name, static_cast<ModuleId>(Shells.size()))
              .second)
-      return failBAt(NameTok, "duplicate module '" + Shell.M.Name + "'");
+      return failBAt(Shell.NameTok,
+                     "duplicate module '" + Shell.M.Name + "'");
 
     if (atPunct("(")) {
       advance();
@@ -768,7 +775,10 @@ private:
 
   bool elaborateInstance(ModuleShell &Shell) {
     std::string DefName, InstName;
-    if (!expectIdent(DefName) || !expectIdent(InstName))
+    if (!expectIdent(DefName))
+      return false;
+    const size_t InstTok = Pos;
+    if (!expectIdent(InstName))
       return false;
     auto DefIt = IdByName.find(DefName);
     if (DefIt == IdByName.end())
@@ -833,6 +843,7 @@ private:
         Inst.Bindings.emplace_back(
             Out, freshWire(Shell, Def.M.wire(Out).Width));
     Shell.M.addInstance(std::move(Inst));
+    Shell.InstanceToks.push_back(InstTok);
     return true;
   }
 

@@ -8,6 +8,9 @@
 
 #include "support/Trace.h"
 
+#include <algorithm>
+#include <cassert>
+
 using namespace wiresort;
 using namespace wiresort::support;
 using namespace wiresort::support::wire;
@@ -52,6 +55,13 @@ void appendVarint(std::string &Out, uint64_t V) {
     V >>= 7;
   }
   Out.push_back(static_cast<char>(V));
+}
+
+size_t varintSize(uint64_t V) {
+  size_t Size = 1;
+  for (; V >= 0x80; V >>= 7)
+    ++Size;
+  return Size;
 }
 
 void appendFixed64(std::string &Out, uint64_t V) {
@@ -122,7 +132,7 @@ void Writer::putString(std::string_view S) { putVarint(intern(S)); }
 
 void Writer::putBytes(std::string_view Bytes) {
   putVarint(Bytes.size());
-  Payload.append(Bytes.data(), Bytes.size());
+  Blobs.push_back({Payload.size(), Bytes});
 }
 
 void Writer::flushStrings() {
@@ -138,13 +148,35 @@ void Writer::flushStrings() {
   frame(RecordKind::StringTable, Table);
 }
 
-void Writer::frame(RecordKind K, const std::string &Body) {
-  size_t Before = Out.size();
-  Out.push_back(static_cast<char>(K));
-  appendVarint(Out, Body.size());
-  Out += Body;
-  uint64_t Crc = fnv1a(Body, fnv1a({reinterpret_cast<const char *>(&K),
-                                    1}));
+void Writer::frame(RecordKind K, std::string_view Fields,
+                   std::span<const Blob> Spliced) {
+  size_t Len = Fields.size();
+  for (const Blob &B : Spliced)
+    Len += B.Bytes.size();
+  // Grow the stream at most once per frame. A growth leaves room for
+  // the largest StreamEnd frame, so that finish() after a one-record
+  // stream's record does not move the stream again.
+  constexpr size_t MaxEndFrame = 1 + 1 + 10 + 8;
+  const size_t Before = Out.size();
+  const size_t Need = Before + 1 + varintSize(Len) + Len + 8;
+  if (Need > Out.capacity())
+    Out.reserve(std::max(Need + MaxEndFrame, 2 * Out.capacity()));
+
+  const char KindByte = static_cast<char>(K);
+  Out.push_back(KindByte);
+  appendVarint(Out, Len);
+  uint64_t Crc = fnv1a({&KindByte, 1});
+  auto append = [&](std::string_view Piece) {
+    Out.append(Piece.data(), Piece.size());
+    Crc = fnv1a(Piece, Crc);
+  };
+  size_t At = 0;
+  for (const Blob &B : Spliced) {
+    append(Fields.substr(At, B.At - At));
+    append(B.Bytes);
+    At = B.At;
+  }
+  append(Fields.substr(At));
   appendFixed64(Out, Crc);
   ++Records;
   recordsWrittenC().add();
@@ -156,7 +188,8 @@ void Writer::endRecord() {
   InRecord = false;
   // Strings referenced by this record must be defined before it.
   flushStrings();
-  frame(CurKind, Payload);
+  frame(CurKind, Payload, Blobs);
+  Blobs.clear();
 }
 
 void Writer::beginStream(StreamKind K, uint64_t Version) {

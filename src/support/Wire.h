@@ -44,6 +44,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -96,6 +97,13 @@ void internCounters();
 /// Builds a wire stream incrementally. beginRecord/put*/endRecord per
 /// record; take() drains the bytes framed so far, finish() closes the
 /// stream with a StreamEnd carrying the record count.
+///
+/// endRecord() frames each record once, straight into the stream: the
+/// small fields gathered so far and the putBytes() blobs are appended
+/// in order to a buffer grown once for the whole frame, and the record
+/// checksum folds over the same pieces. A one-record stream (a serve
+/// request or response) is therefore built in one buffer, and take()
+/// hands that buffer over without copying it.
 class Writer {
 public:
   Writer();
@@ -117,7 +125,15 @@ public:
   /// Length-prefixed raw bytes, *not* interned: the transport for bulk
   /// one-off payloads (a request's design text, a response's stdout
   /// stream) where interning would only copy them a second time.
+  ///
+  /// Lifetime rule: the writer keeps a view of \p Bytes, not a copy, and
+  /// copies the bytes into the stream at endRecord(). They must stay
+  /// alive and unchanged until then. A temporary std::string would be
+  /// gone by then, so passing one does not compile; literals, views and
+  /// named strings do.
   void putBytes(std::string_view Bytes);
+  void putBytes(const char *Bytes) { putBytes(std::string_view(Bytes)); }
+  void putBytes(const std::string &&Bytes) = delete;
   void endRecord();
 
   /// Convenience: StreamBegin record announcing \p K at \p Version.
@@ -129,11 +145,18 @@ public:
   /// Drains and returns everything framed so far (header included on
   /// first call). The writer remains usable; interning state persists.
   std::string take();
-  /// All framed bytes when the stream is built in one piece.
-  const std::string &bytes() const { return Out; }
 
 private:
-  void frame(RecordKind K, const std::string &Payload);
+  /// A putBytes() blob: its bytes, and the offset in Payload they follow.
+  struct Blob {
+    size_t At;
+    std::string_view Bytes;
+  };
+
+  /// Appends one frame whose payload is \p Fields with the \p Spliced
+  /// blobs spliced in at their offsets.
+  void frame(RecordKind K, std::string_view Fields,
+             std::span<const Blob> Spliced = {});
   void flushStrings();
 
   /// Hashes views and strings alike, so lookups build no std::string.
@@ -145,7 +168,10 @@ private:
   };
 
   std::string Out;
+  /// The open record's fields, its blobs excepted.
   std::string Payload;
+  /// The open record's blobs, in order; views until endRecord().
+  std::vector<Blob> Blobs;
   /// Every string interned so far, with its id.
   std::unordered_map<std::string, uint32_t, NameHash, std::equal_to<>> IdOf;
   /// Strings interned since the last StringTable record: views of IdOf's

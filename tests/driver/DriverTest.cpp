@@ -84,6 +84,56 @@ CheckRequest inlineRequest(const char *Text, const std::string &Name,
   return R;
 }
 
+/// Checks that \p D carries every wire field of \p R.
+void expectSameRequest(const CheckRequest &D, const CheckRequest &R) {
+  EXPECT_EQ(D.DesignPath, R.DesignPath);
+  EXPECT_EQ(D.DesignText, R.DesignText);
+  EXPECT_EQ(D.HasInlineText, R.HasInlineText);
+  EXPECT_EQ(D.DesignName, R.DesignName);
+  EXPECT_EQ(D.Req.CachePath, R.Req.CachePath);
+  EXPECT_EQ(D.Req.OutputFormat, R.Req.OutputFormat);
+  EXPECT_EQ(D.Req.TraceOutPath, R.Req.TraceOutPath);
+  EXPECT_EQ(D.Req.Stats, R.Req.Stats);
+  EXPECT_EQ(D.Req.TimeoutMs, R.Req.TimeoutMs);
+  EXPECT_EQ(D.Req.FailpointSpec, R.Req.FailpointSpec);
+  EXPECT_EQ(D.Req.FaultSeed, R.Req.FaultSeed);
+  EXPECT_EQ(D.SummariesOut, R.SummariesOut);
+  EXPECT_EQ(D.CheckPath, R.CheckPath);
+  EXPECT_EQ(D.DotPath, R.DotPath);
+  EXPECT_EQ(D.ConvertIn, R.ConvertIn);
+  EXPECT_EQ(D.BinarySummaries, R.BinarySummaries);
+  EXPECT_EQ(D.CheckText, R.CheckText);
+  EXPECT_EQ(D.HasInlineCheckText, R.HasInlineCheckText);
+  EXPECT_EQ(D.Quiet, R.Quiet);
+  EXPECT_EQ(D.ShowDepth, R.ShowDepth);
+}
+
+/// decodeRequest through both overloads: the one that views \p Bytes
+/// and the one that takes over a copy of them. They must agree on the
+/// verdict, the reason and every decoded field, and a refused buffer
+/// is handed back as it was; \returns the verdict, with the view
+/// overload's results in \p M, \p R and \p Why.
+bool decodeBoth(std::string_view Bytes, Method &M, CheckRequest &R,
+                std::string &Why) {
+  const bool Viewed = decodeRequest(Bytes, M, R, Why);
+  std::string Buffer(Bytes);
+  Method OwnedM = Method::Check;
+  CheckRequest Owned;
+  std::string OwnedWhy;
+  const bool Taken =
+      decodeRequest(std::move(Buffer), OwnedM, Owned, OwnedWhy);
+  EXPECT_EQ(Viewed, Taken);
+  EXPECT_EQ(Why, OwnedWhy);
+  if (!Taken) {
+    EXPECT_EQ(Buffer, Bytes);
+  }
+  if (Viewed && Taken) {
+    EXPECT_EQ(M, OwnedM);
+    expectSameRequest(Owned, R);
+  }
+  return Viewed;
+}
+
 void writeFile(const std::string &Path, const std::string &Text) {
   std::ofstream Out(Path, std::ios::binary);
   Out << Text;
@@ -263,28 +313,40 @@ TEST(Serve, CodecRoundTripsEveryRequestField) {
   Method M = Method::Check;
   CheckRequest D;
   std::string Why;
-  ASSERT_TRUE(decodeRequest(Bytes, M, D, Why)) << Why;
+  ASSERT_TRUE(decodeBoth(Bytes, M, D, Why)) << Why;
   EXPECT_EQ(M, Method::Ascribe);
-  EXPECT_EQ(D.DesignPath, R.DesignPath);
-  EXPECT_EQ(D.DesignText, R.DesignText);
-  EXPECT_EQ(D.HasInlineText, R.HasInlineText);
-  EXPECT_EQ(D.DesignName, R.DesignName);
-  EXPECT_EQ(D.Req.CachePath, R.Req.CachePath);
-  EXPECT_EQ(D.Req.OutputFormat, R.Req.OutputFormat);
-  EXPECT_EQ(D.Req.TraceOutPath, R.Req.TraceOutPath);
-  EXPECT_EQ(D.Req.Stats, R.Req.Stats);
-  EXPECT_EQ(D.Req.TimeoutMs, R.Req.TimeoutMs);
-  EXPECT_EQ(D.Req.FailpointSpec, R.Req.FailpointSpec);
-  EXPECT_EQ(D.Req.FaultSeed, R.Req.FaultSeed);
-  EXPECT_EQ(D.SummariesOut, R.SummariesOut);
-  EXPECT_EQ(D.CheckPath, R.CheckPath);
-  EXPECT_EQ(D.DotPath, R.DotPath);
-  EXPECT_EQ(D.ConvertIn, R.ConvertIn);
-  EXPECT_EQ(D.BinarySummaries, R.BinarySummaries);
-  EXPECT_EQ(D.CheckText, R.CheckText);
-  EXPECT_EQ(D.HasInlineCheckText, R.HasInlineCheckText);
-  EXPECT_EQ(D.Quiet, R.Quiet);
-  EXPECT_EQ(D.ShowDepth, R.ShowDepth);
+  expectSameRequest(D, R);
+}
+
+TEST(Serve, CodecBytesArePinned) {
+  // The request and response streams byte for byte, as digests taken
+  // when every record was still copied whole into its frame. The
+  // request has NUL bytes in a string and in its CheckText, strings the
+  // writer interns once for several fields, and an empty DesignText;
+  // the response has NUL bytes on stdout and an empty stderr.
+  CheckRequest R;
+  R.DesignPath = std::string("designs/\0top.blif", 17);
+  R.DesignName = "top.blif";
+  R.Req.CachePath = "top.blif";
+  R.Req.OutputFormat = analysis::Format::Json;
+  R.Req.TimeoutMs = 300;
+  R.Req.FaultSeed = 1u << 20;
+  R.CheckPath = "top.blif";
+  R.CheckText = std::string("module top\0\nend\n", 16);
+  R.HasInlineCheckText = true;
+  R.Quiet = true;
+  const std::string Req = encodeRequest(Method::Ascribe, R);
+  EXPECT_EQ(Req.size(), 115u);
+  EXPECT_EQ(support::wire::fnv1a(Req), 0x05f267296eebae78ull);
+
+  CheckResult Res;
+  Res.ExitCode = 1;
+  Res.Errors = 2;
+  Res.Modules = 300;
+  Res.Out = std::string("{\"verdict\":\0\"error\"}\n", 21);
+  const std::string Resp = encodeResponse(Res, RespStatus::Ok);
+  EXPECT_EQ(Resp.size(), 67u);
+  EXPECT_EQ(support::wire::fnv1a(Resp), 0xd96980a3d7828f6dull);
 }
 
 TEST(Serve, CodecRejectsSetReservedSlots) {
@@ -313,7 +375,7 @@ TEST(Serve, CodecRejectsSetReservedSlots) {
     Method M;
     CheckRequest D;
     std::string Why;
-    const bool Decoded = decodeRequest(W.take(), M, D, Why);
+    const bool Decoded = decodeBoth(W.take(), M, D, Why);
     if (Slot < 0) {
       ASSERT_TRUE(Decoded) << Why;
       EXPECT_EQ(D.DesignPath, "design.blif");
@@ -334,7 +396,8 @@ TEST(Serve, CodecFailsClosedOnFramingDamage) {
   // Truncation at every prefix length: never a successful decode.
   for (size_t Len : {size_t(0), size_t(3), Bytes.size() / 2,
                      Bytes.size() - 1})
-    EXPECT_FALSE(decodeRequest(Bytes.substr(0, Len), M, D, Why))
+    EXPECT_FALSE(
+        decodeBoth(std::string_view(Bytes).substr(0, Len), M, D, Why))
         << "decoded a " << Len << "-byte prefix";
 
   // A flipped byte anywhere in the payload region trips the record
@@ -342,7 +405,7 @@ TEST(Serve, CodecFailsClosedOnFramingDamage) {
   // rejects on its own).
   std::string Flipped = Bytes;
   Flipped[Bytes.size() / 2] ^= 0x40;
-  EXPECT_FALSE(decodeRequest(Flipped, M, D, Why));
+  EXPECT_FALSE(decodeBoth(Flipped, M, D, Why));
 
   // Same discipline on the response side.
   CheckResult Res;
@@ -357,7 +420,7 @@ TEST(Serve, CodecFailsClosedOnFramingDamage) {
   EXPECT_FALSE(decodeResponse(RespFlipped, Resp, Why));
   // And the two directions don't cross-decode.
   EXPECT_FALSE(decodeResponse(Bytes, Resp, Why));
-  EXPECT_FALSE(decodeRequest(RespBytes, M, D, Why));
+  EXPECT_FALSE(decodeBoth(RespBytes, M, D, Why));
 
   ASSERT_TRUE(decodeResponse(RespBytes, Resp, Why)) << Why;
   EXPECT_EQ(Resp.ExitCode, 1);

@@ -71,7 +71,9 @@ TEST(ModuleTest, UndrivenOutputCaughtByDesignValidate) {
   D.addModule(std::move(M));
   auto Err = D.validate();
   ASSERT_TRUE(Err.has_value());
-  EXPECT_NE(Err->find("no driver"), std::string::npos);
+  EXPECT_NE(Err->Message.find("no driver"), std::string::npos);
+  EXPECT_EQ(Err->Module, 0u);
+  EXPECT_EQ(Err->Instance, DesignError::NoInstance);
 }
 
 TEST(ModuleTest, DoubleDriverRejected) {
@@ -297,7 +299,9 @@ TEST(DesignTest, UnboundInstanceInputRejected) {
 
   auto Err = D.validate();
   ASSERT_TRUE(Err.has_value());
-  EXPECT_NE(Err->find("unbound"), std::string::npos);
+  EXPECT_NE(Err->Message.find("unbound"), std::string::npos);
+  EXPECT_EQ(Err->Module, 1u); // The instantiating top.
+  EXPECT_EQ(Err->Instance, 0u);
 }
 
 TEST(DesignTest, CyclicInstantiationRejected) {
@@ -317,7 +321,9 @@ TEST(DesignTest, CyclicInstantiationRejected) {
   D.addModule(std::move(B));
   auto Err = D.validate();
   ASSERT_TRUE(Err.has_value());
-  EXPECT_NE(Err->find("cyclic"), std::string::npos);
+  EXPECT_NE(Err->Message.find("cyclic"), std::string::npos);
+  EXPECT_EQ(Err->Module, 0u); // The first module on the cycle.
+  EXPECT_EQ(Err->Instance, DesignError::NoInstance);
 }
 
 TEST(DesignTest, TopologicalModuleOrderRespectsInstantiation) {

@@ -129,6 +129,42 @@ TEST(ParseDiagTest, BlifEmptyInputIsAStructureError) {
   EXPECT_NE(D.message().find("no .model found"), std::string::npos);
 }
 
+// The refusals only the linked design shows point at the .model line of
+// the model they charge, or at the .subckt line of the instance their
+// message names.
+
+TEST(ParseDiagTest, BlifUndrivenOutputIsLocatedAtItsModel) {
+  Diag D = expectBlifDiag(".model top\n.inputs a\n.outputs y\n"
+                          ".names a y\n1 1\n.end\n"
+                          ".model m\n.inputs a\n.outputs y\n.end\n",
+                          DiagCode::WS202_BLIF_STRUCTURE,
+                          "module 'm': wire 'y' has no driver", 7);
+  EXPECT_EQ(D.loc()->Col, 1u);
+}
+
+TEST(ParseDiagTest, BlifUnboundSubcktInputIsLocatedAtTheSubckt) {
+  Diag D = expectBlifDiag(".model top\n.inputs a\n.outputs y\n"
+                          "  .subckt inv y=y\n.end\n"
+                          ".model inv\n.inputs a\n.outputs y\n"
+                          ".names a y\n0 1\n.end\n",
+                          DiagCode::WS202_BLIF_STRUCTURE,
+                          "leaves input 'a' unbound", 4);
+  EXPECT_EQ(D.loc()->Col, 3u);
+}
+
+TEST(ParseDiagTest, BlifCyclicInstantiationIsLocatedAtItsFirstModel) {
+  // q instantiates p, which instantiates q; top is not on the cycle.
+  Diag D = expectBlifDiag(".model top\n.inputs a\n.outputs y\n"
+                          ".names a y\n1 1\n.end\n"
+                          ".model p\n.inputs a\n.outputs y\n"
+                          ".subckt q a=a y=y\n.end\n"
+                          ".model q\n.inputs a\n.outputs y\n"
+                          ".subckt p a=a y=y\n.end\n",
+                          DiagCode::WS202_BLIF_STRUCTURE,
+                          "module instantiation is cyclic", 7);
+  EXPECT_EQ(D.loc()->Col, 1u);
+}
+
 // --- Verilog ----------------------------------------------------------------
 
 TEST(ParseDiagTest, VerilogEmptyInput) {
@@ -198,6 +234,33 @@ TEST(ParseDiagTest, VerilogUnknownModuleInstantiation) {
                     "endmodule\n",
                     DiagCode::WS212_VERILOG_SYNTAX,
                     "unknown module 'mystery'", 2);
+}
+
+TEST(ParseDiagTest, VerilogUnsizedLiteralPast64BitsIsRefused) {
+  // 2^64 + 1 would wrap to 1.
+  Diag D = expectVerilogDiag(
+      "module m(input wire [63:0] a, output wire [63:0] y);\n"
+      "  assign y = a + 18446744073709551617;\n"
+      "endmodule\n",
+      DiagCode::WS211_VERILOG_LEX, "literal does not fit in 64 bits", 2);
+  EXPECT_EQ(D.loc()->Col, 18u); // The literal.
+}
+
+TEST(ParseDiagTest, VerilogSizedLiteralWiderThanItsSizeIsRefused) {
+  Diag D = expectVerilogDiag("module m(input wire [3:0] a,\n"
+                             "         output wire [3:0] y);\n"
+                             "  assign y = a + 4'd17;\n"
+                             "endmodule\n",
+                             DiagCode::WS211_VERILOG_LEX,
+                             "literal does not fit its width 4", 3);
+  EXPECT_EQ(D.loc()->Col, 18u);
+  // Past 64 bits, a sized literal is refused the same way.
+  expectVerilogDiag("module m(input wire [63:0] a,\n"
+                    "         output wire [63:0] y);\n"
+                    "  assign y = a + 64'h1_0000_0000_0000_0000;\n"
+                    "endmodule\n",
+                    DiagCode::WS211_VERILOG_LEX,
+                    "literal does not fit its width 64", 3);
 }
 
 TEST(ParseDiagTest, VerilogOnlyTheRootCauseIsReported) {

@@ -4,8 +4,9 @@
 // docs/FORMATS.md) carries summary sidecars, the summary cache, and the
 // daemon's request/response streams, so this suite pins the framing
 // contract itself: varint edges, string interning under incremental
-// flushing, per-record checksum enforcement, truncation detection, and
-// forward-compat skipping (retired record kinds included).
+// flushing, raw blobs framed once into the stream, per-record checksum
+// enforcement, truncation detection, and forward-compat skipping
+// (retired record kinds included).
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,8 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
 using namespace wiresort::support;
@@ -377,6 +380,93 @@ TEST(WireTest, OutOfRangeStringIdsFailTheCursor) {
   std::string_view S;
   EXPECT_FALSE(C.getString(S));
   EXPECT_TRUE(C.failed());
+}
+
+/// Whether Writer::putBytes takes an argument of type \p Arg.
+template <typename Arg>
+concept PutBytesTakes = requires(Writer &W, Arg &&A) {
+  W.putBytes(std::forward<Arg>(A));
+};
+
+// putBytes keeps a view until endRecord, so a temporary string, gone by
+// then, must not compile; everything that outlives the call does.
+static_assert(!PutBytesTakes<std::string>);
+static_assert(!PutBytesTakes<const std::string>);
+static_assert(PutBytesTakes<std::string &>);
+static_assert(PutBytesTakes<const std::string &>);
+static_assert(PutBytesTakes<std::string_view>);
+static_assert(PutBytesTakes<const char (&)[3]>);
+static_assert(PutBytesTakes<const char *>);
+
+TEST(WireTest, BlobsBetweenInternedStringsRoundTrip) {
+  // Two raw blobs, one with NUL bytes and one empty, between interned
+  // strings: the record's new strings still go out in a StringTable
+  // framed ahead of it, and every field reads back in order.
+  const std::string Blob("blob\0with\0NULs", 14);
+  std::string Bytes = oneRecord(RecordKind::ModuleSummary, [&](Writer &W) {
+    W.putString("first");
+    W.putBytes(Blob);
+    W.putVarint(300);
+    W.putString("second");
+    W.putBytes("");
+    W.putString("first");
+  });
+
+  const std::vector<size_t> Starts = frameStarts(Bytes);
+  ASSERT_EQ(Starts.size(), 4u); // StreamBegin, StringTable, record, end.
+  EXPECT_EQ(static_cast<RecordKind>(Bytes[Starts[1]]),
+            RecordKind::StringTable);
+  EXPECT_EQ(static_cast<RecordKind>(Bytes[Starts[2]]),
+            RecordKind::ModuleSummary);
+  // Blobs are not interned: they live in the record, after the table.
+  EXPECT_GT(Bytes.find(Blob), Starts[2]);
+  EXPECT_LT(Bytes.find("second"), Starts[2]);
+
+  Reader R(Bytes);
+  skipPreamble(R);
+  Reader::Record Rec;
+  ASSERT_EQ(R.next(Rec), Reader::Item::Record);
+  Reader::Cursor C(Rec, R);
+  std::string_view First, Got, Second, Empty, Again;
+  uint64_t V = 0;
+  ASSERT_TRUE(C.getString(First));
+  ASSERT_TRUE(C.getBytes(Got));
+  ASSERT_TRUE(C.getVarint(V));
+  ASSERT_TRUE(C.getString(Second));
+  ASSERT_TRUE(C.getBytes(Empty));
+  ASSERT_TRUE(C.getString(Again));
+  EXPECT_TRUE(C.atEnd());
+  EXPECT_EQ(First, "first");
+  EXPECT_EQ(Got, Blob);
+  EXPECT_EQ(V, 300u);
+  EXPECT_EQ(Second, "second");
+  EXPECT_TRUE(Empty.empty());
+  EXPECT_EQ(Again, "first");
+  EXPECT_EQ(R.next(Rec), Reader::Item::End);
+}
+
+TEST(WireTest, OneRecordStreamIsBuiltInOneBuffer) {
+  // The record is framed straight into a stream buffer grown once, with
+  // room left for the StreamEnd that closes the stream, so the blob is
+  // never copied on into a buffer twice its size.
+  const std::string Blob(1 << 20, 'x');
+  std::string Bytes = oneRecord(RecordKind::ModuleSummary, [&](Writer &W) {
+    W.putString("name");
+    W.putBytes(Blob);
+  });
+  EXPECT_LT(Bytes.capacity(), Bytes.size() + Bytes.size() / 2);
+
+  Reader R(Bytes);
+  skipPreamble(R);
+  Reader::Record Rec;
+  ASSERT_EQ(R.next(Rec), Reader::Item::Record);
+  Reader::Cursor C(Rec, R);
+  std::string_view Name, Got;
+  ASSERT_TRUE(C.getString(Name));
+  ASSERT_TRUE(C.getBytes(Got));
+  EXPECT_EQ(Name, "name");
+  EXPECT_EQ(Got, Blob);
+  EXPECT_EQ(R.next(Rec), Reader::Item::End);
 }
 
 TEST(WireTest, FnvIsSeedChainedFnv1a) {

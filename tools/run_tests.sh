@@ -14,13 +14,16 @@
 #      engine), and so does the parser suite (a BLIF file's `.model`
 #      chunks parse on worker threads beside a shared parse cache);
 #   3. an UndefinedBehaviorSanitizer build of the kernel, support, IR,
-#      analysis and parser suites — the CSR packing, Tarjan, cycle walk,
-#      Kahn order and sweep (docs/KERNEL.md), the wire format's varint
-#      and fixed64 shifts, the port index's probe arithmetic and seal's
-#      slot indexing, both summary decoders, the Verilog literal
-#      decoder's multiply-add, the reader's width masks and constant
-#      shifts, and the probe arithmetic of BLIF pass 1's name table live
-#      on shifts and index arithmetic, which is exactly UBSan's beat;
+#      analysis, parser and driver suites — the CSR packing, Tarjan,
+#      cycle walk, Kahn order and sweep (docs/KERNEL.md), the wire
+#      format's varint and fixed64 shifts and its blob offsets, the port
+#      index's probe arithmetic and seal's slot indexing, both summary
+#      decoders, the Verilog literal decoder's multiply-add and range
+#      checks, the reader's width masks and constant shifts, the probe
+#      arithmetic of BLIF pass 1's name table, and the serve request
+#      decoder's in-place move of the design text within the read buffer
+#      live on shifts and offset arithmetic, which is exactly UBSan's
+#      beat;
 #   4. a jq smoke check that live `wiresort-check --format json` output
 #      is valid NDJSON (skipped when jq is absent);
 #   5. a trace/stats validation stage (docs/OBSERVABILITY.md): export the
@@ -121,16 +124,18 @@ TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/trace_tests"
 TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/parse_tests"
 
 echo
-echo "=== stage 3: kernel, support, IR, analysis and parser suites under UndefinedBehaviorSanitizer ($ROOT/build-ubsan) ==="
+echo "=== stage 3: kernel, support, IR, analysis, parser and driver suites under UndefinedBehaviorSanitizer ($ROOT/build-ubsan) ==="
 UBSAN_BUILD="$ROOT/build-ubsan"
 [ -f "$UBSAN_BUILD/CMakeCache.txt" ] || cmake -B "$UBSAN_BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
 cmake --build "$UBSAN_BUILD" -j "$(nproc)" \
-  --target kernel_tests support_tests ir_tests analysis_tests parse_tests
+  --target kernel_tests support_tests ir_tests analysis_tests parse_tests \
+  driver_tests
 "$UBSAN_BUILD/tests/kernel_tests"
-# Varint and fixed64 shifts of the wire format.
+# Varint and fixed64 shifts of the wire format, and the offsets at which
+# a record's blobs splice into its frame.
 "$UBSAN_BUILD/tests/support_tests"
 # The port index's probes and seal's slot-indexed bindings.
 "$UBSAN_BUILD/tests/ir_tests"
@@ -139,6 +144,9 @@ cmake --build "$UBSAN_BUILD" -j "$(nproc)" \
 # The Verilog literal decoder's multiply-add, the reader's width masks
 # (1 << Width) and constant shifts, and BLIF pass 1's name-table probes.
 "$UBSAN_BUILD/tests/parse_tests"
+# The serve codecs: the request decoder moves the design text to the
+# front of the server's read buffer by offset arithmetic.
+"$UBSAN_BUILD/tests/driver_tests"
 
 echo
 echo "=== stage 4: CLI JSON smoke check (jq) ==="
