@@ -106,7 +106,7 @@ struct KernelRun {
 CsrGraph netlistGraph(const Module &Gates) {
   std::vector<CsrGraph::Edge> Edges;
   for (const Net &N : Gates.Nets)
-    for (WireId In : N.Inputs)
+    for (WireId In : Gates.netInputs(N))
       Edges.emplace_back(In, N.Output);
   for (const Memory &Mem : Gates.Memories)
     if (!Mem.SyncRead)

@@ -33,7 +33,7 @@ uint32_t log2Ceil(uint32_t N) {
 /// its lowered form.
 uint32_t netDepth(const Module &M, const Net &N) {
   uint16_t W = M.wire(N.Output).Width;
-  uint16_t InW = N.Inputs.empty() ? 1 : M.wire(N.Inputs.front()).Width;
+  uint16_t InW = N.NumInputs == 0 ? 1 : M.wire(M.netInputs(N)[0]).Width;
   switch (N.Operation) {
   case Op::Buf:
   case Op::Concat:
@@ -99,7 +99,7 @@ buildDepthGraph(const Design &D, const Module &M,
 
   for (const Net &N : M.Nets) {
     uint32_t Weight = netDepth(M, N);
-    for (WireId In : N.Inputs)
+    for (WireId In : M.netInputs(N))
       addEdge(In, N.Output, Weight);
   }
   for (const Register &R : M.Registers)

@@ -42,13 +42,13 @@ CombGraph CombGraph::build(const Module &M,
   std::vector<CsrGraph::Edge> Edges;
   size_t NetEdges = M.Memories.size();
   for (const Net &Gate : M.Nets)
-    NetEdges += Gate.Inputs.size();
+    NetEdges += Gate.NumInputs;
   Edges.reserve(NetEdges);
 
   for (NetId N = 0; N != M.Nets.size(); ++N) {
     const Net &Gate = M.Nets[N];
     CG.Drivers[Gate.Output] = DriverRec{DriverKind::NetOut, N, InvalidId};
-    for (WireId In : Gate.Inputs)
+    for (WireId In : M.netInputs(Gate))
       Edges.emplace_back(In, Gate.Output);
   }
 
@@ -250,7 +250,7 @@ bool CombGraph::drivenByStateDirectly(WireId Out) const {
       const Net &Gate = M->Nets[D.Index];
       if (Gate.Operation != Op::Buf)
         return false;
-      W = Gate.Inputs.front();
+      W = M->netInputs(Gate)[0];
       continue;
     }
     case DriverKind::InputPort:

@@ -24,11 +24,17 @@
 #include "support/Timer.h"
 #include "support/Trace.h"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <optional>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace wiresort;
 using namespace wiresort::analysis;
@@ -483,16 +489,34 @@ CheckResult wiresort::driver::runCheck(const CheckRequest &R,
 }
 
 std::optional<std::string> wiresort::driver::readFile(const std::string &Path) {
-  std::FILE *In = std::fopen(Path.c_str(), "rb");
-  if (!In)
+  const int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
     return std::nullopt;
-  std::string Text;
-  char Buf[1 << 16];
-  while (size_t N = std::fread(Buf, 1, sizeof Buf, In))
-    Text.append(Buf, N);
-  const bool Failed = std::ferror(In);
-  std::fclose(In);
+  // A regular file's size sizes the string once, with a byte to spare so
+  // the read that finds EOF needs no room; reading on to EOF keeps a pipe,
+  // or a file that changes size meanwhile, whole.
+  struct stat St;
+  const size_t Expected =
+      ::fstat(Fd, &St) == 0 && S_ISREG(St.st_mode) ? St.st_size : 0;
+  std::string Text(Expected + 1, '\0');
+  size_t Len = 0;
+  bool Failed = false;
+  while (true) {
+    if (Len == Text.size())
+      Text.resize(std::max<size_t>(2 * Text.size(), 1 << 16));
+    const ssize_t N = ::read(Fd, Text.data() + Len, Text.size() - Len);
+    if (N > 0) {
+      Len += static_cast<size_t>(N);
+      continue;
+    }
+    if (N < 0 && errno == EINTR)
+      continue;
+    Failed = N < 0; // Reading a directory fails here (EISDIR).
+    break;
+  }
+  ::close(Fd);
   if (Failed)
     return std::nullopt;
+  Text.resize(Len);
   return Text;
 }

@@ -161,8 +161,9 @@ private:
 CheckResult runCheck(const CheckRequest &R, analysis::EngineConfig Cfg = {});
 
 /// The bytes of the file at \p Path, read to its end without seeking, so
-/// pipes and /dev/stdin work. std::nullopt when it cannot be opened or a
-/// read fails, as reading a directory does (EISDIR).
+/// pipes and /dev/stdin work; a regular file is read straight into a
+/// string sized once from its length. std::nullopt when it cannot be
+/// opened or a read fails, as reading a directory does (EISDIR).
 std::optional<std::string> readFile(const std::string &Path);
 
 } // namespace wiresort::driver

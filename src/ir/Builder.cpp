@@ -192,7 +192,7 @@ V Builder::concat(const std::vector<V> &Parts) {
   }
   assert(Total <= 64 && "concat result too wide");
   V Out = fresh(static_cast<uint16_t>(Total), "concat");
-  M.addNet(Op::Concat, std::move(Ids), Out.Id);
+  M.addNet(Op::Concat, Ids, Out.Id);
   return Out;
 }
 

@@ -94,29 +94,43 @@ bool ir::isPrimitiveOp(Op Operation) {
   }
 }
 
+namespace {
+
+/// Appends the concatenation of \p Parts to \p Buf and \returns the
+/// offset it starts at. A part may view \p Buf itself, so a buffer that
+/// must grow is copied into a grown one, parts included, before the old
+/// one is freed. Throws std::length_error, naming the module and \p What,
+/// when \p Buf would pass 2^32 elements.
+template <typename Buffer, typename Part>
+uint32_t appendParts(Buffer &Buf, std::initializer_list<Part> Parts,
+                     const std::string &ModuleName, const char *What) {
+  size_t Size = 0;
+  for (const Part &P : Parts)
+    Size += P.size();
+  const size_t Offset = Buf.size();
+  if (Size > std::numeric_limits<uint32_t>::max() - Offset)
+    throw std::length_error("module '" + ModuleName + "': " + What);
+  if (Buf.capacity() - Offset < Size) {
+    Buffer Grown;
+    Grown.reserve(std::max(Offset + Size, 2 * Buf.capacity()));
+    Grown.insert(Grown.end(), Buf.begin(), Buf.end());
+    for (const Part &P : Parts)
+      Grown.insert(Grown.end(), P.begin(), P.end());
+    Buf.swap(Grown);
+  } else {
+    for (const Part &P : Parts)
+      Buf.insert(Buf.end(), P.begin(), P.end());
+  }
+  return static_cast<uint32_t>(Offset);
+}
+
+} // namespace
+
 void Module::appendName(Wire &W,
                         std::initializer_list<std::string_view> Parts) {
-  size_t Size = 0;
-  for (std::string_view Part : Parts)
-    Size += Part.size();
-  const size_t Offset = Names.size();
-  if (Size > std::numeric_limits<uint32_t>::max() - Offset)
-    throw std::length_error("module '" + Name + "': wire names pass 4 GiB");
-  if (Names.capacity() - Offset < Size) {
-    // Copy into the grown buffer before the old one is freed: a part may
-    // view this module's own names.
-    std::string Grown;
-    Grown.reserve(std::max(Offset + Size, 2 * Names.capacity()));
-    Grown.append(Names);
-    for (std::string_view Part : Parts)
-      Grown.append(Part);
-    Names.swap(Grown);
-  } else {
-    for (std::string_view Part : Parts)
-      Names.append(Part);
-  }
-  W.NameOffset = static_cast<uint32_t>(Offset);
-  W.NameSize = static_cast<uint32_t>(Size);
+  const size_t Start = Names.size();
+  W.NameOffset = appendParts(Names, Parts, Name, "wire names pass 4 GiB");
+  W.NameSize = static_cast<uint32_t>(Names.size() - Start);
 }
 
 WireId Module::addWire(std::initializer_list<std::string_view> NameParts,
@@ -154,11 +168,48 @@ void Module::renameWire(WireId Id, std::string_view Name) {
   appendName(Wires[Id], {Name});
 }
 
-NetId Module::addNet(Op Operation, std::vector<WireId> Inputs, WireId Output,
-                     uint32_t Aux, std::vector<std::string> Cover) {
-  Nets.push_back(
-      Net{Operation, std::move(Inputs), Output, Aux, std::move(Cover)});
+NetId Module::addNet(Op Operation, std::span<const WireId> Inputs,
+                     WireId Output, uint32_t Aux, std::string_view CoverRows) {
+  assert(CoverRows.size() % (Inputs.size() + 1) == 0 &&
+         "a cover row is NumInputs + 1 bytes");
+  Net N;
+  N.Operation = Operation;
+  N.Output = Output;
+  N.Aux = Aux;
+  N.InputOffset = appendParts(NetInputs, {Inputs}, Name,
+                              "net inputs pass 2^32 entries");
+  N.NumInputs = static_cast<uint32_t>(Inputs.size());
+  N.CoverOffset =
+      appendParts(Covers, {CoverRows}, Name, "cover rows pass 4 GiB");
+  N.CoverRows = static_cast<uint32_t>(CoverRows.size() / (Inputs.size() + 1));
+  Nets.push_back(N);
   return static_cast<NetId>(Nets.size() - 1);
+}
+
+void Module::addCoverRow(std::string_view Plane, char OutputBit) {
+  Net &N = Nets.back();
+  assert(N.Operation == Op::Lut && Plane.size() == N.NumInputs &&
+         N.CoverOffset + size_t(N.CoverRows) * (N.NumInputs + 1) ==
+             Covers.size() &&
+         "rows go to the last net, a Lut whose cover ends the buffer");
+  appendParts(Covers, {Plane, std::string_view(&OutputBit, 1)}, Name,
+              "cover rows pass 4 GiB");
+  ++N.CoverRows;
+}
+
+void Module::replaceNet(NetId Id, Op Operation,
+                        std::initializer_list<WireId> Inputs) {
+  Net &N = Nets[Id];
+  if (Inputs.size() <= N.NumInputs)
+    std::copy(Inputs.begin(), Inputs.end(),
+              NetInputs.begin() + N.InputOffset);
+  else
+    N.InputOffset = appendParts(NetInputs, {std::span<const WireId>(Inputs)},
+                                Name, "net inputs pass 2^32 entries");
+  N.Operation = Operation;
+  N.NumInputs = static_cast<uint32_t>(Inputs.size());
+  N.Aux = 0;
+  N.CoverRows = 0;
 }
 
 RegId Module::addRegister(WireId D, WireId Q, uint64_t Init) {
@@ -227,12 +278,18 @@ WireId PortIndex::find(const Module &M, std::string_view Name) const {
   return Slots[probe(M, Name, std::hash<std::string_view>{}(Name))].Id;
 }
 
-std::optional<uint16_t>
-Module::resultWidth(Op Operation, const std::vector<uint16_t> &Widths,
-                    uint32_t Aux, uint16_t OutWidth) {
+namespace {
+
+/// Module::resultWidth over the \p NumInputs operand widths
+/// \p Width(0) .. \p Width(NumInputs - 1), so validate reads them where
+/// they lie.
+template <typename WidthFn>
+std::optional<uint16_t> resultWidthOf(Op Operation, size_t NumInputs,
+                                      WidthFn Width, uint32_t Aux,
+                                      uint16_t OutWidth) {
   auto allEqual = [&]() {
-    for (uint16_t W : Widths)
-      if (W != Widths.front())
+    for (size_t I = 1; I < NumInputs; ++I)
+      if (Width(I) != Width(0))
         return false;
     return true;
   };
@@ -243,56 +300,65 @@ Module::resultWidth(Op Operation, const std::vector<uint16_t> &Widths,
   case Op::Nand:
   case Op::Nor:
   case Op::Xnor:
-    if (Widths.size() != 2 || !allEqual())
+    if (NumInputs != 2 || !allEqual())
       return std::nullopt;
-    return Widths.front();
+    return Width(0);
   case Op::Not:
   case Op::Buf:
-    if (Widths.size() != 1)
+    if (NumInputs != 1)
       return std::nullopt;
-    return Widths.front();
+    return Width(0);
   case Op::Mux:
-    if (Widths.size() != 3 || Widths[0] != 1 || Widths[1] != Widths[2])
+    if (NumInputs != 3 || Width(0) != 1 || Width(1) != Width(2))
       return std::nullopt;
-    return Widths[1];
+    return Width(1);
   case Op::Lut:
-    for (uint16_t W : Widths)
-      if (W != 1)
+    for (size_t I = 0; I != NumInputs; ++I)
+      if (Width(I) != 1)
         return std::nullopt;
     return 1;
   case Op::Add:
   case Op::Sub:
-    if (Widths.size() != 2 || !allEqual())
+    if (NumInputs != 2 || !allEqual())
       return std::nullopt;
-    return Widths.front();
+    return Width(0);
   case Op::Eq:
   case Op::Lt:
-    if (Widths.size() != 2 || !allEqual())
+    if (NumInputs != 2 || !allEqual())
       return std::nullopt;
     return 1;
   case Op::Concat: {
-    if (Widths.empty())
+    if (NumInputs == 0)
       return std::nullopt;
     uint32_t Sum = 0;
-    for (uint16_t W : Widths)
-      Sum += W;
+    for (size_t I = 0; I != NumInputs; ++I)
+      Sum += Width(I);
     if (Sum > 64)
       return std::nullopt;
     return static_cast<uint16_t>(Sum);
   }
   case Op::Select:
-    if (Widths.size() != 1 || OutWidth == 0 ||
-        Aux + OutWidth > Widths.front())
+    if (NumInputs != 1 || OutWidth == 0 || Aux + OutWidth > Width(0))
       return std::nullopt;
     return OutWidth;
   case Op::AndR:
   case Op::OrR:
   case Op::XorR:
-    if (Widths.size() != 1)
+    if (NumInputs != 1)
       return std::nullopt;
     return 1;
   }
   return std::nullopt;
+}
+
+} // namespace
+
+std::optional<uint16_t>
+Module::resultWidth(Op Operation, const std::vector<uint16_t> &Widths,
+                    uint32_t Aux, uint16_t OutWidth) {
+  return resultWidthOf(
+      Operation, Widths.size(), [&](size_t I) { return Widths[I]; }, Aux,
+      OutWidth);
 }
 
 std::optional<std::string> Module::validate() const {
@@ -305,17 +371,19 @@ std::optional<std::string> Module::validate() const {
   for (const Net &N : Nets) {
     if (N.Output >= Wires.size())
       return fail("net output wire id out of range");
-    for (WireId In : N.Inputs)
+    if (size_t(N.InputOffset) + N.NumInputs > NetInputs.size() ||
+        N.CoverOffset + N.CoverRows * (size_t(N.NumInputs) + 1) >
+            Covers.size())
+      return fail("net inputs or cover out of range");
+    const std::span<const WireId> Ins = netInputs(N);
+    for (WireId In : Ins)
       if (In >= Wires.size())
         return fail("net input wire id out of range");
     ++Drivers[N.Output];
 
-    std::vector<uint16_t> Widths;
-    Widths.reserve(N.Inputs.size());
-    for (WireId In : N.Inputs)
-      Widths.push_back(Wires[In].Width);
-    std::optional<uint16_t> Result =
-        resultWidth(N.Operation, Widths, N.Aux, Wires[N.Output].Width);
+    std::optional<uint16_t> Result = resultWidthOf(
+        N.Operation, Ins.size(), [&](size_t I) { return Wires[Ins[I]].Width; },
+        N.Aux, Wires[N.Output].Width);
     if (!Result)
       return fail(std::string("ill-typed ") + opName(N.Operation) +
                   " net driving '" + wireName(N.Output) + "'");

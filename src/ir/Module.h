@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -104,6 +105,15 @@ struct PortContract {
 /// \ref wireName and \ref wire hand out views of the buffer: a WireName
 /// is valid until the module adds or renames a wire, or is moved or
 /// destroyed.
+///
+/// Nets are laid out the same way: every net's inputs back to back in one
+/// WireId array (the module's fan-in lists, in net order), and every
+/// Lut's cover rows back to back in one byte buffer, each Net record
+/// holding its offset and count in both. A cover row is always
+/// NumInputs + 1 bytes, so an offset and a row count address it and no
+/// cover needs interning. \ref netInputs and \ref netCover hand out
+/// views, valid until the module adds a net or a cover row or replaces a
+/// net, or is moved or destroyed.
 class Module {
 public:
   std::string Name;
@@ -112,6 +122,9 @@ public:
   /// \ref addWire (or \ref addInput / \ref addOutput), which writes the
   /// name; callers may change a record's Kind, Width and ConstValue.
   std::vector<Wire> Wires;
+  /// One record per net, indexed by NetId. Add nets through \ref addNet
+  /// and rewrite them through \ref replaceNet, which keep each record's
+  /// input and cover ranges in step with the module's arrays.
   std::vector<Net> Nets;
   std::vector<Register> Registers;
   std::vector<Memory> Memories;
@@ -154,9 +167,32 @@ public:
   /// The new name is appended; the old bytes stay in the buffer unused.
   void renameWire(WireId Id, std::string_view Name);
 
-  /// Creates a net; \returns the id of the new net.
-  NetId addNet(Op Operation, std::vector<WireId> Inputs, WireId Output,
-               uint32_t Aux = 0, std::vector<std::string> Cover = {});
+  /// Creates a net; \returns the id of the new net. \p Inputs and
+  /// \p CoverRows (a Lut's rows back to back, each Inputs.size() + 1
+  /// bytes; see CoverView) are copied into the module's arrays and may
+  /// view those very arrays. Throws std::length_error when the net-input
+  /// array would pass 2^32 entries or the cover buffer 4 GiB.
+  NetId addNet(Op Operation, std::span<const WireId> Inputs, WireId Output,
+               uint32_t Aux = 0, std::string_view CoverRows = {});
+  NetId addNet(Op Operation, std::initializer_list<WireId> Inputs,
+               WireId Output, uint32_t Aux = 0,
+               std::string_view CoverRows = {}) {
+    return addNet(Operation, std::span<const WireId>(Inputs), Output, Aux,
+                  CoverRows);
+  }
+
+  /// Appends the row \p Plane followed by \p OutputBit to the cover of
+  /// the last net added, which must be a Lut with Plane.size() inputs:
+  /// BLIF import adds a `.names` net, then its rows as it reads them.
+  void addCoverRow(std::string_view Plane, char OutputBit);
+
+  /// Makes net \p Id compute \p Operation of \p Inputs, with no Aux and
+  /// no cover; its output stays. The inputs overwrite the old ones in
+  /// place when they fit and are appended otherwise, and the old cover
+  /// bytes stay in the buffer unused. Constant folding and loop breaking
+  /// rewrite a net this way.
+  void replaceNet(NetId Id, Op Operation,
+                  std::initializer_list<WireId> Inputs);
 
   /// Creates a register latching \p D into \p Q.
   RegId addRegister(WireId D, WireId Q, uint64_t Init = 0);
@@ -182,6 +218,24 @@ public:
   }
 
   size_t numWires() const { return Wires.size(); }
+
+  /// Net \p N's inputs, a view of the net-input array.
+  std::span<const WireId> netInputs(const Net &N) const {
+    return {NetInputs.data() + N.InputOffset, N.NumInputs};
+  }
+  std::span<const WireId> netInputs(NetId Id) const {
+    return netInputs(Nets[Id]);
+  }
+
+  /// Net \p N's cover rows, a view of the cover buffer (empty unless the
+  /// net is a Lut).
+  CoverView netCover(const Net &N) const {
+    const uint32_t RowBytes = N.NumInputs + 1;
+    return CoverView(std::string_view(Covers.data() + N.CoverOffset,
+                                      size_t(N.CoverRows) * RowBytes),
+                     RowBytes);
+  }
+  CoverView netCover(NetId Id) const { return netCover(Nets[Id]); }
 
   bool isInput(WireId Id) const { return Wires[Id].Kind == WireKind::Input; }
   bool isOutput(WireId Id) const { return Wires[Id].Kind == WireKind::Output; }
@@ -217,6 +271,10 @@ private:
 
   /// Every wire's name, back to back (see the class comment).
   std::string Names;
+  /// Every net's inputs, back to back in the order they were written.
+  std::vector<WireId> NetInputs;
+  /// Every Lut's cover rows, back to back.
+  std::string Covers;
 };
 
 /// A name index over one module's ports, for every caller that resolves

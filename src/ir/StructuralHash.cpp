@@ -8,6 +8,8 @@
 
 #include "ir/Module.h"
 
+#include <string_view>
+
 using namespace wiresort;
 using namespace wiresort::ir;
 
@@ -21,7 +23,7 @@ namespace {
 class Hasher {
 public:
   void u64(uint64_t V) { H = hashCombine(H, V); }
-  void str(const std::string &S) {
+  void str(std::string_view S) {
     uint64_t F = 0xcbf29ce484222325ULL; // FNV offset basis.
     for (char C : S) {
       F ^= static_cast<unsigned char>(C);
@@ -60,14 +62,17 @@ uint64_t ir::structuralHash(const Module &M) {
   H.u64(M.Nets.size());
   for (const Net &N : M.Nets) {
     H.u64(static_cast<uint64_t>(N.Operation));
-    H.u64(N.Inputs.size());
-    for (WireId In : N.Inputs)
+    H.u64(N.NumInputs);
+    for (WireId In : M.netInputs(N))
       H.u64(In);
     H.u64(N.Output);
     H.u64(N.Aux);
-    H.u64(N.Cover.size());
-    for (const std::string &Row : N.Cover)
-      H.str(Row);
+    // Row by row, each as its size and FNV-1a: saved cache keys are
+    // these exact words.
+    const CoverView Cover = M.netCover(N);
+    H.u64(Cover.numRows());
+    for (uint32_t R = 0; R != Cover.numRows(); ++R)
+      H.str(Cover.row(R));
   }
 
   H.tag(3);

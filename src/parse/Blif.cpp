@@ -168,8 +168,10 @@ struct Pass1 {
   /// The actuals of Cur's .subckt lines in subckt-then-pair order, bound
   /// to wires when Cur ends.
   std::vector<std::string_view> Actuals;
-  // Pending .names cover collection.
-  Net *PendingLut = nullptr;
+  /// Whether cover rows go to Cur's last net, the open `.names`.
+  bool PendingLut = false;
+  /// The open `.names`'s inputs, kept to reuse its storage.
+  std::vector<WireId> Ins;
   std::vector<BlifTok> Tok;
   bool Continuing = false;
   std::optional<support::Diag> Err;
@@ -229,7 +231,7 @@ struct Pass1 {
       Cur->M.Name = std::string(Tok[1].Text);
       Cur->Line = Tok[0].Line;
       Cur->Col = Tok[0].Col;
-      PendingLut = nullptr;
+      PendingLut = false;
       return true;
     }
     if (!Cur)
@@ -238,16 +240,15 @@ struct Pass1 {
     if (Cmd == ".names") {
       if (Tok.size() < 2)
         return fail(Tok[0], ".names expects at least an output");
-      std::vector<WireId> Ins;
-      Ins.reserve(Tok.size() - 2);
+      Ins.clear();
       for (size_t I = 1; I + 1 < Tok.size(); ++I)
         Ins.push_back(wireFor(Tok[I].Text));
       WireId Out = wireFor(Tok.back().Text);
       if (!Cur->drive(Out))
         return fail(Tok.back(),
                     "signal " + quote(Tok.back().Text) + " driven twice");
-      NetId Id = Cur->M.addNet(Op::Lut, std::move(Ins), Out);
-      PendingLut = &Cur->M.Nets[Id];
+      Cur->M.addNet(Op::Lut, Ins, Out);
+      PendingLut = true;
     } else if (Cmd == ".inputs" || Cmd == ".outputs") {
       const bool IsInput = Cmd == ".inputs";
       for (size_t I = 1; I != Tok.size(); ++I) {
@@ -257,7 +258,7 @@ struct Pass1 {
         W = IsInput ? Cur->M.addInput(Tok[I].Text, 1)
                     : Cur->M.addOutput(Tok[I].Text, 1);
       }
-      PendingLut = nullptr;
+      PendingLut = false;
     } else if (Cmd == ".latch") {
       if (Tok.size() < 3)
         return fail(Tok[0], ".latch expects input and output");
@@ -283,7 +284,7 @@ struct Pass1 {
       if (Tok.size() > 3 && (Last == "0" || Last == "1"))
         Init = Last == "1" ? 1 : 0;
       Cur->M.addRegister(D, Q, Init);
-      PendingLut = nullptr;
+      PendingLut = false;
     } else if (Cmd == ".subckt") {
       if (Tok.size() < 2)
         return fail(Tok[0], ".subckt expects a model name");
@@ -300,9 +301,9 @@ struct Pass1 {
         Actuals.push_back(Pair.substr(EqPos + 1));
       }
       Cur->Subckts.push_back(std::move(Rec));
-      PendingLut = nullptr;
+      PendingLut = false;
     } else if (Cmd == ".end") {
-      PendingLut = nullptr;
+      PendingLut = false;
     } else if (Cmd[0] != '.') {
       // A cover row for the pending .names.
       if (!PendingLut)
@@ -313,9 +314,14 @@ struct Pass1 {
       std::string_view Output = Tok.size() == 2 ? Tok[1].Text : Tok[0].Text;
       if (Output != "0" && Output != "1")
         return fail(Tok.back(), "cover output must be 0 or 1");
-      if (Plane.size() != PendingLut->Inputs.size())
+      const Net &Lut = Cur->M.Nets.back();
+      if (Plane.size() != Lut.NumInputs)
         return fail(Tok[0], "cover row arity mismatch");
-      PendingLut->Cover.emplace_back(Plane).append(Output);
+      // BLIF gives one cover one output bit: an ON-set or an OFF-set.
+      if (Lut.CoverRows != 0 &&
+          Cur->M.netCover(Lut).isOffSet() != (Output == "0"))
+        return fail(Tok.back(), "cover mixes output 0 and 1 rows");
+      Cur->M.addCoverRow(Plane, Output[0]);
     } else {
       // Unsupported directives (.clock, .exdc, ...) are rejected loudly:
       // silently skipping them could change semantics.
@@ -688,23 +694,20 @@ void writeModel(std::ostringstream &OS, const Design &D, const Module &M) {
 
   auto name = [&](WireId W) { return M.wireName(W); };
   for (const Net &N : M.Nets) {
+    OS << ".names";
+    for (WireId In : M.netInputs(N))
+      OS << ' ' << name(In);
+    OS << ' ' << name(N.Output) << '\n';
     if (N.Operation == Op::Lut) {
-      OS << ".names";
-      for (WireId In : N.Inputs)
-        OS << ' ' << name(In);
-      OS << ' ' << name(N.Output) << '\n';
-      for (const std::string &Row : N.Cover) {
-        if (Row.size() == 1)
-          OS << Row << '\n';
-        else
-          OS << Row.substr(0, Row.size() - 1) << ' ' << Row.back() << '\n';
+      const CoverView Cover = M.netCover(N);
+      for (uint32_t R = 0; R != Cover.numRows(); ++R) {
+        const std::string_view Row = Cover.row(R);
+        if (Row.size() > 1)
+          OS << Row.substr(0, Row.size() - 1) << ' ';
+        OS << Row.back() << '\n';
       }
       continue;
     }
-    OS << ".names";
-    for (WireId In : N.Inputs)
-      OS << ' ' << name(In);
-    OS << ' ' << name(N.Output) << '\n';
     switch (N.Operation) {
     case Op::And:
       OS << "11 1\n";

@@ -15,6 +15,9 @@
 /// covers)/.latch/.subckt/.end, comments, and line continuations. Every
 /// BLIF signal is a 1-bit wire; .names becomes an Op::Lut net, .latch a
 /// Register, .subckt a SubInstance (resolved across models in the file).
+/// A cover lists its ON-set (rows with output 1) or its OFF-set (rows
+/// with output 0), as ir::CoverView reads it; one that mixes the two is
+/// refused (WS201).
 ///
 //===----------------------------------------------------------------------===//
 

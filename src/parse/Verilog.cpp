@@ -10,6 +10,7 @@
 #include <cctype>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string_view>
 
@@ -41,37 +42,42 @@ std::string ident(std::string_view Name) {
 }
 
 void writeLutExpr(std::ostringstream &OS, const Module &M, const Net &N) {
-  // Sum of the '1'-output rows; each row is a product of (possibly
-  // complemented) inputs.
-  bool AnyTerm = false;
-  std::ostringstream Terms;
-  for (const std::string &Row : N.Cover) {
-    if (Row.back() != '1')
-      continue;
-    if (AnyTerm)
-      Terms << " | ";
-    AnyTerm = true;
-    if (N.Inputs.empty()) {
-      Terms << "1'b1";
+  // The sum of the rows, each a product of (possibly complemented)
+  // inputs; an OFF-set cover is its complement (see ir::CoverView).
+  const CoverView Cover = M.netCover(N);
+  const std::span<const WireId> Ins = M.netInputs(N);
+  if (Cover.numRows() == 0) {
+    OS << "1'b0";
+    return;
+  }
+  if (Cover.isOffSet())
+    OS << "~(";
+  for (uint32_t R = 0; R != Cover.numRows(); ++R) {
+    const std::string_view Row = Cover.row(R);
+    if (R != 0)
+      OS << " | ";
+    if (Ins.empty()) {
+      OS << "1'b1";
       continue;
     }
     bool AnyFactor = false;
-    Terms << '(';
-    for (size_t I = 0; I + 1 < Row.size(); ++I) {
+    OS << '(';
+    for (size_t I = 0; I != Ins.size(); ++I) {
       if (Row[I] == '-')
         continue;
       if (AnyFactor)
-        Terms << " & ";
+        OS << " & ";
       AnyFactor = true;
       if (Row[I] == '0')
-        Terms << '~';
-      Terms << ident(M.wire(N.Inputs[I]).Name);
+        OS << '~';
+      OS << ident(M.wire(Ins[I]).Name);
     }
     if (!AnyFactor)
-      Terms << "1'b1";
-    Terms << ')';
+      OS << "1'b1";
+    OS << ')';
   }
-  OS << (AnyTerm ? Terms.str() : std::string("1'b0"));
+  if (Cover.isOffSet())
+    OS << ')';
 }
 
 void writeModule(std::ostringstream &OS, const Design &D, const Module &M) {
@@ -113,7 +119,7 @@ void writeModule(std::ostringstream &OS, const Design &D, const Module &M) {
          << (M.wire(W).ConstValue & 1) << ";\n";
 
   auto in = [&](const Net &N, size_t I) {
-    return ident(M.wire(N.Inputs[I]).Name);
+    return ident(M.wire(M.netInputs(N)[I]).Name);
   };
   for (const Net &N : M.Nets) {
     OS << "  assign " << ident(M.wire(N.Output).Name) << " = ";

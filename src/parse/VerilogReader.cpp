@@ -395,7 +395,7 @@ private:
   Value emitNet(ModuleShell &Shell, Op Operation, std::vector<WireId> Inputs,
                 uint16_t Width, uint32_t Aux = 0) {
     WireId W = freshWire(Shell, Width);
-    Shell.M.addNet(Operation, std::move(Inputs), W, Aux);
+    Shell.M.addNet(Operation, Inputs, W, Aux);
     return Value{W, Width};
   }
 

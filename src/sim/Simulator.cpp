@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <map>
+#include <span>
 
 using namespace wiresort;
 using namespace wiresort::ir;
@@ -32,7 +33,7 @@ support::Expected<Simulator> Simulator::create(const Module &Flat) {
   // Levelize: topological order over the combinational wire graph.
   std::vector<CsrGraph::Edge> Edges;
   for (const Net &N : Flat.Nets)
-    for (WireId In : N.Inputs)
+    for (WireId In : Flat.netInputs(N))
       Edges.emplace_back(In, N.Output);
   for (const Memory &Mem : Flat.Memories)
     if (!Mem.SyncRead)
@@ -97,7 +98,8 @@ uint64_t Simulator::value(const std::string &Name) const {
 }
 
 void Simulator::evalNet(const Net &N) {
-  auto in = [&](size_t I) { return Values[N.Inputs[I]]; };
+  const std::span<const WireId> Ins = M->netInputs(N);
+  auto in = [&](size_t I) { return Values[Ins[I]]; };
   const Wire &OutWire = M->Wires[N.Output];
   uint64_t Result = 0;
   switch (N.Operation) {
@@ -128,26 +130,9 @@ void Simulator::evalNet(const Net &N) {
   case Op::Mux:
     Result = in(0) ? in(1) : in(2);
     break;
-  case Op::Lut: {
-    Result = 0;
-    for (const std::string &Row : N.Cover) {
-      bool Match = true;
-      for (size_t I = 0; I + 1 < Row.size(); ++I) {
-        char C = Row[I];
-        if (C == '-')
-          continue;
-        if ((C == '1') != (in(I) != 0)) {
-          Match = false;
-          break;
-        }
-      }
-      if (Match) {
-        Result = Row.back() == '1';
-        break;
-      }
-    }
+  case Op::Lut:
+    Result = M->netCover(N).eval([&](size_t I) { return in(I) != 0; });
     break;
-  }
   case Op::Add:
     Result = in(0) + in(1);
     break;
@@ -161,8 +146,8 @@ void Simulator::evalNet(const Net &N) {
     Result = in(0) < in(1);
     break;
   case Op::Concat: {
-    for (size_t I = 0; I != N.Inputs.size(); ++I) {
-      uint16_t W = M->wire(N.Inputs[I]).Width;
+    for (size_t I = 0; I != Ins.size(); ++I) {
+      uint16_t W = M->wire(Ins[I]).Width;
       Result = (W >= 64 ? 0 : (Result << W)) | in(I);
     }
     break;
@@ -171,7 +156,7 @@ void Simulator::evalNet(const Net &N) {
     Result = in(0) >> N.Aux;
     break;
   case Op::AndR:
-    Result = in(0) == mask(M->wire(N.Inputs[0]).Width);
+    Result = in(0) == mask(M->wire(Ins[0]).Width);
     break;
   case Op::OrR:
     Result = in(0) != 0;

@@ -18,7 +18,7 @@ NetlistCycleResult synth::detectCycles(const Module &Flat) {
   assert(Flat.Instances.empty() && "cycle detection needs a flat netlist");
   std::vector<CsrGraph::Edge> Edges;
   for (const Net &N : Flat.Nets)
-    for (WireId In : N.Inputs)
+    for (WireId In : Flat.netInputs(N))
       Edges.emplace_back(In, N.Output);
   for (const Memory &Mem : Flat.Memories)
     if (!Mem.SyncRead)

@@ -53,12 +53,13 @@ private:
       if (Wr.Kind == WireKind::Output)
         OutPorts[W] = NW;
     }
+    std::vector<WireId> Ins;
     for (const Net &N : M.Nets) {
-      std::vector<WireId> Ins;
-      for (WireId In : N.Inputs)
+      Ins.clear();
+      for (WireId In : M.netInputs(N))
         Ins.push_back(Map.at(In));
-      Out.addNet(N.Operation, std::move(Ins), Map.at(N.Output), N.Aux,
-                 N.Cover);
+      Out.addNet(N.Operation, Ins, Map.at(N.Output), N.Aux,
+                 M.netCover(N).bytes());
     }
     for (const Register &R : M.Registers)
       Out.addRegister(Map.at(R.D), Map.at(R.Q), R.Init);

@@ -7,8 +7,10 @@
 #include "synth/Lower.h"
 
 #include <cassert>
+#include <initializer_list>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 
 using namespace wiresort;
@@ -43,15 +45,17 @@ protected:
     return W;
   }
 
-  WireId gate(Op Operation, std::vector<WireId> Ins, const char *Hint) {
+  WireId gate(Op Operation, std::initializer_list<WireId> Ins,
+              const char *Hint) {
     WireId Result = freshBit(Hint);
-    Out.addNet(Operation, std::move(Ins), Result);
+    Out.addNet(Operation, Ins, Result);
     return Result;
   }
 
   /// Emits a gate whose output is the pre-created wire \p Into.
-  void gateInto(Op Operation, std::vector<WireId> Ins, WireId Into) {
-    Out.addNet(Operation, std::move(Ins), Into);
+  void gateInto(Op Operation, std::initializer_list<WireId> Ins,
+                WireId Into) {
+    Out.addNet(Operation, Ins, Into);
   }
 
   WireId andTree(const std::vector<WireId> &Ins) {
@@ -117,8 +121,9 @@ protected:
 
   void lowerNet(const Module &M, const Net &N, BitMap &Bits) {
     const std::vector<WireId> &OutBits = Bits[N.Output];
+    const std::span<const WireId> Ins = M.netInputs(N);
     auto in = [&](size_t Index) -> const std::vector<WireId> & {
-      return Bits[N.Inputs[Index]];
+      return Bits[Ins[Index]];
     };
     switch (N.Operation) {
     case Op::And:
@@ -142,10 +147,10 @@ protected:
       return;
     }
     case Op::Lut: {
-      std::vector<WireId> Ins;
-      for (size_t I = 0; I != N.Inputs.size(); ++I)
-        Ins.push_back(in(I)[0]);
-      Out.addNet(Op::Lut, std::move(Ins), OutBits[0], 0, N.Cover);
+      std::vector<WireId> InBits;
+      for (size_t I = 0; I != Ins.size(); ++I)
+        InBits.push_back(in(I)[0]);
+      Out.addNet(Op::Lut, InBits, OutBits[0], 0, M.netCover(N).bytes());
       return;
     }
     case Op::Add:
@@ -186,7 +191,7 @@ protected:
     case Op::Concat: {
       // Inputs are listed most-significant first.
       size_t B = 0;
-      for (size_t I = N.Inputs.size(); I-- > 0;) {
+      for (size_t I = Ins.size(); I-- > 0;) {
         const std::vector<WireId> &Part = in(I);
         for (WireId Bit : Part)
           gateInto(Op::Buf, {Bit}, OutBits[B++]);
@@ -208,7 +213,6 @@ protected:
       gateInto(Op::Buf, {reduceTree(Op::Xor, in(0))}, OutBits[0]);
       return;
     }
-    (void)M;
     assert(false && "unhandled operation in lowering");
   }
 

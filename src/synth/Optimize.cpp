@@ -8,9 +8,11 @@
 
 #include "support/CsrGraph.h"
 
+#include <algorithm>
 #include <cassert>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 using namespace wiresort;
@@ -30,28 +32,6 @@ WireId constWire(Module &M, bool Value, std::map<bool, WireId> &Pool) {
   return W;
 }
 
-/// Evaluates a 1-bit Lut cover over known input bits.
-bool evalLut(const Net &N, const std::vector<bool> &Ins) {
-  // Each cover row is "<plane><output>"; a '1' output row matching the
-  // inputs sets the output. All-'0'-output covers mean constant 0.
-  for (const std::string &Row : N.Cover) {
-    assert(Row.size() == Ins.size() + 1 && "malformed LUT cover row");
-    bool Match = true;
-    for (size_t I = 0; I != Ins.size(); ++I) {
-      char C = Row[I];
-      if (C == '-')
-        continue;
-      if ((C == '1') != Ins[I]) {
-        Match = false;
-        break;
-      }
-    }
-    if (Match)
-      return Row.back() == '1';
-  }
-  return false;
-}
-
 size_t foldConstants(Module &M, std::map<bool, WireId> &Pool) {
   std::vector<std::optional<bool>> Known(M.numWires());
   for (WireId W = 0; W != M.numWires(); ++W)
@@ -62,10 +42,12 @@ size_t foldConstants(Module &M, std::map<bool, WireId> &Pool) {
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (Net &N : M.Nets) {
+    for (NetId Id = 0; Id != M.Nets.size(); ++Id) {
+      const Net &N = M.Nets[Id];
       if (Known[N.Output])
         continue;
-      auto known = [&](size_t I) { return Known[N.Inputs[I]]; };
+      const std::span<const WireId> Ins = M.netInputs(N);
+      auto known = [&](size_t I) { return Known[Ins[I]]; };
       std::optional<bool> Result;
       switch (N.Operation) {
       case Op::Buf:
@@ -113,29 +95,18 @@ size_t foldConstants(Module &M, std::map<bool, WireId> &Pool) {
         else if (known(1) && known(2) && *known(1) == *known(2))
           Result = known(1);
         break;
-      case Op::Lut: {
-        std::vector<bool> Ins;
-        bool AllKnown = true;
-        for (size_t I = 0; I != N.Inputs.size(); ++I) {
-          if (!known(I)) {
-            AllKnown = false;
-            break;
-          }
-          Ins.push_back(*known(I));
-        }
-        if (AllKnown)
-          Result = evalLut(N, Ins);
+      case Op::Lut:
+        if (std::all_of(Ins.begin(), Ins.end(),
+                        [&](WireId In) { return Known[In].has_value(); }))
+          Result = M.netCover(N).eval([&](size_t I) { return *known(I); });
         break;
-      }
       default:
         break; // Multi-bit ops are not expected in flat netlists.
       }
       if (!Result)
         continue;
       Known[N.Output] = *Result;
-      N.Operation = Op::Buf;
-      N.Inputs = {constWire(M, *Result, Pool)};
-      N.Cover.clear();
+      M.replaceNet(Id, Op::Buf, {constWire(M, *Result, Pool)});
       ++Folded;
       Changed = true;
     }
@@ -148,7 +119,7 @@ size_t breakLoops(Module &M, std::map<bool, WireId> &Pool) {
   while (true) {
     std::vector<CsrGraph::Edge> Edges;
     for (const Net &N : M.Nets)
-      for (WireId In : N.Inputs)
+      for (WireId In : M.netInputs(N))
         Edges.emplace_back(In, N.Output);
     for (const Memory &Mem : M.Memories)
       if (!Mem.SyncRead)
@@ -159,12 +130,10 @@ size_t breakLoops(Module &M, std::map<bool, WireId> &Pool) {
       return Broken;
     // Ground the driver of the first wire on the cycle.
     WireId Victim = (*Cycle)[0];
-    for (Net &N : M.Nets) {
-      if (N.Output != Victim)
+    for (NetId Id = 0; Id != M.Nets.size(); ++Id) {
+      if (M.Nets[Id].Output != Victim)
         continue;
-      N.Operation = Op::Buf;
-      N.Inputs = {constWire(M, false, Pool)};
-      N.Cover.clear();
+      M.replaceNet(Id, Op::Buf, {constWire(M, false, Pool)});
       break;
     }
     ++Broken;
@@ -201,7 +170,7 @@ size_t removeDeadGates(Module &M) {
     Work.pop_back();
     auto NetIt = DriverNet.find(W);
     if (NetIt != DriverNet.end())
-      for (WireId In : NetIt->second->Inputs)
+      for (WireId In : M.netInputs(*NetIt->second))
         markLive(In);
     auto RegIt = DriverReg.find(W);
     if (RegIt != DriverReg.end())
@@ -223,15 +192,17 @@ size_t removeDeadGates(Module &M) {
       Out.Outputs.push_back(Remap[W]);
   }
   size_t Removed = 0;
+  std::vector<WireId> Ins;
   for (const Net &N : M.Nets) {
     if (Remap[N.Output] == InvalidId) {
       ++Removed;
       continue;
     }
-    std::vector<WireId> Ins;
-    for (WireId In : N.Inputs)
+    Ins.clear();
+    for (WireId In : M.netInputs(N))
       Ins.push_back(Remap[In]);
-    Out.addNet(N.Operation, std::move(Ins), Remap[N.Output], N.Aux, N.Cover);
+    Out.addNet(N.Operation, Ins, Remap[N.Output], N.Aux,
+               M.netCover(N).bytes());
   }
   for (const Register &R : M.Registers) {
     if (Remap[R.Q] == InvalidId)

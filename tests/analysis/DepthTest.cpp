@@ -50,7 +50,7 @@ int64_t gateLevelDepth(const Design &D, ModuleId Id,
   std::vector<uint32_t> Weight;
   std::vector<std::pair<WireId, WireId>> Edges;
   for (const Net &N : Gates.Nets)
-    for (WireId In : N.Inputs) {
+    for (WireId In : Gates.netInputs(N)) {
       G.addEdge(In, N.Output);
       Edges.emplace_back(In, N.Output);
       Weight.push_back(N.Operation == Op::Buf ? 0 : 1);

@@ -29,9 +29,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
+
 #include <sys/stat.h>
+#include <unistd.h>
 
 using namespace wiresort;
 using namespace wiresort::driver;
@@ -284,6 +288,40 @@ TEST(Driver, InlineAscriptionSidecarMatchesDiskSidecar) {
   EXPECT_NE(FromDisk.Out.find("WS102_ASCRIPTION_MISMATCH"),
             std::string::npos)
       << FromDisk.Out;
+}
+
+TEST(Driver, ReadFileReadsFilesAndPipesWhole) {
+  // Past one 64 KB read and not a multiple of it.
+  std::string Bytes(200001, '\0');
+  for (size_t I = 0; I != Bytes.size(); ++I)
+    Bytes[I] = static_cast<char>('a' + I % 23);
+  const std::string Path = ::testing::TempDir() + "/read_file.blif";
+  std::ofstream(Path, std::ios::binary) << Bytes;
+  EXPECT_EQ(readFile(Path), Bytes);
+  std::ofstream(Path, std::ios::binary).flush(); // Now empty.
+  EXPECT_EQ(readFile(Path), std::string());
+  std::remove(Path.c_str());
+  EXPECT_EQ(readFile(Path), std::nullopt);
+  EXPECT_EQ(readFile(::testing::TempDir()), std::nullopt); // A directory.
+
+  // A pipe has no size to go by: the string grows as it fills.
+  int Fds[2];
+  ASSERT_EQ(::pipe(Fds), 0);
+  std::thread Writer([&] {
+    for (size_t Off = 0; Off < Bytes.size();) {
+      const ssize_t N =
+          ::write(Fds[1], Bytes.data() + Off, Bytes.size() - Off);
+      if (N <= 0)
+        break;
+      Off += static_cast<size_t>(N);
+    }
+    ::close(Fds[1]);
+  });
+  const std::optional<std::string> Piped =
+      readFile("/proc/self/fd/" + std::to_string(Fds[0]));
+  ::close(Fds[0]); // Ends the writer even if the read stopped early.
+  Writer.join();
+  EXPECT_EQ(Piped, Bytes);
 }
 
 TEST(Serve, CodecRoundTripsEveryRequestField) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -21,6 +22,10 @@ using namespace wiresort::ir;
 static_assert(sizeof(Wire) == 24, "a wire record is 24 bytes");
 static_assert(std::is_trivially_copyable_v<Wire>,
               "a wire record is trivially copyable");
+// Nor does a net record own its inputs or cover: they live in two flat
+// arrays per module.
+static_assert(sizeof(Net) <= 32 && std::is_trivially_copyable_v<Net>,
+              "a net record is at most 32 bytes and trivially copyable");
 // Design's module vector moves its modules when it grows.
 static_assert(std::is_nothrow_move_constructible_v<Module> &&
                   std::is_nothrow_move_assignable_v<Module>,
@@ -264,6 +269,100 @@ TEST(ModuleTest, WireNameReadsLikeAString) {
   EXPECT_EQ(Name + std::string(".y"), Copy + ".y");
   EXPECT_EQ(M.wire(1).Name, "w1");
   EXPECT_EQ(M.wire(1).Width, 1);
+}
+
+TEST(ModuleTest, NetsReadTheirInputsAndCoversFromTheModule) {
+  Module M("m");
+  const WireId A = M.addInput("a");
+  const WireId B = M.addInput("b");
+  const WireId X = M.addWire("x", WireKind::Basic);
+  const WireId Y = M.addOutput("y");
+  const NetId And = M.addNet(Op::And, {A, B}, X);
+  const NetId Lut = M.addNet(Op::Lut, {X, A}, Y, 0, "1110-1");
+  EXPECT_EQ(std::vector<WireId>(M.netInputs(And).begin(),
+                                M.netInputs(And).end()),
+            (std::vector<WireId>{A, B}));
+  EXPECT_EQ(M.netCover(And).numRows(), 0u);
+  ASSERT_EQ(M.netCover(Lut).numRows(), 2u);
+  EXPECT_EQ(M.netCover(Lut).row(0), "111");
+  EXPECT_EQ(M.netCover(Lut).row(1), "0-1");
+  EXPECT_FALSE(M.validate().has_value()) << *M.validate();
+
+  // A copy reads the same nets from its own arrays.
+  const Module Copy = M;
+  M = Module();
+  EXPECT_EQ(Copy.netInputs(Lut)[0], X);
+  EXPECT_EQ(Copy.netCover(Lut).bytes(), "1110-1");
+}
+
+TEST(ModuleTest, AddNetCopiesInputsAndRowsThatViewItsOwnArrays) {
+  // Each net re-adds the previous one's inputs and rows, which are views
+  // into the arrays the call grows: they must be copied before the old
+  // arrays are freed.
+  Module M("m");
+  const WireId A = M.addInput("a");
+  const WireId B = M.addInput("b");
+  NetId Last = M.addNet(Op::Lut, {A, B}, M.addWire("w0", WireKind::Basic),
+                        0, "1-1011");
+  for (int I = 1; I != 200; ++I)
+    Last = M.addNet(Op::Lut, M.netInputs(Last),
+                    M.addWire("w" + std::to_string(I), WireKind::Basic), 0,
+                    M.netCover(Last).bytes());
+  for (NetId Id = 0; Id != M.Nets.size(); ++Id) {
+    ASSERT_EQ(M.netInputs(Id).size(), 2u);
+    EXPECT_EQ(M.netInputs(Id)[0], A);
+    EXPECT_EQ(M.netInputs(Id)[1], B);
+    EXPECT_EQ(M.netCover(Id).bytes(), "1-1011");
+  }
+}
+
+TEST(ModuleTest, ReplaceNetRewritesInPlaceOrAppends) {
+  Module M("m");
+  const WireId A = M.addInput("a");
+  const WireId K = M.addWire("k", WireKind::Const, 1, 1);
+  const WireId X = M.addWire("x", WireKind::Basic);
+  const WireId Y = M.addWire("y", WireKind::Basic);
+  const WireId Z = M.addOutput("z");
+  const NetId Wide = M.addNet(Op::Lut, {A, A}, X, 0, "110");
+  const NetId Empty = M.addNet(Op::Lut, {}, Y, 0, "1");
+  M.addNet(Op::And, {X, Y}, Z);
+
+  // Two inputs become one in place; no input becomes one at the end.
+  M.replaceNet(Wide, Op::Buf, {K});
+  M.replaceNet(Empty, Op::Not, {A});
+  EXPECT_EQ(M.Nets[Wide].Operation, Op::Buf);
+  EXPECT_EQ(M.netInputs(Wide).size(), 1u);
+  EXPECT_EQ(M.netInputs(Wide)[0], K);
+  EXPECT_EQ(M.netCover(Wide).numRows(), 0u);
+  EXPECT_EQ(M.Nets[Empty].Operation, Op::Not);
+  EXPECT_EQ(M.netInputs(Empty)[0], A);
+  EXPECT_EQ(M.netCover(Empty).numRows(), 0u);
+  EXPECT_EQ(M.netInputs(2)[0], X); // The other nets keep theirs.
+  EXPECT_EQ(M.netInputs(2)[1], Y);
+  EXPECT_FALSE(M.validate().has_value()) << *M.validate();
+}
+
+TEST(ModuleTest, CoverViewReadsOnAndOffSets) {
+  // Rows with output 1 list where the net is 1, rows with output 0 where
+  // it is 0; a cover without rows is 0.
+  auto eval = [](std::string_view Rows, uint32_t Inputs, unsigned Bits) {
+    return CoverView(Rows, Inputs + 1).eval([&](size_t I) {
+      return ((Bits >> I) & 1) != 0;
+    });
+  };
+  for (unsigned Bits = 0; Bits != 4; ++Bits) {
+    const bool A = Bits & 1, B = Bits & 2;
+    EXPECT_EQ(eval("111", 2, Bits), A && B) << Bits;
+    EXPECT_EQ(eval("110", 2, Bits), !(A && B)) << Bits;
+    EXPECT_EQ(eval("1-1-11", 2, Bits), A || B) << Bits;
+    EXPECT_EQ(eval("0-0-00", 2, Bits), A && B) << Bits;
+    EXPECT_EQ(eval("", 2, Bits), false) << Bits;
+  }
+  EXPECT_TRUE(eval("1", 0, 0));
+  EXPECT_FALSE(eval("0", 0, 0));
+  EXPECT_FALSE(CoverView("111", 3).isOffSet());
+  EXPECT_TRUE(CoverView("110", 3).isOffSet());
+  EXPECT_FALSE(CoverView().isOffSet());
 }
 
 TEST(DesignTest, InstanceBindingValidation) {

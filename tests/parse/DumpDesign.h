@@ -16,6 +16,7 @@
 #include "ir/Design.h"
 #include "support/Diag.h"
 
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -28,7 +29,7 @@ namespace wiresort::test {
 inline std::string dumpDesign(const ir::Design &D) {
   using namespace ir;
   std::ostringstream OS;
-  auto ids = [&](const char *Tag, const std::vector<WireId> &Ws) {
+  auto ids = [&](const char *Tag, std::span<const WireId> Ws) {
     OS << Tag;
     for (WireId W : Ws)
       OS << ' ' << W;
@@ -45,12 +46,13 @@ inline std::string dumpDesign(const ir::Design &D) {
       OS << '\n';
     }
     for (const Net &N : M.Nets) {
-      ids(opName(N.Operation), N.Inputs);
+      ids(opName(N.Operation), M.netInputs(N));
       OS << "-> " << N.Output;
       if (N.Operation == Op::Select)
         OS << " @" << N.Aux;
-      for (const std::string &Row : N.Cover)
-        OS << ' ' << Row;
+      const CoverView Cover = M.netCover(N);
+      for (uint32_t R = 0; R != Cover.numRows(); ++R)
+        OS << ' ' << Cover.row(R);
       OS << '\n';
     }
     for (const Register &R : M.Registers)

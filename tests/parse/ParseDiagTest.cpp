@@ -114,6 +114,15 @@ TEST(ParseDiagTest, BlifCoverRowThirdFieldIsLocatedAtTheField) {
   EXPECT_EQ(D.loc()->Col, 5u);
 }
 
+TEST(ParseDiagTest, BlifCoverMixingOutputsIsLocatedAtTheFirstOtherOutput) {
+  // A cover lists its ON-set or its OFF-set, never both.
+  Diag D = expectBlifDiag(".model m\n.inputs a b\n.outputs y\n"
+                          ".names a b y\n11 1\n0- 1\n-0 0\n.end\n",
+                          DiagCode::WS201_BLIF_SYNTAX,
+                          "cover mixes output 0 and 1 rows", 7);
+  EXPECT_EQ(D.loc()->Col, 4u);
+}
+
 TEST(ParseDiagTest, BlifUnsupportedDirective) {
   Diag D = expectBlifDiag(".model m\n  .exdc\n.end\n",
                           DiagCode::WS201_BLIF_SYNTAX,

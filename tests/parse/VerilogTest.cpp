@@ -8,6 +8,9 @@
 
 #include "gen/Fifo.h"
 #include "ir/Builder.h"
+#include "parse/Blif.h"
+#include "parse/VerilogReader.h"
+#include "sim/Simulator.h"
 #include "synth/Lower.h"
 
 #include <gtest/gtest.h>
@@ -117,9 +120,33 @@ TEST(VerilogTest, LutCoversBecomeSumOfProducts) {
   WireId A = M.addInput("a", 1);
   WireId B = M.addInput("b", 1);
   WireId Y = M.addOutput("y", 1);
-  M.addNet(Op::Lut, {A, B}, Y, 0, {"101", "011"}); // a~b | ~ab.
+  M.addNet(Op::Lut, {A, B}, Y, 0, "101011"); // a~b | ~ab.
   Design D;
   ModuleId Id = D.addModule(std::move(M));
   std::string V = writeVerilog(D, Id);
   EXPECT_NE(V.find("(a & ~b) | (~a & b)"), std::string::npos) << V;
+}
+
+TEST(VerilogTest, OffSetCoverIsWrittenAsItsComplement) {
+  // "11 0" lists the OFF-set of a NAND. Written, read back and simulated,
+  // it must still be one.
+  auto Blif = parseBlif(
+      ".model nand\n.inputs a b\n.outputs y\n.names a b y\n11 0\n.end\n",
+      "nand.blif");
+  ASSERT_TRUE(Blif.hasValue()) << Blif.describe();
+  const std::string Text = writeVerilog(Blif->Design, Blif->Top);
+  EXPECT_NE(Text.find("~((a & b))"), std::string::npos) << Text;
+
+  auto File = parseVerilog(Text, "nand.v");
+  ASSERT_TRUE(File.hasValue()) << File.describe() << '\n' << Text;
+  auto S = sim::Simulator::create(File->Design.module(File->Top));
+  ASSERT_TRUE(S.hasValue()) << S.describe();
+  S->setInput("clk", 0);
+  for (uint64_t A : {0, 1})
+    for (uint64_t B : {0, 1}) {
+      S->setInput("a", A);
+      S->setInput("b", B);
+      S->evaluate();
+      EXPECT_EQ(S->value("y"), A & B ? 0u : 1u) << "a=" << A << " b=" << B;
+    }
 }

@@ -125,7 +125,7 @@ TEST_P(ModuleLevelTrial, SummaryMatchesExhaustiveGateReachability) {
   Module Gates = synth::lower(D, Id);
   test::RefGraph G(Gates.numWires());
   for (const Net &N : Gates.Nets)
-    for (WireId In : N.Inputs)
+    for (WireId In : Gates.netInputs(N))
       G.addEdge(In, N.Output);
   auto bitOf = [&](const std::string &Name) {
     return Gates.findWire(Name + "[0]");

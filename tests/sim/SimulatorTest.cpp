@@ -7,6 +7,7 @@
 #include "sim/Simulator.h"
 
 #include "ir/Builder.h"
+#include "parse/Blif.h"
 
 #include <gtest/gtest.h>
 
@@ -132,4 +133,21 @@ TEST(SimulatorTest, CycleCounterAdvances) {
   EXPECT_EQ(S->cycles(), 3u);
   S->evaluate();
   EXPECT_EQ(S->value("y"), 3u);
+}
+
+TEST(SimulatorTest, OffSetCoverIsOneWhereNoRowMatches) {
+  // A cover whose rows give output 0 lists the OFF-set: "11 0" is a NAND.
+  auto File = parse::parseBlif(
+      ".model nand\n.inputs a b\n.outputs y\n.names a b y\n11 0\n.end\n",
+      "nand.blif");
+  ASSERT_TRUE(File.hasValue()) << File.describe();
+  auto S = Simulator::create(File->Design.module(File->Top));
+  ASSERT_TRUE(S.hasValue()) << S.describe();
+  for (uint64_t A : {0, 1})
+    for (uint64_t B : {0, 1}) {
+      S->setInput("a", A);
+      S->setInput("b", B);
+      S->evaluate();
+      EXPECT_EQ(S->value("y"), A & B ? 0u : 1u) << "a=" << A << " b=" << B;
+    }
 }

@@ -9,6 +9,7 @@
 #include "gen/Fifo.h"
 #include "gen/LoopInjector.h"
 #include "ir/Builder.h"
+#include "parse/Blif.h"
 #include "sim/Simulator.h"
 #include "synth/CycleDetect.h"
 #include "synth/Lower.h"
@@ -45,6 +46,27 @@ TEST(OptimizeTest, ConstantsFoldThroughGates) {
   S->setInput("a[0]", 1);
   S->evaluate();
   EXPECT_EQ(S->value("y[0]"), 1u);
+}
+
+TEST(OptimizeTest, OffSetCoverFoldsToOneWhereNoRowMatches) {
+  // c is a cover with no rows, the constant 0; "11 0" lists the OFF-set
+  // of a NAND, so y = nand(c, c) folds to 1.
+  auto File = parse::parseBlif(".model m\n.outputs y\n.names c\n"
+                               ".names c c y\n11 0\n.end\n",
+                               "m.blif");
+  ASSERT_TRUE(File.hasValue()) << File.describe();
+  Module M = File->Design.module(File->Top);
+  OptimizeOptions Opts;
+  Opts.RemoveDeadGates = false;
+  EXPECT_EQ(optimize(M, Opts).GatesFolded, 2u);
+  ASSERT_FALSE(M.validate().has_value());
+
+  // Both nets are buffers of constants now, so this reads the folds.
+  auto S = sim::Simulator::create(M);
+  ASSERT_TRUE(S.hasValue()) << S.describe();
+  S->evaluate();
+  EXPECT_EQ(S->value("c"), 0u);
+  EXPECT_EQ(S->value("y"), 1u);
 }
 
 TEST(OptimizeTest, DeadGatesRemoved) {

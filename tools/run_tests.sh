@@ -14,16 +14,18 @@
 #      engine), and so does the parser suite (a BLIF file's `.model`
 #      chunks parse on worker threads beside a shared parse cache);
 #   3. an UndefinedBehaviorSanitizer build of the kernel, support, IR,
-#      analysis, parser and driver suites — the CSR packing, Tarjan,
-#      cycle walk, Kahn order and sweep (docs/KERNEL.md), the wire
-#      format's varint and fixed64 shifts and its blob offsets, the port
-#      index's probe arithmetic and seal's slot indexing, both summary
-#      decoders, the Verilog literal decoder's multiply-add and range
-#      checks, the reader's width masks and constant shifts, the probe
-#      arithmetic of BLIF pass 1's name table, and the serve request
-#      decoder's in-place move of the design text within the read buffer
-#      live on shifts and offset arithmetic, which is exactly UBSan's
-#      beat;
+#      analysis, parser, synthesis, simulator and driver suites — the CSR
+#      packing, Tarjan, cycle walk, Kahn order and sweep
+#      (docs/KERNEL.md), the wire format's varint and fixed64 shifts and
+#      its blob offsets, the port index's probe arithmetic and seal's
+#      slot indexing, both summary decoders, the Verilog literal
+#      decoder's multiply-add and range checks, the reader's width masks
+#      and constant shifts, the probe arithmetic of BLIF pass 1's name
+#      table, the net-input and cover-row offsets into each module's flat
+#      arrays that lowering, flattening, constant folding and the
+#      simulator index, and the serve request decoder's in-place move of
+#      the design text within the read buffer live on shifts and offset
+#      arithmetic, which is exactly UBSan's beat;
 #   4. a jq smoke check that live `wiresort-check --format json` output
 #      is valid NDJSON (skipped when jq is absent);
 #   5. a trace/stats validation stage (docs/OBSERVABILITY.md): export the
@@ -124,7 +126,7 @@ TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/trace_tests"
 TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/parse_tests"
 
 echo
-echo "=== stage 3: kernel, support, IR, analysis, parser and driver suites under UndefinedBehaviorSanitizer ($ROOT/build-ubsan) ==="
+echo "=== stage 3: kernel, support, IR, analysis, parser, synthesis, simulator and driver suites under UndefinedBehaviorSanitizer ($ROOT/build-ubsan) ==="
 UBSAN_BUILD="$ROOT/build-ubsan"
 [ -f "$UBSAN_BUILD/CMakeCache.txt" ] || cmake -B "$UBSAN_BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -132,7 +134,7 @@ UBSAN_BUILD="$ROOT/build-ubsan"
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
 cmake --build "$UBSAN_BUILD" -j "$(nproc)" \
   --target kernel_tests support_tests ir_tests analysis_tests parse_tests \
-  driver_tests
+  synth_tests sim_tests driver_tests
 "$UBSAN_BUILD/tests/kernel_tests"
 # Varint and fixed64 shifts of the wire format, and the offsets at which
 # a record's blobs splice into its frame.
@@ -144,6 +146,11 @@ cmake --build "$UBSAN_BUILD" -j "$(nproc)" \
 # The Verilog literal decoder's multiply-add, the reader's width masks
 # (1 << Width) and constant shifts, and BLIF pass 1's name-table probes.
 "$UBSAN_BUILD/tests/parse_tests"
+# Lowering, flattening, constant folding and the simulator read net
+# inputs and cover rows by offset into each module's flat arrays, and
+# folding rewrites inputs in place.
+"$UBSAN_BUILD/tests/synth_tests"
+"$UBSAN_BUILD/tests/sim_tests"
 # The serve codecs: the request decoder moves the design text to the
 # front of the server's read buffer by offset arithmetic.
 "$UBSAN_BUILD/tests/driver_tests"
