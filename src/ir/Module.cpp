@@ -278,18 +278,12 @@ WireId PortIndex::find(const Module &M, std::string_view Name) const {
   return Slots[probe(M, Name, std::hash<std::string_view>{}(Name))].Id;
 }
 
-namespace {
-
-/// Module::resultWidth over the \p NumInputs operand widths
-/// \p Width(0) .. \p Width(NumInputs - 1), so validate reads them where
-/// they lie.
-template <typename WidthFn>
-std::optional<uint16_t> resultWidthOf(Op Operation, size_t NumInputs,
-                                      WidthFn Width, uint32_t Aux,
-                                      uint16_t OutWidth) {
+std::optional<uint16_t>
+Module::resultWidth(Op Operation, const std::vector<uint16_t> &Widths,
+                    uint32_t Aux, uint16_t OutWidth) {
   auto allEqual = [&]() {
-    for (size_t I = 1; I < NumInputs; ++I)
-      if (Width(I) != Width(0))
+    for (uint16_t W : Widths)
+      if (W != Widths.front())
         return false;
     return true;
   };
@@ -300,65 +294,56 @@ std::optional<uint16_t> resultWidthOf(Op Operation, size_t NumInputs,
   case Op::Nand:
   case Op::Nor:
   case Op::Xnor:
-    if (NumInputs != 2 || !allEqual())
+    if (Widths.size() != 2 || !allEqual())
       return std::nullopt;
-    return Width(0);
+    return Widths.front();
   case Op::Not:
   case Op::Buf:
-    if (NumInputs != 1)
+    if (Widths.size() != 1)
       return std::nullopt;
-    return Width(0);
+    return Widths.front();
   case Op::Mux:
-    if (NumInputs != 3 || Width(0) != 1 || Width(1) != Width(2))
+    if (Widths.size() != 3 || Widths[0] != 1 || Widths[1] != Widths[2])
       return std::nullopt;
-    return Width(1);
+    return Widths[1];
   case Op::Lut:
-    for (size_t I = 0; I != NumInputs; ++I)
-      if (Width(I) != 1)
+    for (uint16_t W : Widths)
+      if (W != 1)
         return std::nullopt;
     return 1;
   case Op::Add:
   case Op::Sub:
-    if (NumInputs != 2 || !allEqual())
+    if (Widths.size() != 2 || !allEqual())
       return std::nullopt;
-    return Width(0);
+    return Widths.front();
   case Op::Eq:
   case Op::Lt:
-    if (NumInputs != 2 || !allEqual())
+    if (Widths.size() != 2 || !allEqual())
       return std::nullopt;
     return 1;
   case Op::Concat: {
-    if (NumInputs == 0)
+    if (Widths.empty())
       return std::nullopt;
     uint32_t Sum = 0;
-    for (size_t I = 0; I != NumInputs; ++I)
-      Sum += Width(I);
+    for (uint16_t W : Widths)
+      Sum += W;
     if (Sum > 64)
       return std::nullopt;
     return static_cast<uint16_t>(Sum);
   }
   case Op::Select:
-    if (NumInputs != 1 || OutWidth == 0 || Aux + OutWidth > Width(0))
+    if (Widths.size() != 1 || OutWidth == 0 ||
+        Aux + OutWidth > Widths.front())
       return std::nullopt;
     return OutWidth;
   case Op::AndR:
   case Op::OrR:
   case Op::XorR:
-    if (NumInputs != 1)
+    if (Widths.size() != 1)
       return std::nullopt;
     return 1;
   }
   return std::nullopt;
-}
-
-} // namespace
-
-std::optional<uint16_t>
-Module::resultWidth(Op Operation, const std::vector<uint16_t> &Widths,
-                    uint32_t Aux, uint16_t OutWidth) {
-  return resultWidthOf(
-      Operation, Widths.size(), [&](size_t I) { return Widths[I]; }, Aux,
-      OutWidth);
 }
 
 std::optional<std::string> Module::validate() const {
@@ -366,8 +351,9 @@ std::optional<std::string> Module::validate() const {
     return std::optional<std::string>("module '" + Name + "': " + Msg);
   };
 
-  // Count drivers per wire.
+  // Count drivers per wire. One width buffer serves every net.
   std::vector<uint32_t> Drivers(Wires.size(), 0);
+  std::vector<uint16_t> Widths;
   for (const Net &N : Nets) {
     if (N.Output >= Wires.size())
       return fail("net output wire id out of range");
@@ -375,15 +361,16 @@ std::optional<std::string> Module::validate() const {
         N.CoverOffset + N.CoverRows * (size_t(N.NumInputs) + 1) >
             Covers.size())
       return fail("net inputs or cover out of range");
-    const std::span<const WireId> Ins = netInputs(N);
-    for (WireId In : Ins)
+    Widths.clear();
+    for (WireId In : netInputs(N)) {
       if (In >= Wires.size())
         return fail("net input wire id out of range");
+      Widths.push_back(Wires[In].Width);
+    }
     ++Drivers[N.Output];
 
-    std::optional<uint16_t> Result = resultWidthOf(
-        N.Operation, Ins.size(), [&](size_t I) { return Wires[Ins[I]].Width; },
-        N.Aux, Wires[N.Output].Width);
+    std::optional<uint16_t> Result =
+        resultWidth(N.Operation, Widths, N.Aux, Wires[N.Output].Width);
     if (!Result)
       return fail(std::string("ill-typed ") + opName(N.Operation) +
                   " net driving '" + wireName(N.Output) + "'");

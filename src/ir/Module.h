@@ -93,6 +93,7 @@ struct PortContract {
 ///    output, a register Q, a memory RData, or an instance output
 ///    binding);
 ///  * input and const wires have no driver;
+///  * every net's input and cover ranges lie inside the module's arrays;
 ///  * widths agree with each operation's typing rules;
 ///  * instance bindings refer to ports of the instantiated definition
 ///    with matching widths (validated by Design::validate, which can see
@@ -219,23 +220,20 @@ public:
 
   size_t numWires() const { return Wires.size(); }
 
-  /// Net \p N's inputs, a view of the net-input array.
+  /// The inputs of \p N, one of this module's Nets, as a view of the
+  /// net-input array.
   std::span<const WireId> netInputs(const Net &N) const {
     return {NetInputs.data() + N.InputOffset, N.NumInputs};
   }
-  std::span<const WireId> netInputs(NetId Id) const {
-    return netInputs(Nets[Id]);
-  }
 
-  /// Net \p N's cover rows, a view of the cover buffer (empty unless the
-  /// net is a Lut).
+  /// The cover rows of \p N, one of this module's Nets, as a view of the
+  /// cover buffer (no rows unless the net is a Lut).
   CoverView netCover(const Net &N) const {
     const uint32_t RowBytes = N.NumInputs + 1;
     return CoverView(std::string_view(Covers.data() + N.CoverOffset,
                                       size_t(N.CoverRows) * RowBytes),
                      RowBytes);
   }
-  CoverView netCover(NetId Id) const { return netCover(Nets[Id]); }
 
   bool isInput(WireId Id) const { return Wires[Id].Kind == WireKind::Input; }
   bool isOutput(WireId Id) const { return Wires[Id].Kind == WireKind::Output; }

@@ -115,7 +115,6 @@ static_assert(sizeof(Net) <= 32 && std::is_trivially_copyable_v<Net>,
 /// where some row matches, else 1. A cover with no rows is constant 0.
 class CoverView {
 public:
-  CoverView() = default;
   CoverView(std::string_view Rows, uint32_t RowBytes)
       : Rows(Rows), RowBytes(RowBytes) {}
 
@@ -151,7 +150,7 @@ public:
 
 private:
   std::string_view Rows;
-  uint32_t RowBytes = 1;
+  uint32_t RowBytes;
 };
 
 } // namespace wiresort::ir

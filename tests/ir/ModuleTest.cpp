@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -279,20 +281,20 @@ TEST(ModuleTest, NetsReadTheirInputsAndCoversFromTheModule) {
   const WireId Y = M.addOutput("y");
   const NetId And = M.addNet(Op::And, {A, B}, X);
   const NetId Lut = M.addNet(Op::Lut, {X, A}, Y, 0, "1110-1");
-  EXPECT_EQ(std::vector<WireId>(M.netInputs(And).begin(),
-                                M.netInputs(And).end()),
+  const std::span<const WireId> AndIns = M.netInputs(M.Nets[And]);
+  EXPECT_EQ(std::vector<WireId>(AndIns.begin(), AndIns.end()),
             (std::vector<WireId>{A, B}));
-  EXPECT_EQ(M.netCover(And).numRows(), 0u);
-  ASSERT_EQ(M.netCover(Lut).numRows(), 2u);
-  EXPECT_EQ(M.netCover(Lut).row(0), "111");
-  EXPECT_EQ(M.netCover(Lut).row(1), "0-1");
+  EXPECT_EQ(M.netCover(M.Nets[And]).numRows(), 0u);
+  ASSERT_EQ(M.netCover(M.Nets[Lut]).numRows(), 2u);
+  EXPECT_EQ(M.netCover(M.Nets[Lut]).row(0), "111");
+  EXPECT_EQ(M.netCover(M.Nets[Lut]).row(1), "0-1");
   EXPECT_FALSE(M.validate().has_value()) << *M.validate();
 
   // A copy reads the same nets from its own arrays.
   const Module Copy = M;
   M = Module();
-  EXPECT_EQ(Copy.netInputs(Lut)[0], X);
-  EXPECT_EQ(Copy.netCover(Lut).bytes(), "1110-1");
+  EXPECT_EQ(Copy.netInputs(Copy.Nets[Lut])[0], X);
+  EXPECT_EQ(Copy.netCover(Copy.Nets[Lut]).bytes(), "1110-1");
 }
 
 TEST(ModuleTest, AddNetCopiesInputsAndRowsThatViewItsOwnArrays) {
@@ -305,14 +307,14 @@ TEST(ModuleTest, AddNetCopiesInputsAndRowsThatViewItsOwnArrays) {
   NetId Last = M.addNet(Op::Lut, {A, B}, M.addWire("w0", WireKind::Basic),
                         0, "1-1011");
   for (int I = 1; I != 200; ++I)
-    Last = M.addNet(Op::Lut, M.netInputs(Last),
+    Last = M.addNet(Op::Lut, M.netInputs(M.Nets[Last]),
                     M.addWire("w" + std::to_string(I), WireKind::Basic), 0,
-                    M.netCover(Last).bytes());
-  for (NetId Id = 0; Id != M.Nets.size(); ++Id) {
-    ASSERT_EQ(M.netInputs(Id).size(), 2u);
-    EXPECT_EQ(M.netInputs(Id)[0], A);
-    EXPECT_EQ(M.netInputs(Id)[1], B);
-    EXPECT_EQ(M.netCover(Id).bytes(), "1-1011");
+                    M.netCover(M.Nets[Last]).bytes());
+  for (const Net &N : M.Nets) {
+    ASSERT_EQ(M.netInputs(N).size(), 2u);
+    EXPECT_EQ(M.netInputs(N)[0], A);
+    EXPECT_EQ(M.netInputs(N)[1], B);
+    EXPECT_EQ(M.netCover(N).bytes(), "1-1011");
   }
 }
 
@@ -331,15 +333,27 @@ TEST(ModuleTest, ReplaceNetRewritesInPlaceOrAppends) {
   M.replaceNet(Wide, Op::Buf, {K});
   M.replaceNet(Empty, Op::Not, {A});
   EXPECT_EQ(M.Nets[Wide].Operation, Op::Buf);
-  EXPECT_EQ(M.netInputs(Wide).size(), 1u);
-  EXPECT_EQ(M.netInputs(Wide)[0], K);
-  EXPECT_EQ(M.netCover(Wide).numRows(), 0u);
+  EXPECT_EQ(M.netInputs(M.Nets[Wide]).size(), 1u);
+  EXPECT_EQ(M.netInputs(M.Nets[Wide])[0], K);
+  EXPECT_EQ(M.netCover(M.Nets[Wide]).numRows(), 0u);
   EXPECT_EQ(M.Nets[Empty].Operation, Op::Not);
-  EXPECT_EQ(M.netInputs(Empty)[0], A);
-  EXPECT_EQ(M.netCover(Empty).numRows(), 0u);
-  EXPECT_EQ(M.netInputs(2)[0], X); // The other nets keep theirs.
-  EXPECT_EQ(M.netInputs(2)[1], Y);
+  EXPECT_EQ(M.netInputs(M.Nets[Empty])[0], A);
+  EXPECT_EQ(M.netCover(M.Nets[Empty]).numRows(), 0u);
+  EXPECT_EQ(M.netInputs(M.Nets[2])[0], X); // The other nets keep theirs.
+  EXPECT_EQ(M.netInputs(M.Nets[2])[1], Y);
   EXPECT_FALSE(M.validate().has_value()) << *M.validate();
+}
+
+TEST(ModuleTest, NetRecordPastTheArraysRejected) {
+  Module M("m");
+  const WireId A = M.addInput("a");
+  const WireId Y = M.addOutput("y");
+  M.addNet(Op::Buf, {A}, Y);
+  M.Nets[0].NumInputs = 2; // One input was written.
+  std::optional<std::string> Err = M.validate();
+  ASSERT_TRUE(Err.has_value());
+  EXPECT_NE(Err->find("net inputs or cover out of range"), std::string::npos)
+      << *Err;
 }
 
 TEST(ModuleTest, CoverViewReadsOnAndOffSets) {
@@ -362,7 +376,7 @@ TEST(ModuleTest, CoverViewReadsOnAndOffSets) {
   EXPECT_FALSE(eval("0", 0, 0));
   EXPECT_FALSE(CoverView("111", 3).isOffSet());
   EXPECT_TRUE(CoverView("110", 3).isOffSet());
-  EXPECT_FALSE(CoverView().isOffSet());
+  EXPECT_FALSE(CoverView("", 3).isOffSet());
 }
 
 TEST(DesignTest, InstanceBindingValidation) {
