@@ -80,6 +80,7 @@ TEST(GenDeterminism, DefaultSeedFingerprintsArePinned) {
       {"ci", "afc693f7a08b3588"},        {"ci-loop", "f161f1c0b2037c17"},
       {"ci-noc", "302943454611db9c"},    {"ci-fabric", "11ed53e275932419"},
       {"10k", "ee310d759d42f751"},       {"100k", "f2f26084dcf1eef2"},
+      {"1m", "9f46a16170adf9de"},
   };
   for (const auto &[Name, Want] : Pinned) {
     auto Preset = megaScalePreset(Name);

@@ -4,11 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/Builder.h"
 #include "ir/Design.h"
 #include "ir/Module.h"
+#include "ir/StructuralHash.h"
+#include "parse/VerilogReader.h"
+#include "synth/Lower.h"
+#include "synth/Optimize.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -61,6 +67,54 @@ Module mixedNames() {
                     : "a_wire_name_past_inline_length_" + std::to_string(I),
               WireKind::Basic);
   return M;
+}
+
+/// Every Const wire of \p M with its value, in id order.
+std::vector<std::pair<WireId, uint64_t>> constants(const Module &M) {
+  std::vector<std::pair<WireId, uint64_t>> Out;
+  for (WireId Id = 0; Id != M.numWires(); ++Id)
+    if (M.wire(Id).Kind == WireKind::Const)
+      Out.emplace_back(Id, M.wire(Id).ConstValue);
+  return Out;
+}
+
+/// Modules whose constants reach past bit 31, from each place a constant
+/// wire is made: Builder literals of 17, 33 and 64 bits, a sized 64-bit
+/// Verilog literal, and the opt$const wires constant folding adds.
+std::vector<Module> constantModules() {
+  std::vector<Module> Out;
+  {
+    Builder B("lits");
+    const V A17 = B.input("a17", 17), A33 = B.input("a33", 33),
+            A64 = B.input("a64", 64);
+    B.output("y17", B.xorv(A17, B.lit(0x1b0d5, 17)));
+    B.output("y33", B.xorv(A33, B.lit(0x1cafef00dull, 33)));
+    B.output("y64", B.xorv(A64, B.lit(0xdeadbeefcafef00dull, 64)));
+    Out.push_back(B.finish());
+  }
+  {
+    auto File = parse::parseVerilog(
+        "module v(input wire [63:0] a, output wire [63:0] y);\n"
+        "  assign y = a ^ 64'hfedcba9876543210;\n"
+        "endmodule\n",
+        "v.v");
+    EXPECT_TRUE(File.hasValue()) << File.describe();
+    Out.push_back(File.hasValue() ? File->Design.module(File->Top)
+                                  : Module("v"));
+  }
+  {
+    // y = (a & 0) | b: the and folds to opt$const0, and the 1-bit const
+    // wires lowering made die with the gates they fed.
+    Builder B("fold");
+    const V A = B.input("a", 1), Bv = B.input("b", 1);
+    B.output("y", B.orv(B.andv(A, B.lit(0, 1)), Bv));
+    Design D;
+    const ModuleId Id = D.addModule(B.finish());
+    Module Gates = synth::lower(D, Id);
+    EXPECT_GT(synth::optimize(Gates).GatesFolded, 0u);
+    Out.push_back(std::move(Gates));
+  }
+  return Out;
 }
 
 } // namespace
@@ -225,6 +279,44 @@ TEST(ModuleTest, CopiesAndMovesKeepEveryName) {
   Module Short = inverter();
   Module ShortMoved(std::move(Short));
   EXPECT_EQ(wireNames(ShortMoved), (std::vector<std::string>{"a", "y"}));
+}
+
+TEST(ModuleTest, WideConstantsArePinned) {
+  // Literal digests computed when each constant lived in its wire record:
+  // moving the value out of the record must not move a summary-cache
+  // key, so structuralHash must stream the same words.
+  const std::vector<Module> Ms = constantModules();
+  ASSERT_EQ(Ms.size(), 3u);
+  const uint64_t Pinned[] = {0x4c895ba4b048e13dull, 0x82aab7dcf5d9af9bull,
+                             0x213f67040b31f592ull};
+  for (size_t I = 0; I != Ms.size(); ++I)
+    EXPECT_EQ(structuralHash(Ms[I]), Pinned[I]) << Ms[I].Name;
+
+  EXPECT_EQ(constants(Ms[0]),
+            (std::vector<std::pair<WireId, uint64_t>>{
+                {3, 0x1b0d5}, {6, 0x1cafef00d}, {9, 0xdeadbeefcafef00d}}));
+  EXPECT_EQ(constants(Ms[1]),
+            (std::vector<std::pair<WireId, uint64_t>>{
+                {2, 0xfedcba9876543210}}));
+  ASSERT_FALSE(constants(Ms[2]).empty());
+  for (const auto &[Id, Value] : constants(Ms[2]))
+    EXPECT_EQ(Ms[2].wireName(Id), Value ? "opt$const1" : "opt$const0");
+
+  // Copies and moves carry each value with its wire.
+  for (const Module &M : Ms) {
+    const auto Want = constants(M);
+    Module Copy(M);
+    EXPECT_EQ(constants(Copy), Want) << M.Name;
+    Module Assigned = inverter();
+    Assigned = M;
+    EXPECT_EQ(constants(Assigned), Want) << M.Name;
+    Module Moved(std::move(Copy));
+    EXPECT_EQ(constants(Moved), Want) << M.Name;
+    Module MoveAssigned = inverter();
+    MoveAssigned = std::move(Moved);
+    EXPECT_EQ(constants(MoveAssigned), Want) << M.Name;
+    EXPECT_EQ(structuralHash(MoveAssigned), structuralHash(M)) << M.Name;
+  }
 }
 
 TEST(ModuleTest, RenameWireKeepsIdsKindsAndOtherNames) {
