@@ -6,6 +6,8 @@
 
 #include "ir/Circuit.h"
 
+#include "support/Trace.h"
+
 #include <cassert>
 
 using namespace wiresort;
@@ -88,6 +90,7 @@ std::string Circuit::portLabel(PortRef Ref) const {
 }
 
 ModuleId Circuit::seal() {
+  trace::Span SealSpan("ir.seal", "ir");
   // Binding markers while wiring; no WireId gets near them.
   constexpr WireId Unbound = InvalidId;
   constexpr WireId Driving = InvalidId - 1;
@@ -137,43 +140,29 @@ ModuleId Circuit::seal() {
   }
   const size_t OpenInputs = NumInputs - Conns.size();
   const size_t OpenOutputs = NumOutputs - NumDriving;
-  Top.reserveWires(NumDriving + OpenInputs + OpenOutputs, LabelBytes);
+  const size_t NumWires = NumDriving + OpenInputs + OpenOutputs;
+  Top.reserveWires(NumWires, LabelBytes);
   Top.Inputs.reserve(OpenInputs);
   Top.Outputs.reserve(OpenOutputs);
+  SealSpan.note("wires", NumWires).note("label_bytes", LabelBytes);
 
-  // A wire named "inst.port", written straight into Top's name buffer.
-  auto addPortWire = [&](PortRef Ref, WireKind Kind) {
-    const Module &Def = defOf(Ref.Inst);
-    return Top.addWire({Insts[Ref.Inst].Name, ".", Def.wireName(Ref.Port)},
-                       Kind, Def.Wires[Ref.Port].Width);
-  };
-
-  // One local wire per driving output, in first-connection order
-  // (fan-out shares the wire).
+  // One local wire per driving output, named "inst.port", in
+  // first-connection order (fan-out shares the wire).
   for (const Connection &C : Conns) {
     WireId &Out = binding(C.From);
-    if (Out == Driving)
-      Out = addPortWire(C.From, WireKind::Basic);
+    if (Out == Driving) {
+      const Module &Def = defOf(C.From.Inst);
+      Out = Top.addWire(
+          {Insts[C.From.Inst].Name, ".", Def.wireName(C.From.Port)},
+          WireKind::Basic, Def.Wires[C.From.Port].Width);
+    }
     binding(C.To) = Out;
   }
 
-  // Promote every port still unbound, in instance and slot order.
-  for (InstId Inst = 0; Inst != Insts.size(); ++Inst) {
-    const size_t NumDefInputs = defOf(Inst).Inputs.size();
-    auto &Bindings = Top.Instances[Inst].Bindings;
-    for (size_t Slot = 0; Slot != Bindings.size(); ++Slot) {
-      auto &[Port, Local] = Bindings[Slot];
-      if (Local != Unbound)
-        continue;
-      if (Slot < NumDefInputs) {
-        Local = addPortWire({Inst, Port}, WireKind::Input);
-        Top.Inputs.push_back(Local);
-      } else {
-        Local = addPortWire({Inst, Port}, WireKind::Output);
-        Top.Outputs.push_back(Local);
-      }
-    }
-  }
+  // Promote every port still unbound, in instance and slot order, into
+  // the room reserved above.
+  for (InstId Inst = 0; Inst != Insts.size(); ++Inst)
+    Top.promoteOpenPorts(Inst, defOf(Inst), Unbound);
 
   return D->addModule(std::move(Top));
 }

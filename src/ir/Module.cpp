@@ -136,8 +136,14 @@ void Module::appendName(Wire &W,
 WireId Module::addWire(std::initializer_list<std::string_view> NameParts,
                        WireKind Kind, uint16_t Width, uint64_t ConstValue) {
   assert(Width >= 1 && Width <= 64 && "wire width must be in [1, 64]");
-  Wire W{0, 0, Kind, Width, ConstValue};
+  assert((Kind == WireKind::Const || ConstValue == 0) &&
+         "only a const wire has a value");
+  Wire W{0, 0, Kind, Width, 0};
   appendName(W, NameParts);
+  if (Kind == WireKind::Const) {
+    W.ConstIndex = static_cast<uint32_t>(Consts.size());
+    Consts.push_back(ConstValue);
+  }
   Wires.push_back(W);
   return static_cast<WireId>(Wires.size() - 1);
 }
@@ -160,8 +166,33 @@ WireId Module::addOutput(std::string_view Name, uint16_t Width) {
 }
 
 void Module::reserveWires(size_t Count, size_t NameBytes) {
+  if (NameBytes > std::numeric_limits<uint32_t>::max() - Names.size())
+    throw std::length_error("module '" + Name + "': wire names pass 4 GiB");
   Wires.reserve(Wires.size() + Count);
   Names.reserve(Names.size() + NameBytes);
+}
+
+void Module::promoteOpenPorts(InstId Inst, const Module &Def, WireId Open) {
+  SubInstance &Sub = Instances[Inst];
+  const std::string_view Prefix = Sub.Name;
+  const size_t NumDefInputs = Def.Inputs.size();
+  [[maybe_unused]] const size_t Room = Names.capacity();
+  for (size_t Slot = 0; Slot != Sub.Bindings.size(); ++Slot) {
+    auto &[Port, Local] = Sub.Bindings[Slot];
+    if (Local != Open)
+      continue;
+    const Wire &P = Def.Wires[Port];
+    const bool IsInput = Slot < NumDefInputs;
+    Local = static_cast<WireId>(Wires.size());
+    Wires.push_back(Wire{static_cast<uint32_t>(Names.size()),
+                         static_cast<uint32_t>(Prefix.size() + 1 + P.NameSize),
+                         IsInput ? WireKind::Input : WireKind::Output,
+                         P.Width, 0});
+    Names.append(Prefix).append(1, '.').append(Def.wireName(Port));
+    (IsInput ? Inputs : Outputs).push_back(Local);
+  }
+  assert(Names.capacity() == Room &&
+         "promoted names land in the room reserveWires checked");
 }
 
 void Module::renameWire(WireId Id, std::string_view Name) {

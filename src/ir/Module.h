@@ -107,6 +107,11 @@ struct PortContract {
 /// is valid until the module adds or renames a wire, or is moved or
 /// destroyed.
 ///
+/// Constants are kept out of the wire records: the module's constant
+/// table holds every Const wire's value, in the order the wires were
+/// added, and each Const wire's record holds its index there. Most
+/// modules have few constants, so the records stay 16 bytes.
+///
 /// Nets are laid out the same way: every net's inputs back to back in one
 /// WireId array (the module's fan-in lists, in net order), and every
 /// Lut's cover rows back to back in one byte buffer, each Net record
@@ -121,7 +126,8 @@ public:
 
   /// One record per wire, indexed by WireId. Add wires through
   /// \ref addWire (or \ref addInput / \ref addOutput), which writes the
-  /// name; callers may change a record's Kind, Width and ConstValue.
+  /// name and, for a Const wire, the value; callers may change a record's
+  /// Width, and its Kind to any kind but Const.
   std::vector<Wire> Wires;
   /// One record per net, indexed by NetId. Add nets through \ref addNet
   /// and rewrite them through \ref replaceNet, which keep each record's
@@ -142,8 +148,10 @@ public:
   // --- Construction -----------------------------------------------------
 
   /// Creates a wire and returns its id. \p Name is copied into the name
-  /// buffer and may view that very buffer (another wire's name). Throws
-  /// std::length_error when the buffer would pass 4 GiB.
+  /// buffer and may view that very buffer (another wire's name).
+  /// \p ConstValue is a Const wire's value, kept in the constant table;
+  /// other kinds take 0. Throws std::length_error when the buffer would
+  /// pass 4 GiB.
   WireId addWire(std::string_view Name, WireKind Kind, uint16_t Width = 1,
                  uint64_t ConstValue = 0);
 
@@ -161,8 +169,20 @@ public:
   WireId addOutput(std::string_view Name, uint16_t Width = 1);
 
   /// Reserves room for \p Count more wires whose names take \p NameBytes
-  /// bytes in all, so adding them allocates nothing.
+  /// bytes in all, so adding them allocates nothing. Throws
+  /// std::length_error, before reserving, when those names would take the
+  /// buffer past 4 GiB.
   void reserveWires(size_t Count, size_t NameBytes);
+
+  /// Promotes the open ports of instance \p Inst, whose definition is
+  /// \p Def: every binding still bound to \p Open gets a new port wire,
+  /// named "instance.port" with the width of \p Def's port, appended to
+  /// Inputs for the first Def.Inputs.size() bindings and to Outputs for
+  /// the rest (bindings run over \p Def's ports in PortNumbering slot
+  /// order). Circuit::seal calls it once per instance after reserving,
+  /// through \ref reserveWires and the port lists, exactly the room the
+  /// wires, names and port entries take; the writes check nothing more.
+  void promoteOpenPorts(InstId Inst, const Module &Def, WireId Open);
 
   /// Gives wire \p Id the name \p Name (which may view the name buffer).
   /// The new name is appended; the old bytes stay in the buffer unused.
@@ -206,10 +226,16 @@ public:
 
   // --- Queries ------------------------------------------------------------
 
-  /// Wire \p Id's record fields and name.
+  /// Wire \p Id's record fields, name and value.
   WireView wire(WireId Id) const {
     const Wire &W = Wires[Id];
-    return WireView{wireName(Id), W.Kind, W.Width, W.ConstValue};
+    return WireView{wireName(Id), W.Kind, W.Width, constValue(W)};
+  }
+
+  /// The value of \p W, one of this module's Wires, from the constant
+  /// table: 0 unless \p W is a Const wire.
+  uint64_t constValue(const Wire &W) const {
+    return W.Kind == WireKind::Const ? Consts[W.ConstIndex] : 0;
   }
 
   /// Wire \p Id's name, a view of the name buffer.
@@ -269,6 +295,8 @@ private:
 
   /// Every wire's name, back to back (see the class comment).
   std::string Names;
+  /// Every Const wire's value, in the order the wires were added.
+  std::vector<uint64_t> Consts;
   /// Every net's inputs, back to back in the order they were written.
   std::vector<WireId> NetInputs;
   /// Every Lut's cover rows, back to back.

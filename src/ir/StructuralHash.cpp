@@ -55,7 +55,7 @@ uint64_t ir::structuralHash(const Module &M) {
   for (const Wire &W : M.Wires) {
     H.u64(static_cast<uint64_t>(W.Kind));
     H.u64(W.Width);
-    H.u64(W.Kind == WireKind::Const ? W.ConstValue : 0);
+    H.u64(M.constValue(W));
   }
 
   H.tag(2);

@@ -43,22 +43,26 @@ enum class WireKind : uint8_t {
 const char *wireKindName(WireKind Kind);
 
 /// A (possibly multi-bit) wire inside a module: the record Module::Wires
-/// holds, one per wire. It owns no string. The wire's name is the byte
-/// range [NameOffset, NameOffset + NameSize) of its module's name buffer,
-/// read through Module::wireName or Module::wire, so a module's wires
-/// copy, move and free as one block and its names as another.
+/// holds, one per wire. It owns no string and no value. The wire's name
+/// is the byte range [NameOffset, NameOffset + NameSize) of its module's
+/// name buffer, read through Module::wireName or Module::wire, so a
+/// module's wires copy, move and free as one block and its names as
+/// another. A Const wire's value sits in its module's constant table, at
+/// ConstIndex, read through Module::wire or Module::constValue: few wires
+/// are constants, so the other records carry no 8-byte value.
 struct Wire {
   uint32_t NameOffset = 0;
   uint32_t NameSize = 0;
   WireKind Kind = WireKind::Basic;
   /// Bit width; the Builder enforces 1 <= Width <= 64.
   uint16_t Width = 1;
-  /// Value produced when Kind == Const; low Width bits are significant.
-  uint64_t ConstValue = 0;
+  /// Where a Const wire's value sits in its module's constant table;
+  /// unused for other kinds.
+  uint32_t ConstIndex = 0;
 };
 
-static_assert(sizeof(Wire) == 24 && std::is_trivially_copyable_v<Wire>,
-              "a wire record is 24 bytes and owns nothing");
+static_assert(sizeof(Wire) <= 16 && std::is_trivially_copyable_v<Wire>,
+              "a wire record is at most 16 bytes and owns nothing");
 
 /// A wire's name: a view of its module's name buffer. It is valid until
 /// that module adds or renames a wire, or is moved or destroyed; copy it
@@ -86,12 +90,14 @@ public:
   }
 };
 
-/// One wire as Module::wire returns it, by value: the record's fields and
-/// its name. The name is a WireName, valid as long as it is.
+/// One wire as Module::wire returns it, by value: the record's fields, its
+/// name and its value. The name is a WireName, valid as long as it is.
 struct WireView {
   WireName Name;
   WireKind Kind;
   uint16_t Width;
+  /// Value produced when Kind == Const, low Width bits significant; 0 for
+  /// other kinds.
   uint64_t ConstValue;
 };
 

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -26,8 +27,9 @@
 using namespace wiresort;
 using namespace wiresort::ir;
 
-// A wire record owns no string: a module's wires are one flat block.
-static_assert(sizeof(Wire) == 24, "a wire record is 24 bytes");
+// A wire record owns no string and no value: a module's wires are one
+// flat block, its names another and its constants a third.
+static_assert(sizeof(Wire) <= 16, "a wire record is at most 16 bytes");
 static_assert(std::is_trivially_copyable_v<Wire>,
               "a wire record is trivially copyable");
 // Nor does a net record own its inputs or cover: they live in two flat
@@ -317,6 +319,17 @@ TEST(ModuleTest, WideConstantsArePinned) {
     EXPECT_EQ(constants(MoveAssigned), Want) << M.Name;
     EXPECT_EQ(structuralHash(MoveAssigned), structuralHash(M)) << M.Name;
   }
+}
+
+TEST(ModuleTest, ReserveWiresRefusesNamesPast4GiB) {
+  // The check comes before any reservation, so nothing is allocated.
+  Module M = inverter();
+  EXPECT_THROW(M.reserveWires(1, size_t(1) << 32), std::length_error);
+  EXPECT_THROW(M.reserveWires(1, (size_t(1) << 32) - 2), std::length_error);
+  EXPECT_EQ(wireNames(M), (std::vector<std::string>{"a", "y"}));
+  M.reserveWires(2, 6);
+  M.addWire("b_wire", WireKind::Basic);
+  EXPECT_EQ(M.wireName(2), "b_wire");
 }
 
 TEST(ModuleTest, RenameWireKeepsIdsKindsAndOtherNames) {
