@@ -14,9 +14,11 @@
 //    forwarding-FIFO chains (every connection port-sorted, so nothing is
 //    discharged early).
 //  * Mega-scale (docs/SCALE.md) — instance-count sweeps over the
-//    gen::MegaScale presets, 60 to 1M flattened instances: serial
-//    Stage-1, SCC Stage-3 and Circuit::seal wall-clock. Stage 1 tracks
-//    unique modules, not flat instances; seal tracks the top's ports.
+//    gen::MegaScale presets, 60 to 1M flattened instances: the whole
+//    wiresort-mega path, timed as generation, serial Stage-1, SCC
+//    Stage-3, Circuit::seal, the fingerprint and teardown. Stage 1
+//    tracks unique modules, not flat instances; seal, the fingerprint
+//    and teardown track the top's ports.
 //  * Summary codec — encode/decode throughput of a mega preset's
 //    summaries as a wire summary stream, gated on a structurallyEqual
 //    round trip.
@@ -43,6 +45,7 @@
 #include "support/Table.h"
 
 #include <cstdio>
+#include <optional>
 #include <random>
 
 using namespace wiresort;
@@ -176,11 +179,13 @@ int main(int ArgC, char **ArgV) {
   // --- Mega-scale: flat-instance sweeps ------------------------------------
   // The flat instance count is what a monolithic checker would expand;
   // the engine's cost scales with unique modules plus hierarchy nodes.
-  std::printf("=== Mega-scale: Stage 1, Stage 3 and seal vs flat instances "
-              "(docs/SCALE.md) ===\n\n");
+  std::printf("=== Mega-scale: generate, Stage 1, Stage 3, seal, "
+              "fingerprint and teardown vs flat instances (docs/SCALE.md) "
+              "===\n\n");
   {
-    Table T({"Preset", "Flat instances", "Modules", "Stage-1 (ms)",
-             "Stage-3 (ms)", "Seal (ms)"});
+    Table T({"Preset", "Flat instances", "Modules", "Gen (ms)",
+             "Stage-1 (ms)", "Stage-3 (ms)", "Seal (ms)", "Fingerprint (ms)",
+             "Teardown (ms)"});
     std::vector<std::string> Presets = {"ci", "10k", "100k"};
     if (!Quick) {
       Presets.push_back("100k-noc");
@@ -189,21 +194,25 @@ int main(int ArgC, char **ArgV) {
     }
     for (const std::string &Name : Presets) {
       MegaScaleParams P = *megaScalePreset(Name);
-      Design D;
-      Circuit Circ = buildMegaScaleCircuit(D, P);
+      // Held in optionals so that teardown is timed on its own.
+      std::optional<Design> D(std::in_place);
+      std::optional<Circuit> Circ;
+      Timer GenT;
+      Circ.emplace(buildMegaScaleCircuit(*D, P));
+      double GenMs = GenT.milliseconds();
 
       // Serial Stage 1 (cache off: every run measures cold work).
       SummaryEngine Serial(EngineConfig{1, false});
       std::map<ModuleId, ModuleSummary> Summaries;
       Timer SerialT;
-      support::Status SerialVerdict = Serial.analyze(D, Summaries);
+      support::Status SerialVerdict = Serial.analyze(*D, Summaries);
       double SerialMs = SerialT.milliseconds();
       if (SerialVerdict.hasError())
         return 1;
 
       // Stage-3 over the top composition (production SCC check).
       Timer CheckT;
-      CircuitCheckResult Scc = checkCircuit(Circ, Summaries);
+      CircuitCheckResult Scc = checkCircuit(*Circ, Summaries);
       double CheckMs = CheckT.milliseconds();
       if (!Scc.WellConnected)
         return 1;
@@ -211,22 +220,36 @@ int main(int ArgC, char **ArgV) {
       // The top circuit sealed into one module (ir::Circuit::seal):
       // wiresort-mega's step before the fingerprint and flat count.
       Timer SealT;
-      ModuleId Top = Circ.seal();
+      ModuleId Top = Circ->seal();
       double SealMs = SealT.milliseconds();
-      const uint64_t Flat = flatInstanceCount(D, Top);
-      T.addRow({Name, Table::withCommas(Flat),
-                std::to_string(D.numModules()),
-                Table::secondsStr(SerialMs, 3),
-                Table::secondsStr(CheckMs, 3), Table::secondsStr(SealMs, 3)});
+      const uint64_t Flat = flatInstanceCount(*D, Top);
+      const size_t Modules = D->numModules();
+      Timer FingerprintT;
+      const std::string Fingerprint = fingerprint(*D, Top);
+      double FingerprintMs = FingerprintT.milliseconds();
+
+      Timer TeardownT;
+      Summaries.clear();
+      Circ.reset();
+      D.reset();
+      double TeardownMs = TeardownT.milliseconds();
+      T.addRow({Name, Table::withCommas(Flat), std::to_string(Modules),
+                Table::secondsStr(GenMs, 3), Table::secondsStr(SerialMs, 3),
+                Table::secondsStr(CheckMs, 3), Table::secondsStr(SealMs, 3),
+                Table::secondsStr(FingerprintMs, 3),
+                Table::secondsStr(TeardownMs, 3)});
       Json.beginRecord()
           .field("sweep", "mega_scale")
           .field("preset", Name)
           .field("flat_instances", Flat)
-          .field("modules", static_cast<uint64_t>(D.numModules()))
-          .field("fingerprint", fingerprint(D, Top))
+          .field("modules", static_cast<uint64_t>(Modules))
+          .field("fingerprint", Fingerprint)
+          .field("gen_seconds", GenMs / 1e3)
           .field("serial_stage1_seconds", SerialMs / 1e3)
           .field("stage3_seconds", CheckMs / 1e3)
-          .field("seal_seconds", SealMs / 1e3);
+          .field("seal_seconds", SealMs / 1e3)
+          .field("fingerprint_seconds", FingerprintMs / 1e3)
+          .field("teardown_seconds", TeardownMs / 1e3);
     }
     T.print();
     std::printf("(Stage-1 cost tracks unique modules, not flat instances: "

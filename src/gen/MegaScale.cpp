@@ -10,6 +10,7 @@
 #include "gen/Fifo.h"
 #include "gen/LoopInjector.h"
 #include "ir/StructuralHash.h"
+#include "support/Trace.h"
 
 #include <algorithm>
 #include <cassert>
@@ -270,6 +271,7 @@ uint64_t gen::flatInstanceCount(const Design &D, ModuleId Top) {
 }
 
 std::string gen::fingerprint(const Design &D, ModuleId Top) {
+  trace::Span FingerprintSpan("gen.fingerprint", "gen");
   std::vector<bool> Seen(D.numModules(), false);
   std::vector<ModuleId> Work{Top}, Reach;
   Seen[Top] = true;

@@ -8,6 +8,7 @@
 
 #include "gen/MegaScale.h"
 #include "ir/Builder.h"
+#include "support/Trace.h"
 #include "support/Wire.h"
 #include "synth/Flatten.h"
 
@@ -267,6 +268,42 @@ TEST(CircuitTest, SealedTopIsPinnedOn10kPreset) {
     EXPECT_EQ(support::wire::fnv1a(dumpModule(D.module(Top.seal()))), Digest)
         << "seed " << Seed;
   }
+}
+
+TEST(CircuitTest, SealAndFingerprintRecordSpans) {
+  Design D;
+  ModuleId Stage = pipeStage(D, "stage");
+  Circuit C(D, "pipe3");
+  InstId U0 = C.addInstance(Stage, "u0");
+  InstId U1 = C.addInstance(Stage, "u1");
+  InstId U2 = C.addInstance(Stage, "u2");
+  C.connect(U0, "y", U1, "a");
+  C.connect(U1, "y", U2, "a");
+  trace::Session S;
+  const ModuleId Top = C.seal();
+  (void)gen::fingerprint(D, Top);
+  ASSERT_FALSE(S.finish().hasError());
+
+  // The seal span notes the wires it added and their names' bytes.
+  const Module &M = D.module(Top);
+  size_t LabelBytes = 0;
+  for (WireId Id = 0; Id != M.numWires(); ++Id)
+    LabelBytes += M.wireName(Id).size();
+  size_t Seals = 0, Fingerprints = 0;
+  for (const trace::SpanRecord &R : S.spans()) {
+    if (R.Name == "ir.seal") {
+      ++Seals;
+      EXPECT_EQ(R.Cat, "ir");
+      using Arg = std::pair<std::string, std::string>;
+      EXPECT_EQ(R.Args, (std::vector<Arg>{
+                            {"wires", std::to_string(M.numWires())},
+                            {"label_bytes", std::to_string(LabelBytes)}}));
+    }
+    Fingerprints += R.Name == "gen.fingerprint";
+  }
+  EXPECT_EQ(Seals, 1u);
+  EXPECT_EQ(Fingerprints, 1u);
+  EXPECT_EQ(M.numWires(), 4u); // u0.y, u1.y, then u0.a and u2.y promoted.
 }
 
 TEST(CircuitTest, SealMatchesReferenceOnFanOut) {

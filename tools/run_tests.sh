@@ -14,11 +14,14 @@
 #      engine), and so does the parser suite (a BLIF file's `.model`
 #      chunks parse on worker threads beside a shared parse cache);
 #   3. an UndefinedBehaviorSanitizer build of the kernel, support, IR,
-#      analysis, parser, synthesis, simulator and driver suites — the CSR
+#      analysis, parser, synthesis, simulator, driver and generator
+#      suites — the CSR
 #      packing, Tarjan, cycle walk, Kahn order and sweep
 #      (docs/KERNEL.md), the wire format's varint and fixed64 shifts and
 #      its blob offsets, the port index's probe arithmetic and seal's
-#      slot indexing, both summary decoders, the Verilog literal
+#      slot indexing and name offsets (every tile, cluster and top the
+#      generators build is sealed, and every Builder literal goes
+#      through a module's constant table), both summary decoders, the Verilog literal
 #      decoder's multiply-add and range checks, the reader's width masks
 #      and constant shifts, the probe arithmetic of BLIF pass 1's name
 #      table, the net-input and cover-row offsets into each module's flat
@@ -126,7 +129,7 @@ TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/trace_tests"
 TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/parse_tests"
 
 echo
-echo "=== stage 3: kernel, support, IR, analysis, parser, synthesis, simulator and driver suites under UndefinedBehaviorSanitizer ($ROOT/build-ubsan) ==="
+echo "=== stage 3: kernel, support, IR, analysis, parser, synthesis, simulator, driver and generator suites under UndefinedBehaviorSanitizer ($ROOT/build-ubsan) ==="
 UBSAN_BUILD="$ROOT/build-ubsan"
 [ -f "$UBSAN_BUILD/CMakeCache.txt" ] || cmake -B "$UBSAN_BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -134,7 +137,7 @@ UBSAN_BUILD="$ROOT/build-ubsan"
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
 cmake --build "$UBSAN_BUILD" -j "$(nproc)" \
   --target kernel_tests support_tests ir_tests analysis_tests parse_tests \
-  synth_tests sim_tests driver_tests
+  synth_tests sim_tests driver_tests gen_tests gen_determinism_tests
 "$UBSAN_BUILD/tests/kernel_tests"
 # Varint and fixed64 shifts of the wire format, and the offsets at which
 # a record's blobs splice into its frame.
@@ -154,6 +157,13 @@ cmake --build "$UBSAN_BUILD" -j "$(nproc)" \
 # The serve codecs: the request decoder moves the design text to the
 # front of the server's read buffer by offset arithmetic.
 "$UBSAN_BUILD/tests/driver_tests"
+# The generators seal every tile, cluster and top they build, writing
+# each promoted port's name at an offset into the top's name buffer, and
+# their literals index each module's constant table. Run directly, the
+# determinism suite skips its cross-process half (WIRESORT_MEGA is
+# unset); stage 7 runs that half.
+"$UBSAN_BUILD/tests/gen_tests"
+"$UBSAN_BUILD/tests/gen_determinism_tests"
 
 echo
 echo "=== stage 4: CLI JSON smoke check (jq) ==="
