@@ -109,8 +109,8 @@ struct PortContract {
 ///
 /// Constants are kept out of the wire records: the module's constant
 /// table holds every Const wire's value, in the order the wires were
-/// added, and each Const wire's record holds its index there. Most
-/// modules have few constants, so the records stay 16 bytes.
+/// added, and each Const wire's record holds its index there. Few wires
+/// are constants, so no record carries an 8-byte value.
 ///
 /// Nets are laid out the same way: every net's inputs back to back in one
 /// WireId array (the module's fan-in lists, in net order), and every

@@ -15,14 +15,13 @@
 #      chunks parse on worker threads beside a shared parse cache);
 #   3. an UndefinedBehaviorSanitizer build of the kernel, support, IR,
 #      analysis, parser, synthesis, simulator, driver and generator
-#      suites — the CSR
-#      packing, Tarjan, cycle walk, Kahn order and sweep
+#      suites — the CSR packing, Tarjan, cycle walk, Kahn order and sweep
 #      (docs/KERNEL.md), the wire format's varint and fixed64 shifts and
 #      its blob offsets, the port index's probe arithmetic and seal's
 #      slot indexing and name offsets (every tile, cluster and top the
 #      generators build is sealed, and every Builder literal goes
-#      through a module's constant table), both summary decoders, the Verilog literal
-#      decoder's multiply-add and range checks, the reader's width masks
+#      through a module's constant table), both summary decoders, the
+#      Verilog literal decoder's multiply-add and range checks, the reader's width masks
 #      and constant shifts, the probe arithmetic of BLIF pass 1's name
 #      table, the net-input and cover-row offsets into each module's flat
 #      arrays that lowering, flattening, constant folding and the
