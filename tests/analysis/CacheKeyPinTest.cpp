@@ -7,7 +7,8 @@
 // nets, so without this suite nothing would notice a change to the IR's
 // net or cover layout moving a key: every saved cache would silently go
 // cold. The literals below were computed from the parsed and lowered
-// designs, and must not move when the module representation changes.
+// designs, and must not move when the module representation changes,
+// nor with the thread count analyze() hashes them on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +34,16 @@ using namespace wiresort::analysis;
 using namespace wiresort::ir;
 
 namespace {
+
+/// The keys analyze() reports for \p D at \p Threads threads, which
+/// hash the module bodies on the call's pool.
+std::vector<uint64_t> analyzedKeys(const Design &D, unsigned Threads) {
+  SummaryEngine E(EngineConfig{Threads, true});
+  std::map<ModuleId, ModuleSummary> Sums;
+  AnalyzeOutcome Outcome;
+  EXPECT_FALSE(E.analyze(D, Sums, {}, {}, &Outcome).hasError());
+  return Outcome.Keys;
+}
 
 /// The riscv SoC as wiresort-check users feed it in: lowered, written as
 /// BLIF and parsed back, so its 12 models carry LUT covers.
@@ -63,6 +74,8 @@ TEST(CacheKeyPinTest, ParsedSocKeysArePinned) {
       0x0e4ac9bf1fa3e875, 0xbd78b9dc4089b4cf, 0x4c4ec37147cbf183,
       0xe8ad002558184b95, 0x4a79046e1a3c6fe0, 0x77267bcf67fa189b};
   EXPECT_EQ(SummaryEngine::computeKeys(D), Pinned);
+  for (unsigned Threads : {1u, 2u, 4u, 8u})
+    EXPECT_EQ(analyzedKeys(D, Threads), Pinned) << Threads << " threads";
 }
 
 TEST(CacheKeyPinTest, LoweredFifoKeysArePinned) {
@@ -80,25 +93,31 @@ TEST(CacheKeyPinTest, LoweredFifoKeysArePinned) {
   const std::vector<uint64_t> Pinned = {
       0x1b0eca9511535eed, 0xd84d07579c56ce38, 0x1b0eca9511535eed};
   EXPECT_EQ(Keys, Pinned);
+  for (unsigned Threads : {1u, 2u, 4u, 8u})
+    EXPECT_EQ(analyzedKeys(D, Threads), Pinned) << Threads << " threads";
 }
 
 TEST(CacheKeyPinTest, SocCacheBytesArePinned) {
   const Design D = parsedSoc();
   ASSERT_EQ(D.numModules(), 12u);
-  SummaryEngine E(EngineConfig{1, true});
-  std::map<ModuleId, ModuleSummary> Sums;
-  AnalyzeOutcome Outcome;
-  ASSERT_FALSE(E.analyze(D, Sums, {}, {}, &Outcome).hasError());
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    SummaryEngine E(EngineConfig{Threads, true});
+    std::map<ModuleId, ModuleSummary> Sums;
+    AnalyzeOutcome Outcome;
+    ASSERT_FALSE(E.analyze(D, Sums, {}, {}, &Outcome).hasError());
 
-  const std::string Path = ::testing::TempDir() + "/cache_key_pin.wscache";
-  ASSERT_FALSE(
-      SummaryEngine::saveCache(Path, D, Sums, Outcome.Keys).hasError());
-  std::ifstream In(Path, std::ios::binary);
-  const std::string Bytes{std::istreambuf_iterator<char>(In),
-                          std::istreambuf_iterator<char>()};
-  std::remove(Path.c_str());
-  EXPECT_EQ(Bytes.size(), 55972u);
-  EXPECT_EQ(support::wire::fnv1a(Bytes), 0x02f092df7722e6d4u);
+    const std::string Path =
+        ::testing::TempDir() + "/cache_key_pin.wscache";
+    ASSERT_FALSE(
+        SummaryEngine::saveCache(Path, D, Sums, Outcome.Keys).hasError());
+    std::ifstream In(Path, std::ios::binary);
+    const std::string Bytes{std::istreambuf_iterator<char>(In),
+                            std::istreambuf_iterator<char>()};
+    std::remove(Path.c_str());
+    EXPECT_EQ(Bytes.size(), 55972u);
+    EXPECT_EQ(support::wire::fnv1a(Bytes), 0x02f092df7722e6d4u);
+  }
 }
 
 } // namespace
