@@ -520,12 +520,20 @@ int main(int ArgC, char **ArgV) {
 
   // --- Tracing overhead smoke -------------------------------------------
   // docs/OBSERVABILITY.md budgets the *disabled* instrumentation (one
-  // relaxed load + branch per point) at < 2% on cold engine runs. The
-  // smoke measures best-of-N cold serial runs with tracing off and with
-  // a metrics-only session on; the delta bounds the enabled-counter
-  // cost, and the disabled number is the one the budget governs.
-  double SmokeOff = 0.0, SmokeOn = 0.0;
-  double FpArmed = 0.0;
+  // relaxed load + branch per point) at < 2% on cold engine runs. One
+  // cold serial run takes about a millisecond, well inside the host's
+  // noise, so a sample times as many runs as fill about 30 ms. Samples
+  // alternate between the two settings pair by pair (which goes first
+  // alternates too), so a drift of the host's speed moves both halves of
+  // a pair alike, and the smoke reports the median of the per-pair
+  // ratios. The enabled setting is a metrics-only session, so the ratio
+  // bounds the enabled-counter cost; the disabled number is the one the
+  // budget governs.
+  struct SmokeResult {
+    double Off = 0.0, On = 0.0, Ratio = 0.0; // Median s/run, on/off.
+  };
+  SmokeResult TraceSmoke, FpSmoke;
+  int SmokePairs = 0, RunsPerSample = 0;
   {
     Design D;
     size_t Count = 0;
@@ -536,32 +544,67 @@ int main(int ArgC, char **ArgV) {
       ModuleId Id = Tmp.addModule(E.Build());
       D.addModule(synth::lower(Tmp, Id));
     }
-    auto coldRun = [&D] {
+    bool Failed = false;
+    auto coldRun = [&D, &Failed] {
       SummaryEngine E(EngineConfig{1, false});
       std::map<ModuleId, ModuleSummary> Out;
-      Timer T2;
-      if (E.analyze(D, Out).hasError())
-        return -1.0;
-      return T2.seconds();
+      Failed |= E.analyze(D, Out).hasError();
     };
-    const int Reps = Quick ? 3 : 5;
-    auto bestOf = [&](auto &&Run) {
-      double Best = Run(); // Warm-up doubles as the first sample.
-      for (int I = 1; I < Reps; ++I)
-        Best = std::min(Best, Run());
-      return Best;
+    // Calibrate once; the warm-up doubles as the calibration.
+    Timer Calibration;
+    do {
+      coldRun();
+      ++RunsPerSample;
+    } while (Calibration.seconds() < 0.03);
+    auto sample = [&] {
+      Timer T;
+      for (int I = 0; I != RunsPerSample; ++I)
+        coldRun();
+      return T.seconds() / RunsPerSample;
     };
-    SmokeOff = bestOf(coldRun);
-    {
-      trace::Session S(trace::SessionOptions{"", /*CollectSpans=*/false});
-      SmokeOn = bestOf(coldRun);
-    }
-    std::printf("\n=== Tracing overhead smoke (cold serial, best of %d) "
-                "===\n\ntracing disabled: %.3f s; metrics-only session: "
-                "%.3f s; delta %+.1f%%\n",
-                Reps, SmokeOff, SmokeOn,
-                SmokeOff > 0.0 ? (SmokeOn - SmokeOff) / SmokeOff * 100.0
-                               : 0.0);
+    auto median = [](std::vector<double> V) {
+      std::sort(V.begin(), V.end());
+      return V[V.size() / 2];
+    };
+    SmokePairs = Quick ? 9 : 21;
+    auto smoke = [&](auto &&Enable, auto &&Disable) {
+      std::vector<double> Offs, Ons, Ratios;
+      for (int P = 0; P != SmokePairs; ++P) {
+        double Off, On;
+        if (P % 2 == 0) {
+          Off = sample();
+          Enable();
+          On = sample();
+          Disable();
+        } else {
+          Enable();
+          On = sample();
+          Disable();
+          Off = sample();
+        }
+        Offs.push_back(Off);
+        Ons.push_back(On);
+        Ratios.push_back(On / Off);
+      }
+      return SmokeResult{median(Offs), median(Ons), median(Ratios)};
+    };
+    auto report = [&](const char *Title, const char *OffName,
+                      const char *OnName, const SmokeResult &R) {
+      std::printf("\n=== %s overhead smoke (cold serial, median of %d "
+                  "alternated pairs of %d runs) ===\n\n%s: %.3f ms/run; "
+                  "%s: %.3f ms/run; median pair delta %+.1f%%\n",
+                  Title, SmokePairs, RunsPerSample, OffName, R.Off * 1e3,
+                  OnName, R.On * 1e3, (R.Ratio - 1.0) * 100.0);
+    };
+
+    std::optional<trace::Session> Live;
+    TraceSmoke = smoke(
+        [&] {
+          Live.emplace(trace::SessionOptions{"", /*CollectSpans=*/false});
+        },
+        [&] { Live.reset(); });
+    report("Tracing", "tracing disabled", "metrics-only session",
+           TraceSmoke);
 
     // --- Failpoint overhead smoke ---------------------------------------
     // docs/ROBUSTNESS.md budgets the disarmed WS_FAILPOINT sites on the
@@ -571,19 +614,18 @@ int main(int ArgC, char **ArgV) {
     // the registry is armed somewhere, yet the sites the engine actually
     // hits must stay on their disarmed fast path.
     support::failpoint::disarmAll();
-    if (!support::failpoint::configure("bench.irrelevant=always")
-             .empty()) {
-      std::fprintf(stderr, "failpoint smoke: configure failed\n");
+    FpSmoke = smoke(
+        [&] {
+          Failed |= !support::failpoint::configure("bench.irrelevant=always")
+                         .empty();
+        },
+        [] { support::failpoint::disarmAll(); });
+    report("Failpoint", "all sites disarmed", "irrelevant site armed",
+           FpSmoke);
+    if (Failed) {
+      std::fprintf(stderr, "overhead smoke: a run or configure failed\n");
       return 1;
     }
-    FpArmed = bestOf(coldRun);
-    support::failpoint::disarmAll();
-    std::printf("\n=== Failpoint overhead smoke (cold serial, best of %d) "
-                "===\n\nall sites disarmed: %.3f s; irrelevant site "
-                "armed: %.3f s; delta %+.1f%%\n",
-                Reps, SmokeOff, FpArmed,
-                SmokeOff > 0.0 ? (FpArmed - SmokeOff) / SmokeOff * 100.0
-                               : 0.0);
   }
 
   if (!JsonOut.empty()) {
@@ -620,12 +662,18 @@ int main(int ArgC, char **ArgV) {
         .field("resident_s", EditResident);
     Report.beginRecord()
         .field("smoke", "trace_overhead")
-        .field("disabled_s", SmokeOff)
-        .field("metrics_only_s", SmokeOn);
+        .field("pairs", static_cast<uint64_t>(SmokePairs))
+        .field("runs_per_sample", static_cast<uint64_t>(RunsPerSample))
+        .field("disabled_s", TraceSmoke.Off)
+        .field("metrics_only_s", TraceSmoke.On)
+        .field("median_ratio", TraceSmoke.Ratio);
     Report.beginRecord()
         .field("smoke", "failpoint_overhead")
-        .field("disarmed_s", SmokeOff)
-        .field("irrelevant_armed_s", FpArmed);
+        .field("pairs", static_cast<uint64_t>(SmokePairs))
+        .field("runs_per_sample", static_cast<uint64_t>(RunsPerSample))
+        .field("disarmed_s", FpSmoke.Off)
+        .field("irrelevant_armed_s", FpSmoke.On)
+        .field("median_ratio", FpSmoke.Ratio);
     Report.appendTraceRegistry();
     Report.writeTo(JsonOut);
   }

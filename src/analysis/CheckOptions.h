@@ -35,9 +35,11 @@ enum class Format { Text, Json };
 /// fixed for the engine's lifetime and shared by every request it
 /// serves. See docs/ENGINE.md and docs/SERVING.md.
 struct EngineConfig {
-  /// Worker threads for SummaryEngine; 0 = hardware concurrency,
-  /// 1 = serial (no pool). A resident service usually runs each request
-  /// at 1 and gets its parallelism from concurrent requests instead.
+  /// Threads for SummaryEngine, the calling thread included: each
+  /// analyze() call runs a pool of min(Threads, modules) - 1 workers
+  /// beside its caller. 0 = hardware concurrency, 1 = serial (no pool).
+  /// A resident service usually runs each request at 1 and gets its
+  /// parallelism from concurrent requests instead.
   unsigned Threads = 0;
 
   /// When false, every analyze() call re-infers everything (the

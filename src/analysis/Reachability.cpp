@@ -37,32 +37,19 @@ CombGraph CombGraph::build(const Module &M,
     }
   }
 
-  // Room for every net edge and memory read; instance edges grow the
-  // list as they come.
-  std::vector<CsrGraph::Edge> Edges;
-  size_t NetEdges = M.Memories.size();
-  for (const Net &Gate : M.Nets)
-    NetEdges += Gate.NumInputs;
-  Edges.reserve(NetEdges);
-
-  for (NetId N = 0; N != M.Nets.size(); ++N) {
-    const Net &Gate = M.Nets[N];
-    CG.Drivers[Gate.Output] = DriverRec{DriverKind::NetOut, N, InvalidId};
-    for (WireId In : M.netInputs(Gate))
-      Edges.emplace_back(In, Gate.Output);
-  }
+  for (NetId N = 0; N != M.Nets.size(); ++N)
+    CG.Drivers[M.Nets[N].Output] = DriverRec{DriverKind::NetOut, N, InvalidId};
 
   for (const Register &R : M.Registers)
     CG.Drivers[R.Q].Kind = DriverKind::RegQ;
 
-  for (const Memory &Mem : M.Memories) {
-    if (Mem.SyncRead) {
-      CG.Drivers[Mem.RData].Kind = DriverKind::MemSync;
-    } else {
-      CG.Drivers[Mem.RData].Kind = DriverKind::MemAsync;
-      Edges.emplace_back(Mem.RAddr, Mem.RData);
-    }
-  }
+  for (const Memory &Mem : M.Memories)
+    CG.Drivers[Mem.RData].Kind =
+        Mem.SyncRead ? DriverKind::MemSync : DriverKind::MemAsync;
+
+  // Instance edges are the only ones the module does not hold in an
+  // array of its own; the graph packs the rest straight from the module.
+  std::vector<CsrGraph::Edge> InstEdges;
 
   for (uint32_t InstIdx = 0; InstIdx != M.Instances.size(); ++InstIdx) {
     const SubInstance &Inst = M.Instances[InstIdx];
@@ -93,14 +80,26 @@ CombGraph CombGraph::build(const Module &M,
       // nothing here can reach it.
       for (WireId DefOut : It->second)
         if (DefOut < OutLocal.size() && OutLocal[DefOut] != InvalidId)
-          Edges.emplace_back(Local, OutLocal[DefOut]);
+          InstEdges.emplace_back(Local, OutLocal[DefOut]);
     }
   }
   std::sort(CG.InstInputs.begin(), CG.InstInputs.end(),
             [](const InstInputRec &A, const InstInputRec &B) {
               return A.Local < B.Local;
             });
-  CG.G = CsrGraph(M.numWires(), Edges);
+  // Every row lists net edges (from the net-input array, net by net),
+  // then asynchronous reads, then instance edges: the successor order
+  // findCycle walks for WS101 witnesses.
+  CG.G = CsrGraph(M.numWires(), [&](auto &&Emit) {
+    for (const Net &Gate : M.Nets)
+      for (WireId In : M.netInputs(Gate))
+        Emit(In, Gate.Output);
+    for (const Memory &Mem : M.Memories)
+      if (!Mem.SyncRead)
+        Emit(Mem.RAddr, Mem.RData);
+    for (const auto &[From, To] : InstEdges)
+      Emit(From, To);
+  });
   return CG;
 }
 
@@ -134,11 +133,13 @@ CombGraph::allOutputPortSets(const support::Deadline *DL) const {
     return Result;
 
   const std::vector<WireId> &Ins = M->Inputs;
-  // One sweep-scratch arena per thread: SummaryEngine workers call in
-  // once per module, and reusing the arena across modules makes
-  // steady-state inference allocation-free here. Lane width scales to
-  // the input count (up to 512 sources per sweep), so a wide module
-  // pays ceil(K/512) sweeps instead of ceil(K/64).
+  // One sweep-scratch arena per thread: SummaryEngine calls in once per
+  // module, and reusing the arena across modules makes steady-state
+  // inference allocation-free here on a thread that outlives one
+  // analyze() call, such as its caller, which infers each round's
+  // largest module; a pool's workers start empty in every call. Lane
+  // width scales to the input count (up to 512 sources per sweep), so a
+  // wide module pays ceil(K/512) sweeps instead of ceil(K/64).
   static thread_local ReachabilityKernel::Scratch SweepScratch;
   ReachabilityKernel Kernel(frozen(), SweepScratch,
                             ReachabilityKernel::laneWordsFor(Ins.size()));

@@ -129,6 +129,86 @@ inferContained(const Design &D, ModuleId Id,
   }
 }
 
+/// A module's share of Stage-1 work, for largest-first scheduling: its
+/// wires and nets, what its graph build, hash and sweeps walk.
+size_t moduleSize(const Module &M) { return M.numWires() + M.Nets.size(); }
+
+/// Runs \p Task(I) for every I in [0, \p N). Without a pool they run here
+/// in index order. With one, they go largest \p SizeOf(I) first (ties in
+/// index order): the calling thread runs the largest itself while the
+/// pool takes the rest in that order, and then waits for the pool, so
+/// nothing the tasks share leaves scope before they finish. A throw from
+/// the calling thread's task, or from a submit, is contained like a pool
+/// task's. \returns the exceptions that escaped, the calling thread's
+/// first.
+template <typename SizeFn, typename TaskFn>
+std::vector<std::exception_ptr> runLargestFirst(ThreadPool *Pool, size_t N,
+                                                SizeFn &&SizeOf,
+                                                TaskFn &&Task) {
+  std::vector<std::exception_ptr> Escaped;
+  if (!Pool) {
+    for (size_t I = 0; I != N; ++I)
+      Task(I);
+    return Escaped;
+  }
+  try {
+    std::vector<std::pair<size_t, size_t>> Order; // (size, index)
+    Order.reserve(N);
+    for (size_t I = 0; I != N; ++I)
+      Order.emplace_back(SizeOf(I), I);
+    std::stable_sort(Order.begin(), Order.end(),
+                     [](const auto &A, const auto &B) {
+                       return A.first > B.first;
+                     });
+    for (size_t K = 1; K < N; ++K)
+      Pool->submit([&Task, I = Order[K].second] { Task(I); });
+    if (N != 0)
+      Task(Order[0].second);
+  } catch (...) {
+    Escaped.push_back(std::current_exception());
+  }
+  Pool->wait();
+  for (std::exception_ptr &P : Pool->drainExceptions())
+    Escaped.push_back(std::move(P));
+  return Escaped;
+}
+
+/// The one key function behind computeKeys and analyze(): every
+/// module-body hash (on \p Pool, largest body first, when there is one),
+/// then each module's definitions' keys folded in instance order,
+/// serially in topological order, so content addressing is transitive.
+/// A throw from a pooled hash is rethrown here, as the serial path would
+/// let it pass.
+std::vector<uint64_t>
+cacheKeys(const Design &D, const std::map<ModuleId, ModuleSummary> &Ascribed,
+          ThreadPool *Pool) {
+  trace::Span KeysSpan("engine.keys", "engine");
+  KeysSpan.note("modules", static_cast<uint64_t>(D.numModules()));
+  std::optional<std::vector<ModuleId>> Order = D.topologicalModuleOrder();
+  assert(Order && "module instantiation must be acyclic");
+  std::vector<ModuleId> Bodies;
+  for (ModuleId Id = 0; Id != D.numModules(); ++Id)
+    if (!Ascribed.count(Id))
+      Bodies.push_back(Id);
+  std::vector<uint64_t> Keys(D.numModules(), 0);
+  std::vector<std::exception_ptr> Escaped = runLargestFirst(
+      Pool, Bodies.size(),
+      [&](size_t I) { return moduleSize(D.module(Bodies[I])); },
+      [&](size_t I) { Keys[Bodies[I]] = structuralHash(D.module(Bodies[I])); });
+  if (!Escaped.empty())
+    std::rethrow_exception(Escaped.front());
+  for (ModuleId Id : *Order) {
+    auto AscIt = Ascribed.find(Id);
+    if (AscIt != Ascribed.end()) {
+      Keys[Id] = hashCombine(0xa5c81bed, summaryContentHash(AscIt->second));
+      continue;
+    }
+    for (const SubInstance &Inst : D.module(Id).Instances)
+      Keys[Id] = hashCombine(Keys[Id], Keys[Inst.Def]);
+  }
+  return Keys;
+}
+
 /// How a module's analysis ended within one analyze() call.
 enum class State : uint8_t {
   Waiting,
@@ -139,12 +219,13 @@ enum class State : uint8_t {
   Panicked,  ///< Worker threw; contained as WS604.
 };
 
-/// One module inferred in a round. A pool task writes only its own Job;
-/// the calling thread reads it after the round's wait().
+/// One module inferred in a round. Its task, on the pool or the calling
+/// thread, writes only its own Job; the calling thread reads it after the
+/// round's wait().
 struct Job {
   ModuleId Id;
-  /// Unset only when the task threw past inferContained (the pool's
-  /// backstop then holds the exception).
+  /// Unset only when the task threw past inferContained (the backstop
+  /// then holds the exception).
   std::optional<InferenceResult> Result;
   bool Panicked = false;
 };
@@ -175,25 +256,7 @@ std::vector<std::vector<ModuleId>> instantiationLevels(const Design &D) {
 std::vector<uint64_t>
 SummaryEngine::computeKeys(const Design &D,
                            const std::map<ModuleId, ModuleSummary> &Ascribed) {
-  // Cache keys, serially in dependency order (cheap: one hash pass over
-  // the design). A module's key folds the keys of its instantiated
-  // definitions in instance order, so content addressing is transitive.
-  std::optional<std::vector<ModuleId>> Order = D.topologicalModuleOrder();
-  assert(Order && "module instantiation must be acyclic");
-  std::vector<uint64_t> Keys(D.numModules(), 0);
-  for (ModuleId Id : *Order) {
-    auto AscIt = Ascribed.find(Id);
-    if (AscIt != Ascribed.end()) {
-      Keys[Id] = hashCombine(0xa5c81bed, summaryContentHash(AscIt->second));
-      continue;
-    }
-    const Module &M = D.module(Id);
-    uint64_t Key = structuralHash(M);
-    for (const SubInstance &Inst : M.Instances)
-      Key = hashCombine(Key, Keys[Inst.Def]);
-    Keys[Id] = Key;
-  }
-  return Keys;
+  return cacheKeys(D, Ascribed, nullptr);
 }
 
 support::Status
@@ -220,18 +283,28 @@ SummaryEngine::analyze(const Design &D,
   static trace::Counter &CancelledC =
       trace::counter("fault.cancelled_modules");
 
-  Result.Keys = computeKeys(D, Ascribed);
-  const std::vector<uint64_t> &Keys = Result.Keys;
-  SummaryCache *Cache = Cfg.UseCache ? &this->Cache : nullptr;
-
   unsigned Threads = Cfg.Threads != 0
                          ? Cfg.Threads
                          : std::max(1u, std::thread::hardware_concurrency());
   Stats.ThreadsUsed = Threads;
+  // The calling thread is one of the Threads, so the call's one pool
+  // holds the others, and no more than the design has modules to give
+  // them: none for one thread or one module. The caller outlives the
+  // call, so the heap and the sweep scratch it warmed in earlier calls
+  // serve the largest module of every round.
+  std::optional<ThreadPool> Pool;
+  if (size_t Busy = std::min<size_t>(Threads, D.numModules()); Busy > 1)
+    Pool.emplace(static_cast<unsigned>(Busy - 1));
+  ThreadPool *Workers = Pool ? &*Pool : nullptr;
 
-  // --- Scheduler state. All of it lives on this thread: pool tasks read
-  // --- Out (lower levels' summaries, which nothing writes while a round
-  // --- runs) and write only their own Job and the thread-safe Cache.
+  Result.Keys = cacheKeys(D, Ascribed, Workers);
+  const std::vector<uint64_t> &Keys = Result.Keys;
+  SummaryCache *Cache = Cfg.UseCache ? &this->Cache : nullptr;
+
+  // --- Scheduler state. All of it lives on this thread: inference tasks
+  // --- read Out (lower levels' summaries, which nothing writes while a
+  // --- round runs) and write only their own Job and the thread-safe
+  // --- Cache.
   Out.clear();
   std::vector<State> States(D.numModules(), State::Waiting);
   /// Per-module diagnostics (loops, panics; empty for clean modules).
@@ -243,7 +316,6 @@ SummaryEngine::analyze(const Design &D,
   /// then on no new module starts.
   bool CancelFlag = false;
   const support::Deadline *DLPtr = DL.active() ? &DL : nullptr;
-  std::optional<ThreadPool> Pool;
   std::vector<std::exception_ptr> Escaped;
 
   // Zero-width marker span: cheap resolutions cost ~no time but still
@@ -297,9 +369,10 @@ SummaryEngine::analyze(const Design &D,
   };
 
   // One loop for every thread count. Each round resolves its modules in
-  // id order on this thread; the ones that need inference run on the
-  // pool (inline when there is no parallelism to use) and settle in id
-  // order, so the counters and the cache never depend on the schedule.
+  // id order on this thread; the ones that need inference run largest
+  // first, this thread taking the largest and the pool the rest (all
+  // inline when there is no pool), and settle in id order, so the
+  // counters and the cache never depend on the schedule.
   // A module whose content key an earlier module of the round claimed
   // waits for the next round: then it hits the leader's summary, or, if
   // the leader failed, infers itself and reports its own diagnostics.
@@ -352,19 +425,11 @@ SummaryEngine::analyze(const Design &D,
         Jobs.push_back(Job{Id, std::nullopt, false});
       }
 
-      if (Threads == 1 || Jobs.size() <= 1) {
-        for (Job &J : Jobs)
-          infer(J);
-      } else {
-        // No round has more jobs than the design has modules.
-        if (!Pool)
-          Pool.emplace(std::min<size_t>(Threads, D.numModules()));
-        for (Job &J : Jobs)
-          Pool->submit([&infer, &J] { infer(J); });
-        Pool->wait();
-        for (std::exception_ptr &P : Pool->drainExceptions())
-          Escaped.push_back(std::move(P));
-      }
+      for (std::exception_ptr &P : runLargestFirst(
+               Workers, Jobs.size(),
+               [&](size_t I) { return moduleSize(D.module(Jobs[I].Id)); },
+               [&](size_t I) { infer(Jobs[I]); }))
+        Escaped.push_back(std::move(P));
       for (Job &J : Jobs)
         settle(J);
       Pending = std::move(Deferred);
@@ -378,8 +443,9 @@ SummaryEngine::analyze(const Design &D,
     Verdict.append(Diags);
 
   // Backstop: the engine contains throws per-module, so nothing should
-  // reach the pool's catch-all; if something does (a throw outside
-  // inferContained), it is still a structured error, not a terminate.
+  // reach the pool's catch-all or the calling thread's; if something
+  // does (a throw outside inferContained), it is still a structured
+  // error, not a terminate.
   for (std::exception_ptr &P : Escaped) {
     std::string What = "unknown exception";
     try {

@@ -15,9 +15,12 @@
 ///  * \b Parallelism — modules are inferred one instantiation level at a
 ///    time (a leaf is level 0, any other module one above its deepest
 ///    instantiated definition). A level's modules depend only on lower
-///    levels, so they run concurrently on a ThreadPool; the calling
+///    levels, so they run concurrently, largest first: the calling
+///    thread, one of EngineConfig::Threads, infers the largest itself
+///    and a ThreadPool of the other threads takes the rest. The calling
 ///    thread resolves each level and settles its results in module-id
-///    order.
+///    order. The module-body hashes behind the cache keys run the same
+///    way, in the same pool.
 ///  * \b Memoization — results live in a content-addressed SummaryCache.
 ///    A module's cache key is ir::structuralHash of its body combined
 ///    with the keys of its instantiated definitions (in instance order),

@@ -19,25 +19,6 @@ namespace {
 constexpr uint32_t Unvisited = UINT32_MAX;
 } // namespace
 
-CsrGraph::CsrGraph(size_t NumNodes, const std::vector<Edge> &Edges)
-    : FwdRow(NumNodes + 1, 0), FwdCol(Edges.size()) {
-  // Count, then prefix-sum so FwdRow[n] is where node n's row starts.
-  for (const auto &[From, To] : Edges) {
-    assert(From < NumNodes && To < NumNodes && "edge endpoint out of range");
-    ++FwdRow[From + 1];
-  }
-  for (size_t Node = 0; Node != NumNodes; ++Node)
-    FwdRow[Node + 1] += FwdRow[Node];
-  // Fill in edge-list order, advancing FwdRow[From] as row From's cursor,
-  // so every row keeps its edges' order. Each cursor ends where its row
-  // ends, which is where the next row starts: shifting the array right
-  // by one restores the row starts.
-  for (const auto &[From, To] : Edges)
-    FwdCol[FwdRow[From]++] = To;
-  std::copy_backward(FwdRow.begin(), FwdRow.end() - 1, FwdRow.end());
-  FwdRow[0] = 0;
-}
-
 void CsrGraph::freeze() {
   if (Frozen)
     return;

@@ -10,13 +10,16 @@
 /// plus a bit-parallel multi-source reachability kernel (see
 /// docs/KERNEL.md).
 ///
-/// Construction packs a (From, To) edge list into two flat arrays in one
+/// Construction packs (From, To) edges into two flat arrays in one
 /// stable counting pass, so every node keeps its successors in the order
 /// their edges were listed. That order is what makes the graph
 /// algorithms' answers reproducible: \ref CsrGraph::findCycle (the WS101
 /// and WS401 witnesses), \ref CsrGraph::topoSort (Kahn, FIFO: the
 /// simulator's evaluation order) and \ref CsrGraph::reachableFrom all
-/// work on the packed arrays as built.
+/// work on the packed arrays as built. The edges come from a vector, or
+/// straight from the caller's own arrays through a callback that lists
+/// them twice (once to count, once to fill), so Stage 1 never builds an
+/// edge list.
 ///
 /// \ref CsrGraph::freeze then settles the graph's order once, in place,
 /// for the closure sweeps Stage-1 inference and Stage 3 run. Synthesized
@@ -58,7 +61,9 @@
 
 #include "support/Deadline.h"
 
+#include <algorithm>
 #include <cassert>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -89,7 +94,35 @@ public:
   /// pass: each node's successors keep the order of its edges in \p
   /// Edges. So when \p Edges is sorted by source, CSR edge i is
   /// Edges[i] (see \ref edgeBegin).
-  CsrGraph(size_t NumNodes, const std::vector<Edge> &Edges);
+  CsrGraph(size_t NumNodes, const std::vector<Edge> &Edges)
+      : CsrGraph(NumNodes, [&Edges](auto &&Emit) {
+          for (const auto &[From, To] : Edges)
+            Emit(From, To);
+        }) {}
+
+  /// Packs the edges \p ListEdges lists over nodes [0, \p NumNodes), as
+  /// the edge-list constructor packs a vector: \p ListEdges(Emit) must
+  /// call Emit(From, To) once per edge, in the same order each time it
+  /// is called, and it is called twice.
+  template <typename ListEdges>
+    requires std::invocable<ListEdges &, void (*)(uint32_t, uint32_t)>
+  CsrGraph(size_t NumNodes, ListEdges &&List) : FwdRow(NumNodes + 1, 0) {
+    // Count, then prefix-sum so FwdRow[n] is where node n's row starts.
+    List([&](uint32_t From, [[maybe_unused]] uint32_t To) {
+      assert(From < NumNodes && To < NumNodes && "edge endpoint out of range");
+      ++FwdRow[From + 1];
+    });
+    for (size_t Node = 0; Node != NumNodes; ++Node)
+      FwdRow[Node + 1] += FwdRow[Node];
+    FwdCol.resize(FwdRow[NumNodes]);
+    // Fill in listing order, advancing FwdRow[From] as row From's
+    // cursor, so every row keeps its edges' order. Each cursor ends
+    // where its row ends, which is where the next row starts: shifting
+    // the array right by one restores the row starts.
+    List([this](uint32_t From, uint32_t To) { FwdCol[FwdRow[From]++] = To; });
+    std::copy_backward(FwdRow.begin(), FwdRow.end() - 1, FwdRow.end());
+    FwdRow[0] = 0;
+  }
 
   /// Settles the graph's order, acyclicity and kernel layout, in place.
   /// Idempotent: only the first call does work, and only it counts as a
@@ -230,8 +263,10 @@ public:
   /// per thread and pass it to every kernel that thread builds — each
   /// kernel re-prepares (and right-sizes) it without shrinking
   /// capacity, so steady-state Stage-1 inference performs no scratch
-  /// allocation at all. A Scratch may back only one live kernel at a
-  /// time.
+  /// allocation at all on a thread that outlives one analyze() call
+  /// (its caller, which infers each round's largest module); a
+  /// SummaryEngine pool's workers live for one call and start empty. A
+  /// Scratch may back only one live kernel at a time.
   struct Scratch {
     Scratch() = default;
     Scratch(const Scratch &) = delete;

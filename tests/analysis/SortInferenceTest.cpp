@@ -2,12 +2,14 @@
 //
 // Part of the wiresort project. Validates the paper's worked examples:
 // Figure 4's output-port-set/input-port-set computation and the Table 1
-// sorts of the FIFO, PISO, SIPO, and cache DMA generators.
+// sorts of the FIFO, PISO, SIPO, and cache DMA generators, plus the
+// successor order of the combinational graph inference walks.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/SortInference.h"
 
+#include "analysis/Reachability.h"
 #include "gen/CacheDma.h"
 #include "gen/Catalog.h"
 #include "gen/Fifo.h"
@@ -470,4 +472,56 @@ TEST(SortInferenceTest, InternalCombLoopReported) {
   support::Status Loop = analyzeDesign(D, Out);
   ASSERT_TRUE(Loop.hasError());
   EXPECT_NE(Loop.describe().find("selfloop.a"), std::string::npos);
+}
+
+TEST(SortInferenceTest, CombGraphListsNetsThenReadsThenInstances) {
+  // findCycle walks successors in row order, so that order is what the
+  // WS101 witnesses are made of. Each row lists the wire's net edges in
+  // net order, then its asynchronous reads, then its instance edges,
+  // whatever the wire ids: here they run against it.
+  Design D;
+  Module Pass("pass");
+  WireId PassIn = Pass.addInput("a", 1);
+  Pass.addNet(Op::Buf, {PassIn}, Pass.addOutput("y", 1));
+  const ModuleId PassId = D.addModule(std::move(Pass));
+
+  Module M("top");
+  WireId S = M.addInput("s", 1);
+  WireId X = M.addInput("x", 1);
+  WireId U = M.addWire("u", WireKind::Basic, 1);
+  WireId R = M.addWire("r", WireKind::Basic, 1);
+  WireId B = M.addWire("b", WireKind::Basic, 1);
+  WireId A = M.addWire("a", WireKind::Basic, 1);
+  M.addNet(Op::Not, {S}, A);
+  M.addNet(Op::And, {X, S}, B);
+  Memory Mem;
+  Mem.Name = "mem";
+  Mem.AddrWidth = 1;
+  Mem.DataWidth = 1;
+  Mem.RAddr = S;
+  Mem.RData = R;
+  Mem.WAddr = M.addInput("wa", 1);
+  Mem.WData = M.addInput("wd", 1);
+  Mem.WEnable = M.addInput("we", 1);
+  M.addMemory(std::move(Mem));
+  const Module &PassDef = D.module(PassId);
+  M.addInstance(SubInstance{
+      PassId, "p", {{PassDef.findPort("a"), S}, {PassDef.findPort("y"), U}}});
+  M.addNet(Op::Or, {A, B, R, U}, M.addOutput("o", 1));
+  const ModuleId Top = D.addModule(std::move(M));
+
+  std::map<ModuleId, ModuleSummary> Out;
+  ASSERT_FALSE(analyzeDesign(D, Out).hasError());
+  CombGraph CG = CombGraph::build(D.module(Top), Out);
+  const CsrGraph &G = CG.frozen();
+  auto row = [&](WireId W) {
+    std::span<const uint32_t> Succ = G.successors(W);
+    return std::vector<uint32_t>(Succ.begin(), Succ.end());
+  };
+  EXPECT_EQ(row(S), (std::vector<uint32_t>{A, B, R, U}));
+  EXPECT_EQ(row(X), (std::vector<uint32_t>{B}));
+  const WireId O = D.module(Top).findPort("o");
+  for (WireId W : {A, B, R, U})
+    EXPECT_EQ(row(W), (std::vector<uint32_t>{O}));
+  EXPECT_EQ(G.numEdges(), 9u);
 }

@@ -1,8 +1,9 @@
 //===- tests/analysis/SummaryEngineTest.cpp - Engine unit tests -----------===//
 //
 // Part of the wiresort project. Unit coverage for the parallel cached
-// Stage-1 driver: level scheduling over diamond hierarchies, cache hit
-// and miss accounting at pinned thread counts, content-identical twins,
+// Stage-1 driver: level scheduling over diamond hierarchies, the calling
+// thread's share of a round, cache hit and miss accounting at pinned
+// thread counts, content-identical twins,
 // concurrent calls on one engine, content-addressed keys
 // (design-independent, renaming-insensitive, sub-summary-sensitive),
 // ascription, and the disk sidecar. The cross-cutting guarantees
@@ -19,6 +20,8 @@
 #include "gen/LoopInjector.h"
 #include "ir/Builder.h"
 #include "support/FailPoint.h"
+#include "support/Trace.h"
+#include "synth/Lower.h"
 
 #include <gtest/gtest.h>
 
@@ -27,6 +30,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -145,6 +149,48 @@ TEST(SummaryEngineTest, DiamondSchedulesDependenciesBeforeDependents) {
   EXPECT_EQ(Keys.at(Ids[1]), Keys.at(Ids[2]));
   EXPECT_NE(Keys.at(Ids[0]), Keys.at(Ids[1]));
   EXPECT_NE(Keys.at(Ids[1]), Keys.at(Ids[3]));
+}
+
+TEST(SummaryEngineTest, CallingThreadInfersTheLargestModule) {
+  // One round of three independent modules of different sizes, the
+  // largest in the middle of the id order. The calling thread is one of
+  // the Threads: it hashes the keys beside the pool under one
+  // engine.keys span and infers the round's largest module itself.
+  Design Rtl, D;
+  for (uint16_t DepthLog2 : {6, 8, 4})
+    D.addModule(synth::lower(
+        Rtl, Rtl.addModule(gen::makeFifo({8, DepthLog2, true}))));
+  const std::string Largest = D.module(1).Name;
+  for (unsigned Threads : {2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    SummaryEngine Engine(EngineConfig{Threads, true});
+    trace::Session Session;
+    AnalyzeOutcome Outcome;
+    Summaries Out = engineAnalyzeOrDie(Engine, D, &Outcome);
+    ASSERT_FALSE(Session.finish().hasError());
+    EXPECT_EQ(Out.size(), 3u);
+    EXPECT_EQ(Outcome.Stats.Inferred, 3u);
+    EXPECT_EQ(Outcome.Stats.ThreadsUsed, Threads);
+
+    std::vector<uint32_t> AnalyzeTids, KeysTids, LargestTids;
+    std::set<uint32_t> ModuleTids;
+    for (const trace::SpanRecord &R : Session.spans()) {
+      if (R.Name == "engine.analyze")
+        AnalyzeTids.push_back(R.Tid);
+      if (R.Name == "engine.keys")
+        KeysTids.push_back(R.Tid);
+      if (R.Name != "engine.module")
+        continue;
+      ModuleTids.insert(R.Tid);
+      for (const auto &[Key, Value] : R.Args)
+        if (Key == "module" && Value == Largest)
+          LargestTids.push_back(R.Tid);
+    }
+    ASSERT_EQ(AnalyzeTids.size(), 1u);
+    EXPECT_EQ(KeysTids, AnalyzeTids);
+    EXPECT_EQ(LargestTids, AnalyzeTids);
+    EXPECT_LE(ModuleTids.size(), Threads);
+  }
 }
 
 TEST(SummaryEngineTest, CacheAccountingColdAndWarm) {

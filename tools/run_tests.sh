@@ -34,10 +34,11 @@
 #      riscv_soc CPU as BLIF, run `wiresort-check --trace-out --stats`
 #      over it, and jq-check the Chrome trace (ph/ts/tid on every event,
 #      monotonic timestamps, engine/kernel/parse categories, cache
-#      hit/miss attributes on engine.module spans) and that the fault.*
+#      hit/miss attributes on engine.module spans, one engine.keys span
+#      per engine.analyze span on the same thread) and that the fault.*
 #      robustness and serve.* overload counters are present, then run
 #      the bench_engine disabled-vs-enabled tracing and failpoint
-#      overhead smokes;
+#      overhead smokes (the median ratio of alternated samples);
 #   6. an AddressSanitizer build of the fault-injection suites — the
 #      200-schedule fault soak (ctest label `soak`) plus the
 #      crash-recovery and failpoint unit suites (docs/ROBUSTNESS.md):
@@ -56,15 +57,18 @@
 #      the VCD writer read names, the driver renders them);
 #   7. the scale tier (docs/SCALE.md): the metamorphic and
 #      generator-determinism suites (ctest label `scale`) and a
-#      byte-comparison of `--threads 1` vs `--threads 4` wiresort-check
-#      output — JSON stdout, and text stderr with its caret echoes — on
-#      every golden BLIF fixture and the emitted riscv_soc netlist (the
-#      thread count sets the parse threads as well as Stage 1's);
+#      byte-comparison of `--threads 2` and `--threads 4` against
+#      `--threads 1` wiresort-check output — JSON stdout, and text stderr
+#      with its caret echoes — on every golden BLIF fixture and the
+#      emitted riscv_soc netlist (the thread count sets the parse threads
+#      as well as Stage 1's; at 2, Stage 1's pool has one worker beside
+#      the calling thread);
 #   8. the wire-format contract (docs/FORMATS.md): on the golden
 #      fixtures, text -> binary -> text summary conversion must
 #      round-trip byte-identically, repeated binary writes must be
-#      byte-stable, and the binary sidecar a `--threads 4` run writes
-#      must be byte-identical to the serial one;
+#      byte-stable, and the binary sidecar and the `--cache` file (whose
+#      keys a pooled run hashes on its workers) a `--threads 4` run
+#      writes must be byte-identical to the serial ones;
 #   9. the serving tier (docs/SERVING.md): the `served`-labelled suites
 #      (driver facade + in-process server + concurrent soak + the
 #      overload-safety suite) rerun under TSan — the resident cache,
@@ -208,6 +212,12 @@ if command -v jq >/dev/null 2>&1; then
           .args.result] | length > 0 and
          (unique - ["hit", "miss", "ascribed", "loop"]) == []' \
     "$TRACE" >/dev/null
+  # Each engine.analyze span holds one engine.keys span, on its thread:
+  # the calling thread hashes keys beside the pool (docs/ENGINE.md).
+  jq -e '[.traceEvents[] | select(.name == "engine.analyze") | .tid] as $a |
+         [.traceEvents[] | select(.name == "engine.keys") | .tid] as $k |
+         ($a | length) > 0 and ($a | sort) == ($k | sort)' "$TRACE" \
+    >/dev/null
   grep -q 'engine.cache_misses' "$TRACE_TMP/stats.txt"
   # The robustness counters are interned at startup so they are visible
   # (at zero, here) in every stats report (docs/ROBUSTNESS.md).
@@ -226,8 +236,9 @@ if command -v jq >/dev/null 2>&1; then
   grep -q 'serve.queue_depth' "$TRACE_TMP/stats.txt"
   echo "trace-out document passes the jq contract checks"
   # Disabled-vs-enabled overhead smokes — tracing and failpoints share
-  # the same one-relaxed-load budget (the < 2% bar is asserted by
-  # eye/trend tooling, not a hard gate: CI machines are noisy).
+  # the same one-relaxed-load budget. Each prints the median ratio of
+  # alternated ~30 ms samples (the < 2% bar is asserted by eye/trend
+  # tooling, not a hard gate: CI machines are noisy).
   "$BUILD/bench/bench_engine" --quick | grep -A2 "overhead smoke"
 else
   echo "jq not found; skipping"
@@ -286,19 +297,21 @@ cmake --build "$BUILD" -j "$(nproc)" --target riscv_soc
 "$BUILD/examples/riscv_soc" --emit-blif "$SCALE_TMP/soc.blif" >/dev/null
 for Fixture in loopfree.blif loopy.blif malformed.blif twins.blif \
   unboundout.blif "$SCALE_TMP/soc.blif"; do
-  # Serial vs four worker threads: byte-identical NDJSON on stdout, and
+  # Serial vs two and four threads: byte-identical NDJSON on stdout, and
   # byte-identical text diagnostics (caret echoes included) on stderr.
-  for Threads in 1 4; do
+  for Threads in 1 2 4; do
     (cd "$FIXTURES" && "$CHECK" "$Fixture" --format json \
       --threads "$Threads") >"$SCALE_TMP/json$Threads" || [ $? -eq 1 ]
     (cd "$FIXTURES" && "$CHECK" "$Fixture" --quiet \
       --threads "$Threads") >/dev/null 2>"$SCALE_TMP/text$Threads" ||
       [ $? -eq 1 ]
   done
-  cmp "$SCALE_TMP/json1" "$SCALE_TMP/json4"
-  cmp "$SCALE_TMP/text1" "$SCALE_TMP/text4"
+  for Threads in 2 4; do
+    cmp "$SCALE_TMP/json1" "$SCALE_TMP/json$Threads"
+    cmp "$SCALE_TMP/text1" "$SCALE_TMP/text$Threads"
+  done
 done
-echo "--threads 1 and --threads 4 NDJSON and text diagnostics agree byte-for-byte"
+echo "--threads 1, 2 and 4 NDJSON and text diagnostics agree byte-for-byte"
 
 echo
 echo "=== stage 8: wire-format round-trip contract (docs/FORMATS.md) ==="
@@ -331,8 +344,16 @@ for Fixture in loopfree.blif soc.blif; do
     --summaries "$WIRE_TMP/bin_threads4.wsort" --summary-format binary \
     >/dev/null
   cmp "$WIRE_TMP/bin_direct.wsort" "$WIRE_TMP/bin_threads4.wsort"
+  # The summary cache carries each module's key, which a --threads 4
+  # run hashes on its pool: its file matches the serial run's.
+  for Threads in 1 4; do
+    rm -f "$WIRE_TMP/cache$Threads.wscache"
+    "$CHECK" "$F" --quiet --threads "$Threads" \
+      --cache "$WIRE_TMP/cache$Threads.wscache" >/dev/null
+  done
+  cmp "$WIRE_TMP/cache1.wscache" "$WIRE_TMP/cache4.wscache"
 done
-echo "text <-> binary summaries round-trip; serial and --threads 4 binary sidecars agree byte-for-byte"
+echo "text <-> binary summaries round-trip; serial and --threads 4 binary sidecars and cache files agree byte-for-byte"
 
 echo
 echo "=== stage 9: serving tier — resident daemon (docs/SERVING.md) ==="
