@@ -7,8 +7,9 @@
 ///
 /// \file
 /// A small thread pool for module-sized work: one round of Stage-1
-/// inference (the SummaryEngine submits a round's modules and waits for
-/// all of them) and one connection per task in the serving daemon. Tasks
+/// inference (the SummaryEngine submits a round's modules but the
+/// largest, infers that one on its own thread, and waits for the rest)
+/// and one connection per task in the serving daemon. Tasks
 /// take microseconds to seconds, so the design optimizes for simplicity
 /// and verifiable synchronization over lock-free throughput: one FIFO
 /// queue under one mutex, shared by every worker. submit() is safe from
