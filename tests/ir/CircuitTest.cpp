@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_map>
 
@@ -251,22 +252,35 @@ TEST(CircuitTest, SealMatchesReferenceOnPresets) {
 }
 
 TEST(CircuitTest, SealedTopIsPinnedOn10kPreset) {
-  // gen::fingerprint leaves wire names out, and referenceSeal writes its
-  // labels through the same Module code as seal, so these digests are
-  // what pins a large sealed top's labels. They were computed when every
-  // wire still owned its name as a std::string.
-  const std::pair<uint64_t, uint64_t> Pinned[] = {
-      {1, 0x4eb2347bc4d59b89ull},
-      {2, 0xcff6ce64241050beull},
-      {3, 0x6483bf297172e1e2ull}};
-  for (const auto &[Seed, Digest] : Pinned) {
-    std::optional<gen::MegaScaleParams> P = gen::megaScalePreset("10k");
+  // gen::fingerprint leaves wire names out, and referenceSeal reads the
+  // same definition port names as seal, so these digests are what pins a
+  // sealed top's labels. The 10k ones were computed when every wire still
+  // owned its name as a std::string. The ci-noc and ci-fabric tops name
+  // their wires after the clusters' own promoted ports
+  // ("c0_0.ctx_e.data_o", "c1_0.t0.u2.data_i"), so theirs pin the nested
+  // names too; they were computed while every label was written out
+  // whole.
+  struct Pin {
+    const char *Preset;
+    uint64_t Seed;
+    uint64_t Digest;
+  };
+  const Pin Pinned[] = {{"10k", 1, 0x4eb2347bc4d59b89ull},
+                        {"10k", 2, 0xcff6ce64241050beull},
+                        {"10k", 3, 0x6483bf297172e1e2ull},
+                        {"ci-noc", 1, 0x798bb331e43f3562ull},
+                        {"ci-noc", 2, 0x1f1496991b449968ull},
+                        {"ci-fabric", 1, 0x91874bd38b3dd720ull},
+                        {"ci-fabric", 2, 0xffd205a66498a9b4ull}};
+  for (const Pin &Want : Pinned) {
+    std::optional<gen::MegaScaleParams> P = gen::megaScalePreset(Want.Preset);
     ASSERT_TRUE(P.has_value());
-    P->Seed = Seed;
+    P->Seed = Want.Seed;
     Design D;
     Circuit Top = gen::buildMegaScaleCircuit(D, *P);
-    EXPECT_EQ(support::wire::fnv1a(dumpModule(D.module(Top.seal()))), Digest)
-        << "seed " << Seed;
+    EXPECT_EQ(support::wire::fnv1a(dumpModule(D.module(Top.seal()))),
+              Want.Digest)
+        << Want.Preset << " seed " << Want.Seed;
   }
 }
 
@@ -351,4 +365,104 @@ TEST(CircuitTest, SealMatchesReferenceWithNoConnections) {
   EXPECT_EQ(M.Inputs.size(), 2u);
   EXPECT_EQ(M.Outputs.size(), 2u);
   EXPECT_EQ(M.wire(M.Inputs[1]).Name, "u1.a");
+}
+
+TEST(CircuitTest, SealNamesPortsOfAnInstanceNamedEmpty) {
+  // An instance may be named "": its ports still read ".port", a prefix
+  // of no bytes and the dot.
+  Design D;
+  ModuleId Stage = pipeStage(D, "stage");
+  Circuit C(D, "anon");
+  InstId U0 = C.addInstance(Stage, "");
+  InstId U1 = C.addInstance(Stage, "u1");
+  C.connect(U0, "y", U1, "a");
+  expectSealMatchesReference(C, "anon");
+  const Module &M = D.module(D.numModules() - 1);
+  ASSERT_FALSE(D.validate().has_value());
+  ASSERT_EQ(M.numWires(), 3u);
+  EXPECT_EQ(M.wireName(0), ".y");
+  EXPECT_EQ(M.wire(M.Inputs[0]).Name, ".a");
+  EXPECT_EQ(M.wire(M.Outputs[0]).Name, "u1.y");
+  EXPECT_EQ(M.wireName(0).size(), 2u);
+  EXPECT_EQ(M.findPort(".a"), M.Inputs[0]);
+  EXPECT_EQ(M.findPort("a"), InvalidId);
+  EXPECT_EQ(PortIndex(M).find(M, ".a"), M.Inputs[0]);
+  EXPECT_EQ(PortIndex(M).find(M, "a"), InvalidId);
+}
+
+TEST(CircuitTest, SealedPortNamesResolveThroughFindPortAndPortIndex) {
+  // A sealed tile names its ports "inst.port"; a sealed cluster names
+  // them after its tiles' ports, which are themselves "inst.port" names
+  // ("t0.u1.x"). Every port resolves by its name, through both lookups.
+  Design D;
+  std::optional<gen::MegaScaleParams> P = gen::megaScalePreset("ci");
+  ASSERT_TRUE(P.has_value());
+  const ModuleId TopId = gen::buildMegaScale(D, *P).Top;
+  size_t Checked = 0;
+  for (const char *Name : {"mega_top_tile_v0", "mega_top_cluster_v0",
+                           "mega_top"}) {
+    const ModuleId Id = D.findModule(Name);
+    ASSERT_NE(Id, InvalidId) << Name;
+    const Module &M = D.module(Id);
+    ASSERT_FALSE(M.Inputs.empty()) << Name;
+    const PortIndex Ports(M);
+    for (const std::vector<WireId> *List : {&M.Inputs, &M.Outputs})
+      for (WireId Port : *List) {
+        const std::string Label = M.wireName(Port);
+        ASSERT_NE(Label.find('.'), std::string::npos) << Name;
+        EXPECT_EQ(M.findPort(Label), Port) << Name << ": " << Label;
+        EXPECT_EQ(Ports.find(M, Label), Port) << Name << ": " << Label;
+        // Neither part alone, nor the name cut short, is a port.
+        const std::string Tail = Label.substr(Label.find('.') + 1);
+        EXPECT_EQ(Ports.find(M, Tail), InvalidId) << Name << ": " << Tail;
+        EXPECT_EQ(Ports.find(M, Label.substr(0, Label.size() - 1)),
+                  InvalidId)
+            << Name << ": " << Label;
+        EXPECT_EQ(M.findPort(Label + "x"), InvalidId) << Name;
+        ++Checked;
+      }
+  }
+  EXPECT_GT(Checked, 50u);
+  // Some of the top's ports run three instances down: cluster, tile,
+  // payload ("c0_0.t0.u0.x").
+  const Module &Top = D.module(TopId);
+  size_t Deep = 0;
+  for (WireId Port : Top.Inputs) {
+    const std::string Label = Top.wireName(Port);
+    Deep += std::count(Label.begin(), Label.end(), '.') == 3;
+  }
+  EXPECT_GT(Deep, 0u);
+}
+
+TEST(CircuitTest, RenameWireOnASealedPortGivesAPlainName) {
+  Design D;
+  ModuleId Stage = pipeStage(D, "stage");
+  Circuit C(D, "pipe2");
+  InstId U0 = C.addInstance(Stage, "u0");
+  InstId U1 = C.addInstance(Stage, "u1");
+  C.connect(U0, "y", U1, "a");
+  const ModuleId TopId = C.seal();
+  Module &M = D.module(TopId);
+  const WireId In = M.Inputs[0], Out = M.Outputs[0];
+  const std::vector<std::string> Before = {M.wireName(0), M.wireName(In),
+                                           M.wireName(Out)};
+  ASSERT_EQ(Before, (std::vector<std::string>{"u0.y", "u0.a", "u1.y"}));
+  M.renameWire(In, "a_plain_input_name");
+  EXPECT_EQ(M.wireName(In), "a_plain_input_name");
+  EXPECT_EQ(M.wireName(In).size(), 18u);
+  EXPECT_EQ(M.wireName(0), "u0.y");
+  EXPECT_EQ(M.wireName(Out), "u1.y");
+  EXPECT_EQ(M.findPort("a_plain_input_name"), In);
+  EXPECT_EQ(M.findPort("u0.a"), InvalidId);
+  EXPECT_EQ(PortIndex(M).find(M, "a_plain_input_name"), In);
+  EXPECT_EQ(PortIndex(M).find(M, "u1.y"), Out);
+  // A new name that views the old one's bytes, then one with a dot.
+  M.renameWire(Out, M.wireName(0));
+  EXPECT_EQ(M.wireName(Out), "u0.y");
+  M.renameWire(0, "u1.y");
+  EXPECT_EQ(M.wireName(0), "u1.y");
+  EXPECT_EQ(M.wireName(Out), "u0.y");
+  EXPECT_EQ(M.wire(In).Kind, WireKind::Input);
+  EXPECT_EQ(M.wire(Out).Kind, WireKind::Output);
+  EXPECT_FALSE(D.validate().has_value());
 }

@@ -4,7 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "gen/MegaScale.h"
 #include "ir/Builder.h"
+#include "ir/Circuit.h"
 #include "ir/Design.h"
 #include "ir/Module.h"
 #include "ir/StructuralHash.h"
@@ -17,6 +19,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -281,6 +284,33 @@ TEST(ModuleTest, CopiesAndMovesKeepEveryName) {
   Module Short = inverter();
   Module ShortMoved(std::move(Short));
   EXPECT_EQ(wireNames(ShortMoved), (std::vector<std::string>{"a", "y"}));
+
+  // A sealed top names its wires after its instances' ports, and a copy
+  // keeps every name with its Instances cleared (as the shallow copy in
+  // synth::hierarchicalGateCount clears them) or renamed, and after the
+  // design that sealed it is gone.
+  Module Cleared, Renamed;
+  std::vector<std::string> WantTop;
+  {
+    Design D;
+    std::optional<gen::MegaScaleParams> P = gen::megaScalePreset("ci-noc");
+    ASSERT_TRUE(P.has_value());
+    const Module &Top = D.module(gen::buildMegaScale(D, *P).Top);
+    WantTop = wireNames(Top);
+    Cleared = Top;
+    Renamed = Top;
+  }
+  ASSERT_GT(WantTop.size(), 100u);
+  EXPECT_EQ(WantTop.front().substr(0, 5), "c0_0.");
+  Cleared.Instances.clear();
+  Cleared.Instances.shrink_to_fit();
+  EXPECT_EQ(wireNames(Cleared), WantTop);
+  for (SubInstance &Inst : Renamed.Instances)
+    Inst.Name = "renamed_past_inline_length_" + Inst.Name;
+  Renamed.Instances.front().Name.clear();
+  EXPECT_EQ(wireNames(Renamed), WantTop);
+  Module RenamedMoved(std::move(Renamed));
+  EXPECT_EQ(wireNames(RenamedMoved), WantTop);
 }
 
 TEST(ModuleTest, WideConstantsArePinned) {
@@ -376,6 +406,45 @@ TEST(ModuleTest, WireNameReadsLikeAString) {
   EXPECT_EQ(Name + std::string(".y"), Copy + ".y");
   EXPECT_EQ(M.wire(1).Name, "w1");
   EXPECT_EQ(M.wire(1).Width, 1);
+
+  // A sealed port's name, "instance.port", reads the same way.
+  Design D;
+  const ModuleId Inv = D.addModule(inverter());
+  Circuit C(D, "top");
+  C.addInstance(Inv, "an_instance_past_inline_length");
+  const Module &Top = D.module(C.seal());
+  const WireName Sealed = Top.wireName(Top.Inputs[0]);
+  const std::string SealedCopy = Sealed;
+  EXPECT_EQ(SealedCopy, "an_instance_past_inline_length.a");
+  EXPECT_EQ(Sealed, "an_instance_past_inline_length.a");
+  EXPECT_EQ(Sealed, SealedCopy);
+  EXPECT_TRUE(Sealed == std::string_view(SealedCopy));
+  EXPECT_FALSE(Sealed != SealedCopy);
+  EXPECT_NE(Sealed, "an_instance_past_inline_length.y");
+  EXPECT_NE(Sealed, "an_instance_past_inline_length");
+  EXPECT_NE(Sealed, "a");
+  EXPECT_NE(Sealed, "");
+  EXPECT_EQ(Sealed.size(), SealedCopy.size());
+  EXPECT_EQ(Top.wireName(Top.Outputs[0]).size(), SealedCopy.size());
+  // Against other names: the same bytes in one part, or another module.
+  EXPECT_EQ(Sealed, Top.wireName(Top.Inputs[0]));
+  EXPECT_NE(Sealed, Top.wireName(Top.Outputs[0]));
+  EXPECT_NE(Sealed, Name);
+  Module Plain("plain");
+  const WireId Same = Plain.addWire(SealedCopy, WireKind::Basic);
+  EXPECT_EQ(Plain.wireName(Same), Sealed);
+  EXPECT_EQ(Sealed, Plain.wireName(Same));
+  std::ostringstream OS;
+  OS << Sealed << '|' << Name;
+  EXPECT_EQ(OS.str(), SealedCopy + "|" + Copy);
+  EXPECT_EQ("'" + Sealed + "'", "'" + SealedCopy + "'");
+  EXPECT_EQ(Sealed + "$stub", SealedCopy + "$stub");
+  EXPECT_EQ(std::string("x.") + Sealed, "x." + SealedCopy);
+  EXPECT_EQ(Sealed + std::string(".y"), SealedCopy + ".y");
+  std::string Appended = "<";
+  Appended += Sealed;
+  Appended += Name;
+  EXPECT_EQ(Appended, "<" + SealedCopy + Copy);
 }
 
 TEST(ModuleTest, NetsReadTheirInputsAndCoversFromTheModule) {
