@@ -32,8 +32,8 @@ uint32_t log2Ceil(uint32_t N) {
 /// Critical-path contribution of one net, in primitive-gate levels of
 /// its lowered form.
 uint32_t netDepth(const Module &M, const Net &N) {
-  uint16_t W = M.wire(N.Output).Width;
-  uint16_t InW = N.NumInputs == 0 ? 1 : M.wire(M.netInputs(N)[0]).Width;
+  uint16_t W = M.Wires[N.Output].Width;
+  uint16_t InW = N.NumInputs == 0 ? 1 : M.Wires[M.netInputs(N)[0]].Width;
   switch (N.Operation) {
   case Op::Buf:
   case Op::Concat:
@@ -229,7 +229,7 @@ analysis::inferDepths(const Design &D, ModuleId Id,
     if (Mem.SyncRead)
       StateSeeds[Mem.RData] = 0;
   for (WireId W = 0; W != M.numWires(); ++W)
-    if (M.wire(W).Kind == WireKind::Const)
+    if (M.Wires[W].Kind == WireKind::Const)
       StateSeeds[W] = 0;
   for (const auto &[Local, InstIdx, DefPort] : G->InstOutputs) {
     const SubInstance &Inst = M.Instances[InstIdx];

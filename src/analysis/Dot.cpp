@@ -30,7 +30,7 @@ const char *sortColor(Sort S) {
   return "white";
 }
 
-std::string escape(std::string_view S) {
+std::string escape(const std::string &S) {
   std::string Out;
   for (char C : S) {
     if (C == '"' || C == '\\')

@@ -25,7 +25,7 @@ CombGraph CombGraph::build(const Module &M,
   CG.Drivers.assign(M.numWires(), DriverRec{});
 
   for (WireId W = 0; W != M.numWires(); ++W) {
-    switch (M.wire(W).Kind) {
+    switch (M.Wires[W].Kind) {
     case WireKind::Const:
       CG.Drivers[W].Kind = DriverKind::Const;
       break;

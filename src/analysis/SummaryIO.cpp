@@ -278,16 +278,22 @@ namespace wiresort::analysis::detail {
 
 void encodeSummaryBody(support::wire::Writer &W, const Module &M,
                        const ModuleSummary &S) {
+  std::string Name; // One port's name, rendered.
+  auto putName = [&](WireId Port) {
+    Name.clear();
+    Name += M.wireName(Port);
+    W.putString(Name);
+  };
   W.putString(M.Name);
   W.putVarint(M.Inputs.size());
   for (WireId In : M.Inputs) {
-    W.putString(M.wire(In).Name);
+    putName(In);
     if (S.sortOf(In) == Sort::ToPort) {
       W.putByte(0);
       const std::vector<WireId> &Set = S.outputPortSet(In);
       W.putVarint(Set.size());
       for (WireId Member : Set)
-        W.putString(M.wire(Member).Name);
+        putName(Member);
     } else {
       W.putByte(1);
       W.putByte(static_cast<uint8_t>(S.subSortOf(In)));
@@ -295,13 +301,13 @@ void encodeSummaryBody(support::wire::Writer &W, const Module &M,
   }
   W.putVarint(M.Outputs.size());
   for (WireId Out : M.Outputs) {
-    W.putString(M.wire(Out).Name);
+    putName(Out);
     if (S.sortOf(Out) == Sort::FromPort) {
       W.putByte(0);
       const std::vector<WireId> &Set = S.inputPortSet(Out);
       W.putVarint(Set.size());
       for (WireId Member : Set)
-        W.putString(M.wire(Member).Name);
+        putName(Member);
     } else {
       W.putByte(1);
       W.putByte(static_cast<uint8_t>(S.subSortOf(Out)));

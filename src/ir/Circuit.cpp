@@ -9,6 +9,7 @@
 #include "support/Trace.h"
 
 #include <cassert>
+#include <cstdint>
 
 using namespace wiresort;
 using namespace wiresort::ir;
@@ -80,7 +81,7 @@ bool Circuit::isComplete() const {
 
 std::string Circuit::portLabel(PortRef Ref) const {
   const std::string &Inst = Insts[Ref.Inst].Name;
-  const std::string_view Port = defOf(Ref.Inst).wireName(Ref.Port);
+  const WireName Port = defOf(Ref.Inst).wireName(Ref.Port);
   std::string Label;
   Label.reserve(Inst.size() + 1 + Port.size());
   Label += Inst;
@@ -99,9 +100,13 @@ ModuleId Circuit::seal() {
 
   // Every instance's Bindings in slot order, all unbound. Connection
   // endpoints then index their own instance's slot directly: no side
-  // table keyed by port. Every port's "inst.port" label is counted here;
-  // the connected inputs', which name no wire, come off below.
-  size_t NumInputs = 0, NumOutputs = 0, LabelBytes = 0;
+  // table keyed by port. Every wire seal makes is named "inst.port" from
+  // two parts written once each: the instance's name, and the port's
+  // name among its definition's, all of which are counted here with the
+  // bytes the rendered names take (the connected inputs', which name no
+  // wire, come off below).
+  size_t NumInputs = 0, NumOutputs = 0, NameBytes = 0, LabelBytes = 0;
+  std::vector<size_t> DefNameBytes(D->numModules(), SIZE_MAX);
   Top.Instances.reserve(Insts.size());
   for (InstId Inst = 0; Inst != Insts.size(); ++Inst) {
     const Module &Def = defOf(Inst);
@@ -109,15 +114,21 @@ ModuleId Circuit::seal() {
     Sub.Def = Insts[Inst].Def;
     Sub.Name = Insts[Inst].Name;
     Sub.Bindings.reserve(Def.numPorts());
-    for (WireId Port : Def.Inputs) {
+    for (WireId Port : Def.Inputs)
       Sub.Bindings.emplace_back(Port, Unbound);
-      LabelBytes += Def.wireName(Port).size();
-    }
-    for (WireId Port : Def.Outputs) {
+    for (WireId Port : Def.Outputs)
       Sub.Bindings.emplace_back(Port, Unbound);
-      LabelBytes += Def.wireName(Port).size();
+    size_t &PortNameBytes = DefNameBytes[Sub.Def];
+    if (PortNameBytes == SIZE_MAX) {
+      PortNameBytes = 0;
+      for (WireId Port : Def.Inputs)
+        PortNameBytes += Def.wireName(Port).size();
+      for (WireId Port : Def.Outputs)
+        PortNameBytes += Def.wireName(Port).size();
+      NameBytes += PortNameBytes;
     }
-    LabelBytes += Def.numPorts() * (Sub.Name.size() + 1);
+    NameBytes += Sub.Name.size();
+    LabelBytes += PortNameBytes + Def.numPorts() * (Sub.Name.size() + 1);
     NumInputs += Def.Inputs.size();
     NumOutputs += Def.Outputs.size();
   }
@@ -141,28 +152,39 @@ ModuleId Circuit::seal() {
   const size_t OpenInputs = NumInputs - Conns.size();
   const size_t OpenOutputs = NumOutputs - NumDriving;
   const size_t NumWires = NumDriving + OpenInputs + OpenOutputs;
-  Top.reserveWires(NumWires, LabelBytes);
+  Top.reserveWires(NumWires, NameBytes);
   Top.Inputs.reserve(OpenInputs);
   Top.Outputs.reserve(OpenOutputs);
   SealSpan.note("wires", NumWires).note("label_bytes", LabelBytes);
 
-  // One local wire per driving output, named "inst.port", in
+  // The name parts: instance Inst's name is prefix Inst, and each
+  // definition's port records (PortNumbering slot order) carry its port
+  // names, written once for all of its instances.
+  std::vector<std::vector<Wire>> Ports(D->numModules());
+  for (InstId Inst = 0; Inst != Insts.size(); ++Inst) {
+    [[maybe_unused]] const uint32_t Prefix = Top.addPrefix(Insts[Inst].Name);
+    assert(Prefix == Inst && "instance Inst's name is prefix Inst");
+    std::vector<Wire> &DefPorts = Ports[Insts[Inst].Def];
+    if (DefPorts.empty())
+      DefPorts = Top.addPortNames(defOf(Inst));
+  }
+
+  // One local wire per driving output, named after it, in
   // first-connection order (fan-out shares the wire).
   for (const Connection &C : Conns) {
     WireId &Out = binding(C.From);
-    if (Out == Driving) {
-      const Module &Def = defOf(C.From.Inst);
-      Out = Top.addWire(
-          {Insts[C.From.Inst].Name, ".", Def.wireName(C.From.Port)},
-          WireKind::Basic, Def.Wires[C.From.Port].Width);
-    }
+    if (Out == Driving)
+      Out = Top.addPrefixedWire(
+          C.From.Inst,
+          Ports[Insts[C.From.Inst].Def][Numbering.slot(C.From)],
+          WireKind::Basic);
     binding(C.To) = Out;
   }
 
   // Promote every port still unbound, in instance and slot order, into
   // the room reserved above.
   for (InstId Inst = 0; Inst != Insts.size(); ++Inst)
-    Top.promoteOpenPorts(Inst, defOf(Inst), Unbound);
+    Top.promoteOpenPorts(Inst, Inst, Ports[Insts[Inst].Def], Unbound);
 
   return D->addModule(std::move(Top));
 }

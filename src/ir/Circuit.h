@@ -96,7 +96,10 @@ public:
   /// incomplete circuits become open supermodules. Local wires come
   /// first, one per driving output in first-connection order, then the
   /// promoted ports in instance and slot order (see \ref PortNumbering).
-  /// \returns the new module's id.
+  /// Every wire is named after an instance port, "inst.port", in the
+  /// two-part form (see Module): the new module's name buffer holds each
+  /// instance's name and each definition's port names once, and no
+  /// label per wire. \returns the new module's id.
   ModuleId seal();
 
 private:

@@ -11,6 +11,7 @@
 #include <cassert>
 #include <functional>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
 
 using namespace wiresort;
@@ -30,6 +31,22 @@ const char *ir::wireKindName(WireKind Kind) {
     return "basic";
   }
   return "?";
+}
+
+bool ir::operator==(const WireName &L, const WireName &R) {
+  if (!R.hasPrefix())
+    return L == R.tail();
+  if (!L.hasPrefix())
+    return R == L.tail();
+  if (L.prefix().size() == R.prefix().size())
+    return L.prefix() == R.prefix() && L.tail() == R.tail();
+  return L.size() == R.size() && L == std::string(R);
+}
+
+std::ostream &ir::operator<<(std::ostream &OS, const WireName &N) {
+  if (N.hasPrefix())
+    OS << N.prefix() << '.';
+  return OS << N.tail();
 }
 
 const char *ir::opName(Op Operation) {
@@ -126,11 +143,12 @@ uint32_t appendParts(Buffer &Buf, std::initializer_list<Part> Parts,
 
 } // namespace
 
-void Module::appendName(Wire &W,
-                        std::initializer_list<std::string_view> Parts) {
+Module::NamePart
+Module::appendName(std::initializer_list<std::string_view> Parts) {
   const size_t Start = Names.size();
-  W.NameOffset = appendParts(Names, Parts, Name, "wire names pass 4 GiB");
-  W.NameSize = static_cast<uint32_t>(Names.size() - Start);
+  const uint32_t Offset =
+      appendParts(Names, Parts, Name, "wire names pass 4 GiB");
+  return NamePart{Offset, static_cast<uint32_t>(Names.size() - Start)};
 }
 
 WireId Module::addWire(std::initializer_list<std::string_view> NameParts,
@@ -138,10 +156,10 @@ WireId Module::addWire(std::initializer_list<std::string_view> NameParts,
   assert(Width >= 1 && Width <= 64 && "wire width must be in [1, 64]");
   assert((Kind == WireKind::Const || ConstValue == 0) &&
          "only a const wire has a value");
-  Wire W{0, 0, Kind, Width, 0};
-  appendName(W, NameParts);
+  const NamePart N = appendName(NameParts);
+  Wire W{N.Offset, N.Size, Kind, false, Width, 0};
   if (Kind == WireKind::Const) {
-    W.ConstIndex = static_cast<uint32_t>(Consts.size());
+    W.Index = static_cast<uint32_t>(Consts.size());
     Consts.push_back(ConstValue);
   }
   Wires.push_back(W);
@@ -172,31 +190,61 @@ void Module::reserveWires(size_t Count, size_t NameBytes) {
   Names.reserve(Names.size() + NameBytes);
 }
 
-void Module::promoteOpenPorts(InstId Inst, const Module &Def, WireId Open) {
+uint32_t Module::addPrefix(std::string_view Prefix) {
+  Prefixes.push_back(appendName({Prefix}));
+  return static_cast<uint32_t>(Prefixes.size() - 1);
+}
+
+std::vector<Wire> Module::addPortNames(const Module &Def) {
+  std::vector<Wire> Ports;
+  Ports.reserve(Def.numPorts());
+  auto add = [&](WireId Port, WireKind Kind) {
+    const WireName PortName = Def.wireName(Port);
+    const NamePart N =
+        PortName.hasPrefix()
+            ? appendName({PortName.prefix(), ".", PortName.tail()})
+            : appendName({PortName.tail()});
+    Ports.push_back(Wire{N.Offset, N.Size, Kind, false,
+                         Def.Wires[Port].Width, 0});
+  };
+  for (WireId Port : Def.Inputs)
+    add(Port, WireKind::Input);
+  for (WireId Port : Def.Outputs)
+    add(Port, WireKind::Output);
+  return Ports;
+}
+
+WireId Module::addPrefixedWire(uint32_t Prefix, const Wire &Port,
+                               WireKind Kind) {
+  assert(Prefix < Prefixes.size() && Kind != WireKind::Const &&
+         size_t(Port.NameOffset) + Port.NameSize <= Names.size() &&
+         "a prefixed wire names a prefix and a tail of this module");
+  Wires.push_back(
+      Wire{Port.NameOffset, Port.NameSize, Kind, true, Port.Width, Prefix});
+  return static_cast<WireId>(Wires.size() - 1);
+}
+
+void Module::promoteOpenPorts(InstId Inst, uint32_t Prefix,
+                              std::span<const Wire> Ports, WireId Open) {
   SubInstance &Sub = Instances[Inst];
-  const std::string_view Prefix = Sub.Name;
-  const size_t NumDefInputs = Def.Inputs.size();
-  [[maybe_unused]] const size_t Room = Names.capacity();
+  assert(Ports.size() == Sub.Bindings.size() &&
+         "one port record per binding");
   for (size_t Slot = 0; Slot != Sub.Bindings.size(); ++Slot) {
-    auto &[Port, Local] = Sub.Bindings[Slot];
+    WireId &Local = Sub.Bindings[Slot].second;
     if (Local != Open)
       continue;
-    const Wire &P = Def.Wires[Port];
-    const bool IsInput = Slot < NumDefInputs;
-    Local = static_cast<WireId>(Wires.size());
-    Wires.push_back(Wire{static_cast<uint32_t>(Names.size()),
-                         static_cast<uint32_t>(Prefix.size() + 1 + P.NameSize),
-                         IsInput ? WireKind::Input : WireKind::Output,
-                         P.Width, 0});
-    Names.append(Prefix).append(1, '.').append(Def.wireName(Port));
-    (IsInput ? Inputs : Outputs).push_back(Local);
+    const WireKind Kind = Ports[Slot].Kind;
+    Local = addPrefixedWire(Prefix, Ports[Slot], Kind);
+    (Kind == WireKind::Input ? Inputs : Outputs).push_back(Local);
   }
-  assert(Names.capacity() == Room &&
-         "promoted names land in the room reserveWires checked");
 }
 
 void Module::renameWire(WireId Id, std::string_view Name) {
-  appendName(Wires[Id], {Name});
+  const NamePart N = appendName({Name});
+  Wire &W = Wires[Id];
+  W.NameOffset = N.Offset;
+  W.NameSize = N.Size;
+  W.Prefixed = false;
 }
 
 NetId Module::addNet(Op Operation, std::span<const WireId> Inputs,
@@ -280,8 +328,10 @@ PortIndex::PortIndex(const Module &M) {
   if (M.numPorts() == 0)
     return;
   Slots.resize(std::bit_ceil(2 * M.numPorts()));
+  std::string Name; // Each port's name, rendered for its hash.
   auto insert = [&](WireId Port) {
-    const std::string_view Name = M.wireName(Port);
+    Name.clear();
+    Name += M.wireName(Port);
     const size_t Hash = std::hash<std::string_view>{}(Name);
     Slot &S = Slots[probe(M, Name, Hash)];
     if (S.Id == InvalidId) // Else an earlier port has this name.

@@ -107,6 +107,18 @@ struct PortContract {
 /// is valid until the module adds or renames a wire, or is moved or
 /// destroyed.
 ///
+/// A name is one part, or two that read "prefix.tail" (a Prefixed wire;
+/// see Wire). Both parts are bytes of the same buffer: the tail is the
+/// record's own range, and the prefix an entry of the module's private
+/// prefix table. Circuit::seal names every wire it makes "instance.port"
+/// this way: it writes each instance's name once as a prefix and each
+/// definition's port names once as tails, so the sealed module of a
+/// million-instance design keeps kilobytes of names, not one label per
+/// port. A name depends on nothing but the buffer and the table, not on
+/// \ref Instances, so a copy reads the same names whatever becomes of
+/// its instances. Every other name, a renamed wire's included, is one
+/// part.
+///
 /// Constants are kept out of the wire records: the module's constant
 /// table holds every Const wire's value, in the order the wires were
 /// added, and each Const wire's record holds its index there. Few wires
@@ -168,24 +180,46 @@ public:
   /// driven (typically via \ref addNet with Op::Buf).
   WireId addOutput(std::string_view Name, uint16_t Width = 1);
 
-  /// Reserves room for \p Count more wires whose names take \p NameBytes
-  /// bytes in all, so adding them allocates nothing. Throws
-  /// std::length_error, before reserving, when those names would take the
-  /// buffer past 4 GiB.
+  /// Reserves room for \p Count more wires and \p NameBytes more bytes of
+  /// names, so adding them allocates nothing. Throws std::length_error,
+  /// before reserving, when those names would take the buffer past 4 GiB.
   void reserveWires(size_t Count, size_t NameBytes);
 
-  /// Promotes the open ports of instance \p Inst, whose definition is
-  /// \p Def: every binding still bound to \p Open gets a new port wire,
-  /// named "instance.port" with the width of \p Def's port, appended to
-  /// Inputs for the first Def.Inputs.size() bindings and to Outputs for
-  /// the rest (bindings run over \p Def's ports in PortNumbering slot
-  /// order). Circuit::seal calls it once per instance after reserving,
-  /// through \ref reserveWires and the port lists, exactly the room the
-  /// wires, names and port entries take; the writes check nothing more.
-  void promoteOpenPorts(InstId Inst, const Module &Def, WireId Open);
+  /// Writes \p Name into the name buffer as a new entry of the prefix
+  /// table and \returns its index there, the prefix of every wire
+  /// \ref addPrefixedWire or \ref promoteOpenPorts names with it.
+  /// Circuit::seal writes each instance's name once this way.
+  uint32_t addPrefix(std::string_view Name);
 
-  /// Gives wire \p Id the name \p Name (which may view the name buffer).
-  /// The new name is appended; the old bytes stay in the buffer unused.
+  /// Writes the name of every port of \p Def, rendered, into the name
+  /// buffer, in PortNumbering slot order (inputs, then outputs), and
+  /// \returns one record per port, in that order: Input or Output, the
+  /// port's width, and its name there as a one-part name. Each is the
+  /// tail of the "instance.port" names of that port; Circuit::seal writes
+  /// each definition's port names once this way.
+  std::vector<Wire> addPortNames(const Module &Def);
+
+  /// Creates a wire of kind \p Kind (not Const) with the width of
+  /// \p Port, a record \ref addPortNames returned, named "prefix.tail":
+  /// prefix \p Prefix of the prefix table, tail \p Port's name. It
+  /// writes no name bytes.
+  WireId addPrefixedWire(uint32_t Prefix, const Wire &Port, WireKind Kind);
+
+  /// Promotes the open ports of instance \p Inst, named after prefix
+  /// \p Prefix: every binding still bound to \p Open (bindings run over
+  /// the definition's ports in PortNumbering slot order) gets a new port
+  /// wire, \ref addPrefixedWire of \p Prefix and that slot's record of
+  /// \p Ports, what \ref addPortNames returned for the definition,
+  /// appended to Inputs or Outputs by the record's kind. Circuit::seal
+  /// calls it once per instance after reserving, through
+  /// \ref reserveWires and the port lists, exactly the room the wires
+  /// and port entries take. It writes no name bytes.
+  void promoteOpenPorts(InstId Inst, uint32_t Prefix,
+                        std::span<const Wire> Ports, WireId Open);
+
+  /// Gives wire \p Id the one-part name \p Name (which may view the name
+  /// buffer). The new name is appended; the old bytes stay in the buffer
+  /// unused.
   void renameWire(WireId Id, std::string_view Name);
 
   /// Creates a net; \returns the id of the new net. \p Inputs and
@@ -235,13 +269,18 @@ public:
   /// The value of \p W, one of this module's Wires, from the constant
   /// table: 0 unless \p W is a Const wire.
   uint64_t constValue(const Wire &W) const {
-    return W.Kind == WireKind::Const ? Consts[W.ConstIndex] : 0;
+    return W.Kind == WireKind::Const ? Consts[W.Index] : 0;
   }
 
-  /// Wire \p Id's name, a view of the name buffer.
+  /// Wire \p Id's name, as views of the name buffer.
   WireName wireName(WireId Id) const {
     const Wire &W = Wires[Id];
-    return WireName(Names.data() + W.NameOffset, W.NameSize);
+    const std::string_view Tail(Names.data() + W.NameOffset, W.NameSize);
+    if (!W.Prefixed)
+      return WireName(Tail);
+    const NamePart &Prefix = Prefixes[W.Index];
+    return WireName(
+        std::string_view(Names.data() + Prefix.Offset, Prefix.Size), Tail);
   }
 
   size_t numWires() const { return Wires.size(); }
@@ -289,12 +328,21 @@ public:
               uint16_t OutWidth);
 
 private:
-  /// Appends the concatenation of \p Parts to the name buffer and points
-  /// \p W at it.
-  void appendName(Wire &W, std::initializer_list<std::string_view> Parts);
+  /// A byte range of the name buffer.
+  struct NamePart {
+    uint32_t Offset = 0;
+    uint32_t Size = 0;
+  };
 
-  /// Every wire's name, back to back (see the class comment).
+  /// Appends the concatenation of \p Parts to the name buffer and \returns
+  /// where it starts.
+  NamePart appendName(std::initializer_list<std::string_view> Parts);
+
+  /// Every wire's name and every prefix, back to back (see the class
+  /// comment).
   std::string Names;
+  /// The prefixes of two-part names, by index.
+  std::vector<NamePart> Prefixes;
   /// Every Const wire's value, in the order the wires were added.
   std::vector<uint64_t> Consts;
   /// Every net's inputs, back to back in the order they were written.
@@ -314,7 +362,8 @@ private:
 /// it stays valid wherever the names move (the module moving, its name
 /// buffer growing) and serves a copy of the module too, until the port
 /// lists or port names change. Pass \ref find the module the index was
-/// built from, or such a copy.
+/// built from, or such a copy. It hashes and compares a name's rendered
+/// bytes, so a two-part name "inst.port" is found by that string.
 class PortIndex {
 public:
   PortIndex() = default;

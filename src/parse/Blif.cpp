@@ -644,7 +644,7 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
                             Formal + "'");
         if (Def.isOutput(Port) && !MB.drive(Local))
           return failAt(DiagCode::WS202_BLIF_STRUCTURE, Rec.Line, Rec.Col,
-                        "signal " + quote(MB.M.wire(Local).Name) +
+                        "signal " + quote(std::string(MB.M.wire(Local).Name)) +
                             " driven twice");
         Inst.Bindings.emplace_back(Port, Local);
       }

@@ -35,10 +35,10 @@ bool isPlainIdent(std::string_view Name) {
 
 /// Renders \p Name as a (possibly escaped) identifier. Escaped
 /// identifiers carry their terminating space per the standard.
-std::string ident(std::string_view Name) {
+std::string ident(std::string Name) {
   if (isPlainIdent(Name))
-    return std::string(Name);
-  return "\\" + std::string(Name) + " ";
+    return Name;
+  return "\\" + Name + " ";
 }
 
 void writeLutExpr(std::ostringstream &OS, const Module &M, const Net &N) {

@@ -25,7 +25,8 @@ public:
     Out.Name = M.Name;
     std::map<WireId, WireId> InputMap;
     for (WireId In : M.Inputs)
-      InputMap[In] = Out.addInput(M.wire(In).Name, M.wire(In).Width);
+      InputMap[In] =
+          Out.addInput(std::string(M.wire(In).Name), M.wire(In).Width);
     emit(M, "", InputMap, /*TopLevel=*/true);
     return std::move(Out);
   }
@@ -45,7 +46,7 @@ private:
       WireKind Kind = Wr.Kind;
       if (!TopLevel && (Kind == WireKind::Input || Kind == WireKind::Output))
         Kind = WireKind::Basic;
-      WireId NW = Out.addWire({Prefix, Wr.Name}, Kind, Wr.Width,
+      WireId NW = Out.addWire(Prefix + Wr.Name, Kind, Wr.Width,
                               Wr.ConstValue);
       if (TopLevel && Wr.Kind == WireKind::Output)
         Out.Outputs.push_back(NW);

@@ -185,7 +185,8 @@ size_t removeDeadGates(Module &M) {
     bool Keep = Live[W] || Wr.Kind == WireKind::Input;
     if (!Keep)
       continue;
-    Remap[W] = Out.addWire(Wr.Name, Wr.Kind, Wr.Width, Wr.ConstValue);
+    Remap[W] =
+        Out.addWire(std::string(Wr.Name), Wr.Kind, Wr.Width, Wr.ConstValue);
     if (Wr.Kind == WireKind::Input)
       Out.Inputs.push_back(Remap[W]);
     if (Wr.Kind == WireKind::Output)

@@ -248,12 +248,13 @@ TEST(ModuleTest, AddWireCopiesANameThatViewsItsOwnBuffer) {
   Want.push_back("a");
   for (int I = 0; I != 64; ++I) {
     const WireId Last = static_cast<WireId>(M.numWires() - 1);
-    M.addWire({M.wireName(Last), "_", M.wireName(0)}, WireKind::Basic);
+    M.addWire({M.wireName(Last).tail(), "_", M.wireName(0).tail()},
+              WireKind::Basic);
     Want.push_back(Want.back() + "_a");
-    M.addWire(M.wireName(Last + 1), WireKind::Basic);
+    M.addWire(M.wireName(Last + 1).tail(), WireKind::Basic);
     Want.push_back(Want.back());
   }
-  M.addOutput(M.wireName(1));
+  M.addOutput(M.wireName(1).tail());
   Want.push_back(Want[1]);
   EXPECT_EQ(wireNames(M), Want);
   EXPECT_EQ(M.findPort(Want[1]), M.Outputs[0]);
@@ -372,7 +373,7 @@ TEST(ModuleTest, RenameWireKeepsIdsKindsAndOtherNames) {
   EXPECT_EQ(M.findPort("an_input_renamed_past_inline_length"), A);
   EXPECT_EQ(M.wire(A).Kind, WireKind::Input);
   // The new name may view the buffer: give y a's name.
-  M.renameWire(Y, M.wireName(A));
+  M.renameWire(Y, M.wireName(A).tail());
   EXPECT_EQ(M.wireName(Y), "an_input_renamed_past_inline_length");
   EXPECT_EQ(M.wire(Y).Kind, WireKind::Output);
   EXPECT_EQ(M.Inputs, std::vector<WireId>{A});

@@ -238,14 +238,14 @@ TEST(SoundnessTest, BlifRoundTripPreservesSortsOnRandomModules) {
     const Module &FM = Flat.module(FlatId);
     const Module &RM = File->Design.module(File->Top);
     for (WireId In : FM.Inputs) {
-      WireId RIn = RM.findPort(FM.wire(In).Name);
+      WireId RIn = RM.findPort(std::string(FM.wire(In).Name));
       ASSERT_NE(RIn, InvalidId);
       EXPECT_EQ(Before.at(FlatId).sortOf(In),
                 After.at(File->Top).sortOf(RIn))
           << FM.wire(In).Name;
     }
     for (WireId Out : FM.Outputs) {
-      WireId ROut = RM.findPort(FM.wire(Out).Name);
+      WireId ROut = RM.findPort(std::string(FM.wire(Out).Name));
       ASSERT_NE(ROut, InvalidId);
       EXPECT_EQ(Before.at(FlatId).sortOf(Out),
                 After.at(File->Top).sortOf(ROut))

@@ -36,9 +36,12 @@
 #      monotonic timestamps, engine/kernel/parse categories, cache
 #      hit/miss attributes on engine.module spans, one engine.keys span
 #      per engine.analyze span on the same thread) and that the fault.*
-#      robustness and serve.* overload counters are present, then run
-#      the bench_engine disabled-vs-enabled tracing and failpoint
-#      overhead smokes (the median ratio of alternated samples);
+#      robustness and serve.* overload counters are present, jq-check a
+#      `wiresort-mega ci --trace-out --json --stats` run (ir.seal spans
+#      noting `wires` and `label_bytes`, one gen.fingerprint span, the
+#      stats record just before the verdict line), then run the
+#      bench_engine disabled-vs-enabled tracing and failpoint overhead
+#      smokes (the median ratio of alternated samples);
 #   6. an AddressSanitizer build of the fault-injection suites — the
 #      200-schedule fault soak (ctest label `soak`) plus the
 #      crash-recovery and failpoint unit suites (docs/ROBUSTNESS.md):
@@ -235,6 +238,22 @@ if command -v jq >/dev/null 2>&1; then
   grep -q 'serve.timed_out' "$TRACE_TMP/stats.txt"
   grep -q 'serve.queue_depth' "$TRACE_TMP/stats.txt"
   echo "trace-out document passes the jq contract checks"
+  # wiresort-mega traces its whole run: an ir.seal span per sealed
+  # circuit (the tiles, the cluster, then the top), each noting the
+  # wires it added and their names' rendered bytes, and one
+  # gen.fingerprint span. Its stats record comes just before the
+  # verdict line, as wiresort-check's does.
+  "$BUILD/tools/wiresort-mega" ci --json --stats \
+    --trace-out "$TRACE_TMP/mega.json" >"$TRACE_TMP/mega.ndjson"
+  jq -e '[.traceEvents[] | select(.name == "ir.seal")] as $s |
+         ($s | length) > 0 and
+         ([$s[].args | has("wires") and has("label_bytes")] | all)' \
+    "$TRACE_TMP/mega.json" >/dev/null
+  jq -e '[.traceEvents[] | select(.name == "gen.fingerprint")] |
+         length == 1' "$TRACE_TMP/mega.json" >/dev/null
+  jq -se '.[-2].type == "stats" and .[-1].verdict == "well-connected"' \
+    "$TRACE_TMP/mega.ndjson" >/dev/null
+  echo "wiresort-mega --trace-out and --stats pass the jq contract checks"
   # Disabled-vs-enabled overhead smokes — tracing and failpoints share
   # the same one-relaxed-load budget. Each prints the median ratio of
   # alternated ~30 ms samples (the < 2% bar is asserted by eye/trend

@@ -15,12 +15,19 @@
 //   wiresort-mega ci --seed 7 --fingerprint  # digest only, no analysis
 //   wiresort-mega ci-loop --json             # stable JSON verdict line
 //   wiresort-mega 1m --threads 8 --quiet
+//   wiresort-mega 1m --trace-out t.json      # Chrome trace events
+//   wiresort-mega 1m --json --stats          # NDJSON stats record
 //
 // Exit-code contract (matches wiresort-check, docs/DIAGNOSTICS.md):
-// 0 = well-connected, 1 = loop diagnostics, 2 = usage error, 3 =
-// cancelled by --timeout-ms. --json emits NDJSON diagnostics followed by
-// one deterministic verdict line carrying the design's fingerprint and
-// flat instance count — byte-stable across thread counts and processes.
+// 0 = well-connected, 1 = loop diagnostics, 2 = usage error or a trace
+// file that cannot be written (WS501), 3 = cancelled by --timeout-ms.
+// --json emits NDJSON diagnostics followed by one deterministic verdict
+// line carrying the design's fingerprint and flat instance count —
+// byte-stable across thread counts and processes. --trace-out and
+// --stats work as in wiresort-check (docs/OBSERVABILITY.md): one
+// trace::Session spans the whole run, generation to fingerprint, and
+// the stats record (JSON with --json) comes once the verdict is known,
+// just before the verdict line.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +53,7 @@ int usage(const std::string &Why) {
       "usage: wiresort-mega <preset> [--seed N] [--inject-loop]\n"
       "                     [--fingerprint] [--json] [--quiet]\n"
       "                     [--threads N] [--timeout-ms N]\n"
+      "                     [--trace-out FILE] [--stats]\n"
       "presets: ci ci-loop ci-noc ci-fabric 10k 100k 100k-noc "
       "100k-fabric 1m\n");
   return 2;
@@ -62,6 +70,8 @@ int main(int ArgC, char **ArgV) {
   bool Quiet = false;
   unsigned Threads = 0;
   uint64_t TimeoutMs = 0;
+  std::string TraceOut;
+  bool Stats = false;
 
   for (int I = 1; I < ArgC; ++I) {
     std::string Arg = ArgV[I];
@@ -94,6 +104,11 @@ int main(int ArgC, char **ArgV) {
       if (!Ms || *Ms == 0)
         return usage("--timeout-ms expects positive milliseconds");
       TimeoutMs = *Ms;
+    } else if (Arg == "--trace-out") {
+      if (!tools::takeValue(ArgC, ArgV, I, TraceOut))
+        return usage("--trace-out expects a file");
+    } else if (Arg == "--stats") {
+      Stats = true;
     } else if (!Arg.empty() && Arg[0] == '-') {
       return usage("unknown option '" + Arg + "'");
     } else if (PresetName.empty()) {
@@ -113,6 +128,36 @@ int main(int ArgC, char **ArgV) {
   if (InjectLoop)
     P.InjectLoop = true;
 
+  auto emitDiags = [&](const support::DiagList &Ds) {
+    for (const support::Diag &Dg : Ds) {
+      if (Json)
+        std::printf("%s\n", support::renderJson(Dg).c_str());
+      else
+        std::fprintf(stderr, "%s\n",
+                     support::renderText(Dg, nullptr).c_str());
+    }
+  };
+
+  // The collection window opens before generation, so the seal and
+  // fingerprint spans land in the trace, and closes once the verdict is
+  // known.
+  std::optional<trace::Session> Session;
+  if (Stats || !TraceOut.empty())
+    Session.emplace(trace::SessionOptions{TraceOut, true});
+  // Closes the session and prints the stats record, before the verdict
+  // line as wiresort-check does. \returns false when the trace file
+  // cannot be written, after emitting the WS501 diagnostic.
+  auto finishTelemetry = [&]() {
+    if (!Session)
+      return true;
+    const support::Status Write = Session->finish();
+    if (Stats)
+      std::printf("%s", Json ? (Session->statsJson() + "\n").c_str()
+                             : Session->statsText().c_str());
+    emitDiags(Write);
+    return !Write.hasError();
+  };
+
   // Stage 3 wants the unsealed top circuit; sealing afterwards gives the
   // fingerprint/flat-count pass its top module id. Both views describe
   // the same construction.
@@ -123,6 +168,8 @@ int main(int ArgC, char **ArgV) {
     ModuleId Top = Circ.seal();
     const std::string FP = fingerprint(D, Top);
     const uint64_t Flat = flatInstanceCount(D, Top);
+    if (!finishTelemetry())
+      return 2;
     if (Json)
       std::printf("{\"preset\":\"%s\",\"seed\":%llu,\"fingerprint\":"
                   "\"%s\",\"flatInstances\":%llu,\"modules\":%zu}\n",
@@ -147,16 +194,6 @@ int main(int ArgC, char **ArgV) {
   std::map<ModuleId, ModuleSummary> Summaries;
   AnalyzeOutcome Outcome;
   support::Status Stage1 = Engine.analyze(D, Summaries, {}, DL, &Outcome);
-
-  auto emitDiags = [&](const support::DiagList &Ds) {
-    for (const support::Diag &Dg : Ds) {
-      if (Json)
-        std::printf("%s\n", support::renderJson(Dg).c_str());
-      else
-        std::fprintf(stderr, "%s\n",
-                     support::renderText(Dg, nullptr).c_str());
-    }
-  };
 
   size_t Errors = 0;
   bool Cancelled = false;
@@ -184,6 +221,11 @@ int main(int ArgC, char **ArgV) {
   const uint64_t Flat = flatInstanceCount(D, Top);
   const std::string FP = fingerprint(D, Top);
   const bool Ok = !Stage1.hasError() && Check.WellConnected;
+  // As in wiresort-check, a trace that cannot be written fails a run
+  // that was otherwise well-connected (exit 2, no verdict line); a
+  // failed run keeps its verdict.
+  if (!finishTelemetry() && Ok)
+    return 2;
 
   if (Json) {
     std::printf("{\"verdict\":\"%s\",\"preset\":\"%s\",\"seed\":%llu,"
