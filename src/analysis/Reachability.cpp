@@ -204,7 +204,7 @@ bool CombGraph::feedsStateDirectly(WireId In) const {
   while (!Work.empty()) {
     WireId W = Work.back();
     Work.pop_back();
-    if (M->wire(W).Kind == WireKind::Output)
+    if (M->Wires[W].Kind == WireKind::Output)
       return false; // Reaches a port: the wire is not to-sync at all.
     for (uint32_t Succ : G.successors(W)) {
       // Anything but a Buf net is logic in the way: another net, an

@@ -183,8 +183,18 @@ ModuleId Circuit::seal() {
 
   // Promote every port still unbound, in instance and slot order, into
   // the room reserved above.
-  for (InstId Inst = 0; Inst != Insts.size(); ++Inst)
-    Top.promoteOpenPorts(Inst, Inst, Ports[Insts[Inst].Def], Unbound);
+  for (InstId Inst = 0; Inst != Insts.size(); ++Inst) {
+    const std::vector<Wire> &DefPorts = Ports[Insts[Inst].Def];
+    auto &Bindings = Top.Instances[Inst].Bindings;
+    for (size_t Slot = 0; Slot != Bindings.size(); ++Slot) {
+      WireId &Local = Bindings[Slot].second;
+      if (Local != Unbound)
+        continue;
+      const WireKind Kind = DefPorts[Slot].Kind;
+      Local = Top.addPrefixedWire(Inst, DefPorts[Slot], Kind);
+      (Kind == WireKind::Input ? Top.Inputs : Top.Outputs).push_back(Local);
+    }
+  }
 
   return D->addModule(std::move(Top));
 }

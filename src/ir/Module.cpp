@@ -224,21 +224,6 @@ WireId Module::addPrefixedWire(uint32_t Prefix, const Wire &Port,
   return static_cast<WireId>(Wires.size() - 1);
 }
 
-void Module::promoteOpenPorts(InstId Inst, uint32_t Prefix,
-                              std::span<const Wire> Ports, WireId Open) {
-  SubInstance &Sub = Instances[Inst];
-  assert(Ports.size() == Sub.Bindings.size() &&
-         "one port record per binding");
-  for (size_t Slot = 0; Slot != Sub.Bindings.size(); ++Slot) {
-    WireId &Local = Sub.Bindings[Slot].second;
-    if (Local != Open)
-      continue;
-    const WireKind Kind = Ports[Slot].Kind;
-    Local = addPrefixedWire(Prefix, Ports[Slot], Kind);
-    (Kind == WireKind::Input ? Inputs : Outputs).push_back(Local);
-  }
-}
-
 void Module::renameWire(WireId Id, std::string_view Name) {
   const NamePart N = appendName({Name});
   Wire &W = Wires[Id];

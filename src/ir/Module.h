@@ -168,8 +168,8 @@ public:
                  uint64_t ConstValue = 0);
 
   /// Creates a wire named by the concatenation of \p NameParts, written
-  /// straight into the name buffer: a caller composing "inst.port" names
-  /// builds no string per wire. Same rules as the one-name overload.
+  /// straight into the name buffer: a caller composing a name from
+  /// pieces builds no string for it. Same rules as the one-name overload.
   WireId addWire(std::initializer_list<std::string_view> NameParts,
                  WireKind Kind, uint16_t Width = 1, uint64_t ConstValue = 0);
 
@@ -187,8 +187,8 @@ public:
 
   /// Writes \p Name into the name buffer as a new entry of the prefix
   /// table and \returns its index there, the prefix of every wire
-  /// \ref addPrefixedWire or \ref promoteOpenPorts names with it.
-  /// Circuit::seal writes each instance's name once this way.
+  /// \ref addPrefixedWire names with it. Circuit::seal writes each
+  /// instance's name once this way.
   uint32_t addPrefix(std::string_view Name);
 
   /// Writes the name of every port of \p Def, rendered, into the name
@@ -204,18 +204,6 @@ public:
   /// prefix \p Prefix of the prefix table, tail \p Port's name. It
   /// writes no name bytes.
   WireId addPrefixedWire(uint32_t Prefix, const Wire &Port, WireKind Kind);
-
-  /// Promotes the open ports of instance \p Inst, named after prefix
-  /// \p Prefix: every binding still bound to \p Open (bindings run over
-  /// the definition's ports in PortNumbering slot order) gets a new port
-  /// wire, \ref addPrefixedWire of \p Prefix and that slot's record of
-  /// \p Ports, what \ref addPortNames returned for the definition,
-  /// appended to Inputs or Outputs by the record's kind. Circuit::seal
-  /// calls it once per instance after reserving, through
-  /// \ref reserveWires and the port lists, exactly the room the wires
-  /// and port entries take. It writes no name bytes.
-  void promoteOpenPorts(InstId Inst, uint32_t Prefix,
-                        std::span<const Wire> Ports, WireId Open);
 
   /// Gives wire \p Id the one-part name \p Name (which may view the name
   /// buffer). The new name is appended; the old bytes stay in the buffer
@@ -335,7 +323,7 @@ private:
   };
 
   /// Appends the concatenation of \p Parts to the name buffer and \returns
-  /// where it starts.
+  /// its range there.
   NamePart appendName(std::initializer_list<std::string_view> Parts);
 
   /// Every wire's name and every prefix, back to back (see the class

@@ -147,7 +147,7 @@ void Simulator::evalNet(const Net &N) {
     break;
   case Op::Concat: {
     for (size_t I = 0; I != Ins.size(); ++I) {
-      uint16_t W = M->Wires[Ins[I]].Width;
+      uint16_t W = M->wire(Ins[I]).Width;
       Result = (W >= 64 ? 0 : (Result << W)) | in(I);
     }
     break;
@@ -156,7 +156,7 @@ void Simulator::evalNet(const Net &N) {
     Result = in(0) >> N.Aux;
     break;
   case Op::AndR:
-    Result = in(0) == mask(M->Wires[Ins[0]].Width);
+    Result = in(0) == mask(M->wire(Ins[0]).Width);
     break;
   case Op::OrR:
     Result = in(0) != 0;
@@ -193,7 +193,7 @@ void Simulator::step() {
   std::vector<std::pair<WireId, uint64_t>> NextQ;
   NextQ.reserve(M->Registers.size() + M->Memories.size());
   for (const Register &R : M->Registers)
-    NextQ.emplace_back(R.Q, Values[R.D] & mask(M->Wires[R.Q].Width));
+    NextQ.emplace_back(R.Q, Values[R.D] & mask(M->wire(R.Q).Width));
   for (MemId MI = 0; MI != M->Memories.size(); ++MI) {
     const Memory &Mem = M->Memories[MI];
     if (Mem.SyncRead)
