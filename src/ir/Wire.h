@@ -51,7 +51,7 @@ const char *wireKindName(WireKind Kind);
 /// [NameOffset, NameOffset + NameSize) of the buffer, or, when Prefixed,
 /// two: that range is its tail, and Index names its prefix in the
 /// module's prefix table, so it reads "prefix.tail". Circuit::seal names
-/// each port it promotes this way, "instance.port", with every instance's
+/// every wire it makes this way, "instance.port", with every instance's
 /// name and every definition's port names written once. A Const wire's
 /// value sits in its module's constant table at Index, read through
 /// Module::wire or Module::constValue: few wires are constants, so the
@@ -104,7 +104,6 @@ public:
   size_t size() const {
     return HasPrefix ? Prefix.size() + 1 + Tail.size() : Tail.size();
   }
-  bool empty() const { return size() == 0; }
 
   operator std::string() const {
     std::string S;

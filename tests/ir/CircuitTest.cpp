@@ -456,13 +456,13 @@ TEST(CircuitTest, RenameWireOnASealedPortGivesAPlainName) {
   EXPECT_EQ(M.findPort("u0.a"), InvalidId);
   EXPECT_EQ(PortIndex(M).find(M, "a_plain_input_name"), In);
   EXPECT_EQ(PortIndex(M).find(M, "u1.y"), Out);
-  // A new name that views the buffer, then one with a dot.
-  M.renameWire(Out, M.wireName(In).tail());
-  EXPECT_EQ(M.wireName(Out), "a_plain_input_name");
+  // Another wire's name, rendered, then a new name with a dot.
+  M.renameWire(Out, std::string(M.wireName(0)));
+  EXPECT_EQ(M.wireName(Out), "u0.y");
   M.renameWire(0, "u1.y");
   EXPECT_EQ(M.wireName(0), "u1.y");
+  EXPECT_EQ(M.wireName(Out), "u0.y");
   EXPECT_FALSE(M.wireName(0).hasPrefix());
-  EXPECT_EQ(M.wireName(In), "a_plain_input_name");
   EXPECT_EQ(M.wire(In).Kind, WireKind::Input);
   EXPECT_EQ(M.wire(Out).Kind, WireKind::Output);
   EXPECT_FALSE(D.validate().has_value());
