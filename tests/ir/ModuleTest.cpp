@@ -446,6 +446,27 @@ TEST(ModuleTest, WireNameReadsLikeAString) {
   Appended += Sealed;
   Appended += Name;
   EXPECT_EQ(Appended, "<" + SealedCopy + Copy);
+
+  // The same bytes split at another dot are the same name: "a" with port
+  // "b.c", and "a.b" with port "c", both read "a.b.c".
+  Module BC("bc"), C1("c");
+  BC.addInput("b.c");
+  C1.addInput("c");
+  const ModuleId BCId = D.addModule(std::move(BC));
+  const ModuleId CId = D.addModule(std::move(C1));
+  Circuit Split(D, "split");
+  Split.addInstance(BCId, "a");
+  Split.addInstance(CId, "a.b");
+  Split.addInstance(CId, "a.bc");
+  const Module &S = D.module(Split.seal());
+  const WireName ABC = S.wireName(S.Inputs[0]);
+  const WireName AB_C = S.wireName(S.Inputs[1]);
+  EXPECT_EQ(ABC, "a.b.c");
+  EXPECT_EQ(AB_C, "a.b.c");
+  EXPECT_EQ(ABC, AB_C);
+  EXPECT_EQ(AB_C, ABC);
+  EXPECT_NE(ABC, S.wireName(S.Inputs[2]));
+  EXPECT_NE(S.wireName(S.Inputs[2]), AB_C);
 }
 
 TEST(ModuleTest, NetsReadTheirInputsAndCoversFromTheModule) {
